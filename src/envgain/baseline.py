@@ -19,10 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from . import neural
-from .mixing import DEFAULT_SNR_RANGE_DB, mix_at_snr
-from .pipeline import _load_norm, _parse_kv, _save_norm
-from .signal_io import WORKING_RATE_HZ, TimeSignal, to_working_rate
-from .stft import StftConfig, analyze, apply_gain, pad_to_frames, synthesize
+from .mixing import DEFAULT_SNR_RANGE_DB, _mixtures
+from .octave import average_overlapping_gains
+from .pipeline import (
+    _analyze_noisy, _load_norm, _parse_kv, _resynthesize, _save_norm, _select_rows, _streaming_norm,
+)
+from .signal_io import TimeSignal
+from .stft import Spectrogram, StftConfig, analyze
 
 CONTEXT_FRAMES = 30
 PREDICT_FRAMES = 5
@@ -80,17 +83,9 @@ def build_magnitude_dataset(
     predict: int = PREDICT_FRAMES,
 ) -> MagnitudeDataset:
     """Magnitude-domain counterpart of mixing.build_dataset."""
-    noise = to_working_rate(noise)
-    children = np.random.SeedSequence(seed).spawn(len(speech_list))
     clean_mags, noisy_mags, index = [], [], []
-    for u, raw in enumerate(speech_list):
-        rng = np.random.default_rng(children[u])
-        speech = to_working_rate(raw)
-        if snr_list_db is not None:
-            snr = float(snr_list_db[u % len(snr_list_db)])
-        else:
-            snr = float(rng.uniform(*snr_range_db))
-        mixture, _ = mix_at_snr(speech, noise, snr, rng)
+    mixtures = _mixtures(speech_list, noise, seed, snr_range_db, snr_list_db)
+    for u, (speech, mixture, _) in enumerate(mixtures):
         clean_mags.append(analyze(speech, stft_config).magnitude)
         noisy_mags.append(analyze(mixture, stft_config).magnitude)
         for frame in range(context - 1, clean_mags[-1].shape[0]):
@@ -107,22 +102,6 @@ class ClassicalSystem:
     predict: int = PREDICT_FRAMES
 
 
-def _norm_for(ds: MagnitudeDataset, rows) -> neural.FeatureNorm:
-    sums = sqsums = None
-    count = 0
-    for lo in range(0, len(rows), 2048):
-        chunk = ds.features(rows[lo : lo + 2048])
-        if sums is None:
-            sums, sqsums = chunk.sum(axis=0), (chunk**2).sum(axis=0)
-        else:
-            sums += chunk.sum(axis=0)
-            sqsums += (chunk**2).sum(axis=0)
-        count += len(chunk)
-    mean = sums / count
-    var = np.maximum(sqsums / count - mean**2, 0.0)
-    return neural.FeatureNorm(mean, np.maximum(np.sqrt(var), 1e-8))
-
-
 def train_classical(
     train_ds: MagnitudeDataset,
     val_ds: MagnitudeDataset,
@@ -135,14 +114,10 @@ def train_classical(
     magnitude-domain MSE)."""
     config = replace(config, objective="emse")
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xBA5E]))
-    train_rows = np.arange(train_ds.n_frames)
-    if max_train_frames is not None and len(train_rows) > max_train_frames:
-        train_rows = np.sort(rng.choice(len(train_rows), max_train_frames, replace=False))
-    val_rows = np.arange(val_ds.n_frames)
-    if max_val_frames is not None and len(val_rows) > max_val_frames:
-        val_rows = np.sort(rng.choice(len(val_rows), max_val_frames, replace=False))
+    train_rows = _select_rows(train_ds.n_frames, max_train_frames, rng)
+    val_rows = _select_rows(val_ds.n_frames, max_val_frames, rng)
 
-    norm = _norm_for(train_ds, train_rows)
+    norm = _streaming_norm(train_ds.features, train_rows, 2048)
     keys = np.random.SeedSequence(config.seed).generate_state(2)
     dims = [train_ds.context * train_ds.n_bins, *hidden, train_ds.predict * train_ds.n_bins]
     model = neural.init_model(dims, seed=int(keys[0]))
@@ -160,13 +135,7 @@ def train_classical(
     return ClassicalSystem(model, train_ds.stft_config, norm, train_ds.context, train_ds.predict), report
 
 
-def classical_gains(system: ClassicalSystem, noisy: TimeSignal) -> np.ndarray:
-    """Per-bin gain matrix (M, K/2+1) with overlapping 5-frame estimates
-    averaged; frames before the first prediction window get gain 1."""
-    if noisy.sample_rate_hz != WORKING_RATE_HZ:
-        raise ValueError(f"noisy input must be at the {WORKING_RATE_HZ} Hz working rate")
-    cfg = system.stft_config
-    spec = analyze(pad_to_frames(noisy.samples, cfg), cfg)
+def _gains(system: ClassicalSystem, spec: Spectrogram) -> np.ndarray:
     mag = spec.magnitude
     m, n_bins = mag.shape
     if m < system.context:
@@ -175,26 +144,25 @@ def classical_gains(system: ClassicalSystem, noisy: TimeSignal) -> np.ndarray:
     windows = np.lib.stride_tricks.sliding_window_view(mag, system.context, axis=0)  # (V, B, C)
     feats = np.log1p(windows.transpose(0, 2, 1).reshape(windows.shape[0], -1))
     feats = system.feature_norm.apply(feats)
-    sums = np.zeros((m, n_bins))
-    counts = np.zeros((m, 1))
+    pred = np.empty((len(feats), system.predict * n_bins))
     for lo in range(0, len(feats), 2048):
-        pred = neural.forward(system.model, feats[lo : lo + 2048])  # (B, P*bins)
-        pred = pred.reshape(len(pred), system.predict, n_bins)
-        for i in range(len(pred)):
-            t = system.context - 1 + lo + i
-            sl = slice(t - system.predict + 1, t + 1)
-            sums[sl] += pred[i]
-            counts[sl] += 1
-    gains = np.where(counts > 0, sums / np.maximum(counts, 1), 1.0)
-    return gains
+        pred[lo : lo + 2048] = neural.forward(system.model, feats[lo : lo + 2048])
+    # window v ends at frame context-1+v and predicts its last `predict` frames
+    pred = pred.reshape(len(pred), system.predict, n_bins)
+    return average_overlapping_gains(pred, m, system.context - system.predict, fill=1.0)
+
+
+def classical_gains(system: ClassicalSystem, noisy: TimeSignal) -> np.ndarray:
+    """Per-bin gain matrix (M, K/2+1) with overlapping 5-frame estimates
+    averaged; frames before the first prediction window get gain 1."""
+    return _gains(system, _analyze_noisy(noisy, system.stft_config))
 
 
 def classical_enhance(system: ClassicalSystem, noisy: TimeSignal) -> TimeSignal:
-    """Gain the noisy magnitudes and resynthesize with the noisy phase."""
-    cfg = system.stft_config
-    spec = analyze(pad_to_frames(noisy.samples, cfg), cfg)
-    out = synthesize(apply_gain(spec, classical_gains(system, noisy)))
-    return TimeSignal(out.samples[: len(noisy)], WORKING_RATE_HZ)
+    """Gain the noisy magnitudes and resynthesize with the noisy phase,
+    from one analysis of the noisy input."""
+    spec = _analyze_noisy(noisy, system.stft_config)
+    return _resynthesize(noisy, spec, _gains(system, spec))
 
 
 def save_classical(system: ClassicalSystem, dirpath) -> None:

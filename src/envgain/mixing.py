@@ -19,12 +19,12 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import signal as _sig
 
-from .octave import ENVELOPE_LEN, BandLayout, EnvelopeVector, build_band_layout, envelopes
+from .octave import ENVELOPE_LEN, BandLayout, build_band_layout, envelopes
 from .signal_io import WORKING_RATE_HZ, TimeSignal, to_working_rate
 from .stft import StftConfig, analyze
 
@@ -260,24 +260,13 @@ def pseudo_corpus(n_utterances: int, utterance_s: float, seed: int) -> list[Time
     return [pseudo_speech(utterance_s, child) for child in children]
 
 
-@dataclass(frozen=True)
-class DatasetSample:
-    """One training pair: full-band network input plus the (band, frame)
-    envelope targets."""
-
-    noisy_input: np.ndarray  # (J*N,) log-compressed noisy envelope context
-    clean_envelope: EnvelopeVector
-    noisy_envelope: EnvelopeVector
-    band: int
-
-
 class EnvelopeDataset:
     """Envelope-domain dataset stored per utterance.
 
     Keeps clean/noisy band-envelope matrices (J, M) per utterance plus a
     flat (utterance, frame) index of valid frames; per-sample feature
-    vectors and windows are materialized on demand. One valid frame yields
-    one DatasetSample per band.
+    vectors and windows are materialized on demand. One valid frame holds
+    one training sample per band.
     """
 
     def __init__(
@@ -349,18 +338,21 @@ class EnvelopeDataset:
     def joint_targets(self, rows):
         return self._gather(rows, self.clean_env), self._gather(rows, self.noisy_env)
 
-    def samples(self) -> Iterator[DatasetSample]:
-        """All samples, ordered by utterance, then frame, then band."""
-        for utt, frame in self.index:
-            clean, noisy = self.window(utt, frame)
-            feat = np.log1p(noisy).reshape(-1)
-            for j in range(self.n_bands):
-                yield DatasetSample(
-                    feat,
-                    EnvelopeVector(clean[j].copy(), j, int(frame)),
-                    EnvelopeVector(noisy[j].copy(), j, int(frame)),
-                    j,
-                )
+
+def _mixtures(speech_list, noise, seed, snr_range_db, snr_list_db):
+    """Yield (speech, mixture, snr) per utterance at the working rate. Each
+    utterance has its own seeded stream; the SNR cycles through
+    `snr_list_db` when given, else is drawn uniformly from `snr_range_db`."""
+    noise = to_working_rate(noise)
+    children = np.random.SeedSequence(seed).spawn(len(speech_list))
+    for u, raw in enumerate(speech_list):
+        rng = np.random.default_rng(children[u])
+        speech = to_working_rate(raw)
+        if snr_list_db is not None:
+            snr = float(snr_list_db[u % len(snr_list_db)])
+        else:
+            snr = float(rng.uniform(*snr_range_db))
+        yield speech, mix_at_snr(speech, noise, snr, rng)[0], snr
 
 
 def build_dataset(
@@ -385,18 +377,9 @@ def build_dataset(
         raise ValueError(f"unknown split {split!r}")
     if layout is None:
         layout = build_band_layout(stft_config.fft_size, WORKING_RATE_HZ)
-    noise = to_working_rate(noise)
-    children = np.random.SeedSequence(seed).spawn(len(speech_list))
-
     clean_envs, noisy_envs, index, mixes = [], [], [], []
-    for u, raw in enumerate(speech_list):
-        rng = np.random.default_rng(children[u])
-        speech = to_working_rate(raw)
-        if snr_list_db is not None:
-            snr = float(snr_list_db[u % len(snr_list_db)])
-        else:
-            snr = float(rng.uniform(*snr_range_db))
-        mixture, _ = mix_at_snr(speech, noise, snr, rng)
+    mixtures = _mixtures(speech_list, noise, seed, snr_range_db, snr_list_db)
+    for u, (speech, mixture, snr) in enumerate(mixtures):
         mixes.append(MixSpec(snr, noise_source, split, seed))
 
         clean_e = envelopes(analyze(speech, stft_config), layout)
@@ -455,53 +438,57 @@ def save_dataset(ds: EnvelopeDataset, path) -> None:
         fh.write(struct.pack("<I", zlib.crc32(bytes(out))))
 
 
+class DatasetFormatError(ValueError):
+    """Dataset pack is corrupt, truncated, or internally inconsistent."""
+
+
 def load_dataset(path) -> EnvelopeDataset:
+    """Read a pack written by `save_dataset`. Raises DatasetFormatError on
+    bad magic, version or CRC, and on any record that runs past the end of
+    the payload or leaves bytes after it."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 29 or blob[:5] != DATASET_MAGIC:
-        raise ValueError(f"{path}: not a dataset pack")
+        raise DatasetFormatError(f"{path}: not a dataset pack")
     payload, crc = blob[:-4], struct.unpack("<I", blob[-4:])[0]
     if crc != zlib.crc32(payload):
-        raise ValueError(f"{path}: CRC mismatch")
-    version, n_utts, n_bands, n_env = struct.unpack("<IIII", payload[5:21])
+        raise DatasetFormatError(f"{path}: CRC mismatch")
+    pos = 5
+
+    def take(n_bytes: int) -> bytes:
+        nonlocal pos
+        if n_bytes > len(payload) - pos:
+            raise DatasetFormatError(f"{path}: truncated dataset pack at byte {pos}")
+        pos += n_bytes
+        return payload[pos - n_bytes : pos]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    def array(dtype: str, count: int) -> np.ndarray:
+        return np.frombuffer(take(8 * count), dtype=dtype).copy()
+
+    version, n_utts, n_bands, n_env = unpack("<IIII")
     if version != DATASET_VERSION:
-        raise ValueError(f"{path}: unsupported dataset version {version}")
-    fft_size, hop, fs, first_center = struct.unpack("<IIId", payload[21:41])
-    (n_rows,) = struct.unpack("<Q", payload[41:49])
-    pos = 49
+        raise DatasetFormatError(f"{path}: unsupported dataset version {version}")
+    fft_size, hop, fs, first_center = unpack("<IIId")
+    (n_rows,) = unpack("<Q")
     clean_envs, noisy_envs = [], []
     for _ in range(n_utts):
-        (m,) = struct.unpack("<I", payload[pos : pos + 4])
-        pos += 4
-        size = n_bands * m * 8
-        clean_envs.append(
-            np.frombuffer(payload[pos : pos + size], dtype="<f8").reshape(n_bands, m).copy()
-        )
-        pos += size
-        noisy_envs.append(
-            np.frombuffer(payload[pos : pos + size], dtype="<f8").reshape(n_bands, m).copy()
-        )
-        pos += size
-    size = n_rows * 2 * 8
-    index = np.frombuffer(payload[pos : pos + size], dtype="<i8").reshape(-1, 2).copy()
-    pos += size
-    (n_mixes,) = struct.unpack("<I", payload[pos : pos + 4])
-    pos += 4
+        (m,) = unpack("<I")
+        clean_envs.append(array("<f8", n_bands * m).reshape(n_bands, m))
+        noisy_envs.append(array("<f8", n_bands * m).reshape(n_bands, m))
+    index = array("<i8", 2 * n_rows).reshape(-1, 2)
+    (n_mixes,) = unpack("<I")
     mixes = []
     for _ in range(n_mixes):
-        (snr,) = struct.unpack("<d", payload[pos : pos + 8])
-        pos += 8
-        (ln,) = struct.unpack("<H", payload[pos : pos + 2])
-        pos += 2
-        source = payload[pos : pos + ln].decode("utf-8")
-        pos += ln
-        (ln,) = struct.unpack("<H", payload[pos : pos + 2])
-        pos += 2
-        split = payload[pos : pos + ln].decode("utf-8")
-        pos += ln
-        (seed,) = struct.unpack("<q", payload[pos : pos + 8])
-        pos += 8
+        (snr,) = unpack("<d")
+        source = take(unpack("<H")[0]).decode("utf-8")
+        split = take(unpack("<H")[0]).decode("utf-8")
+        (seed,) = unpack("<q")
         mixes.append(MixSpec(snr, source, split, seed))
+    if pos != len(payload):
+        raise DatasetFormatError(f"{path}: {len(payload) - pos} trailing bytes")
     cfg = StftConfig(fft_size, fft_size, hop)
     layout = build_band_layout(fft_size, fs, n_bands, first_center)
     return EnvelopeDataset(clean_envs, noisy_envs, index, n_env, mixes, layout, cfg)

@@ -9,13 +9,13 @@ as ``[k1, k2)``.
 Band envelopes are the root-sum-square of the band's magnitude bins per
 frame. A length-N envelope vector for (band j, frame m) holds the N most
 recent envelope values ending at frame m; with the default N = 30 and
-12.8 ms hop one vector spans 384 ms.
+12.8 ms hop one vector spans 384 ms. Per-window gain vectors share that
+alignment; `average_overlapping_gains` averages them into per-frame gains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -61,15 +61,6 @@ class BandLayout:
 @dataclass(frozen=True)
 class EnvelopeVector:
     """N most recent envelope values of one band, ending at `frame`."""
-
-    values: np.ndarray
-    band: int
-    frame: int
-
-
-@dataclass(frozen=True)
-class GainVector:
-    """Estimated per-frame gains for one band, aligned like EnvelopeVector."""
 
     values: np.ndarray
     band: int
@@ -149,23 +140,37 @@ def band_gains_to_stft_gains(
     return out
 
 
-def average_overlapping_gains(gain_vectors: Sequence[GainVector], n_frames: int) -> np.ndarray:
-    """Average all gain-vector entries referring to each frame.
+def average_overlapping_gains(
+    vectors: np.ndarray, n_frames: int, first_frame: int, fill: float | None = None
+) -> np.ndarray:
+    """Average overlapping per-window gain estimates per frame.
 
-    A vector ending at frame m contributes its d-th entry to frame
-    m - N + 1 + d, so interior frames are averaged over up to N estimates
-    and edge frames over however many exist. Raises on uncovered frames.
+    `vectors` has shape (V, N, *rest): V consecutive windows of N frames
+    each, trailing axes (bands, bins) averaged independently. Entry d of
+    window v estimates frame ``first_frame + v + d``, so interior frames
+    are averaged over up to N estimates and edge frames over however many
+    exist. Returns (n_frames, *rest). Frames no window covers get `fill`,
+    or raise ValueError when `fill` is None.
     """
-    sums = np.zeros(n_frames)
+    vectors = np.asarray(vectors, dtype=np.float64)
+    v, n = vectors.shape[:2]
+    if first_frame < 0 or first_frame + v + n - 1 > n_frames:
+        raise ValueError(
+            f"{v} windows of {n} frames from frame {first_frame} exceed {n_frames} frames"
+        )
+    sums = np.zeros((n_frames, *vectors.shape[2:]))
     counts = np.zeros(n_frames, dtype=np.int64)
-    for gv in gain_vectors:
-        n = len(gv.values)
-        start = gv.frame - n + 1
-        if start < 0 or gv.frame >= n_frames:
-            raise ValueError(f"gain vector ending at frame {gv.frame} out of range")
-        sums[start : gv.frame + 1] += gv.values
-        counts[start : gv.frame + 1] += 1
-    if np.any(counts == 0):
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise ValueError(f"frame {missing} not covered by any gain vector")
-    return sums / counts
+    # the window covering frame f at offset d is v = f - first_frame - d, so
+    # descending offsets add each frame's estimates in ascending window order
+    for d in range(n - 1, -1, -1):
+        lo = first_frame + d
+        sums[lo : lo + v] += vectors[:, d]
+        counts[lo : lo + v] += 1
+    out = sums / np.maximum(counts, 1).reshape(-1, *(1,) * (sums.ndim - 1))
+    uncovered = counts == 0
+    if uncovered.any():
+        if fill is None:
+            missing = int(np.flatnonzero(uncovered)[0])
+            raise ValueError(f"frame {missing} not covered by any gain vector")
+        out[uncovered] = fill
+    return out

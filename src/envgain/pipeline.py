@@ -2,10 +2,11 @@
 
 An EnhancementSystem bundles the trained per-band gain networks (or one
 joint-output network), the band layout, STFT configuration and feature
-normalization. Enhancement runs noisy audio through the analysis chain,
-collects each network's gain vectors, averages the overlapping estimates
-per frame, maps band gains onto STFT bins (uniform within a band) and
-resynthesizes with the noisy phase. Output duration equals input duration.
+normalization. Enhancement analyzes the noisy audio once, collects each
+network's gain vectors as one (V, J, N) array, averages the overlapping
+estimates per frame, maps band gains onto STFT bins (uniform within a
+band) and resynthesizes from the same spectrogram with the noisy phase.
+Output duration equals input duration.
 
 Scoring averages the envelope correlation over all (band, window) pairs;
 the intelligibility score exposed here is the clip-free variant of that
@@ -27,14 +28,13 @@ from .mixing import EnvelopeDataset, mix_at_snr
 from .octave import (
     ENVELOPE_LEN,
     BandLayout,
-    GainVector,
     average_overlapping_gains,
     band_gains_to_stft_gains,
     build_band_layout,
     envelopes,
 )
 from .signal_io import WORKING_RATE_HZ, TimeSignal
-from .stft import StftConfig, analyze, apply_gain, pad_to_frames, synthesize
+from .stft import Spectrogram, StftConfig, analyze, apply_gain, pad_to_frames, synthesize
 
 NORM_MAGIC = b"ASTON"
 NORM_VERSION = 1
@@ -86,11 +86,12 @@ def _require_working_rate(sig: TimeSignal, what: str):
         raise ValueError(f"{what} must be at the {WORKING_RATE_HZ} Hz working rate")
 
 
-def predict_gain_vectors(system: EnhancementSystem, noisy: TimeSignal) -> np.ndarray:
-    """Raw network gain vectors for every valid frame: (V, J, N), where the
-    v-th row belongs to the envelope vector ending at frame n_env-1+v."""
+def _analyze_noisy(noisy: TimeSignal, config: StftConfig) -> Spectrogram:
     _require_working_rate(noisy, "noisy input")
-    spec = analyze(pad_to_frames(noisy.samples, system.stft_config), system.stft_config)
+    return analyze(pad_to_frames(noisy.samples, config), config)
+
+
+def _gain_vectors(system: EnhancementSystem, spec: Spectrogram) -> np.ndarray:
     env = envelopes(spec, system.layout)
     j, m = env.shape
     n = system.n_env
@@ -112,23 +113,26 @@ def predict_gain_vectors(system: EnhancementSystem, noisy: TimeSignal) -> np.nda
     return out
 
 
-def _average_gains(vectors: np.ndarray, n_frames: int, n_env: int) -> np.ndarray:
-    """Average overlapping gain vectors per band: (V, J, N) -> (J, M)."""
-    v, j, _ = vectors.shape
-    out = np.empty((j, n_frames))
-    for band in range(j):
-        gvs = [
-            GainVector(vectors[i, band], band, n_env - 1 + i) for i in range(v)
-        ]
-        out[band] = average_overlapping_gains(gvs, n_frames)
-    return out
+def _band_gains(system: EnhancementSystem, spec: Spectrogram) -> np.ndarray:
+    vectors = _gain_vectors(system, spec)  # (V, J, N); window v starts at frame v
+    return average_overlapping_gains(vectors.transpose(0, 2, 1), spec.n_frames, 0).T
+
+
+def _resynthesize(noisy: TimeSignal, spec: Spectrogram, stft_gains: np.ndarray) -> TimeSignal:
+    out = synthesize(apply_gain(spec, stft_gains))
+    return TimeSignal(out.samples[: len(noisy)], WORKING_RATE_HZ)
+
+
+def predict_gain_vectors(system: EnhancementSystem, noisy: TimeSignal) -> np.ndarray:
+    """Raw network gain vectors for every valid frame: (V, J, N), where the
+    v-th row belongs to the envelope vector ending at frame n_env-1+v."""
+    return _gain_vectors(system, _analyze_noisy(noisy, system.stft_config))
 
 
 def predict_band_gains(system: EnhancementSystem, noisy: TimeSignal) -> np.ndarray:
-    """Per-frame band gains (J, M) after overlapping-estimate averaging."""
-    vectors = predict_gain_vectors(system, noisy)
-    n_frames = vectors.shape[0] + system.n_env - 1
-    return _average_gains(vectors, n_frames, system.n_env)
+    """Per-frame band gains (J, M): the gain vectors of every window
+    averaged per frame by `average_overlapping_gains`."""
+    return _band_gains(system, _analyze_noisy(noisy, system.stft_config))
 
 
 def enhance_with_band_gains(
@@ -140,19 +144,18 @@ def enhance_with_band_gains(
 ) -> TimeSignal:
     """Apply per-frame band gains to a noisy signal and resynthesize with
     the noisy phase. Used by both the networks and oracle-gain harnesses."""
-    _require_working_rate(noisy, "noisy input")
-    spec = analyze(pad_to_frames(noisy.samples, config), config)
-    gains = band_gains_to_stft_gains(band_gains, layout, out_of_band)
-    out = synthesize(apply_gain(spec, gains))
-    return TimeSignal(out.samples[: len(noisy)], WORKING_RATE_HZ)
+    spec = _analyze_noisy(noisy, config)
+    return _resynthesize(noisy, spec, band_gains_to_stft_gains(band_gains, layout, out_of_band))
 
 
 def enhance(system: EnhancementSystem, noisy: TimeSignal) -> TimeSignal:
-    """Noisy waveform in, enhanced waveform of identical duration out."""
-    gains = predict_band_gains(system, noisy)
-    return enhance_with_band_gains(
-        noisy, gains, system.layout, system.stft_config, system.out_of_band
-    )
+    """Noisy waveform in, enhanced waveform of identical duration out.
+
+    The noisy input is analyzed once; its spectrogram feeds both the
+    networks and the resynthesis."""
+    spec = _analyze_noisy(noisy, system.stft_config)
+    gains = band_gains_to_stft_gains(_band_gains(system, spec), system.layout, system.out_of_band)
+    return _resynthesize(noisy, spec, gains)
 
 
 def oracle_band_gains(
@@ -266,23 +269,22 @@ def _select_rows(n: int, cap: int | None, rng: np.random.Generator) -> np.ndarra
     return np.sort(rng.choice(n, size=cap, replace=False))
 
 
+def _streaming_norm(features, rows: np.ndarray, chunk: int) -> neural.FeatureNorm:
+    """Per-dimension mean and std of `features(rows)`, gathered `chunk` rows
+    at a time; the chunk size fixes the summation order."""
+    sums = sqsums = 0.0
+    for lo in range(0, len(rows), chunk):
+        block = features(rows[lo : lo + chunk])
+        sums = sums + block.sum(axis=0)
+        sqsums = sqsums + (block**2).sum(axis=0)
+    mean = sums / len(rows)
+    var = np.maximum(sqsums / len(rows) - mean**2, 0.0)
+    return neural.FeatureNorm(mean, np.maximum(np.sqrt(var), 1e-8))
+
+
 def compute_feature_norm_for(ds: EnvelopeDataset, rows=None) -> neural.FeatureNorm:
     rows = np.arange(ds.n_frames) if rows is None else rows
-    sums = None
-    sqsums = None
-    count = 0
-    for lo in range(0, len(rows), _FEATURE_CHUNK):
-        chunk = ds.features(rows[lo : lo + _FEATURE_CHUNK])
-        if sums is None:
-            sums = chunk.sum(axis=0)
-            sqsums = (chunk**2).sum(axis=0)
-        else:
-            sums += chunk.sum(axis=0)
-            sqsums += (chunk**2).sum(axis=0)
-        count += len(chunk)
-    mean = sums / count
-    var = np.maximum(sqsums / count - mean**2, 0.0)
-    return neural.FeatureNorm(mean, np.maximum(np.sqrt(var), 1e-8))
+    return _streaming_norm(ds.features, rows, _FEATURE_CHUNK)
 
 
 def _training_rows(train_ds, val_ds, config, max_train_frames, max_val_frames):
@@ -417,24 +419,15 @@ def evaluate_system(
         # SeedSequence entropy must be non-negative; fold the signed SNR key
         snr_key = int(round(snr * 1000)) % (1 << 32)
         children = np.random.SeedSequence([seed, snr_key]).spawn(len(clean_list))
-        elc_up, elc_enh, stoi_up, stoi_enh = [], [], [], []
+        elc_up, elc_enh = [], []
         for child, clean in zip(children, clean_list):
             noisy, _ = mix_at_snr(clean, noise, snr, np.random.default_rng(child))
             enhanced = enhance_fn(noisy)
             elc_up.append(score_elc(clean, noisy, layout, config))
             elc_enh.append(score_elc(clean, enhanced, layout, config))
-            stoi_up.append(score_approx_stoi(clean, noisy, layout=layout, config=config))
-            stoi_enh.append(score_approx_stoi(clean, enhanced, layout=layout, config=config))
-        rows.append(
-            EvalRow(
-                noise_type,
-                float(snr),
-                float(np.mean(elc_up)),
-                float(np.mean(elc_enh)),
-                float(np.mean(stoi_up)),
-                float(np.mean(stoi_enh)),
-            )
-        )
+        up, enh = float(np.mean(elc_up)), float(np.mean(elc_enh))
+        # score_approx_stoi is score_elc by construction: score once, fill both
+        rows.append(EvalRow(noise_type, float(snr), up, enh, up, enh))
     return rows
 
 
@@ -500,7 +493,12 @@ def _load_norm(path) -> neural.FeatureNorm:
     vals = np.frombuffer(payload[13:], dtype="<f8")
     if vals.size != 2 * dim:
         raise neural.ModelFormatError(f"{path}: truncated feature-norm body")
-    return neural.FeatureNorm(vals[:dim].copy(), vals[dim:].copy())
+    mean, std = vals[:dim].copy(), vals[dim:].copy()
+    if not np.all(np.isfinite(mean)):
+        raise neural.ModelFormatError(f"{path}: non-finite feature mean")
+    if not np.all(np.isfinite(std) & (std > 0)):
+        raise neural.ModelFormatError(f"{path}: feature std must be finite and positive")
+    return neural.FeatureNorm(mean, std)
 
 
 def save_system(system: EnhancementSystem, dirpath) -> None:

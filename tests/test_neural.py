@@ -105,6 +105,30 @@ class TestForward:
         single = forward(model, x[0:1], mode="infer")
         assert np.allclose(a[0], single[0], rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "dims, batch_norm",
+        [([12, 9, 7, 5], True), ([12, 5], True), ([12, 9, 7, 5], False)],
+        ids=["relu-bn", "sigmoid-only", "no-bn"],
+    )
+    def test_infer_matches_cached_forward(self, dims, batch_norm):
+        rng = np.random.default_rng(len(dims))
+        model = init_model(dims, seed=4)
+        for layer in model.layers:
+            layer.bias[:] = rng.normal(0.0, 0.3, layer.bias.shape)
+            if layer.batch_norm is not None and not batch_norm:
+                layer.batch_norm = None
+            elif layer.batch_norm is not None:
+                bn = layer.batch_norm
+                bn.gamma[:] = rng.uniform(0.5, 2.0, bn.gamma.shape)
+                bn.beta[:] = rng.normal(0.0, 0.3, bn.beta.shape)
+                bn.running_mean[:] = rng.normal(0.0, 0.5, bn.running_mean.shape)
+                bn.running_var[:] = rng.uniform(0.2, 3.0, bn.running_var.shape)
+        batch = rng.normal(0.0, 2.0, (37, dims[0]))
+        before = batch.copy()
+        expected, _ = neural._forward_cached(model, batch, False)
+        assert np.array_equal(forward(model, batch, mode="infer"), expected)
+        assert np.array_equal(batch, before)
+
     def test_dimension_mismatch(self):
         model = init_model([6, 8, 3], seed=0)
         with pytest.raises(ValueError):

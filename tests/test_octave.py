@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envgain.stft import Spectrogram, StftConfig, apply_gain
 from envgain.octave import (
-    GainVector,
     average_overlapping_gains,
     band_gains_to_stft_gains,
     build_band_layout,
@@ -163,27 +164,82 @@ class TestGainBackMapping:
             band_gains_to_stft_gains(np.ones((15, 2)), LAYOUT, "mirror")
 
 
+def reference_average(vectors, n_frames, first_frame, fill=None):
+    """The per-vector accumulation loop the array version replaced."""
+    vectors = np.asarray(vectors, dtype=float)
+    sums = np.zeros((n_frames, *vectors.shape[2:]))
+    counts = np.zeros(n_frames, dtype=np.int64)
+    n = vectors.shape[1]
+    for v, values in enumerate(vectors):
+        start = first_frame + v
+        if start < 0 or start + n > n_frames:
+            raise ValueError("out of range")
+        sums[start : start + n] += values
+        counts[start : start + n] += 1
+    if fill is None and np.any(counts == 0):
+        raise ValueError("uncovered")
+    out = np.empty_like(sums)
+    for f in range(n_frames):
+        out[f] = sums[f] / counts[f] if counts[f] else fill
+    return out
+
+
 class TestAverageOverlappingGains:
     def test_constant_vectors(self):
-        vectors = [GainVector(np.full(30, 0.6), 0, m) for m in range(29, 50)]
-        out = average_overlapping_gains(vectors, 50)
+        out = average_overlapping_gains(np.full((21, 30), 0.6), 50, 0)
         assert np.allclose(out, 0.6)
 
     def test_interior_frame_counts_thirty_estimates(self):
-        # vector ending at frame m carries value m; frame 29 is covered by
-        # vectors 29..58, so its average is mean(29..58)
-        vectors = [GainVector(np.full(30, float(m)), 0, m) for m in range(29, 60)]
-        out = average_overlapping_gains(vectors, 60)
-        assert out[29] == pytest.approx(np.mean(np.arange(29, 59)))
+        # window v carries value v; frame 29 is covered by windows 0..29,
+        # so its average is mean(0..29)
+        vectors = np.repeat(np.arange(31.0)[:, None], 30, axis=1)
+        out = average_overlapping_gains(vectors, 60, 0)
+        assert out[29] == pytest.approx(np.mean(np.arange(30)))
 
     def test_frame_zero_single_estimate(self):
         values = np.arange(30, dtype=float)
-        vectors = [GainVector(values + m, 0, m) for m in range(29, 40)]
-        out = average_overlapping_gains(vectors, 40)
-        # only the vector ending at 29 covers frame 0, via its first entry
-        assert out[0] == values[0] + 29
+        vectors = values + np.arange(11.0)[:, None]
+        out = average_overlapping_gains(vectors, 40, 0)
+        # only window 0 covers frame 0, via its first entry
+        assert out[0] == values[0]
 
     def test_uncovered_frame_rejected(self):
-        vectors = [GainVector(np.ones(30), 0, 35)]
-        with pytest.raises(ValueError):
-            average_overlapping_gains(vectors, 40)
+        with pytest.raises(ValueError, match="frame 0 not covered"):
+            average_overlapping_gains(np.ones((1, 30)), 40, 6)
+
+    def test_uncovered_frames_filled(self):
+        out = average_overlapping_gains(np.full((2, 5, 3), 0.5), 10, 4, fill=1.0)
+        assert out.shape == (10, 3)
+        assert np.all(out[:4] == 1.0) and np.all(out[4:] == 0.5)
+
+    @pytest.mark.parametrize("first_frame, n_frames", [(-1, 40), (0, 39), (11, 50)])
+    def test_out_of_range_rejected(self, first_frame, n_frames):
+        # 11 windows of 30 frames span frames first_frame .. first_frame + 39
+        with pytest.raises(ValueError, match="exceed"):
+            average_overlapping_gains(np.ones((11, 30)), n_frames, first_frame)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        v=st.integers(0, 12),
+        n=st.integers(1, 8),
+        first_frame=st.integers(-2, 4),
+        slack=st.integers(-2, 4),
+        rest=st.lists(st.integers(1, 3), max_size=2),
+        fill=st.sampled_from([None, 1.0, 0.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_vector_loop(self, v, n, first_frame, slack, rest, fill, seed):
+        vectors = np.random.default_rng(seed).uniform(0.0, 1.0, (v, n, *rest))
+        n_frames = max(0, first_frame + v + n - 1 + slack)
+        if first_frame < 0 or first_frame + v + n - 1 > n_frames:
+            with pytest.raises(ValueError, match="exceed"):
+                average_overlapping_gains(vectors, n_frames, first_frame, fill)
+            return
+        try:
+            expected = reference_average(vectors, n_frames, first_frame, fill)
+        except ValueError:
+            with pytest.raises(ValueError, match="not covered"):
+                average_overlapping_gains(vectors, n_frames, first_frame, fill)
+            return
+        out = average_overlapping_gains(vectors, n_frames, first_frame, fill)
+        assert np.array_equal(out, expected)

@@ -7,7 +7,7 @@ from envgain import baseline, mixing, neural, pipeline
 from envgain.cost import DegenerateEnvelopeError
 from envgain.octave import build_band_layout
 from envgain.signal_io import WORKING_RATE_HZ, TimeSignal
-from envgain.stft import StftConfig, analyze, pad_to_frames, synthesize
+from envgain.stft import StftConfig, analyze, apply_gain, pad_to_frames, synthesize
 
 FS = WORKING_RATE_HZ
 CFG = StftConfig()
@@ -80,6 +80,83 @@ class TestEnhance:
     def test_wrong_rate_rejected(self):
         with pytest.raises(ValueError):
             pipeline.enhance(SYSTEM, TimeSignal(np.ones(20000), 16000))
+
+
+def reference_band_gains(system, noisy):
+    """Per-band, per-vector averaging loop the array path replaced."""
+    vectors = pipeline.predict_gain_vectors(system, noisy)
+    v, j, n = vectors.shape
+    out = np.empty((j, v + n - 1))
+    for band in range(j):
+        sums = np.zeros(v + n - 1)
+        counts = np.zeros(v + n - 1, dtype=np.int64)
+        for i in range(v):
+            sums[i : i + n] += vectors[i, band]
+            counts[i : i + n] += 1
+        out[band] = sums / counts
+    return out
+
+
+def reference_classical_gains(system, noisy):
+    """Per-window accumulation loop the array path replaced."""
+    spec = analyze(pad_to_frames(noisy.samples, system.stft_config), system.stft_config)
+    mag = spec.magnitude
+    m, n_bins = mag.shape
+    windows = np.lib.stride_tricks.sliding_window_view(mag, system.context, axis=0)
+    feats = system.feature_norm.apply(
+        np.log1p(windows.transpose(0, 2, 1).reshape(windows.shape[0], -1))
+    )
+    sums = np.zeros((m, n_bins))
+    counts = np.zeros((m, 1))
+    for lo in range(0, len(feats), 2048):
+        pred = neural.forward(system.model, feats[lo : lo + 2048])
+        pred = pred.reshape(len(pred), system.predict, n_bins)
+        for i in range(len(pred)):
+            t = system.context - 1 + lo + i
+            sums[t - system.predict + 1 : t + 1] += pred[i]
+            counts[t - system.predict + 1 : t + 1] += 1
+    return np.where(counts > 0, sums / np.maximum(counts, 1), 1.0)
+
+
+def joint_system(seed=7):
+    train_ds = mixing.build_dataset(SPEECH[:2], NOISE, split="train", seed=seed)
+    val_ds = mixing.build_dataset(SPEECH[2:3], NOISE, split="validation", seed=seed + 1)
+    config = neural.TrainConfig(objective="elc", max_epochs=1, seed=seed)
+    system, _ = pipeline.train_enhancement_system(
+        train_ds, val_ds, config, hidden=(16,), joint=True,
+        max_train_frames=200, max_val_frames=60,
+    )
+    return system
+
+
+class TestSingleAnalysisEquivalence:
+    """Enhancement equals the old analyze-twice composition bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["per-band", "joint"])
+    def test_enhance_matches_two_pass_composition(self, kind):
+        system = SYSTEM if kind == "per-band" else joint_system()
+        for seed in range(3):
+            _, noisy = noisy_fixture(seed=80 + seed)
+            noisy = TimeSignal(noisy.samples[: 4000 + 1717 * seed], FS)
+            gains = reference_band_gains(system, noisy)
+            assert np.array_equal(pipeline.predict_band_gains(system, noisy), gains)
+            expected = pipeline.enhance_with_band_gains(
+                noisy, gains, system.layout, system.stft_config, system.out_of_band
+            )
+            assert np.array_equal(pipeline.enhance(system, noisy).samples, expected.samples)
+
+    def test_classical_matches_two_pass_composition(self):
+        train_ds, val_ds = TestClassicalBaseline()._datasets()
+        config = neural.TrainConfig(objective="emse", max_epochs=1, seed=4)
+        system, _ = baseline.train_classical(
+            train_ds, val_ds, config, hidden=(8,), max_train_frames=100, max_val_frames=50
+        )
+        _, noisy = noisy_fixture(seed=90)
+        gains = reference_classical_gains(system, noisy)
+        assert np.array_equal(baseline.classical_gains(system, noisy), gains)
+        spec = analyze(pad_to_frames(noisy.samples, CFG), CFG)
+        expected = synthesize(apply_gain(spec, gains)).samples[: len(noisy)]
+        assert np.array_equal(baseline.classical_enhance(system, noisy).samples, expected)
 
 
 class TestScoring:
@@ -194,6 +271,21 @@ class TestSystemFiles:
         b = pipeline.enhance(loaded, noisy)
         assert np.array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize(
+        "mean, std",
+        [(np.nan, 1.0), (np.inf, 1.0), (0.0, 0.0), (0.0, -1.0), (0.0, np.nan), (0.0, np.inf)],
+    )
+    def test_bad_feature_norm_rejected(self, tmp_path, mean, std):
+        path = tmp_path / "feature_norm.bin"
+        good = np.ones(450)
+        bad = neural.FeatureNorm(good.copy(), good.copy())
+        bad.mean[7], bad.std[7] = mean, std
+        pipeline._save_norm(bad, path)
+        with pytest.raises(neural.ModelFormatError):
+            pipeline._load_norm(path)
+        pipeline._save_norm(neural.FeatureNorm(good, good), path)
+        assert np.array_equal(pipeline._load_norm(path).std, good)
+
     def test_missing_band_file_rejected(self, tmp_path):
         pipeline.save_system(SYSTEM, tmp_path / "mdl")
         (tmp_path / "mdl" / "band_07.mdl").unlink()
@@ -251,6 +343,28 @@ class TestEvaluateSystem:
         for r in rows:
             assert -1 <= r.elc_enhanced <= 1
             assert r.stoi_unprocessed == r.elc_unprocessed
+
+    def test_rows_match_four_scores_per_item(self):
+        clean_list, snrs = SPEECH[4:6], [-5.0, 5.0]
+        rows = pipeline.evaluate_system(SYSTEM, clean_list, NOISE, snrs, seed=9,
+                                        noise_type="ssn")
+        # the old loop: both ELC scores and both approximate-STOI scores per item
+        expected = []
+        for snr in snrs:
+            children = np.random.SeedSequence([9, int(round(snr * 1000)) % (1 << 32)]).spawn(2)
+            scores = []
+            for child, clean in zip(children, clean_list):
+                noisy, _ = mixing.mix_at_snr(clean, NOISE, snr, np.random.default_rng(child))
+                enhanced = pipeline.enhance(SYSTEM, noisy)
+                scores.append([
+                    pipeline.score_elc(clean, noisy, LAYOUT, CFG),
+                    pipeline.score_elc(clean, enhanced, LAYOUT, CFG),
+                    pipeline.score_approx_stoi(clean, noisy, layout=LAYOUT, config=CFG),
+                    pipeline.score_approx_stoi(clean, enhanced, layout=LAYOUT, config=CFG),
+                ])
+            means = [float(np.mean(col)) for col in zip(*scores)]
+            expected.append(pipeline.EvalRow("ssn", snr, *means))
+        assert rows == expected
 
 
 class TestClassicalBaseline:

@@ -111,6 +111,24 @@ class TestSynthesize:
         out = synthesize(spec)
         assert len(out) == 256 + 7 * 128
 
+    @pytest.mark.parametrize("n_frames", [1, 2, 3, 8, 41])
+    def test_matches_per_frame_overlap_add(self, n_frames):
+        rng = np.random.default_rng(n_frames)
+        shape = (n_frames, CFG.n_bins)
+        spec = Spectrogram(rng.uniform(0, 2, shape), rng.uniform(-np.pi, np.pi, shape), CFG)
+        # the per-frame loop the strided overlap-add replaced
+        win = CFG.window()
+        frames = np.fft.irfft(spec.magnitude * np.exp(1j * spec.phase), n=CFG.fft_size, axis=1)
+        frames = frames[:, : CFG.window_len] * win
+        out = np.zeros((n_frames - 1) * CFG.hop + CFG.window_len)
+        den = np.zeros_like(out)
+        for i in range(n_frames):
+            sl = slice(i * CFG.hop, i * CFG.hop + CFG.window_len)
+            out[sl] += frames[i]
+            den[sl] += win * win
+        expected = out / np.maximum(den, 1e-15)
+        assert np.array_equal(synthesize(spec).samples, expected)
+
 
 class TestApplyGain:
     def _spec(self):
