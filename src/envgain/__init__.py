@@ -7,6 +7,7 @@ Library layout::
  octave    -- band layout, temporal envelopes, gain back-mapping
  cost      -- envelope correlation (ELC) / envelope MSE objectives + gradients
  neural    -- from-scratch MLP, batch norm, SGD trainer, model files
+ framed    -- the checked magic/version/CRC32 frame of the binary files
  mixing    -- active-level SNR mixing, noise synthesis, dataset assembly
  pipeline  -- end-to-end enhancement, scoring, evaluation tables
  baseline  -- classical spectral-magnitude MSE enhancer
@@ -29,7 +30,6 @@ from .octave import (
     band_gains_to_stft_gains,
     build_band_layout,
     envelopes,
-    frame_envelope,
 )
 from .pipeline import (
     EnhancementSystem,
@@ -62,7 +62,6 @@ __all__ = [
     "BandLayout",
     "build_band_layout",
     "envelopes",
-    "frame_envelope",
     "band_gains_to_stft_gains",
     "average_overlapping_gains",
     "elc",

@@ -22,7 +22,8 @@ from . import neural
 from .mixing import DEFAULT_SNR_RANGE_DB, _mixtures
 from .octave import average_overlapping_gains
 from .pipeline import (
-    _analyze_noisy, _load_norm, _parse_kv, _resynthesize, _save_norm, _select_rows, _streaming_norm,
+    _analyze_noisy, _load_norm, _parse_kv, _resynthesize, _save_norm, _select_rows,
+    _streaming_norm, _write_kv,
 )
 from .signal_io import TimeSignal
 from .stft import Spectrogram, StftConfig, analyze
@@ -168,23 +169,21 @@ def classical_enhance(system: ClassicalSystem, noisy: TimeSignal) -> TimeSignal:
 def save_classical(system: ClassicalSystem, dirpath) -> None:
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
-    cfg = system.stft_config
-    lines = [
-        "kind = classical",
-        f"context = {system.context}",
-        f"predict = {system.predict}",
-        f"fft_size = {cfg.fft_size}",
-        f"hop = {cfg.hop}",
-    ]
-    (d / "system.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_kv(d / "system.txt", {
+        "kind": "classical",
+        "context": system.context,
+        "predict": system.predict,
+        "fft_size": system.stft_config.fft_size,
+        "hop": system.stft_config.hop,
+    })
     _save_norm(system.feature_norm, d / "feature_norm.bin")
     neural.save_model(system.model, d / "baseline.mdl", "emse")
 
 
 def load_classical(dirpath) -> ClassicalSystem:
     d = Path(dirpath)
-    meta = _parse_kv(d / "system.txt")
-    if meta.get("kind") != "classical":
+    meta = _parse_kv(d / "system.txt", ("kind", "context", "predict", "fft_size", "hop"))
+    if meta["kind"] != "classical":
         raise ValueError(f"{dirpath}: not a classical baseline model directory")
     cfg = StftConfig(int(meta["fft_size"]), int(meta["fft_size"]), int(meta["hop"]))
     context, predict = int(meta["context"]), int(meta["predict"])

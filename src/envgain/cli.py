@@ -216,15 +216,14 @@ def _cmd_synth_data(args) -> int:
     mixing.save_dataset(train_ds, out / "train.pack")
     mixing.save_dataset(val_ds, out / "val.pack")
 
-    meta = [
-        f"seed = {args.seed}",
-        f"noise = {noise_label}",
-        f"snr_range = {snr_range[0]:g}:{snr_range[1]:g}",
-        f"n_train = {n_train}",
-        f"n_val = {n_val}",
-        f"n_test = {n_test}",
-    ]
-    (out / "meta.txt").write_text("\n".join(meta) + "\n", encoding="utf-8")
+    pipeline._write_kv(out / "meta.txt", {
+        "seed": args.seed,
+        "noise": noise_label,
+        "snr_range": f"{snr_range[0]:g}:{snr_range[1]:g}",
+        "n_train": n_train,
+        "n_val": n_val,
+        "n_test": n_test,
+    })
     print(f"wrote {args.out}: {n_train} train / {n_val} val / {n_test} test utterances, "
           f"{train_ds.n_frames} train frames")
     return EXIT_OK
@@ -270,19 +269,8 @@ def _cmd_train(args) -> int:
         )
         neural.save_model(model, out / f"band_{band:02d}.mdl", config.objective)
         pipeline._save_norm(norm, out / "feature_norm.bin")
-        cfg = train_ds.stft_config
-        lines = [
-            "kind = per-band",
-            f"objective = {config.objective}",
-            f"n_bands = {train_ds.n_bands}",
-            f"n_env = {train_ds.n_env}",
-            f"fft_size = {cfg.fft_size}",
-            f"hop = {cfg.hop}",
-            f"sample_rate_hz = {train_ds.layout.sample_rate_hz}",
-            f"first_center_hz = {train_ds.layout.bands[0].center_hz:g}",
-            "out_of_band = zero",
-        ]
-        (out / "system.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        fields = pipeline._system_fields("per-band", config.objective, train_ds, "zero")
+        pipeline._write_kv(out / "system.txt", fields)
         last = report.epochs[-1].validation_cost if report.epochs else float("nan")
         print(f"band {band}: {len(report.epochs)} epochs, stop={report.stop_reason}, "
               f"final val cost {last:.6f}")

@@ -17,13 +17,13 @@ file-list manifests.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy import signal as _sig
 
+from . import framed
 from .octave import ENVELOPE_LEN, BandLayout, build_band_layout, envelopes
 from .signal_io import WORKING_RATE_HZ, TimeSignal, to_working_rate
 from .stft import StftConfig, analyze
@@ -36,9 +36,6 @@ _LADDER_MAX = 80
 
 SSN_FIR_TAPS = 512
 SSN_MIN_REFERENCE_S = 30.0
-
-DATASET_MAGIC = b"ASTOD"
-DATASET_VERSION = 1
 
 SPLITS = ("train", "validation", "test")
 DEFAULT_SNR_RANGE_DB = (-5.0, 10.0)
@@ -305,38 +302,34 @@ class EnvelopeDataset:
         sl = slice(frame - self.n_env + 1, frame + 1)
         return self.clean_env[utt][:, sl], self.noisy_env[utt][:, sl]
 
-    def _gather(self, rows, source) -> np.ndarray:
-        """Stack (J, N) windows for the requested rows: (R, J, N)."""
+    def _gather(self, rows, *sources) -> list[np.ndarray]:
+        """Length-N windows ending at the requested rows' frames, from each
+        per-utterance source (window axis last): (R, ..., N) per source."""
         rows = np.asarray(rows, dtype=np.int64)
         idx = self.index[rows]
-        out = np.empty((len(rows), self.n_bands, self.n_env))
-        for utt in np.unique(idx[:, 0]):
-            sel = np.flatnonzero(idx[:, 0] == utt)
-            views = np.lib.stride_tricks.sliding_window_view(source[utt], self.n_env, axis=1)
-            out[sel] = views[:, idx[sel, 1] - (self.n_env - 1), :].transpose(1, 0, 2)
-        return out
-
-    def features(self, rows) -> np.ndarray:
-        """log(1 + noisy envelope) context, flattened band-major: (R, J*N)."""
-        gathered = self._gather(rows, self.noisy_env)
-        return np.log1p(gathered.reshape(len(gathered), -1))
-
-    def band_targets(self, rows, band: int):
-        rows = np.asarray(rows, dtype=np.int64)
-        idx = self.index[rows]
-        clean = np.empty((len(rows), self.n_env))
-        noisy = np.empty((len(rows), self.n_env))
+        outs = [np.empty((len(rows), *src[0].shape[:-1], self.n_env)) for src in sources]
         for utt in np.unique(idx[:, 0]):
             sel = np.flatnonzero(idx[:, 0] == utt)
             starts = idx[sel, 1] - (self.n_env - 1)
-            cview = np.lib.stride_tricks.sliding_window_view(self.clean_env[utt][band], self.n_env)
-            yview = np.lib.stride_tricks.sliding_window_view(self.noisy_env[utt][band], self.n_env)
-            clean[sel] = cview[starts]
-            noisy[sel] = yview[starts]
+            for out, src in zip(outs, sources):
+                views = np.lib.stride_tricks.sliding_window_view(src[utt], self.n_env, axis=-1)
+                out[sel] = np.moveaxis(views[..., starts, :], -2, 0)
+        return outs
+
+    def features(self, rows) -> np.ndarray:
+        """log(1 + noisy envelope) context, flattened band-major: (R, J*N)."""
+        (gathered,) = self._gather(rows, self.noisy_env)
+        return np.log1p(gathered.reshape(len(gathered), -1))
+
+    def band_targets(self, rows, band: int):
+        clean, noisy = self._gather(
+            rows, [env[band] for env in self.clean_env], [env[band] for env in self.noisy_env]
+        )
         return clean, noisy
 
     def joint_targets(self, rows):
-        return self._gather(rows, self.clean_env), self._gather(rows, self.noisy_env)
+        clean, noisy = self._gather(rows, self.clean_env, self.noisy_env)
+        return clean, noisy
 
 
 def _mixtures(speech_list, noise, seed, snr_range_db, snr_list_db):
@@ -404,91 +397,76 @@ def read_manifest(path) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# optional binary dataset cache (same conventions as the model files)
-
-
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<H", len(raw)) + raw
-
-
-def save_dataset(ds: EnvelopeDataset, path) -> None:
-    out = bytearray()
-    out += DATASET_MAGIC
-    n_utts = len(ds.clean_env)
-    out += struct.pack("<IIII", DATASET_VERSION, n_utts, ds.n_bands, ds.n_env)
-    cfg = ds.stft_config
-    out += struct.pack(
-        "<IIId", cfg.fft_size, cfg.hop, ds.layout.sample_rate_hz, ds.layout.bands[0].center_hz
-    )
-    out += struct.pack("<Q", ds.n_frames)
-    for clean, noisy in zip(ds.clean_env, ds.noisy_env):
-        out += struct.pack("<I", clean.shape[1])
-        out += np.ascontiguousarray(clean, dtype="<f8").tobytes()
-        out += np.ascontiguousarray(noisy, dtype="<f8").tobytes()
-    out += np.ascontiguousarray(ds.index, dtype="<i8").tobytes()
-    out += struct.pack("<I", len(ds.mixes))
-    for mix in ds.mixes:
-        out += struct.pack("<d", mix.snr_db)
-        out += _pack_str(mix.noise_source)
-        out += _pack_str(mix.split)
-        out += struct.pack("<q", mix.seed)
-    with open(path, "wb") as fh:
-        fh.write(bytes(out))
-        fh.write(struct.pack("<I", zlib.crc32(bytes(out))))
+# optional binary dataset cache (frame: see `framed`); body: counts, STFT
+# and band-layout header, per-utterance envelopes, the index, mix records
 
 
 class DatasetFormatError(ValueError):
     """Dataset pack is corrupt, truncated, or internally inconsistent."""
 
 
+DATASET_FRAME = framed.Frame(b"ASTOD", 1, "dataset pack", DatasetFormatError)
+
+
+def save_dataset(ds: EnvelopeDataset, path) -> None:
+    cfg = ds.stft_config
+    parts = [
+        struct.pack("<III", len(ds.clean_env), ds.n_bands, ds.n_env),
+        struct.pack(
+            "<IIId", cfg.fft_size, cfg.hop, ds.layout.sample_rate_hz, ds.layout.bands[0].center_hz
+        ),
+        struct.pack("<Q", ds.n_frames),
+    ]
+    for clean, noisy in zip(ds.clean_env, ds.noisy_env):
+        parts.append(struct.pack("<I", clean.shape[1]))
+        parts += [np.ascontiguousarray(a, dtype="<f8") for a in (clean, noisy)]
+    parts.append(np.ascontiguousarray(ds.index, dtype="<i8"))
+    parts.append(struct.pack("<I", len(ds.mixes)))
+    for mix in ds.mixes:
+        parts.append(struct.pack("<d", mix.snr_db))
+        parts += [framed.pack_text(mix.noise_source), framed.pack_text(mix.split)]
+        parts.append(struct.pack("<q", mix.seed))
+    framed.write(path, DATASET_FRAME, parts)
+
+
 def load_dataset(path) -> EnvelopeDataset:
     """Read a pack written by `save_dataset`. Raises DatasetFormatError on
-    bad magic, version or CRC, and on any record that runs past the end of
-    the payload or leaves bytes after it."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 29 or blob[:5] != DATASET_MAGIC:
-        raise DatasetFormatError(f"{path}: not a dataset pack")
-    payload, crc = blob[:-4], struct.unpack("<I", blob[-4:])[0]
-    if crc != zlib.crc32(payload):
-        raise DatasetFormatError(f"{path}: CRC mismatch")
-    pos = 5
-
-    def take(n_bytes: int) -> bytes:
-        nonlocal pos
-        if n_bytes > len(payload) - pos:
-            raise DatasetFormatError(f"{path}: truncated dataset pack at byte {pos}")
-        pos += n_bytes
-        return payload[pos - n_bytes : pos]
-
-    def unpack(fmt: str) -> tuple:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
-    def array(dtype: str, count: int) -> np.ndarray:
-        return np.frombuffer(take(8 * count), dtype=dtype).copy()
-
-    version, n_utts, n_bands, n_env = unpack("<IIII")
-    if version != DATASET_VERSION:
-        raise DatasetFormatError(f"{path}: unsupported dataset version {version}")
-    fft_size, hop, fs, first_center = unpack("<IIId")
-    (n_rows,) = unpack("<Q")
+    bad magic, version or CRC, on any record that runs past the end of the
+    payload or leaves bytes after it, on header fields that give no valid
+    STFT configuration or band layout, and on index rows that point past
+    the stored utterances or frames."""
+    body = framed.Reader(path, DATASET_FRAME)
+    n_utts, n_bands, n_env = body.unpack("<III")
+    fft_size, hop, fs, first_center = body.unpack("<IIId")
+    if min(n_utts, n_bands, n_env) == 0:
+        raise DatasetFormatError(f"{path}: no utterances, bands or envelope frames")
+    try:
+        cfg = StftConfig(fft_size, fft_size, hop)
+        layout = build_band_layout(fft_size, fs, n_bands, first_center)
+    except (ValueError, ArithmeticError) as exc:
+        raise DatasetFormatError(f"{path}: bad STFT or band header: {exc}") from None
+    (n_rows,) = body.unpack("<Q")
     clean_envs, noisy_envs = [], []
     for _ in range(n_utts):
-        (m,) = unpack("<I")
-        clean_envs.append(array("<f8", n_bands * m).reshape(n_bands, m))
-        noisy_envs.append(array("<f8", n_bands * m).reshape(n_bands, m))
-    index = array("<i8", 2 * n_rows).reshape(-1, 2)
-    (n_mixes,) = unpack("<I")
+        (m,) = body.unpack("<I")
+        clean_envs.append(body.array("<f8", n_bands * m).reshape(n_bands, m))
+        noisy_envs.append(body.array("<f8", n_bands * m).reshape(n_bands, m))
+    index = body.array("<i8", 2 * n_rows).reshape(-1, 2)
+    (n_mixes,) = body.unpack("<I")
     mixes = []
     for _ in range(n_mixes):
-        (snr,) = unpack("<d")
-        source = take(unpack("<H")[0]).decode("utf-8")
-        split = take(unpack("<H")[0]).decode("utf-8")
-        (seed,) = unpack("<q")
+        (snr,) = body.unpack("<d")
+        source, split = body.text(), body.text()
+        (seed,) = body.unpack("<q")
         mixes.append(MixSpec(snr, source, split, seed))
-    if pos != len(payload):
-        raise DatasetFormatError(f"{path}: {len(payload) - pos} trailing bytes")
-    cfg = StftConfig(fft_size, fft_size, hop)
-    layout = build_band_layout(fft_size, fs, n_bands, first_center)
+    body.done()
+    utt, frame = index.T
+    lengths = np.array([env.shape[1] for env in clean_envs])
+    bad = (utt < 0) | (utt >= n_utts)
+    bad[~bad] = (frame[~bad] < n_env - 1) | (frame[~bad] >= lengths[utt[~bad]])
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise DatasetFormatError(
+            f"{path}: index row {row} {tuple(index[row].tolist())} points past the stored frames"
+        )
     return EnvelopeDataset(clean_envs, noisy_envs, index, n_env, mixes, layout, cfg)

@@ -20,13 +20,12 @@ returned.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from . import cost
+from . import cost, framed
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
@@ -34,8 +33,6 @@ BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
 DEFAULT_HIDDEN = (512, 512, 512)
 OBJECTIVES = ("elc", "emse")
 
-MODEL_MAGIC = b"ASTOI"
-MODEL_VERSION = 1
 
 
 class NumericError(RuntimeError):
@@ -44,6 +41,9 @@ class NumericError(RuntimeError):
 
 class ModelFormatError(ValueError):
     """Model file is corrupt, truncated, or has the wrong shape."""
+
+
+MODEL_FRAME = framed.Frame(b"ASTOI", 1, "model file", ModelFormatError)
 
 
 @dataclass
@@ -74,6 +74,12 @@ class Layer:
             self.batch_norm.copy() if self.batch_norm else None,
         )
 
+    def params(self) -> list[np.ndarray]:
+        """Parameter arrays in file order: weights, bias, then batch norm."""
+        bn = self.batch_norm
+        extra = [bn.gamma, bn.beta, bn.running_mean, bn.running_var] if bn else []
+        return [self.weights, self.bias, *extra]
+
 
 @dataclass
 class MlpModel:
@@ -92,18 +98,7 @@ class MlpModel:
 
     def param_bytes(self) -> bytes:
         """Concatenated parameter bytes; handy for bit-exactness checks."""
-        chunks = []
-        for la in self.layers:
-            chunks += [la.weights.tobytes(), la.bias.tobytes()]
-            if la.batch_norm:
-                bn = la.batch_norm
-                chunks += [
-                    bn.gamma.tobytes(),
-                    bn.beta.tobytes(),
-                    bn.running_mean.tobytes(),
-                    bn.running_var.tobytes(),
-                ]
-        return b"".join(chunks)
+        return b"".join(a.tobytes() for la in self.layers for a in la.params())
 
 
 def init_model(layer_dims: Sequence[int], seed: int) -> MlpModel:
@@ -456,87 +451,52 @@ class FeatureNorm:
 
 
 # ---------------------------------------------------------------------------
-# model files: little-endian, magic + version + objective + dims, f64 body,
-# trailing CRC32 over everything before it
+# model files (frame: see `framed`); body: objective tag, layer count, per
+# layer (in, out, activation, has-BN), then every layer's f64 parameters
 
 
 def save_model(model: MlpModel, path, objective: str = "elc") -> None:
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    head = bytearray()
-    head += MODEL_MAGIC
-    head += struct.pack("<IBI", MODEL_VERSION, OBJECTIVES.index(objective), len(model.layers))
+    parts = [struct.pack("<BI", OBJECTIVES.index(objective), len(model.layers))]
     for layer in model.layers:
         out_dim, in_dim = layer.weights.shape
         act = 0 if layer.activation == "relu" else 1
-        head += struct.pack("<IIBB", in_dim, out_dim, act, 1 if layer.batch_norm else 0)
-    body = bytearray()
+        parts.append(struct.pack("<IIBB", in_dim, out_dim, act, 1 if layer.batch_norm else 0))
     for layer in model.layers:
-        body += np.ascontiguousarray(layer.weights, dtype="<f8").tobytes()
-        body += np.ascontiguousarray(layer.bias, dtype="<f8").tobytes()
-        if layer.batch_norm:
-            bn = layer.batch_norm
-            for arr in (bn.gamma, bn.beta, bn.running_mean, bn.running_var):
-                body += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    blob = bytes(head) + bytes(body)
-    with open(path, "wb") as fh:
-        fh.write(blob)
-        fh.write(struct.pack("<I", zlib.crc32(blob)))
+        parts += [np.ascontiguousarray(a, dtype="<f8") for a in layer.params()]
+    framed.write(path, MODEL_FRAME, parts)
 
 
 def load_model(path, expected_input_dim=None, expected_output_dim=None):
     """Load a model file; returns (model, objective). Raises
-    ModelFormatError on bad magic/version/CRC/truncation or a dimension
-    mismatch against the expected dims."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(MODEL_MAGIC) + 13:
-        raise ModelFormatError(f"{path}: truncated model file")
-    payload, crc_bytes = blob[:-4], blob[-4:]
-    if struct.unpack("<I", crc_bytes)[0] != zlib.crc32(payload):
-        raise ModelFormatError(f"{path}: CRC mismatch (corrupt or truncated)")
-    if payload[:5] != MODEL_MAGIC:
-        raise ModelFormatError(f"{path}: bad magic")
-    version, obj_tag, n_layers = struct.unpack("<IBI", payload[5:14])
-    if version != MODEL_VERSION:
-        raise ModelFormatError(f"{path}: unsupported format version {version}")
+    ModelFormatError on bad magic/version/CRC/truncation, an inconsistent
+    layer table, non-finite parameters or a dimension mismatch against the
+    expected dims."""
+    body = framed.Reader(path, MODEL_FRAME)
+    obj_tag, n_layers = body.unpack("<BI")
     if obj_tag >= len(OBJECTIVES):
         raise ModelFormatError(f"{path}: unknown objective tag {obj_tag}")
-    pos = 14
+    if n_layers == 0:
+        raise ModelFormatError(f"{path}: no layers")
     dims = []
-    for _ in range(n_layers):
-        if pos + 10 > len(payload):
-            raise ModelFormatError(f"{path}: truncated layer table")
-        in_dim, out_dim, act, has_bn = struct.unpack("<IIBB", payload[pos : pos + 10])
-        pos += 10
+    for i in range(n_layers):
+        in_dim, out_dim, act, has_bn = body.unpack("<IIBB")
+        if act > 1 or has_bn > 1 or (dims and in_dim != dims[-1][1]):
+            raise ModelFormatError(f"{path}: inconsistent layer table at layer {i}")
         dims.append((in_dim, out_dim, act, has_bn))
-
-    def take(n_vals):
-        nonlocal pos
-        end = pos + 8 * n_vals
-        if end > len(payload):
-            raise ModelFormatError(f"{path}: truncated parameter body")
-        arr = np.frombuffer(payload[pos:end], dtype="<f8").copy()
-        pos = end
-        return arr
-
     layers = []
     for in_dim, out_dim, act, has_bn in dims:
-        w = take(in_dim * out_dim).reshape(out_dim, in_dim)
-        b = take(out_dim)
-        bn = None
-        if has_bn:
-            bn = BatchNorm(take(out_dim), take(out_dim), take(out_dim), take(out_dim))
+        w = body.array("<f8", in_dim * out_dim).reshape(out_dim, in_dim)
+        b = body.array("<f8", out_dim)
+        bn = BatchNorm(*(body.array("<f8", out_dim) for _ in range(4))) if has_bn else None
         layers.append(Layer(w, b, "relu" if act == 0 else "sigmoid", bn))
-    if pos != len(payload):
-        raise ModelFormatError(f"{path}: {len(payload) - pos} trailing bytes")
+    body.done()
+    if not all(np.isfinite(a).all() for layer in layers for a in layer.params()):
+        raise ModelFormatError(f"{path}: non-finite parameters")
     model = MlpModel(layers)
-    if expected_input_dim is not None and model.input_dim != expected_input_dim:
-        raise ModelFormatError(
-            f"{path}: input dim {model.input_dim} != expected {expected_input_dim}"
-        )
-    if expected_output_dim is not None and model.output_dim != expected_output_dim:
-        raise ModelFormatError(
-            f"{path}: output dim {model.output_dim} != expected {expected_output_dim}"
-        )
+    for side, dim, expected in (("input", model.input_dim, expected_input_dim),
+                                ("output", model.output_dim, expected_output_dim)):
+        if expected is not None and dim != expected:
+            raise ModelFormatError(f"{path}: {side} dim {dim} != expected {expected}")
     return model, OBJECTIVES[obj_tag]

@@ -58,15 +58,6 @@ class BandLayout:
         return self.bands[-1].center_hz * EDGE_RATIO
 
 
-@dataclass(frozen=True)
-class EnvelopeVector:
-    """N most recent envelope values of one band, ending at `frame`."""
-
-    values: np.ndarray
-    band: int
-    frame: int
-
-
 def build_band_layout(
     fft_size: int = 256,
     sample_rate_hz: int = 10000,
@@ -105,15 +96,6 @@ def envelopes(spec: Spectrogram, layout: BandLayout) -> np.ndarray:
     for j, band in enumerate(layout.bands):
         out[j] = np.sqrt(np.sum(mag[:, band.k1 : band.k2] ** 2, axis=1))
     return out
-
-
-def frame_envelope(env: np.ndarray, band: int, frame: int, n: int = ENVELOPE_LEN) -> EnvelopeVector:
-    """The length-n envelope vector of `band` ending at `frame`."""
-    if frame < n - 1:
-        raise ValueError(f"frame {frame} has fewer than n={n} context frames")
-    if frame >= env.shape[1]:
-        raise ValueError(f"frame {frame} out of range (M={env.shape[1]})")
-    return EnvelopeVector(env[band, frame - n + 1 : frame + 1].copy(), band, frame)
 
 
 def band_gains_to_stft_gains(

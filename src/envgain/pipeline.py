@@ -16,14 +16,13 @@ same average, so `score_approx_stoi` and `score_elc` agree exactly.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import cost, neural
+from . import cost, framed, neural
 from .mixing import EnvelopeDataset, mix_at_snr
 from .octave import (
     ENVELOPE_LEN,
@@ -36,8 +35,7 @@ from .octave import (
 from .signal_io import WORKING_RATE_HZ, TimeSignal
 from .stft import Spectrogram, StftConfig, analyze, apply_gain, pad_to_frames, synthesize
 
-NORM_MAGIC = b"ASTON"
-NORM_VERSION = 1
+NORM_FRAME = framed.Frame(b"ASTON", 1, "feature-norm file", neural.ModelFormatError)
 
 _FEATURE_CHUNK = 4096
 
@@ -249,20 +247,6 @@ def gain_correlation(
 # training front-end
 
 
-def _materialize(
-    ds: EnvelopeDataset,
-    rows: np.ndarray,
-    norm: neural.FeatureNorm,
-    band: int | None,
-) -> neural.ArrayDataset:
-    feats = norm.apply(ds.features(rows))
-    if band is None:
-        clean, noisy = ds.joint_targets(rows)
-    else:
-        clean, noisy = ds.band_targets(rows, band)
-    return neural.ArrayDataset(feats, clean, noisy)
-
-
 def _select_rows(n: int, cap: int | None, rng: np.random.Generator) -> np.ndarray:
     if cap is None or n <= cap:
         return np.arange(n)
@@ -287,19 +271,38 @@ def compute_feature_norm_for(ds: EnvelopeDataset, rows=None) -> neural.FeatureNo
     return _streaming_norm(ds.features, rows, _FEATURE_CHUNK)
 
 
-def _training_rows(train_ds, val_ds, config, max_train_frames, max_val_frames):
-    """Seeded train/validation row selection, shared by every band so that
-    training band 0..14 in one process or in 15 processes gives identical
-    models and an identical feature norm."""
+def _training_inputs(train_ds, val_ds, config, max_train_frames, max_val_frames):
+    """Seeded train/validation row selection, the feature norm and the
+    normalized feature matrices, as (norm, [(ds, rows, feats)] for train
+    then validation). Every band shares them, so training band 0..14 in
+    one process or in 15 processes gives identical models and an identical
+    feature norm."""
     row_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5E1EC7]))
     train_rows = _select_rows(train_ds.n_frames, max_train_frames, row_rng)
     val_rows = _select_rows(val_ds.n_frames, max_val_frames, row_rng)
-    return train_rows, val_rows
+    norm = compute_feature_norm_for(train_ds, train_rows)
+    pairs = ((train_ds, train_rows), (val_ds, val_rows))
+    return norm, [(ds, rows, norm.apply(ds.features(rows))) for ds, rows in pairs]
 
 
-def _band_keys(seed: int, n_bands: int) -> np.ndarray:
-    # 2 keys (init, shuffle) per band; the first pair doubles for joint mode
-    return np.random.SeedSequence(seed).generate_state(2 * n_bands + 2)
+def _fit(sets, band: int | None, config: neural.TrainConfig, hidden: Sequence[int]):
+    """Train the network of `band`, or the joint network for None, on the
+    sets of `_training_inputs`. Band j gets seed keys 2j and 2j+1 of
+    config.seed; the joint network gets band 0's."""
+    train_ds = sets[0][0]
+    feat_dim = train_ds.n_bands * train_ds.n_env
+    k = 0 if band is None else 2 * band
+    keys = np.random.SeedSequence(config.seed).generate_state(2 * train_ds.n_bands + 2)
+    model = neural.init_model(
+        [feat_dim, *hidden, feat_dim if band is None else train_ds.n_env], seed=int(keys[k])
+    )
+    tdata, vdata = (
+        neural.ArrayDataset(
+            feats, *(ds.joint_targets(rows) if band is None else ds.band_targets(rows, band))
+        )
+        for ds, rows, feats in sets
+    )
+    return neural.train(model, tdata, vdata, replace(config, seed=int(keys[k + 1])))
 
 
 def train_band_model(
@@ -314,14 +317,8 @@ def train_band_model(
     """Train the gain network of a single band. Seed derivation matches
     `train_enhancement_system`, so bands can be trained in parallel
     processes and assembled afterwards."""
-    train_rows, val_rows = _training_rows(train_ds, val_ds, config, max_train_frames, max_val_frames)
-    norm = compute_feature_norm_for(train_ds, train_rows)
-    keys = _band_keys(config.seed, train_ds.n_bands)
-    dims = [train_ds.n_bands * train_ds.n_env, *hidden, train_ds.n_env]
-    model = neural.init_model(dims, seed=int(keys[2 * band]))
-    tdata = _materialize(train_ds, train_rows, norm, band=band)
-    vdata = _materialize(val_ds, val_rows, norm, band=band)
-    model, report = neural.train(model, tdata, vdata, replace(config, seed=int(keys[2 * band + 1])))
+    norm, sets = _training_inputs(train_ds, val_ds, config, max_train_frames, max_val_frames)
+    model, report = _fit(sets, band, config, hidden)
     return model, report, norm
 
 
@@ -340,41 +337,12 @@ def train_enhancement_system(
     Per-band models get independent seeded substreams derived from
     config.seed, so the whole system is reproducible bit-for-bit.
     """
-    n_bands = train_ds.n_bands
-    feat_dim = n_bands * train_ds.n_env
-    train_rows, val_rows = _training_rows(train_ds, val_ds, config, max_train_frames, max_val_frames)
-    norm = compute_feature_norm_for(train_ds, train_rows)
-    # feature matrices are identical for every band; materialize once
-    train_feats = norm.apply(train_ds.features(train_rows))
-    val_feats = norm.apply(val_ds.features(val_rows))
-
-    keys = _band_keys(config.seed, n_bands)
-    reports: list[neural.TrainReport] = []
-    if joint:
-        dims = [feat_dim, *hidden, feat_dim]
-        model = neural.init_model(dims, seed=int(keys[0]))
-        tdata = neural.ArrayDataset(train_feats, *train_ds.joint_targets(train_rows))
-        vdata = neural.ArrayDataset(val_feats, *val_ds.joint_targets(val_rows))
-        model, report = neural.train(model, tdata, vdata, replace(config, seed=int(keys[1])))
-        reports.append(report)
-        band_models, joint_model = None, model
-    else:
-        band_models = []
-        for j in range(n_bands):
-            dims = [feat_dim, *hidden, train_ds.n_env]
-            model = neural.init_model(dims, seed=int(keys[2 * j]))
-            tdata = neural.ArrayDataset(train_feats, *train_ds.band_targets(train_rows, j))
-            vdata = neural.ArrayDataset(val_feats, *val_ds.band_targets(val_rows, j))
-            model, report = neural.train(
-                model, tdata, vdata, replace(config, seed=int(keys[2 * j + 1]))
-            )
-            band_models.append(model)
-            reports.append(report)
-        joint_model = None
-
+    norm, sets = _training_inputs(train_ds, val_ds, config, max_train_frames, max_val_frames)
+    bands = [None] if joint else range(train_ds.n_bands)
+    models, reports = zip(*(_fit(sets, band, config, hidden) for band in bands))
     system = EnhancementSystem(
-        band_models=band_models,
-        joint_model=joint_model,
+        band_models=None if joint else list(models),
+        joint_model=models[0] if joint else None,
         layout=train_ds.layout,
         stft_config=train_ds.stft_config,
         feature_norm=norm,
@@ -382,7 +350,7 @@ def train_enhancement_system(
         n_env=train_ds.n_env,
         out_of_band=out_of_band,
     )
-    return system, reports
+    return system, list(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -469,31 +437,16 @@ def report_tables(rows: Sequence[EvalRow], fmt: str = "text") -> str:
 
 
 def _save_norm(norm: neural.FeatureNorm, path):
-    out = bytearray()
-    out += NORM_MAGIC
-    out += struct.pack("<II", NORM_VERSION, len(norm.mean))
-    out += np.ascontiguousarray(norm.mean, dtype="<f8").tobytes()
-    out += np.ascontiguousarray(norm.std, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(out))
-        fh.write(struct.pack("<I", zlib.crc32(bytes(out))))
+    parts = [struct.pack("<I", len(norm.mean))]
+    parts += [np.ascontiguousarray(a, dtype="<f8") for a in (norm.mean, norm.std)]
+    framed.write(path, NORM_FRAME, parts)
 
 
 def _load_norm(path) -> neural.FeatureNorm:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 17 or blob[:5] != NORM_MAGIC:
-        raise neural.ModelFormatError(f"{path}: not a feature-norm file")
-    payload, crc = blob[:-4], struct.unpack("<I", blob[-4:])[0]
-    if crc != zlib.crc32(payload):
-        raise neural.ModelFormatError(f"{path}: CRC mismatch")
-    version, dim = struct.unpack("<II", payload[5:13])
-    if version != NORM_VERSION:
-        raise neural.ModelFormatError(f"{path}: unsupported version {version}")
-    vals = np.frombuffer(payload[13:], dtype="<f8")
-    if vals.size != 2 * dim:
-        raise neural.ModelFormatError(f"{path}: truncated feature-norm body")
-    mean, std = vals[:dim].copy(), vals[dim:].copy()
+    body = framed.Reader(path, NORM_FRAME)
+    (dim,) = body.unpack("<I")
+    mean, std = body.array("<f8", dim), body.array("<f8", dim)
+    body.done()
     if not np.all(np.isfinite(mean)):
         raise neural.ModelFormatError(f"{path}: non-finite feature mean")
     if not np.all(np.isfinite(std) & (std > 0)):
@@ -501,22 +454,29 @@ def _load_norm(path) -> neural.FeatureNorm:
     return neural.FeatureNorm(mean, std)
 
 
+def _system_fields(kind: str, objective: str, source, out_of_band: str) -> dict:
+    """The system.txt record of an envelope-gain model directory; `source`
+    (a system or its training dataset) supplies layout, STFT config and
+    n_env."""
+    layout, cfg = source.layout, source.stft_config
+    return {
+        "kind": kind,
+        "objective": objective,
+        "n_bands": layout.n_bands,
+        "n_env": source.n_env,
+        "fft_size": cfg.fft_size,
+        "hop": cfg.hop,
+        "sample_rate_hz": layout.sample_rate_hz,
+        "first_center_hz": f"{layout.bands[0].center_hz:g}",
+        "out_of_band": out_of_band,
+    }
+
+
 def save_system(system: EnhancementSystem, dirpath) -> None:
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
-    cfg = system.stft_config
-    lines = [
-        f"kind = {'joint' if system.is_joint else 'per-band'}",
-        f"objective = {system.objective}",
-        f"n_bands = {system.layout.n_bands}",
-        f"n_env = {system.n_env}",
-        f"fft_size = {cfg.fft_size}",
-        f"hop = {cfg.hop}",
-        f"sample_rate_hz = {system.layout.sample_rate_hz}",
-        f"first_center_hz = {system.layout.bands[0].center_hz:g}",
-        f"out_of_band = {system.out_of_band}",
-    ]
-    (d / "system.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    kind = "joint" if system.is_joint else "per-band"
+    _write_kv(d / "system.txt", _system_fields(kind, system.objective, system, system.out_of_band))
     _save_norm(system.feature_norm, d / "feature_norm.bin")
     if system.is_joint:
         neural.save_model(system.joint_model, d / "joint.mdl", system.objective)
@@ -525,7 +485,15 @@ def save_system(system: EnhancementSystem, dirpath) -> None:
             neural.save_model(model, d / f"band_{j:02d}.mdl", system.objective)
 
 
-def _parse_kv(path) -> dict:
+def _write_kv(path, fields: dict) -> None:
+    """Write a flat `key = value` file, atomically; `_parse_kv` reads it."""
+    with framed.replacing(path) as fh:
+        fh.write("".join(f"{key} = {val}\n" for key, val in fields.items()).encode("utf-8"))
+
+
+def _parse_kv(path, required: Sequence[str] = ()) -> dict:
+    """Read a flat `key = value` file; a missing `required` key raises
+    ModelFormatError naming it."""
     out = {}
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.split("#", 1)[0].strip()
@@ -535,12 +503,18 @@ def _parse_kv(path) -> dict:
             raise ValueError(f"{path}: malformed line {line!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         out[key] = val
+    missing = [key for key in required if key not in out]
+    if missing:
+        raise neural.ModelFormatError(f"{path}: missing key(s) {', '.join(missing)}")
     return out
 
 
 def load_system(dirpath) -> EnhancementSystem:
     d = Path(dirpath)
-    meta = _parse_kv(d / "system.txt")
+    meta = _parse_kv(d / "system.txt", (
+        "kind", "objective", "n_bands", "n_env", "fft_size", "hop", "sample_rate_hz",
+        "first_center_hz",
+    ))
     n_bands = int(meta["n_bands"])
     n_env = int(meta["n_env"])
     cfg = StftConfig(int(meta["fft_size"]), int(meta["fft_size"]), int(meta["hop"]))
@@ -549,19 +523,21 @@ def load_system(dirpath) -> EnhancementSystem:
     )
     norm = _load_norm(d / "feature_norm.bin")
     feat_dim = n_bands * n_env
-    if meta["kind"] == "joint":
+
+    def load(name, out_dim):
         model, objective = neural.load_model(
-            d / "joint.mdl", expected_input_dim=feat_dim, expected_output_dim=feat_dim
+            d / name, expected_input_dim=feat_dim, expected_output_dim=out_dim
         )
-        band_models, joint_model = None, model
-    else:
-        band_models = []
-        objective = meta["objective"]
-        for j in range(n_bands):
-            model, objective = neural.load_model(
-                d / f"band_{j:02d}.mdl", expected_input_dim=feat_dim, expected_output_dim=n_env
+        if objective != meta["objective"]:
+            raise neural.ModelFormatError(
+                f"{d / name}: objective {objective} != {meta['objective']} in system.txt"
             )
-            band_models.append(model)
+        return model
+
+    if meta["kind"] == "joint":
+        band_models, joint_model = None, load("joint.mdl", feat_dim)
+    else:
+        band_models = [load(f"band_{j:02d}.mdl", n_env) for j in range(n_bands)]
         joint_model = None
     return EnhancementSystem(
         band_models=band_models,

@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from envgain import neural, pipeline
+from envgain import mixing, neural, pipeline
 from envgain.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from envgain.signal_io import read_wav
 
@@ -49,7 +49,9 @@ def model_dir(data_dir, tmp_path_factory):
 class TestSynthData:
     def test_layout(self, data_dir):
         assert sorted(p.name for p in data_dir.glob("*.pack")) == ["train.pack", "val.pack"]
-        assert (data_dir / "meta.txt").exists()
+        assert (data_dir / "meta.txt").read_text() == (
+            "seed = 3\nnoise = ssn\nsnr_range = -5:10\nn_train = 20\nn_val = 2\nn_test = 2\n"
+        )
         assert len(list((data_dir / "clean_train").glob("*.wav"))) == 20
         assert len(list((data_dir / "clean_val").glob("*.wav"))) == 2
         assert len(list((data_dir / "clean_test").glob("*.wav"))) == 2
@@ -75,7 +77,7 @@ class TestSynthData:
 
 
 class TestTrain:
-    def test_single_band(self, data_dir, tmp_path):
+    def test_single_band(self, data_dir, model_dir, tmp_path):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(TINY_CONFIG)
         out = tmp_path / "band3"
@@ -83,8 +85,12 @@ class TestTrain:
                    "--band", "3", "--config", str(cfg), "--out", str(out)])
         assert rc == EXIT_OK
         assert (out / "band_03.mdl").exists()
-        assert (out / "feature_norm.bin").exists()
-        assert (out / "system.txt").exists()
+        norm = (out / "feature_norm.bin").read_bytes()
+        assert norm == (model_dir / "feature_norm.bin").read_bytes()
+        # the same record `--band all` writes, but for the objective
+        assert (out / "system.txt").read_text() == (
+            (model_dir / "system.txt").read_text().replace("objective = elc", "objective = emse")
+        )
 
     def test_joint(self, data_dir, tmp_path):
         cfg = tmp_path / "train.cfg"
@@ -124,6 +130,29 @@ class TestTrain:
         assert rc == EXIT_DATA
 
 
+    @pytest.mark.parametrize("defect", ["index row", "header", "UTF-8"])
+    def test_bad_pack_is_data_error(self, data_dir, tmp_path, capsys, defect):
+        shutil.copy(data_dir / "val.pack", tmp_path / "val.pack")
+        pack = tmp_path / "train.pack"
+        if defect == "index row":
+            env = [np.ones((15, 40))] * 3
+            mixing.save_dataset(mixing.EnvelopeDataset(env, env, [(7, 40)]), pack)
+        else:
+            mixing.save_dataset(mixing.EnvelopeDataset(
+                [np.ones((15, 30))], [np.ones((15, 30))], [(0, 29)],
+                mixes=[mixing.MixSpec(0.0, "ssn", "train", 1)],
+            ), pack)
+            payload = bytearray(pack.read_bytes()[:-4])
+            if defect == "header":
+                payload[21:25] = struct.pack("<I", 0)  # fft_size
+            else:
+                payload[payload.index(b"ssn")] = 0xFF
+            pack.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+        rc = main(["train", "--data", str(tmp_path), "--band", "all",
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_DATA
+        assert defect in capsys.readouterr().err
+
 class TestEnhanceEvaluate:
     def test_enhance_wav(self, data_dir, model_dir, tmp_path):
         noisy_in = next(iter((data_dir / "clean_test").glob("*.wav")))
@@ -162,6 +191,33 @@ class TestEnhanceEvaluate:
                    "--in", str(noisy_in), "--out", str(tmp_path / "enh.wav")])
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("defect, message", [
+        ("missing hop", "missing key(s) hop"),
+        ("mixed objective", "objective emse != elc"),
+        ("non-finite", "non-finite parameters"),
+    ])
+    def test_enhance_bad_model_dir_is_data_error(
+        self, data_dir, model_dir, tmp_path, capsys, defect, message
+    ):
+        model = tmp_path / "mdl"
+        shutil.copytree(model_dir, model)
+        if defect == "missing hop":
+            lines = (model / "system.txt").read_text().splitlines(keepends=True)
+            kept = [line for line in lines if not line.startswith("hop")]
+            (model / "system.txt").write_text("".join(kept))
+        else:
+            band, objective = neural.load_model(model / "band_02.mdl")
+            if defect == "non-finite":
+                band.layers[0].bias[1] = np.nan
+            else:
+                objective = "emse"
+            neural.save_model(band, model / "band_02.mdl", objective)
+        noisy_in = next(iter((data_dir / "clean_test").glob("*.wav")))
+        rc = main(["enhance", "--model", str(model),
+                   "--in", str(noisy_in), "--out", str(tmp_path / "enh.wav")])
+        assert rc == EXIT_DATA
+        assert message in capsys.readouterr().err
+
     def test_enhance_missing_model_is_data_error(self, tmp_path):
         rc = main(["enhance", "--model", str(tmp_path / "none"),
                    "--in", "x.wav", "--out", "y.wav"])
@@ -178,6 +234,9 @@ class TestBaselineCli:
                    "--config", str(cfg), "--out", str(out)])
         assert rc == EXIT_OK
         assert (out / "baseline.mdl").exists()
+        assert (out / "system.txt").read_text() == (
+            "kind = classical\ncontext = 30\npredict = 5\nfft_size = 256\nhop = 128\n"
+        )
         noisy_in = next(iter((data_dir / "clean_test").glob("*.wav")))
         enh = tmp_path / "b.wav"
         rc = main(["enhance", "--model", str(out), "--in", str(noisy_in),

@@ -316,6 +316,42 @@ class TestDatasetPack:
         with pytest.raises(DatasetFormatError, match="trailing"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("row", [(7, 40), (-1, 35), (0, 28), (0, 40)])
+    def test_index_row_past_stored_frames_rejected(self, tmp_path, row):
+        ds = EnvelopeDataset([np.ones((15, 40))] * 3, [np.ones((15, 40))] * 3, [(2, 39), row])
+        save_dataset(ds, tmp_path / "d.pack")
+        with pytest.raises(DatasetFormatError, match="index row 1"):
+            load_dataset(tmp_path / "d.pack")
+
+    @pytest.mark.parametrize(
+        "offset, fmt, value",
+        [(21, "<I", 0), (21, "<I", 100), (29, "<I", 0), (33, "<d", float("nan")), (33, "<d", 1e9)],
+    )
+    def test_bad_stft_or_band_header_rejected(self, tmp_path, offset, fmt, value):
+        # header: magic 5, version 4, counts 12, then fft_size, hop, fs, first center
+        ds = EnvelopeDataset([np.ones((15, 30))], [np.ones((15, 30))], [(0, 29)])
+        path = tmp_path / "d.pack"
+        save_dataset(ds, path)
+        patch_pack(path, offset, struct.pack(fmt, value))
+        with pytest.raises(DatasetFormatError, match="header"):
+            load_dataset(path)
+
+    def test_non_utf8_mix_string_rejected(self, tmp_path):
+        ds = EnvelopeDataset([np.ones((15, 30))], [np.ones((15, 30))], [(0, 29)],
+                             mixes=[MixSpec(0.0, "ssn", "train", 1)])
+        path = tmp_path / "d.pack"
+        save_dataset(ds, path)
+        patch_pack(path, path.read_bytes().index(b"ssn"), b"\xff")
+        with pytest.raises(DatasetFormatError, match="UTF-8"):
+            load_dataset(path)
+
+
+def patch_pack(path, offset, new_bytes):
+    """Overwrite payload bytes at `offset` and recompute the CRC."""
+    payload = bytearray(path.read_bytes()[:-4])
+    payload[offset : offset + len(new_bytes)] = new_bytes
+    path.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+
 
 def cut_pack(path, n_bytes):
     """Drop the last n_bytes of a pack's payload and recompute its CRC."""

@@ -320,3 +320,19 @@ class TestModelFiles:
         save_model(model, path, "elc")
         with pytest.raises(ModelFormatError):
             load_model(path, expected_output_dim=30)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected(self, tmp_path, value):
+        model = init_model([4, 3, 2], seed=24)
+        model.layers[1].weights[0, 1] = value
+        save_model(model, tmp_path / "m.mdl", "elc")
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            load_model(tmp_path / "m.mdl")
+
+    @pytest.mark.parametrize("n_layers", [0, 2])
+    def test_bad_layer_table_rejected(self, tmp_path, n_layers):
+        model = init_model([4, 3, 2], seed=25)
+        model.layers[1].weights = np.zeros((2, 5))  # takes 5 inputs after 3 outputs
+        save_model(neural.MlpModel(model.layers[:n_layers]), tmp_path / "m.mdl", "elc")
+        with pytest.raises(ModelFormatError, match="layer"):
+            load_model(tmp_path / "m.mdl", expected_input_dim=4)

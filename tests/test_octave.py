@@ -11,7 +11,6 @@ from envgain.octave import (
     band_gains_to_stft_gains,
     build_band_layout,
     envelopes,
-    frame_envelope,
 )
 
 CFG = StftConfig()
@@ -96,28 +95,6 @@ class TestEnvelopes:
         env = envelopes(spec_from_mag(mag), LAYOUT)
         scaled = envelopes(spec_from_mag(3.5 * mag), LAYOUT)
         assert np.allclose(scaled, 3.5 * env, rtol=1e-12)
-
-
-class TestFrameEnvelope:
-    ENV = np.arange(15 * 40, dtype=float).reshape(15, 40)
-
-    def test_single_value(self):
-        vec = frame_envelope(self.ENV, band=2, frame=5, n=1)
-        assert vec.values.tolist() == [self.ENV[2, 5]]
-
-    def test_first_valid_vector(self):
-        vec = frame_envelope(self.ENV, band=0, frame=29, n=30)
-        assert np.array_equal(vec.values, self.ENV[0, :30])
-        assert (vec.band, vec.frame) == (0, 29)
-
-    def test_constant_envelope(self):
-        env = np.full((15, 40), 7.0)
-        vec = frame_envelope(env, band=4, frame=35, n=30)
-        assert np.all(vec.values == 7.0)
-
-    def test_insufficient_context(self):
-        with pytest.raises(ValueError):
-            frame_envelope(self.ENV, band=0, frame=28, n=30)
 
 
 class TestGainBackMapping:

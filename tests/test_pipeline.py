@@ -286,6 +286,31 @@ class TestSystemFiles:
         pipeline._save_norm(neural.FeatureNorm(good, good), path)
         assert np.array_equal(pipeline._load_norm(path).std, good)
 
+    def test_system_txt_bytes(self, tmp_path):
+        pipeline.save_system(SYSTEM, tmp_path / "mdl")
+        assert (tmp_path / "mdl" / "system.txt").read_bytes() == (
+            b"kind = per-band\nobjective = elc\nn_bands = 15\nn_env = 30\nfft_size = 256\n"
+            b"hop = 128\nsample_rate_hz = 10000\nfirst_center_hz = 150\nout_of_band = zero\n"
+        )
+        names = sorted(p.name for p in (tmp_path / "mdl").iterdir())
+        bands = [f"band_{j:02d}.mdl" for j in range(15)]
+        assert names == bands + ["feature_norm.bin", "system.txt"]  # no temp files left
+
+    @pytest.mark.parametrize("key", ["kind", "hop", "first_center_hz"])
+    def test_missing_system_key_named(self, tmp_path, key):
+        pipeline.save_system(SYSTEM, tmp_path / "mdl")
+        meta = tmp_path / "mdl" / "system.txt"
+        lines = meta.read_text().splitlines()
+        meta.write_text("".join(f"{line}\n" for line in lines if not line.startswith(key)))
+        with pytest.raises(neural.ModelFormatError, match=f"missing key.*{key}"):
+            pipeline.load_system(tmp_path / "mdl")
+
+    def test_band_file_objective_must_match_system(self, tmp_path):
+        pipeline.save_system(SYSTEM, tmp_path / "mdl")
+        neural.save_model(SYSTEM.band_models[4], tmp_path / "mdl" / "band_04.mdl", "emse")
+        with pytest.raises(neural.ModelFormatError, match="band_04.mdl: objective emse != elc"):
+            pipeline.load_system(tmp_path / "mdl")
+
     def test_missing_band_file_rejected(self, tmp_path):
         pipeline.save_system(SYSTEM, tmp_path / "mdl")
         (tmp_path / "mdl" / "band_07.mdl").unlink()
