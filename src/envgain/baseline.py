@@ -23,7 +23,7 @@ from .mixing import DEFAULT_SNR_RANGE_DB, _mixtures
 from .octave import average_overlapping_gains
 from .pipeline import (
     _analyze_noisy, _load_norm, _parse_kv, _resynthesize, _save_norm, _select_rows,
-    _streaming_norm, _write_kv,
+    _stft_config, _streaming_norm, _write_kv,
 )
 from .signal_io import TimeSignal
 from .stft import Spectrogram, StftConfig, analyze
@@ -182,11 +182,12 @@ def save_classical(system: ClassicalSystem, dirpath) -> None:
 
 def load_classical(dirpath) -> ClassicalSystem:
     d = Path(dirpath)
-    meta = _parse_kv(d / "system.txt", ("kind", "context", "predict", "fft_size", "hop"))
-    if meta["kind"] != "classical":
-        raise ValueError(f"{dirpath}: not a classical baseline model directory")
-    cfg = StftConfig(int(meta["fft_size"]), int(meta["fft_size"]), int(meta["hop"]))
-    context, predict = int(meta["context"]), int(meta["predict"])
+    path = d / "system.txt"
+    meta = _parse_kv(path, {
+        "kind": ("classical",), "context": int, "predict": int, "fft_size": int, "hop": int,
+    })
+    cfg = _stft_config(path, meta["fft_size"], meta["hop"])
+    context, predict = meta["context"], meta["predict"]
     n_bins = cfg.n_bins
     model, _ = neural.load_model(
         d / "baseline.mdl",

@@ -114,6 +114,11 @@ def mix_at_snr(speech: TimeSignal, noise: TimeSignal, snr_db: float, rng=0):
 
     Returns (mixture, scaled_noise). `rng` seeds the segment choice.
     """
+    return _mix_at_level(speech, active_speech_level(speech), noise, snr_db, rng)
+
+
+def _mix_at_level(speech: TimeSignal, speech_level: float, noise: TimeSignal, snr_db: float, rng):
+    """`mix_at_snr` for a speech signal whose active level is already known."""
     if noise.sample_rate_hz != speech.sample_rate_hz:
         raise ValueError("speech and noise sample rates differ")
     if len(noise) < len(speech):
@@ -124,7 +129,6 @@ def mix_at_snr(speech: TimeSignal, noise: TimeSignal, snr_db: float, rng=0):
     cut_rms = np.sqrt(np.mean(cut**2))
     if cut_rms <= 0.0:
         raise ValueError("silent noise segment")
-    speech_level = active_speech_level(speech)
     target_noise_level = speech_level - snr_db
     gain = 10.0 ** ((target_noise_level - 20.0 * np.log10(cut_rms)) / 20.0)
     scaled = cut * gain

@@ -26,6 +26,7 @@ FIRST_CENTER_HZ = 150.0
 ENVELOPE_LEN = 30
 
 EDGE_RATIO = 2.0 ** (1.0 / 6.0)
+OUT_OF_BAND = ("zero", "passthrough")  # gain policies for bins outside every band
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ def band_gains_to_stft_gains(
     gains = np.asarray(band_gains, dtype=np.float64)
     if gains.shape[0] != layout.n_bands:
         raise ValueError(f"expected {layout.n_bands} band rows, got {gains.shape[0]}")
-    if out_of_band not in ("zero", "passthrough"):
+    if out_of_band not in OUT_OF_BAND:
         raise ValueError(f"unknown out-of-band policy {out_of_band!r}")
     n_bins = layout.fft_size // 2 + 1
     fill = 0.0 if out_of_band == "zero" else 1.0

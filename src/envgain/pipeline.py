@@ -22,10 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import cost, framed, neural
-from .mixing import EnvelopeDataset, mix_at_snr
+from . import cost, framed, mixing, neural
+from .mixing import EnvelopeDataset, active_speech_level
 from .octave import (
     ENVELOPE_LEN,
+    OUT_OF_BAND,
     BandLayout,
     average_overlapping_gains,
     band_gains_to_stft_gains,
@@ -382,14 +383,15 @@ def evaluate_system(
     enhance_fn = enhancer or (lambda sig: enhance(system, sig))
     layout = getattr(system, "layout", None) or build_band_layout()
     config = getattr(system, "stft_config", StftConfig())
+    levels = [active_speech_level(clean) for clean in clean_list]  # the same at every SNR
     rows = []
     for snr in snrs_db:
         # SeedSequence entropy must be non-negative; fold the signed SNR key
         snr_key = int(round(snr * 1000)) % (1 << 32)
         children = np.random.SeedSequence([seed, snr_key]).spawn(len(clean_list))
         elc_up, elc_enh = [], []
-        for child, clean in zip(children, clean_list):
-            noisy, _ = mix_at_snr(clean, noise, snr, np.random.default_rng(child))
+        for child, clean, level in zip(children, clean_list, levels):
+            noisy, _ = mixing._mix_at_level(clean, level, noise, snr, np.random.default_rng(child))
             enhanced = enhance_fn(noisy)
             elc_up.append(score_elc(clean, noisy, layout, config))
             elc_enh.append(score_elc(clean, enhanced, layout, config))
@@ -491,9 +493,11 @@ def _write_kv(path, fields: dict) -> None:
         fh.write("".join(f"{key} = {val}\n" for key, val in fields.items()).encode("utf-8"))
 
 
-def _parse_kv(path, required: Sequence[str] = ()) -> dict:
-    """Read a flat `key = value` file; a missing `required` key raises
-    ModelFormatError naming it."""
+def _parse_kv(path, required: dict | None = None) -> dict:
+    """Read a flat `key = value` file. `required` maps each key that must be
+    present to its kind (see `_typed`); a missing key or a value not of its
+    kind raises ModelFormatError naming the key, and required values come
+    back converted."""
     out = {}
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.split("#", 1)[0].strip()
@@ -503,24 +507,59 @@ def _parse_kv(path, required: Sequence[str] = ()) -> dict:
             raise ValueError(f"{path}: malformed line {line!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         out[key] = val
+    required = required or {}
     missing = [key for key in required if key not in out]
     if missing:
         raise neural.ModelFormatError(f"{path}: missing key(s) {', '.join(missing)}")
+    for key, kind in required.items():
+        out[key] = _typed(path, key, out[key], kind)
     return out
+
+
+def _typed(path, key: str, value: str, kind):
+    """`value` as `kind`: a tuple of the allowed strings, int (positive) or
+    float. Anything else raises ModelFormatError naming `key`."""
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        expected = "one of " + ", ".join(kind)
+    else:
+        try:
+            number = kind(value)
+            if kind is float or number > 0:
+                return number
+        except ValueError:
+            pass
+        expected = "a positive integer" if kind is int else "a number"
+    raise neural.ModelFormatError(f"{path}: {key} = {value!r} is not {expected}")
+
+
+def _stft_config(path, fft_size: int, hop: int) -> StftConfig:
+    try:
+        return StftConfig(fft_size, fft_size, hop)
+    except ValueError as exc:
+        raise neural.ModelFormatError(f"{path}: {exc}") from None
+
+
+_SYSTEM_KEYS = {
+    "kind": ("per-band", "joint"), "objective": neural.OBJECTIVES, "n_bands": int,
+    "n_env": int, "fft_size": int, "hop": int, "sample_rate_hz": int, "first_center_hz": float,
+}
 
 
 def load_system(dirpath) -> EnhancementSystem:
     d = Path(dirpath)
-    meta = _parse_kv(d / "system.txt", (
-        "kind", "objective", "n_bands", "n_env", "fft_size", "hop", "sample_rate_hz",
-        "first_center_hz",
-    ))
-    n_bands = int(meta["n_bands"])
-    n_env = int(meta["n_env"])
-    cfg = StftConfig(int(meta["fft_size"]), int(meta["fft_size"]), int(meta["hop"]))
-    layout = build_band_layout(
-        cfg.fft_size, int(meta["sample_rate_hz"]), n_bands, float(meta["first_center_hz"])
-    )
+    path = d / "system.txt"
+    meta = _parse_kv(path, _SYSTEM_KEYS)
+    out_of_band = _typed(path, "out_of_band", meta.get("out_of_band", "zero"), OUT_OF_BAND)
+    n_bands, n_env = meta["n_bands"], meta["n_env"]
+    cfg = _stft_config(path, meta["fft_size"], meta["hop"])
+    try:
+        layout = build_band_layout(
+            cfg.fft_size, meta["sample_rate_hz"], n_bands, meta["first_center_hz"]
+        )
+    except (ValueError, ArithmeticError) as exc:
+        raise neural.ModelFormatError(f"{path}: bad band fields: {exc}") from None
     norm = _load_norm(d / "feature_norm.bin")
     feat_dim = n_bands * n_env
 
@@ -547,5 +586,5 @@ def load_system(dirpath) -> EnhancementSystem:
         feature_norm=norm,
         objective=meta["objective"],
         n_env=n_env,
-        out_of_band=meta.get("out_of_band", "zero"),
+        out_of_band=out_of_band,
     )

@@ -195,6 +195,9 @@ class TestEnhanceEvaluate:
         ("missing hop", "missing key(s) hop"),
         ("mixed objective", "objective emse != elc"),
         ("non-finite", "non-finite parameters"),
+        ("hop = 12x8", "hop = '12x8' is not a positive integer"),
+        ("kind = banana", "kind = 'banana' is not one of per-band, joint"),
+        ("out_of_band = banana", "out_of_band = 'banana' is not one of zero, passthrough"),
     ])
     def test_enhance_bad_model_dir_is_data_error(
         self, data_dir, model_dir, tmp_path, capsys, defect, message
@@ -205,6 +208,11 @@ class TestEnhanceEvaluate:
             lines = (model / "system.txt").read_text().splitlines(keepends=True)
             kept = [line for line in lines if not line.startswith("hop")]
             (model / "system.txt").write_text("".join(kept))
+        elif " = " in defect:
+            key = defect.split(" = ")[0]
+            lines = (model / "system.txt").read_text().splitlines(keepends=True)
+            kept = [line for line in lines if not line.startswith(f"{key} ")]
+            (model / "system.txt").write_text("".join(kept) + defect + "\n")
         else:
             band, objective = neural.load_model(model / "band_02.mdl")
             if defect == "non-finite":

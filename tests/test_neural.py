@@ -1,5 +1,7 @@
 """Network init, forward/backward, the SGD loop, and model files."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,16 @@ class TestTrain:
         out_a, _ = train(init_model([8, 8, 8], seed=16), data, data, config)
         out_b, _ = train(init_model([8, 8, 8], seed=16), data, data, config)
         assert out_a.param_bytes() == out_b.param_bytes()
+
+    def test_epoch_phase_times(self):
+        data = toy_identity_gain_data(200)
+        config = TrainConfig(objective="emse", max_epochs=3, minibatch=32, seed=16)
+        started = time.perf_counter()
+        _, report = train(init_model([8, 8, 8], seed=16), data, data, config)
+        wall = time.perf_counter() - started
+        assert len(report.epochs) == 3
+        assert all(e.train_s > 0.0 and e.validation_s > 0.0 for e in report.epochs)
+        assert sum(e.train_s + e.validation_s for e in report.epochs) <= wall
 
     def test_lr_monotone_nonincreasing(self):
         data = toy_identity_gain_data(200, seed=1)

@@ -1,5 +1,7 @@
 """Enhancement paths, scoring, gain correlation, tables, baseline."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,14 @@ def tiny_system(objective="elc", seed=0, epochs=2):
 
 
 SYSTEM, REPORTS = tiny_system()
+
+
+def set_system_value(model_dir, key, value):
+    meta = model_dir / "system.txt"
+    lines = meta.read_text().splitlines()
+    meta.write_text("".join(
+        f"{key} = {value}\n" if line.startswith(f"{key} ") else f"{line}\n" for line in lines
+    ))
 
 
 def noisy_fixture(snr=0.0, seed=60):
@@ -305,6 +315,25 @@ class TestSystemFiles:
         with pytest.raises(neural.ModelFormatError, match=f"missing key.*{key}"):
             pipeline.load_system(tmp_path / "mdl")
 
+    @pytest.mark.parametrize("key, value, expected", [
+        ("hop", "12x8", "hop = '12x8' is not a positive integer"),
+        ("n_bands", "0", "n_bands = '0' is not a positive integer"),
+        ("n_env", "2.5", "n_env = '2.5' is not a positive integer"),
+        ("fft_size", "", "fft_size = '' is not a positive integer"),
+        ("sample_rate_hz", "10 kHz", "sample_rate_hz = '10 kHz' is not a positive integer"),
+        ("first_center_hz", "low", "first_center_hz = 'low' is not a number"),
+        ("kind", "banana", "kind = 'banana' is not one of per-band, joint"),
+        ("objective", "stoi", "objective = 'stoi' is not one of elc, emse"),
+        ("out_of_band", "banana", "out_of_band = 'banana' is not one of zero, passthrough"),
+        ("hop", "100", "hop must be window_len / 2"),
+        ("first_center_hz", "inf", "bad band fields"),
+    ])
+    def test_bad_system_value_named(self, tmp_path, key, value, expected):
+        pipeline.save_system(SYSTEM, tmp_path / "mdl")
+        set_system_value(tmp_path / "mdl", key, value)
+        with pytest.raises(neural.ModelFormatError, match=re.escape(expected)):
+            pipeline.load_system(tmp_path / "mdl")
+
     def test_band_file_objective_must_match_system(self, tmp_path):
         pipeline.save_system(SYSTEM, tmp_path / "mdl")
         neural.save_model(SYSTEM.band_models[4], tmp_path / "mdl" / "band_04.mdl", "emse")
@@ -391,6 +420,17 @@ class TestEvaluateSystem:
             expected.append(pipeline.EvalRow("ssn", snr, *means))
         assert rows == expected
 
+    def test_each_utterance_leveled_once(self, monkeypatch):
+        calls = []
+
+        def counted(signal):
+            calls.append(signal)
+            return mixing.active_speech_level(signal)
+
+        monkeypatch.setattr(pipeline, "active_speech_level", counted)
+        pipeline.evaluate_system(SYSTEM, SPEECH[4:6], NOISE, [-5.0, 0.0, 5.0], seed=9)
+        assert len(calls) == 2 and all(a is b for a, b in zip(calls, SPEECH[4:6]))
+
 
 class TestClassicalBaseline:
     def _datasets(self):
@@ -444,3 +484,20 @@ class TestClassicalBaseline:
         a = baseline.classical_enhance(system, noisy)
         b = baseline.classical_enhance(loaded, noisy)
         assert np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("context", "7.5", "context = '7.5' is not a positive integer"),
+        ("predict", "-1", "predict = '-1' is not a positive integer"),
+        ("kind", "per-band", "kind = 'per-band' is not one of classical"),
+        ("hop", "12x8", "hop = '12x8' is not a positive integer"),
+    ])
+    def test_bad_system_value_named(self, tmp_path, key, value, expected):
+        train_ds, val_ds = self._datasets()
+        config = neural.TrainConfig(objective="emse", max_epochs=0, seed=5)
+        system, _ = baseline.train_classical(
+            train_ds, val_ds, config, hidden=(8,), max_train_frames=100, max_val_frames=50
+        )
+        baseline.save_classical(system, tmp_path / "base")
+        set_system_value(tmp_path / "base", key, value)
+        with pytest.raises(neural.ModelFormatError, match=re.escape(expected)):
+            baseline.load_classical(tmp_path / "base")
