@@ -22,8 +22,8 @@ from . import neural
 from .mixing import DEFAULT_SNR_RANGE_DB, _mixtures
 from .octave import average_overlapping_gains
 from .pipeline import (
-    _analyze_noisy, _load_norm, _parse_kv, _resynthesize, _save_norm, _select_rows,
-    _stft_config, _streaming_norm, _write_kv,
+    _analyze_noisy, _forward_side_by_side, _load_norm, _parse_kv, _resynthesize, _save_norm,
+    _select_rows, _stft_config, _streaming_norm, _write_kv,
 )
 from .signal_io import TimeSignal
 from .stft import Spectrogram, StftConfig, analyze
@@ -145,18 +145,10 @@ def _gains(system: ClassicalSystem, spec: Spectrogram) -> np.ndarray:
     windows = np.lib.stride_tricks.sliding_window_view(mag, system.context, axis=0)  # (V, B, C)
     feats = np.log1p(windows.transpose(0, 2, 1).reshape(windows.shape[0], -1))
     feats = system.feature_norm.apply(feats)
-    pred = np.empty((len(feats), system.predict * n_bins))
-    for lo in range(0, len(feats), 2048):
-        pred[lo : lo + 2048] = neural.forward(system.model, feats[lo : lo + 2048])
+    pred = _forward_side_by_side([system.model], feats, 2048)
     # window v ends at frame context-1+v and predicts its last `predict` frames
     pred = pred.reshape(len(pred), system.predict, n_bins)
     return average_overlapping_gains(pred, m, system.context - system.predict, fill=1.0)
-
-
-def classical_gains(system: ClassicalSystem, noisy: TimeSignal) -> np.ndarray:
-    """Per-bin gain matrix (M, K/2+1) with overlapping 5-frame estimates
-    averaged; frames before the first prediction window get gain 1."""
-    return _gains(system, _analyze_noisy(noisy, system.stft_config))
 
 
 def classical_enhance(system: ClassicalSystem, noisy: TimeSignal) -> TimeSignal:

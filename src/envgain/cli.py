@@ -313,59 +313,45 @@ def _cmd_train_baseline(args) -> int:
 
 
 def _load_any_system(model_dir):
+    """(system, kind, its enhance function) of a model directory."""
     meta = pipeline._parse_kv(Path(model_dir) / "system.txt")
     if meta.get("kind") == "classical":
-        return baseline.load_classical(model_dir), "classical"
-    return pipeline.load_system(model_dir), meta.get("kind", "per-band")
+        return baseline.load_classical(model_dir), "classical", baseline.classical_enhance
+    return pipeline.load_system(model_dir), meta.get("kind", "per-band"), pipeline.enhance
 
 
 def _cmd_enhance(args) -> int:
-    system, kind = _load_any_system(args.model)
-    noisy = to_working_rate(read_wav(args.infile))
-    if kind == "classical":
-        enhanced = baseline.classical_enhance(system, noisy)
-    else:
-        enhanced = pipeline.enhance(system, noisy)
+    system, kind, enhance = _load_any_system(args.model)
+    enhanced = enhance(system, to_working_rate(read_wav(args.infile)))
     write_wav(enhanced, args.out)
     print(f"enhanced {args.infile} -> {args.out} ({kind} model)")
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
-    system, kind = _load_any_system(args.model)
+    system, _, enhance = _load_any_system(args.model)
     cleans = _read_split_wavs(args.testset, "test")
     noise = read_wav(Path(args.testset) / "noise_test.wav")
     meta = pipeline._parse_kv(Path(args.testset) / "meta.txt")
-    noise_type = meta.get("noise", "noise")
-    snrs = _parse_snr_list(args.snrs)
-    if kind == "classical":
-        rows = pipeline.evaluate_system(
-            system, cleans, noise, snrs, seed=args.seed, noise_type=noise_type,
-            enhancer=lambda sig: baseline.classical_enhance(system, sig),
-        )
-    else:
-        rows = pipeline.evaluate_system(
-            system, cleans, noise, snrs, seed=args.seed, noise_type=noise_type
-        )
+    rows = pipeline.evaluate_system(
+        system, cleans, noise, _parse_snr_list(args.snrs), seed=args.seed,
+        noise_type=meta.get("noise", "noise"), enhancer=lambda sig: enhance(system, sig),
+    )
     sys.stdout.write(pipeline.report_tables(rows, args.format))
     return EXIT_OK
 
 
 def _cmd_gain_corr(args) -> int:
-    system_a, kind_a = _load_any_system(args.model_a)
-    system_b, kind_b = _load_any_system(args.model_b)
+    system_a, kind_a, _ = _load_any_system(args.model_a)
+    system_b, kind_b, _ = _load_any_system(args.model_b)
     if "classical" in (kind_a, kind_b):
         raise ValueError("gain-corr requires two envelope-gain models")
     cleans = _read_split_wavs(args.testset, "test")
     noise = read_wav(Path(args.testset) / "noise_test.wav")
     meta = pipeline._parse_kv(Path(args.testset) / "meta.txt")
+    levels = [mixing.active_speech_level(clean) for clean in cleans]
     for snr in _parse_snr_list(args.snrs):
-        snr_key = int(round(snr * 1000)) % (1 << 32)
-        children = np.random.SeedSequence([args.seed, snr_key]).spawn(len(cleans))
-        noisy = [
-            mixing.mix_at_snr(clean, noise, snr, np.random.default_rng(child))[0]
-            for child, clean in zip(children, cleans)
-        ]
+        noisy = list(pipeline._seeded_mixtures(cleans, levels, noise, snr, args.seed))
         corr = pipeline.gain_correlation(system_a, system_b, noisy)
         print(f"{meta.get('noise', 'noise')}  {snr:+5.1f} dB  correlation {corr:.4f}")
     return EXIT_OK

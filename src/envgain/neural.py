@@ -223,20 +223,15 @@ class BackwardResult:
 def _loss_and_grad(gains, clean, noisy, objective):
     """Per-sample loss of the minimized objective and gradient w.r.t. gains.
 
-    Per-band mode: clean/noisy are (B, N) and gains (B, N). Joint mode:
-    clean/noisy are (B, J, N), gains (B, J*N); the per-sample loss is the
-    mean over bands. Degenerate correlation windows contribute zero.
+    gains are (B, J*N) for J bands side by side, clean/noisy (B, N) or
+    (B, J, N); the per-sample loss is the mean over the J bands. Degenerate
+    correlation windows contribute zero.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    joint = clean.ndim == 3
-    if joint:
-        b, j, n = clean.shape
-        g = gains.reshape(b * j, n)
-        x = clean.reshape(b * j, n)
-        y = noisy.reshape(b * j, n)
-    else:
-        g, x, y = gains, clean, noisy
+    b, n = clean.shape[0], clean.shape[-1]
+    j = gains.shape[1] // n
+    g, x, y = (a.reshape(b * j, n) for a in (gains, clean, noisy))
     xh = g * y
     if objective == "elc":
         values, grads, valid = cost.elc_batch(x, xh)
@@ -246,10 +241,7 @@ def _loss_and_grad(gains, clean, noisy, objective):
         loss, d_xh, valid = cost.emse_batch(x, xh)
     d_g = d_xh * y
     n_degenerate = int(np.count_nonzero(~valid))
-    if joint:
-        loss = loss.reshape(b, j).mean(axis=1)
-        d_g = d_g.reshape(b, j * n) / j
-    return loss, d_g, n_degenerate
+    return loss.reshape(b, j).mean(axis=1), d_g.reshape(b, j * n) / j, n_degenerate
 
 
 def backward(

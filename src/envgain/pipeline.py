@@ -1,12 +1,14 @@
 """End-to-end enhancement, scoring and evaluation.
 
-An EnhancementSystem bundles the trained per-band gain networks (or one
-joint-output network), the band layout, STFT configuration and feature
-normalization. Enhancement analyzes the noisy audio once, collects each
-network's gain vectors as one (V, J, N) array, averages the overlapping
-estimates per frame, maps band gains onto STFT bins (uniform within a
-band) and resynthesizes from the same spectrogram with the noisy phase.
-Output duration equals input duration.
+An EnhancementSystem holds its gain networks as one ordered list, J
+per-band networks of width N or one joint network of width J*N, whose
+outputs placed side by side form a window's (J, N) gain vector; the band
+layout, STFT configuration and feature normalization come with it.
+Enhancement analyzes the noisy audio once, collects the gain vectors of
+every window as one (V, J, N) array, averages the overlapping estimates
+per frame, maps band gains onto STFT bins (uniform within a band) and
+resynthesizes from the same spectrogram with the noisy phase. Output
+duration equals input duration.
 
 Scoring averages the envelope correlation over all (band, window) pairs;
 the intelligibility score exposed here is the clip-free variant of that
@@ -55,18 +57,22 @@ class EnhancementSystem:
     def __post_init__(self):
         if (self.band_models is None) == (self.joint_model is None):
             raise ValueError("exactly one of band_models / joint_model must be set")
-        if self.band_models is not None and len(self.band_models) != self.layout.n_bands:
-            raise ValueError(
-                f"{len(self.band_models)} band models for {self.layout.n_bands} bands"
-            )
         dim = self.layout.n_bands * self.n_env
-        model = self.joint_model or self.band_models[0]
-        if model.input_dim != dim or len(self.feature_norm.mean) != dim:
-            raise ValueError("model/feature-norm input dims do not match layout * n_env")
+        count = 1 if self.is_joint else self.layout.n_bands
+        if len(self.models) != count or len(self.feature_norm.mean) != dim or any(
+            (m.input_dim, m.output_dim) != (dim, dim // count) for m in self.models
+        ):
+            raise ValueError(f"need {count} model(s) of {dim} inputs and {dim // count} "
+                             f"outputs, and a {dim}-dim feature norm")
 
     @property
     def is_joint(self) -> bool:
         return self.joint_model is not None
+
+    @property
+    def models(self) -> list[neural.MlpModel]:
+        """The networks in band order; outputs side by side give the gains."""
+        return [self.joint_model] if self.is_joint else self.band_models
 
 
 def _compatible(a: EnhancementSystem, b: EnhancementSystem) -> bool:
@@ -100,15 +106,18 @@ def _gain_vectors(system: EnhancementSystem, spec: Spectrogram) -> np.ndarray:
     windows = np.lib.stride_tricks.sliding_window_view(env, n, axis=1)  # (J, V, N)
     feats = np.log1p(windows.transpose(1, 0, 2).reshape(v, j * n))
     feats = system.feature_norm.apply(feats)
+    return _forward_side_by_side(system.models, feats, _FEATURE_CHUNK).reshape(v, j, n)
 
-    out = np.empty((v, j, n))
-    for lo in range(0, v, _FEATURE_CHUNK):
-        sl = slice(lo, min(lo + _FEATURE_CHUNK, v))
-        if system.is_joint:
-            out[sl] = neural.forward(system.joint_model, feats[sl]).reshape(-1, j, n)
-        else:
-            for band in range(j):
-                out[sl, band] = neural.forward(system.band_models[band], feats[sl])
+
+def _forward_side_by_side(models, feats: np.ndarray, chunk: int) -> np.ndarray:
+    """Run every model over the rows of `feats`, `chunk` rows at a time, and
+    place their outputs side by side: (rows, sum of output dims)."""
+    edges = np.cumsum([0, *(m.output_dim for m in models)])
+    out = np.empty((len(feats), edges[-1]))
+    for lo in range(0, len(feats), chunk):
+        rows = slice(lo, lo + chunk)
+        for model, a, b in zip(models, edges, edges[1:]):
+            out[rows, a:b] = neural.forward(model, feats[rows])
     return out
 
 
@@ -126,12 +135,6 @@ def predict_gain_vectors(system: EnhancementSystem, noisy: TimeSignal) -> np.nda
     """Raw network gain vectors for every valid frame: (V, J, N), where the
     v-th row belongs to the envelope vector ending at frame n_env-1+v."""
     return _gain_vectors(system, _analyze_noisy(noisy, system.stft_config))
-
-
-def predict_band_gains(system: EnhancementSystem, noisy: TimeSignal) -> np.ndarray:
-    """Per-frame band gains (J, M): the gain vectors of every window
-    averaged per frame by `average_overlapping_gains`."""
-    return _band_gains(system, _analyze_noisy(noisy, system.stft_config))
 
 
 def enhance_with_band_gains(
@@ -286,21 +289,20 @@ def _training_inputs(train_ds, val_ds, config, max_train_frames, max_val_frames)
     return norm, [(ds, rows, norm.apply(ds.features(rows))) for ds, rows in pairs]
 
 
-def _fit(sets, band: int | None, config: neural.TrainConfig, hidden: Sequence[int]):
-    """Train the network of `band`, or the joint network for None, on the
-    sets of `_training_inputs`. Band j gets seed keys 2j and 2j+1 of
-    config.seed; the joint network gets band 0's."""
+def _fit(sets, bands: slice, config: neural.TrainConfig, hidden: Sequence[int]):
+    """Train the network of `bands` (one band, or all for the joint network)
+    on the sets of `_training_inputs`, with seed keys 2s and 2s+1 of
+    config.seed for s = bands.start: the joint network gets band 0's."""
     train_ds = sets[0][0]
-    feat_dim = train_ds.n_bands * train_ds.n_env
-    k = 0 if band is None else 2 * band
-    keys = np.random.SeedSequence(config.seed).generate_state(2 * train_ds.n_bands + 2)
-    model = neural.init_model(
-        [feat_dim, *hidden, feat_dim if band is None else train_ds.n_env], seed=int(keys[k])
-    )
+    n_bands, n_env = train_ds.n_bands, train_ds.n_env
+    keys = np.random.SeedSequence(config.seed).generate_state(2 * n_bands + 2)
+    k = 2 * bands.start
+    width = (bands.stop - bands.start) * n_env
+    model = neural.init_model([n_bands * n_env, *hidden, width], seed=int(keys[k]))
     tdata, vdata = (
-        neural.ArrayDataset(
-            feats, *(ds.joint_targets(rows) if band is None else ds.band_targets(rows, band))
-        )
+        neural.ArrayDataset(feats, *(
+            ds.joint_targets(rows) if width > n_env else ds.band_targets(rows, bands.start)
+        ))
         for ds, rows, feats in sets
     )
     return neural.train(model, tdata, vdata, replace(config, seed=int(keys[k + 1])))
@@ -319,7 +321,7 @@ def train_band_model(
     `train_enhancement_system`, so bands can be trained in parallel
     processes and assembled afterwards."""
     norm, sets = _training_inputs(train_ds, val_ds, config, max_train_frames, max_val_frames)
-    model, report = _fit(sets, band, config, hidden)
+    model, report = _fit(sets, slice(band, band + 1), config, hidden)
     return model, report, norm
 
 
@@ -339,7 +341,8 @@ def train_enhancement_system(
     config.seed, so the whole system is reproducible bit-for-bit.
     """
     norm, sets = _training_inputs(train_ds, val_ds, config, max_train_frames, max_val_frames)
-    bands = [None] if joint else range(train_ds.n_bands)
+    n_bands = train_ds.n_bands
+    bands = [slice(0, n_bands)] if joint else [slice(j, j + 1) for j in range(n_bands)]
     models, reports = zip(*(_fit(sets, band, config, hidden) for band in bands))
     system = EnhancementSystem(
         band_models=None if joint else list(models),
@@ -368,6 +371,16 @@ class EvalRow:
     stoi_enhanced: float
 
 
+def _seeded_mixtures(clean_list, levels, noise: TimeSignal, snr_db: float, seed: int):
+    """Yield each utterance, of active level `levels[i]`, mixed at snr_db with
+    the noise cut of child i of SeedSequence([seed, SNR key])."""
+    # SeedSequence entropy must be non-negative; fold the signed SNR key
+    snr_key = int(round(snr_db * 1000)) % (1 << 32)
+    children = np.random.SeedSequence([seed, snr_key]).spawn(len(clean_list))
+    for child, clean, level in zip(children, clean_list, levels):
+        yield mixing._mix_at_level(clean, level, noise, snr_db, np.random.default_rng(child))[0]
+
+
 def evaluate_system(
     system,
     clean_list: Sequence[TimeSignal],
@@ -386,12 +399,8 @@ def evaluate_system(
     levels = [active_speech_level(clean) for clean in clean_list]  # the same at every SNR
     rows = []
     for snr in snrs_db:
-        # SeedSequence entropy must be non-negative; fold the signed SNR key
-        snr_key = int(round(snr * 1000)) % (1 << 32)
-        children = np.random.SeedSequence([seed, snr_key]).spawn(len(clean_list))
         elc_up, elc_enh = [], []
-        for child, clean, level in zip(children, clean_list, levels):
-            noisy, _ = mixing._mix_at_level(clean, level, noise, snr, np.random.default_rng(child))
+        for clean, noisy in zip(clean_list, _seeded_mixtures(clean_list, levels, noise, snr, seed)):
             enhanced = enhance_fn(noisy)
             elc_up.append(score_elc(clean, noisy, layout, config))
             elc_enh.append(score_elc(clean, enhanced, layout, config))
@@ -474,17 +483,19 @@ def _system_fields(kind: str, objective: str, source, out_of_band: str) -> dict:
     }
 
 
+def _model_files(kind: str, n_bands: int) -> list[str]:
+    """File names of a system's networks, in the order of `models`."""
+    return ["joint.mdl"] if kind == "joint" else [f"band_{j:02d}.mdl" for j in range(n_bands)]
+
+
 def save_system(system: EnhancementSystem, dirpath) -> None:
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     kind = "joint" if system.is_joint else "per-band"
     _write_kv(d / "system.txt", _system_fields(kind, system.objective, system, system.out_of_band))
     _save_norm(system.feature_norm, d / "feature_norm.bin")
-    if system.is_joint:
-        neural.save_model(system.joint_model, d / "joint.mdl", system.objective)
-    else:
-        for j, model in enumerate(system.band_models):
-            neural.save_model(model, d / f"band_{j:02d}.mdl", system.objective)
+    for name, model in zip(_model_files(kind, system.layout.n_bands), system.models):
+        neural.save_model(model, d / name, system.objective)
 
 
 def _write_kv(path, fields: dict) -> None:
@@ -499,12 +510,15 @@ def _parse_kv(path, required: dict | None = None) -> dict:
     kind raises ModelFormatError naming the key, and required values come
     back converted."""
     out = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.split("#", 1)[0].strip()
+    for number, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError:
+            raise neural.ModelFormatError(f"{path}: line {number} is not UTF-8") from None
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}: malformed line {line!r}")
+            raise neural.ModelFormatError(f"{path}: line {number} {line!r} is not key = value")
         key, val = (part.strip() for part in line.split("=", 1))
         out[key] = val
     required = required or {}
@@ -561,26 +575,22 @@ def load_system(dirpath) -> EnhancementSystem:
     except (ValueError, ArithmeticError) as exc:
         raise neural.ModelFormatError(f"{path}: bad band fields: {exc}") from None
     norm = _load_norm(d / "feature_norm.bin")
-    feat_dim = n_bands * n_env
-
-    def load(name, out_dim):
+    names = _model_files(meta["kind"], n_bands)
+    models = []
+    for name in names:
         model, objective = neural.load_model(
-            d / name, expected_input_dim=feat_dim, expected_output_dim=out_dim
+            d / name, expected_input_dim=n_bands * n_env,
+            expected_output_dim=n_bands * n_env // len(names),
         )
         if objective != meta["objective"]:
             raise neural.ModelFormatError(
                 f"{d / name}: objective {objective} != {meta['objective']} in system.txt"
             )
-        return model
-
-    if meta["kind"] == "joint":
-        band_models, joint_model = None, load("joint.mdl", feat_dim)
-    else:
-        band_models = [load(f"band_{j:02d}.mdl", n_env) for j in range(n_bands)]
-        joint_model = None
+        models.append(model)
+    joint = meta["kind"] == "joint"
     return EnhancementSystem(
-        band_models=band_models,
-        joint_model=joint_model,
+        band_models=None if joint else models,
+        joint_model=models[0] if joint else None,
         layout=layout,
         stft_config=cfg,
         feature_norm=norm,

@@ -8,10 +8,12 @@ are reported as distinct error types.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import signal as _sig
@@ -73,7 +75,8 @@ def read_wav(path) -> TimeSignal:
     the WAVE_FORMAT_EXTENSIBLE wrapper. Multichannel files are reduced to
     channel 0 with a warning.
     """
-    with open(path, "rb") as fh:
+    # in memory, a chunk size lie reads what is there instead of allocating it
+    with io.BytesIO(Path(path).read_bytes()) as fh:
         riff, _size, wave_id = struct.unpack("<4sI4s", _read_exact(fh, 12, "RIFF header"))
         if riff != b"RIFF" or wave_id != b"WAVE":
             raise MalformedWavError(f"{path}: not a RIFF/WAVE file")
@@ -113,36 +116,33 @@ def read_wav(path) -> TimeSignal:
     if n_channels < 1 or rate <= 0:
         raise MalformedWavError(f"{path}: nonsense fmt fields")
 
-    if code == 1:  # integer PCM
-        if bits == 8:
-            raw = np.frombuffer(data, dtype=np.uint8)
-            samples = (raw.astype(np.float64) - 128.0) / 128.0
-        elif bits == 16:
-            samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-        elif bits == 24:
-            raw = np.frombuffer(data, dtype=np.uint8)
-            raw = raw[: (raw.size // 3) * 3].reshape(-1, 3)
-            vals = (
-                raw[:, 0].astype(np.int32)
-                | (raw[:, 1].astype(np.int32) << 8)
-                | (raw[:, 2].astype(np.int32) << 16)
-            )
-            vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
-            samples = vals.astype(np.float64) / float(1 << 23)
-        elif bits == 32:
-            samples = np.frombuffer(data, dtype="<i4").astype(np.float64) / float(1 << 31)
-        else:
-            raise UnsupportedWavError(f"{path}: {bits}-bit integer PCM not supported")
-    elif code == 3:  # IEEE float
-        if bits != 32:
-            raise UnsupportedWavError(f"{path}: {bits}-bit float not supported")
+    # format code 1 is integer PCM, 3 IEEE float
+    if (code, bits) not in ((1, 8), (1, 16), (1, 24), (1, 32), (3, 32)):
+        raise UnsupportedWavError(f"{path}: format code {code}, {bits}-bit not supported")
+    frame_bytes = bits // 8 * n_channels
+    if len(data) % frame_bytes:
+        raise MalformedWavError(
+            f"{path}: data chunk of {len(data)} bytes is not whole {frame_bytes}-byte frames"
+        )
+
+    if code == 3:
         samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    else:
-        raise UnsupportedWavError(f"{path}: format code {code} not supported")
+    elif bits == 8:
+        samples = (np.frombuffer(data, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
+    elif bits == 24:
+        raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
+        vals = (
+            raw[:, 0].astype(np.int32)
+            | (raw[:, 1].astype(np.int32) << 8)
+            | (raw[:, 2].astype(np.int32) << 16)
+        )
+        vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
+        samples = vals.astype(np.float64) / float(1 << 23)
+    else:  # 16 or 32 bits
+        samples = np.frombuffer(data, dtype=f"<i{bits // 8}") / float(1 << (bits - 1))
 
     if n_channels > 1:
         warnings.warn(f"{path}: {n_channels} channels, keeping channel 0")
-        samples = samples[: (samples.size // n_channels) * n_channels]
         samples = samples.reshape(-1, n_channels)[:, 0].copy()
     if samples.size == 0:
         raise MalformedWavError(f"{path}: empty data chunk")

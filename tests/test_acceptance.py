@@ -185,7 +185,7 @@ def toy_training_run():
             train_ds, val_ds, config, hidden=TOY_HIDDEN,
             max_train_frames=TOY_TRAIN_FRAMES, max_val_frames=TOY_VAL_FRAMES,
         )
-        for model in system.band_models:
+        for model in system.models:
             model_hash.update(model.param_bytes())
         rows = pipeline.evaluate_system(
             system, test_speech, noise_test, TEST_SNRS_DB, seed=77, noise_type="ssn"

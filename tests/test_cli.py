@@ -108,6 +108,14 @@ class TestTrain:
                    "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert rc == EXIT_DATA
 
+    def test_malformed_config_line_is_data_error(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("max_epochs = 1\nseed 5\n")
+        rc = main(["train", "--data", str(data_dir), "--band", "all",
+                   "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == EXIT_DATA
+        assert f"{cfg}: line 2 'seed 5' is not key = value" in capsys.readouterr().err
+
     def test_bad_band_rejected(self, data_dir, tmp_path):
         rc = main(["train", "--data", str(data_dir), "--band", "15",
                    "--out", str(tmp_path / "x")])
@@ -178,6 +186,48 @@ class TestEnhanceEvaluate:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "correlation 1.0000" in out
+
+    def test_gain_corr_levels_each_utterance_once(self, data_dir, model_dir, capsys,
+                                                  monkeypatch):
+        calls = []
+        level = mixing.active_speech_level
+
+        def counted(signal):
+            calls.append(signal)
+            return level(signal)
+
+        monkeypatch.setattr(mixing, "active_speech_level", counted)
+        rc = main(["gain-corr", "--model-a", str(model_dir), "--model-b", str(model_dir),
+                   "--testset", str(data_dir), "--snrs", "-5,0,5"])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out.count("correlation 1.0000") == 3
+        assert len(calls) == 2  # the two test utterances, whatever the SNR count
+
+    @pytest.mark.parametrize("line", [b"hop 128\n", b"hop = 1\xff8\n"])
+    def test_enhance_malformed_system_txt_is_data_error(
+        self, data_dir, model_dir, tmp_path, capsys, line
+    ):
+        model = tmp_path / "mdl"
+        shutil.copytree(model_dir, model)
+        meta = model / "system.txt"
+        meta.write_bytes(meta.read_bytes().replace(b"hop = 128\n", line))
+        noisy_in = next(iter((data_dir / "clean_test").glob("*.wav")))
+        rc = main(["enhance", "--model", str(model),
+                   "--in", str(noisy_in), "--out", str(tmp_path / "enh.wav")])
+        assert rc == EXIT_DATA
+        assert f"{meta}: line 6" in capsys.readouterr().err
+
+    def test_enhance_partial_frame_wav_is_data_error(self, data_dir, model_dir, tmp_path,
+                                                     capsys):
+        noisy_in = next(iter((data_dir / "clean_test").glob("*.wav")))
+        raw = bytearray(noisy_in.read_bytes() + b"\x01")  # half a 16-bit sample
+        raw[40:44] = struct.pack("<I", struct.unpack("<I", raw[40:44])[0] + 1)
+        bad = tmp_path / "odd.wav"
+        bad.write_bytes(bytes(raw))
+        rc = main(["enhance", "--model", str(model_dir),
+                   "--in", str(bad), "--out", str(tmp_path / "enh.wav")])
+        assert rc == EXIT_DATA
+        assert "is not whole 2-byte frames" in capsys.readouterr().err
 
     def test_enhance_bad_feature_norm_is_data_error(self, data_dir, model_dir, tmp_path):
         model = tmp_path / "mdl"

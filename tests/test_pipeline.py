@@ -7,7 +7,7 @@ import pytest
 
 from envgain import baseline, mixing, neural, pipeline
 from envgain.cost import DegenerateEnvelopeError
-from envgain.octave import build_band_layout
+from envgain.octave import build_band_layout, envelopes
 from envgain.signal_io import WORKING_RATE_HZ, TimeSignal
 from envgain.stft import StftConfig, analyze, apply_gain, pad_to_frames, synthesize
 
@@ -140,7 +140,8 @@ def joint_system(seed=7):
 
 
 class TestSingleAnalysisEquivalence:
-    """Enhancement equals the old analyze-twice composition bit for bit."""
+    """Enhancement equals the old analyze-twice composition bit for bit, and
+    the gain vectors equal each network run on its own."""
 
     @pytest.mark.parametrize("kind", ["per-band", "joint"])
     def test_enhance_matches_two_pass_composition(self, kind):
@@ -148,10 +149,18 @@ class TestSingleAnalysisEquivalence:
         for seed in range(3):
             _, noisy = noisy_fixture(seed=80 + seed)
             noisy = TimeSignal(noisy.samples[: 4000 + 1717 * seed], FS)
-            gains = reference_band_gains(system, noisy)
-            assert np.array_equal(pipeline.predict_band_gains(system, noisy), gains)
+            spec = analyze(pad_to_frames(noisy.samples, CFG), CFG)
+            windows = np.lib.stride_tricks.sliding_window_view(
+                envelopes(spec, system.layout), system.n_env, axis=1
+            )  # (J, V, N)
+            j, v, n = windows.shape
+            feats = system.feature_norm.apply(np.log1p(windows.transpose(1, 0, 2).reshape(v, -1)))
+            outputs = [neural.forward(model, feats) for model in system.models]
+            vectors = np.concatenate(outputs, axis=1).reshape(v, j, n)
+            assert np.array_equal(pipeline.predict_gain_vectors(system, noisy), vectors)
             expected = pipeline.enhance_with_band_gains(
-                noisy, gains, system.layout, system.stft_config, system.out_of_band
+                noisy, reference_band_gains(system, noisy), system.layout,
+                system.stft_config, system.out_of_band,
             )
             assert np.array_equal(pipeline.enhance(system, noisy).samples, expected.samples)
 
@@ -163,7 +172,6 @@ class TestSingleAnalysisEquivalence:
         )
         _, noisy = noisy_fixture(seed=90)
         gains = reference_classical_gains(system, noisy)
-        assert np.array_equal(baseline.classical_gains(system, noisy), gains)
         spec = analyze(pad_to_frames(noisy.samples, CFG), CFG)
         expected = synthesize(apply_gain(spec, gains)).samples[: len(noisy)]
         assert np.array_equal(baseline.classical_enhance(system, noisy).samples, expected)
@@ -218,7 +226,7 @@ class TestGainCorrelation:
     def test_constant_gain_dummy_degenerate(self):
         dummy, _ = tiny_system(seed=3, epochs=0)  # untrained
         # zero all weights so every output is exactly 0.5
-        for model in dummy.band_models:
+        for model in dummy.models:
             for layer in model.layers:
                 layer.weights[:] = 0.0
                 layer.bias[:] = 0.0
@@ -256,6 +264,18 @@ class TestJointSystem:
         out = pipeline.enhance(system, noisy)
         assert len(out) == len(noisy)
 
+    def test_model_list_checked_at_construction(self):
+        system = joint_system()
+        assert len(system.models) == 1 and system.models[0] is system.joint_model
+        parts = (system.layout, system.stft_config, system.feature_norm, "elc")
+        narrow = neural.init_model([450, 4, 449], seed=0)
+        with pytest.raises(ValueError, match="need 1 model.* 450 outputs"):
+            pipeline.EnhancementSystem(None, narrow, *parts)
+        with pytest.raises(ValueError, match="need 15 model.* 30 outputs"):
+            pipeline.EnhancementSystem(SYSTEM.models[:14], None, *parts)
+        with pytest.raises(ValueError, match="need 15 model"):
+            pipeline.EnhancementSystem([system.joint_model] * 15, None, *parts)
+
 
 class TestBandModelParity:
     def test_single_band_training_matches_system_training(self):
@@ -266,7 +286,7 @@ class TestBandModelParity:
             train_ds, val_ds, 3, config, hidden=(16, 16),
             max_train_frames=400, max_val_frames=120,
         )
-        assert model.param_bytes() == SYSTEM.band_models[3].param_bytes()
+        assert model.param_bytes() == SYSTEM.models[3].param_bytes()
         assert np.array_equal(norm.mean, SYSTEM.feature_norm.mean)
 
 
@@ -334,9 +354,20 @@ class TestSystemFiles:
         with pytest.raises(neural.ModelFormatError, match=re.escape(expected)):
             pipeline.load_system(tmp_path / "mdl")
 
+    @pytest.mark.parametrize("line, expected", [
+        (b"hop 128\n", "line 6 'hop 128' is not key = value"),
+        (b"hop = 12\xff8\n", "line 6 is not UTF-8"),
+    ])
+    def test_malformed_system_line_named(self, tmp_path, line, expected):
+        pipeline.save_system(SYSTEM, tmp_path / "mdl")
+        meta = tmp_path / "mdl" / "system.txt"
+        meta.write_bytes(meta.read_bytes().replace(b"hop = 128\n", line))
+        with pytest.raises(neural.ModelFormatError, match=re.escape(f"{meta}: {expected}")):
+            pipeline.load_system(tmp_path / "mdl")
+
     def test_band_file_objective_must_match_system(self, tmp_path):
         pipeline.save_system(SYSTEM, tmp_path / "mdl")
-        neural.save_model(SYSTEM.band_models[4], tmp_path / "mdl" / "band_04.mdl", "emse")
+        neural.save_model(SYSTEM.models[4], tmp_path / "mdl" / "band_04.mdl", "emse")
         with pytest.raises(neural.ModelFormatError, match="band_04.mdl: objective emse != elc"):
             pipeline.load_system(tmp_path / "mdl")
 
@@ -457,10 +488,13 @@ class TestClassicalBaseline:
             layer.weights[:] = 0.0
             layer.bias[:] = 0.0
         _, noisy = noisy_fixture()
-        gains = baseline.classical_gains(system, noisy)
-        # frames before the first prediction window pass through untouched
-        assert np.all(gains[: system.context - system.predict] == 1.0)
-        assert np.allclose(gains[system.context - 1 :], 0.5)
+        spec = analyze(pad_to_frames(noisy.samples, CFG), CFG)
+        # every estimate is 0.5; frames before the first prediction window
+        # pass through untouched
+        gains = np.full(spec.magnitude.shape, 0.5)
+        gains[: system.context - system.predict] = 1.0
+        expected = synthesize(apply_gain(spec, gains)).samples[: len(noisy)]
+        assert np.array_equal(baseline.classical_enhance(system, noisy).samples, expected)
 
     def test_enhance_preserves_duration(self):
         train_ds, val_ds = self._datasets()

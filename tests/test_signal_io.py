@@ -1,15 +1,20 @@
-"""WAV round trips, resampling quality, and tone generation."""
+"""WAV round trips, fuzzed and partial WAV files, resampling quality, and
+tone generation."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envgain.signal_io import (
     WORKING_RATE_HZ,
     MalformedWavError,
     TimeSignal,
     UnsupportedWavError,
+    WavError,
     read_wav,
     synth_tone,
     to_working_rate,
@@ -113,6 +118,101 @@ class TestWriteWav:
         write_wav(once, tmp_path / "b.wav")
         twice = read_wav(tmp_path / "b.wav")
         assert np.array_equal(once.samples, twice.samples)
+
+
+def chunked_wav(payload, fmt_code=1, bits=16, channels=1, rate=10000):
+    """RIFF/WAVE bytes around an arbitrary data payload, word-aligned."""
+    block = channels * bits // 8
+    pad = b"\0" * (len(payload) & 1)
+    return struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + len(payload) + len(pad), b"WAVE",
+        b"fmt ", 16, fmt_code, channels, rate, rate * block, block, bits,
+        b"data", len(payload),
+    ) + payload + pad
+
+
+class TestPartialFrames:
+    @pytest.mark.parametrize("fmt_code, bits, channels, size", [
+        (1, 16, 1, 1), (1, 16, 1, 3), (1, 32, 1, 6), (3, 32, 1, 5), (1, 24, 1, 7),
+        (1, 16, 2, 6), (1, 24, 2, 9), (1, 8, 3, 4),
+    ])
+    def test_data_not_whole_frames_rejected(self, tmp_path, fmt_code, bits, channels, size):
+        path = tmp_path / "p.wav"
+        path.write_bytes(chunked_wav(bytes(range(size)), fmt_code, bits, channels))
+        frame = bits // 8 * channels
+        with pytest.raises(MalformedWavError,
+                           match=f"data chunk of {size} bytes is not whole {frame}-byte frames"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("fmt_code, bits, channels", [
+        (1, 8, 1), (1, 16, 1), (1, 24, 1), (1, 32, 1), (3, 32, 1), (1, 24, 2), (1, 16, 3),
+    ])
+    def test_whole_frames_decode(self, tmp_path, fmt_code, bits, channels):
+        rng = np.random.default_rng(bits + channels)
+        width = bits // 8
+        if fmt_code == 3:
+            payload = rng.uniform(-1, 1, 5 * channels).astype("<f4").tobytes()
+        else:
+            payload = rng.integers(0, 256, 5 * width * channels, dtype=np.uint8).tobytes()
+        path = tmp_path / "w.wav"
+        path.write_bytes(chunked_wav(payload, fmt_code, bits, channels))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sig = read_wav(path)
+        # channel 0 of every frame, decoded one sample at a time
+        firsts = [payload[i : i + width] for i in range(0, len(payload), width * channels)]
+        if fmt_code == 3:
+            expected = [struct.unpack("<f", b)[0] for b in firsts]
+        elif bits == 8:
+            expected = [(b[0] - 128) / 128 for b in firsts]
+        else:
+            expected = [int.from_bytes(b, "little", signed=True) / 2 ** (bits - 1) for b in firsts]
+        assert np.array_equal(sig.samples, expected)
+
+
+def _valid_wavs():
+    rng = np.random.default_rng(11)
+    return {
+        "16-bit mono": chunked_wav(rng.integers(-32768, 32768, 40).astype("<i2").tobytes()),
+        "24-bit mono": chunked_wav(rng.integers(0, 256, 120, dtype=np.uint8).tobytes(), bits=24),
+        "16-bit stereo": chunked_wav(
+            rng.integers(-32768, 32768, 80).astype("<i2").tobytes(), channels=2
+        ),
+    }
+
+
+VALID_WAVS = _valid_wavs()
+
+
+class TestFuzzedWav:
+    @pytest.mark.parametrize("name", sorted(VALID_WAVS))
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_only_wav_errors_escape(self, tmp_path_factory, name, data):
+        """Truncate at a random length, lie in a chunk size, or flip a byte
+        of the fmt chunk: reading either succeeds or raises a WavError."""
+        raw = bytearray(VALID_WAVS[name])
+        defect = data.draw(st.sampled_from(["truncate", "size lie", "fmt flip"]), label="defect")
+        if defect == "truncate":
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")]
+        elif defect == "size lie":
+            offset = data.draw(st.sampled_from([4, 16, 40]), label="chunk")  # RIFF, fmt, data
+            size = data.draw(st.one_of(st.integers(0, 300), st.integers(0, 2**32 - 1)),
+                             label="size")
+            raw[offset : offset + 4] = struct.pack("<I", size)
+        else:
+            pos = data.draw(st.integers(20, 35), label="pos")  # the 16-byte fmt body
+            raw[pos] ^= data.draw(st.integers(1, 255), label="xor")
+        path = tmp_path_factory.getbasetemp() / "fuzz.wav"
+        path.write_bytes(bytes(raw))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                sig = read_wav(path)
+        except WavError:
+            return
+        assert sig.samples.ndim == 1 and len(sig) > 0 and sig.sample_rate_hz > 0
 
 
 class TestToWorkingRate:
