@@ -16,6 +16,7 @@ file-list manifests.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -51,6 +52,25 @@ class MixSpec:
     seed: int
 
 
+def _trailing_max(x: np.ndarray, width: int) -> np.ndarray:
+    """max(x[max(0, i - width + 1) : i + 1]) for every i, in O(len(x)).
+
+    van Herk / Gil-Werman: after `width - 1` leading -inf, cut the signal
+    into blocks of `width`; every window then spans the tail of one block
+    and the head of the next, so its maximum is the larger of a suffix
+    maximum and a prefix maximum.
+    """
+    n = len(x)
+    lead = width - 1
+    tail = -(n + lead) % width
+    blocks = np.concatenate(
+        [np.full(lead, -np.inf, x.dtype), x, np.full(tail, -np.inf, x.dtype)]
+    ).reshape(-1, width)
+    prefix = np.maximum.accumulate(blocks, axis=1).ravel()
+    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(suffix[:n], prefix[lead : lead + n])
+
+
 def active_speech_level(sig: TimeSignal) -> float:
     """Active speech level in dB relative to unit amplitude.
 
@@ -60,6 +80,12 @@ def active_speech_level(sig: TimeSignal) -> float:
     is interpolated where level-minus-threshold crosses the 15.9 dB margin.
     The ladder is relative to the envelope peak, so scaling the input by a
     shifts the result by exactly 20*log10(a).
+
+    A sample is active at threshold t when the envelope reached t within
+    the hangover, i.e. when the maximum of the envelope over the trailing
+    hangover window (the sample itself and the `hang` before it) is >= t.
+    That trailing maximum is computed once, and each rung only counts the
+    samples where it reaches the rung's threshold.
     """
     x = sig.samples
     sq = float(np.sum(x * x))
@@ -74,12 +100,11 @@ def active_speech_level(sig: TimeSignal) -> float:
         raise ValueError("active level undefined for an all-silent signal")
 
     hang = int(round(LEVEL_HANGOVER_S * fs))
-    idx = np.arange(len(x))
+    held = _trailing_max(env, hang + 1)
     prev = None  # (margin_gap_db, level_db)
     for j in range(1, _LADDER_MAX):
         thresh = env_peak * 2.0 ** (-j)
-        last_on = np.maximum.accumulate(np.where(env >= thresh, idx, -(10**12)))
-        count = int(np.count_nonzero(idx - last_on <= hang))
+        count = int(np.count_nonzero(held >= thresh))
         if count == 0:
             continue
         level_db = 10.0 * np.log10(sq / count)
@@ -216,6 +241,14 @@ def split_noise(noise: TimeSignal, train_s: float, val_s: float, test_s: float):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _hiss_filter(fs) -> tuple[np.ndarray, np.ndarray]:
+    """Band-pass (b, a) of pseudo speech's 2-4.5 kHz hiss, designed once per rate."""
+    b, a = _sig.butter(4, [2000 / (fs / 2), 4500 / (fs / 2)], btype="band")
+    b.flags.writeable = a.flags.writeable = False
+    return b, a
+
+
 def pseudo_speech(duration_s: float, seed: int, fs: int = WORKING_RATE_HZ) -> TimeSignal:
     """Deterministic speech-like test material.
 
@@ -226,7 +259,7 @@ def pseudo_speech(duration_s: float, seed: int, fs: int = WORKING_RATE_HZ) -> Ti
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * fs))
     out = np.zeros(n)
-    hiss_b, hiss_a = _sig.butter(4, [2000 / (fs / 2), 4500 / (fs / 2)], btype="band")
+    hiss_b, hiss_a = _hiss_filter(fs)
     pos = 0
     wrote = False
     while pos < n:

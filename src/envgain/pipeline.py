@@ -12,7 +12,11 @@ duration equals input duration.
 
 Scoring averages the envelope correlation over all (band, window) pairs;
 the intelligibility score exposed here is the clip-free variant of that
-same average, so `score_approx_stoi` and `score_elc` agree exactly.
+same average, so `score_approx_stoi` and `score_elc` agree exactly. A
+score is computed from the two signals' band envelopes, all (band,
+window) pairs in one batch; evaluation computes each clean utterance's
+envelopes once and scores every noisy and enhanced signal of that
+utterance against them.
 """
 
 from __future__ import annotations
@@ -169,11 +173,52 @@ def oracle_band_gains(
     """Ideal per-frame band gains min(1, X/Y); silent noisy bands get 0."""
     if len(clean) != len(noisy):
         raise ValueError("clean and noisy lengths differ")
-    clean_env = envelopes(analyze(pad_to_frames(clean.samples, config), config), layout)
-    noisy_env = envelopes(analyze(pad_to_frames(noisy.samples, config), config), layout)
+    clean_env = _envelopes_of(clean, layout, config)
+    noisy_env = _envelopes_of(noisy, layout, config)
     with np.errstate(divide="ignore", invalid="ignore"):
         gains = np.where(noisy_env > 0, np.minimum(1.0, clean_env / noisy_env), 0.0)
     return gains
+
+
+def _require_scorable(clean: TimeSignal, processed: TimeSignal):
+    if len(clean) != len(processed):
+        raise ValueError(f"length mismatch: {len(clean)} vs {len(processed)}")
+    _require_working_rate(clean, "clean")
+    _require_working_rate(processed, "processed")
+
+
+def _envelopes_of(sig: TimeSignal, layout: BandLayout, config: StftConfig) -> np.ndarray:
+    """(J, M) band envelopes of a signal padded to whole frames."""
+    return envelopes(analyze(pad_to_frames(sig.samples, config), config), layout)
+
+
+def _score_envelopes(clean_env: np.ndarray, proc_env: np.ndarray, n_env: int,
+                     return_counts: bool = False):
+    """Mean envelope correlation over every (band, window) pair of two (J, M)
+    envelope arrays, all bands in one `elc_value_batch` call.
+
+    Each row's value does not depend on the rows beside it, and the valid
+    values are summed band by band in band order, so the score has the bits
+    of scoring the bands one at a time.
+    """
+    if clean_env.shape[1] < n_env:
+        raise ValueError(f"too short to score: {clean_env.shape[1]} frames, need >= {n_env}")
+    windows = [
+        np.lib.stride_tricks.sliding_window_view(env, n_env, axis=1) for env in (clean_env, proc_env)
+    ]
+    n_bands, n_windows = windows[0].shape[:2]
+    values, valid = cost.elc_value_batch(*(w.reshape(n_bands * n_windows, n_env) for w in windows))
+    values, valid = values.reshape(n_bands, n_windows), valid.reshape(n_bands, n_windows)
+    total = 0.0
+    for j in range(n_bands):
+        total += float(values[j][valid[j]].sum())
+    used = int(np.count_nonzero(valid))
+    if used == 0:
+        raise ValueError("no non-degenerate envelope windows to score")
+    score = total / used
+    if return_counts:
+        return score, used, valid.size - used
+    return score
 
 
 def score_elc(
@@ -189,33 +234,12 @@ def score_elc(
     Windows where either centered envelope norm is (numerically) zero are
     skipped; pass return_counts=True to get (score, n_used, n_skipped).
     """
-    if len(clean) != len(processed):
-        raise ValueError(f"length mismatch: {len(clean)} vs {len(processed)}")
-    _require_working_rate(clean, "clean")
-    _require_working_rate(processed, "processed")
+    _require_scorable(clean, processed)
     if layout is None:
         layout = build_band_layout(config.fft_size, WORKING_RATE_HZ)
-    clean_env = envelopes(analyze(pad_to_frames(clean.samples, config), config), layout)
-    proc_env = envelopes(analyze(pad_to_frames(processed.samples, config), config), layout)
-    if clean_env.shape[1] < n_env:
-        raise ValueError(f"too short to score: {clean_env.shape[1]} frames, need >= {n_env}")
-
-    total = 0.0
-    used = 0
-    skipped = 0
-    for j in range(layout.n_bands):
-        cw = np.lib.stride_tricks.sliding_window_view(clean_env[j], n_env)
-        pw = np.lib.stride_tricks.sliding_window_view(proc_env[j], n_env)
-        values, valid = cost.elc_value_batch(cw, pw)
-        total += float(values[valid].sum())
-        used += int(np.count_nonzero(valid))
-        skipped += int(np.count_nonzero(~valid))
-    if used == 0:
-        raise ValueError("no non-degenerate envelope windows to score")
-    score = total / used
-    if return_counts:
-        return score, used, skipped
-    return score
+    clean_env = _envelopes_of(clean, layout, config)
+    proc_env = _envelopes_of(processed, layout, config)
+    return _score_envelopes(clean_env, proc_env, n_env, return_counts)
 
 
 def score_approx_stoi(clean, processed, **kwargs):
@@ -396,14 +420,22 @@ def evaluate_system(
     enhance_fn = enhancer or (lambda sig: enhance(system, sig))
     layout = getattr(system, "layout", None) or build_band_layout()
     config = getattr(system, "stft_config", StftConfig())
-    levels = [active_speech_level(clean) for clean in clean_list]  # the same at every SNR
+    # the same at every SNR: each utterance's level and scoring reference
+    levels = [active_speech_level(clean) for clean in clean_list]
+    clean_envs = [_envelopes_of(clean, layout, config) for clean in clean_list]
+
+    def score(clean, clean_env, processed):  # score_elc(clean, processed, layout, config)
+        _require_scorable(clean, processed)
+        return _score_envelopes(clean_env, _envelopes_of(processed, layout, config), ENVELOPE_LEN)
+
     rows = []
     for snr in snrs_db:
         elc_up, elc_enh = [], []
-        for clean, noisy in zip(clean_list, _seeded_mixtures(clean_list, levels, noise, snr, seed)):
+        mixtures = _seeded_mixtures(clean_list, levels, noise, snr, seed)
+        for clean, clean_env, noisy in zip(clean_list, clean_envs, mixtures):
             enhanced = enhance_fn(noisy)
-            elc_up.append(score_elc(clean, noisy, layout, config))
-            elc_enh.append(score_elc(clean, enhanced, layout, config))
+            elc_up.append(score(clean, clean_env, noisy))
+            elc_enh.append(score(clean, clean_env, enhanced))
         up, enh = float(np.mean(elc_up)), float(np.mean(elc_enh))
         # score_approx_stoi is score_elc by construction: score once, fill both
         rows.append(EvalRow(noise_type, float(snr), up, enh, up, enh))

@@ -20,6 +20,8 @@ from scipy import signal as _sig
 
 WORKING_RATE_HZ = 10000
 MIN_INPUT_RATE_HZ = 8000
+# The resampler's filter grows with the rate, so absurd rates are refused.
+MAX_INPUT_RATE_HZ = 384_000
 
 # Polyphase anti-alias filter: Kaiser-windowed sinc, 64 taps per phase.
 RESAMPLE_TAPS_PER_PHASE = 64
@@ -115,6 +117,10 @@ def read_wav(path) -> TimeSignal:
     code, n_channels, rate, _byte_rate, block_align, bits = fmt
     if n_channels < 1 or rate <= 0:
         raise MalformedWavError(f"{path}: nonsense fmt fields")
+    if rate > MAX_INPUT_RATE_HZ:
+        raise UnsupportedWavError(
+            f"{path}: sample rate {rate} Hz above the {MAX_INPUT_RATE_HZ} Hz maximum"
+        )
 
     # format code 1 is integer PCM, 3 IEEE float
     if (code, bits) not in ((1, 8), (1, 16), (1, 24), (1, 32), (3, 32)):
@@ -187,12 +193,16 @@ def write_wav(sig: TimeSignal, path) -> None:
 def to_working_rate(sig: TimeSignal) -> TimeSignal:
     """Resample to 10 kHz with a Kaiser-windowed polyphase lowpass.
 
-    Inputs below 8 kHz are rejected; a 10 kHz input is passed through
-    bit-identically.
+    Inputs below 8 kHz or above 384 kHz are rejected; a 10 kHz input is
+    passed through bit-identically.
     """
     if sig.sample_rate_hz < MIN_INPUT_RATE_HZ:
         raise ValueError(
             f"sample rate {sig.sample_rate_hz} Hz below the {MIN_INPUT_RATE_HZ} Hz minimum"
+        )
+    if sig.sample_rate_hz > MAX_INPUT_RATE_HZ:
+        raise ValueError(
+            f"sample rate {sig.sample_rate_hz} Hz above the {MAX_INPUT_RATE_HZ} Hz maximum"
         )
     if sig.sample_rate_hz == WORKING_RATE_HZ:
         return TimeSignal(sig.samples.copy(), WORKING_RATE_HZ)

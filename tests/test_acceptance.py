@@ -210,6 +210,7 @@ def toy_runs():
     return toy_training_run(), toy_training_run()
 
 
+@pytest.mark.slow
 def test_criterion_7_oracle_gain_improvement(oracle_runs):
     improved, _, _, elapsed = oracle_runs[0]
     report(
@@ -220,6 +221,7 @@ def test_criterion_7_oracle_gain_improvement(oracle_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_toy_end_to_end_training(toy_runs):
     run = toy_runs[0]
     elc_sys, emse_sys = run["elc"], run["emse"]
@@ -272,6 +274,7 @@ def test_criterion_9_learning_rate_schedule():
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_determinism(oracle_runs, toy_runs):
     o_same = oracle_runs[0][:3] == oracle_runs[1][:3]  # drop wall-clock time
     checks = {

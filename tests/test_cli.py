@@ -229,6 +229,19 @@ class TestEnhanceEvaluate:
         assert rc == EXIT_DATA
         assert "is not whole 2-byte frames" in capsys.readouterr().err
 
+    def test_enhance_absurd_rate_wav_is_data_error(self, data_dir, model_dir, tmp_path,
+                                                   capsys):
+        noisy_in = next(iter((data_dir / "clean_test").glob("*.wav")))
+        raw = bytearray(noisy_in.read_bytes())
+        raw[27] ^= 0x80  # top byte of the sample rate field
+        bad = tmp_path / "rate.wav"
+        bad.write_bytes(bytes(raw))
+        rc = main(["enhance", "--model", str(model_dir),
+                   "--in", str(bad), "--out", str(tmp_path / "enh.wav")])
+        assert rc == EXIT_DATA
+        assert f"{bad}: sample rate" in capsys.readouterr().err
+        assert not (tmp_path / "enh.wav").exists()
+
     def test_enhance_bad_feature_norm_is_data_error(self, data_dir, model_dir, tmp_path):
         model = tmp_path / "mdl"
         shutil.copytree(model_dir, model)

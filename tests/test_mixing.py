@@ -5,8 +5,11 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sp
 
+from envgain import mixing
 from envgain.mixing import (
     DatasetFormatError,
     EnvelopeDataset,
@@ -73,6 +76,93 @@ class TestActiveSpeechLevel:
     def test_silent_rejected(self):
         with pytest.raises(ValueError):
             active_speech_level(TimeSignal(np.zeros(1000), FS))
+
+
+def per_rung_level(sig):
+    """The ladder that `active_speech_level` replaced, kept as its
+    reference: each rung rescans the envelope for the last sample at or
+    above its threshold."""
+    x = sig.samples
+    sq = float(np.sum(x * x))
+    if sq <= 0.0:
+        raise ValueError("active level undefined for an all-silent signal")
+    fs = sig.sample_rate_hz
+    g = np.exp(-1.0 / (fs * mixing.LEVEL_SMOOTH_TC_S))
+    p = sp.lfilter([1 - g], [1, -g], np.abs(x))
+    env = sp.lfilter([1 - g], [1, -g], p)
+    env_peak = float(env.max())
+    if env_peak <= 0.0:
+        raise ValueError("active level undefined for an all-silent signal")
+    hang = int(round(mixing.LEVEL_HANGOVER_S * fs))
+    idx = np.arange(len(x))
+    prev = None
+    for j in range(1, mixing._LADDER_MAX):
+        thresh = env_peak * 2.0 ** (-j)
+        last_on = np.maximum.accumulate(np.where(env >= thresh, idx, -(10**12)))
+        count = int(np.count_nonzero(idx - last_on <= hang))
+        if count == 0:
+            continue
+        level_db = 10.0 * np.log10(sq / count)
+        gap_db = level_db - 20.0 * np.log10(thresh)
+        if gap_db >= mixing.LEVEL_MARGIN_DB:
+            if prev is None:
+                return level_db
+            prev_gap, prev_level = prev
+            t = (mixing.LEVEL_MARGIN_DB - prev_gap) / (gap_db - prev_gap)
+            return prev_level + t * (level_db - prev_level)
+        prev = (gap_db, level_db)
+    return prev[1]
+
+
+def level_outcome(fn, sig):
+    try:
+        return fn(sig)
+    except ValueError as e:
+        return str(e)
+
+
+class TestTrailingMaxLevel:
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+           width=st.integers(1, 50))
+    def test_trailing_max_is_the_naive_window_max(self, x, width):
+        arr = np.array(x)
+        naive = [max(arr[max(0, i - width + 1) : i + 1]) for i in range(len(arr))]
+        assert np.array_equal(mixing._trailing_max(arr, width), naive)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fs=st.sampled_from([8000, 10000, 16000, 44100]),
+           kind=st.sampled_from(["sparse", "impulse", "bursts", "near-silent"]),
+           duration_s=st.floats(0.001, 0.8), seed=st.integers(0, 2**32 - 1))
+    def test_level_keeps_the_bits_of_the_per_rung_ladder(self, fs, kind, duration_s, seed):
+        """Sparse signals, single impulses, signals shorter than the 0.2 s
+        hangover and near-silent ones, at four rates."""
+        rng = np.random.default_rng(seed)
+        n = max(1, int(duration_s * fs))
+        x = np.zeros(n)
+        if kind == "sparse":
+            at = rng.integers(0, n, rng.integers(1, 20))
+            x[at] = rng.standard_normal(len(at))
+        elif kind == "impulse":
+            x[rng.integers(0, n)] = rng.uniform(-1, 1)
+        elif kind == "bursts":
+            x = rng.standard_normal(n) * (rng.random(n // 400 + 1) < 0.4).repeat(400)[:n]
+        else:
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-160, -100)
+        sig = TimeSignal(x, fs)
+        assert level_outcome(active_speech_level, sig) == level_outcome(per_rung_level, sig)
+
+    @pytest.mark.parametrize("fs", [8000, 10000, 44100])
+    def test_silence_raises_the_same_error(self, fs):
+        sig = TimeSignal(np.zeros(fs // 3), fs)
+        message = "active level undefined for an all-silent signal"
+        assert level_outcome(active_speech_level, sig) == level_outcome(per_rung_level, sig)
+        assert level_outcome(active_speech_level, sig) == message
+
+    def test_speech_level_keeps_its_bits(self):
+        for seed in range(4):
+            sig = pseudo_speech(2.0, seed=seed, fs=16000)
+            assert active_speech_level(sig) == per_rung_level(sig)
 
 
 class TestMixAtSnr:
@@ -201,6 +291,18 @@ class TestPseudoSpeech:
         b = pseudo_speech(2.0, seed=7)
         assert np.array_equal(a.samples, b.samples)
         assert np.sqrt(np.mean(a.samples**2)) == pytest.approx(0.1, abs=1e-12)
+
+    @pytest.mark.parametrize("fs", [10000, 16000, 44100])
+    def test_hiss_filter_designed_once_keeps_the_samples(self, fs, monkeypatch):
+        def fresh_design(rate):
+            return sp.butter(4, [2000 / (rate / 2), 4500 / (rate / 2)], btype="band")
+
+        assert mixing._hiss_filter(fs) is mixing._hiss_filter(fs)
+        for cached, fresh in zip(mixing._hiss_filter(fs), fresh_design(fs)):
+            assert np.array_equal(cached, fresh)
+        cached = pseudo_speech(1.5, seed=9, fs=fs)
+        monkeypatch.setattr(mixing, "_hiss_filter", fresh_design)
+        assert np.array_equal(cached.samples, pseudo_speech(1.5, seed=9, fs=fs).samples)
 
     def test_corpus_utterances_distinct(self):
         corpus = pseudo_corpus(4, 1.5, seed=8)

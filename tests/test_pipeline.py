@@ -4,8 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from envgain import baseline, mixing, neural, pipeline
+from envgain import baseline, cost, mixing, neural, pipeline
 from envgain.cost import DegenerateEnvelopeError
 from envgain.octave import build_band_layout, envelopes
 from envgain.signal_io import WORKING_RATE_HZ, TimeSignal
@@ -216,6 +218,76 @@ class TestScoring:
         clean, _ = noisy_fixture()
         with pytest.raises(ValueError):
             pipeline.score_elc(clean, TimeSignal(clean.samples[:-1], FS))
+
+
+def per_band_score(clean_env, proc_env, n_env):
+    """The band-by-band scoring loop that `_score_envelopes` replaced, kept
+    as its reference: one `elc_value_batch` call per band."""
+    if clean_env.shape[1] < n_env:
+        raise ValueError(f"too short to score: {clean_env.shape[1]} frames, need >= {n_env}")
+    total = 0.0
+    used = 0
+    skipped = 0
+    for j in range(clean_env.shape[0]):
+        cw = np.lib.stride_tricks.sliding_window_view(clean_env[j], n_env)
+        pw = np.lib.stride_tricks.sliding_window_view(proc_env[j], n_env)
+        values, valid = cost.elc_value_batch(cw, pw)
+        total += float(values[valid].sum())
+        used += int(np.count_nonzero(valid))
+        skipped += int(np.count_nonzero(~valid))
+    if used == 0:
+        raise ValueError("no non-degenerate envelope windows to score")
+    return total / used, used, skipped
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+class TestScoreEnvelopes:
+    @settings(max_examples=200, deadline=None)
+    @given(n_bands=st.integers(1, 15), n_env=st.integers(1, 30), extra=st.integers(0, 170),
+           seed=st.integers(0, 2**32 - 1), n_flat=st.integers(0, 12))
+    def test_one_batch_keeps_the_bits_of_the_band_loop(self, n_bands, n_env, extra, seed,
+                                                       n_flat):
+        """Same score, used and skipped counts, bit for bit, with runs of
+        constant envelope (degenerate windows) placed at random."""
+        rng = np.random.default_rng(seed)
+        m = n_env + extra
+        scale = 10.0 ** rng.uniform(-6, 2, (n_bands, 1))
+        clean = scale * rng.random((n_bands, m))
+        proc = clean + scale * rng.uniform(0, 2) * rng.random((n_bands, m))
+        for _ in range(n_flat):
+            env = clean if rng.random() < 0.5 else proc
+            j, a = rng.integers(n_bands), rng.integers(m)
+            env[j, a : a + rng.integers(1, 2 * n_env + 2)] = rng.choice([0.0, rng.random()])
+        assert outcome(pipeline._score_envelopes, clean, proc, n_env, True) == outcome(
+            per_band_score, clean, proc, n_env
+        )
+
+    def test_all_degenerate_raises_the_same_error(self):
+        flat = np.full((15, 40), 0.5)
+        noisy = np.random.default_rng(0).random((15, 40))
+        expected = outcome(per_band_score, flat, noisy, 30)
+        assert expected == (ValueError, "no non-degenerate envelope windows to score")
+        assert outcome(pipeline._score_envelopes, flat, noisy, 30) == expected
+
+    def test_too_short_raises_the_same_error(self):
+        env = np.random.default_rng(1).random((15, 29))
+        assert outcome(pipeline._score_envelopes, env, env, 30) == outcome(
+            per_band_score, env, env, 30
+        )
+
+    def test_score_elc_is_the_envelope_score(self):
+        clean, noisy = noisy_fixture()
+        envs = [envelopes(analyze(pad_to_frames(s.samples, CFG), CFG), LAYOUT)
+                for s in (clean, noisy)]
+        assert pipeline.score_elc(clean, noisy, return_counts=True) == per_band_score(
+            *envs, 30
+        )
 
 
 class TestGainCorrelation:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envgain.signal_io import (
+    MAX_INPUT_RATE_HZ,
     WORKING_RATE_HZ,
     MalformedWavError,
     TimeSignal,
@@ -71,6 +72,22 @@ class TestReadWav:
         path.write_bytes(make_wav_bytes([0, 0], fmt_code=2))
         with pytest.raises(UnsupportedWavError):
             read_wav(path)
+
+    def test_flipped_rate_byte_rejected(self, tmp_path):
+        # the top byte of a 10 kHz rate field flipped: 0x80002710 Hz
+        raw = bytearray(make_wav_bytes([1, 2, 3, 4]))
+        raw[27] ^= 0x80
+        path = tmp_path / "flipped.wav"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(UnsupportedWavError, match=f"{path}: sample rate 2147493648 Hz"):
+            read_wav(path)
+
+    def test_highest_rate_loads(self, tmp_path):
+        path = tmp_path / "hi.wav"
+        path.write_bytes(make_wav_bytes([0, 100, -100] * 128, rate=MAX_INPUT_RATE_HZ))
+        sig = read_wav(path)
+        assert sig.sample_rate_hz == MAX_INPUT_RATE_HZ == 384_000
+        assert len(to_working_rate(sig)) == 10
 
     def test_float32_payload(self, tmp_path):
         vals = np.array([0.5, -0.25, 1.0], dtype="<f4")
@@ -261,6 +278,11 @@ class TestToWorkingRate:
     def test_rejects_low_rate(self):
         with pytest.raises(ValueError):
             to_working_rate(TimeSignal(np.zeros(100), 7999))
+
+    def test_rejects_high_rate(self):
+        # 400 kHz is above the ceiling but would resample cheaply (up 1, down 40)
+        with pytest.raises(ValueError, match="400000 Hz above the 384000 Hz maximum"):
+            to_working_rate(TimeSignal(np.zeros(100), 400_000))
 
 
 class TestSynthTone:
