@@ -23,7 +23,7 @@ for j, band in enumerate(layout.bands):
 # a 1 kHz tone should land in the band whose edges straddle 1 kHz
 tone = synth_tone(1000.0, 0.5, 0.4)
 spec = analyze(tone, cfg)
-env = envelopes(spec, layout)
+env = envelopes(spec.magnitude, layout)
 energies = env.mean(axis=1)
 print(f"\n1 kHz tone: strongest band = {int(np.argmax(energies))} "
       f"(center {layout.bands[int(np.argmax(energies))].center_hz:.0f} Hz)")

@@ -26,7 +26,7 @@ from .pipeline import (
     _select_rows, _stft_config, _streaming_norm, _write_kv,
 )
 from .signal_io import TimeSignal
-from .stft import Spectrogram, StftConfig, analyze
+from .stft import Spectrogram, StftConfig, magnitude
 
 CONTEXT_FRAMES = 30
 PREDICT_FRAMES = 5
@@ -53,23 +53,29 @@ class MagnitudeDataset:
     def n_frames(self) -> int:
         return len(self.index)
 
+    def _windows(self, rows, width: int, *sources, prepare=None) -> list[np.ndarray]:
+        """The `width` frames ending at each requested row's frame, flattened
+        frame-major, from each per-utterance (M, K/2+1) source: (R, width*bins)
+        per source. `prepare` maps an utterance elementwise before its
+        windows are cut, once per utterance the rows read."""
+        idx = self.index[np.asarray(rows, dtype=np.int64)]
+        outs = [np.empty((len(idx), width, self.n_bins)) for _ in sources]
+        for utt in np.unique(idx[:, 0]):
+            sel = np.flatnonzero(idx[:, 0] == utt)
+            starts = idx[sel, 1] - (width - 1)
+            for out, src in zip(outs, sources):
+                frames = src[utt] if prepare is None else prepare(src[utt])
+                views = np.lib.stride_tricks.sliding_window_view(frames, width, axis=0)
+                out[sel] = views[starts].transpose(0, 2, 1)  # (S, bins, width) -> frame-major
+        return [out.reshape(len(idx), -1) for out in outs]
+
     def features(self, rows) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        out = np.empty((len(rows), self.context * self.n_bins))
-        for i, (utt, frame) in enumerate(self.index[rows]):
-            window = self.noisy_mag[utt][frame - self.context + 1 : frame + 1]
-            out[i] = np.log1p(window).reshape(-1)
-        return out
+        """log(1 + noisy magnitude) context: (R, context*(K/2+1))."""
+        (feats,) = self._windows(rows, self.context, self.noisy_mag, prepare=np.log1p)
+        return feats
 
     def targets(self, rows):
-        rows = np.asarray(rows, dtype=np.int64)
-        shape = (len(rows), self.predict * self.n_bins)
-        clean = np.empty(shape)
-        noisy = np.empty(shape)
-        for i, (utt, frame) in enumerate(self.index[rows]):
-            sl = slice(frame - self.predict + 1, frame + 1)
-            clean[i] = self.clean_mag[utt][sl].reshape(-1)
-            noisy[i] = self.noisy_mag[utt][sl].reshape(-1)
+        clean, noisy = self._windows(rows, self.predict, self.clean_mag, self.noisy_mag)
         return clean, noisy
 
 
@@ -87,8 +93,8 @@ def build_magnitude_dataset(
     clean_mags, noisy_mags, index = [], [], []
     mixtures = _mixtures(speech_list, noise, seed, snr_range_db, snr_list_db)
     for u, (speech, mixture, _) in enumerate(mixtures):
-        clean_mags.append(analyze(speech, stft_config).magnitude)
-        noisy_mags.append(analyze(mixture, stft_config).magnitude)
+        clean_mags.append(magnitude(speech, stft_config))
+        noisy_mags.append(magnitude(mixture, stft_config))
         for frame in range(context - 1, clean_mags[-1].shape[0]):
             index.append((u, frame))
     return MagnitudeDataset(clean_mags, noisy_mags, index, stft_config, context, predict)
@@ -142,9 +148,9 @@ def _gains(system: ClassicalSystem, spec: Spectrogram) -> np.ndarray:
     if m < system.context:
         raise ValueError(f"input too short: {m} frames, need >= {system.context}")
 
-    windows = np.lib.stride_tricks.sliding_window_view(mag, system.context, axis=0)  # (V, B, C)
-    feats = np.log1p(windows.transpose(0, 2, 1).reshape(windows.shape[0], -1))
-    feats = system.feature_norm.apply(feats)
+    # log-compress each frame once; every window holding it reads the result
+    windows = np.lib.stride_tricks.sliding_window_view(np.log1p(mag), system.context, axis=0)
+    feats = system.feature_norm.apply(windows.transpose(0, 2, 1).reshape(len(windows), -1))
     pred = _forward_side_by_side([system.model], feats, 2048)
     # window v ends at frame context-1+v and predicts its last `predict` frames
     pred = pred.reshape(len(pred), system.predict, n_bins)

@@ -27,7 +27,7 @@ from scipy import signal as _sig
 from . import framed
 from .octave import ENVELOPE_LEN, BandLayout, build_band_layout, envelopes
 from .signal_io import WORKING_RATE_HZ, TimeSignal, to_working_rate
-from .stft import StftConfig, analyze
+from .stft import StftConfig, magnitude
 
 # Active-level estimator parameters (P.56 method-B style).
 LEVEL_SMOOTH_TC_S = 0.030
@@ -89,6 +89,8 @@ def active_speech_level(sig: TimeSignal) -> float:
     """
     x = sig.samples
     sq = float(np.sum(x * x))
+    if not np.isfinite(sq):
+        raise ValueError("active level undefined for a signal with non-finite power")
     if sq <= 0.0:
         raise ValueError("active level undefined for an all-silent signal")
     fs = sig.sample_rate_hz
@@ -339,9 +341,11 @@ class EnvelopeDataset:
         sl = slice(frame - self.n_env + 1, frame + 1)
         return self.clean_env[utt][:, sl], self.noisy_env[utt][:, sl]
 
-    def _gather(self, rows, *sources) -> list[np.ndarray]:
+    def _gather(self, rows, *sources, prepare=None) -> list[np.ndarray]:
         """Length-N windows ending at the requested rows' frames, from each
-        per-utterance source (window axis last): (R, ..., N) per source."""
+        per-utterance source (window axis last): (R, ..., N) per source.
+        `prepare` maps an utterance elementwise before its windows are cut,
+        once per utterance the rows read."""
         rows = np.asarray(rows, dtype=np.int64)
         idx = self.index[rows]
         outs = [np.empty((len(rows), *src[0].shape[:-1], self.n_env)) for src in sources]
@@ -349,14 +353,15 @@ class EnvelopeDataset:
             sel = np.flatnonzero(idx[:, 0] == utt)
             starts = idx[sel, 1] - (self.n_env - 1)
             for out, src in zip(outs, sources):
-                views = np.lib.stride_tricks.sliding_window_view(src[utt], self.n_env, axis=-1)
+                frames = src[utt] if prepare is None else prepare(src[utt])
+                views = np.lib.stride_tricks.sliding_window_view(frames, self.n_env, axis=-1)
                 out[sel] = np.moveaxis(views[..., starts, :], -2, 0)
         return outs
 
     def features(self, rows) -> np.ndarray:
         """log(1 + noisy envelope) context, flattened band-major: (R, J*N)."""
-        (gathered,) = self._gather(rows, self.noisy_env)
-        return np.log1p(gathered.reshape(len(gathered), -1))
+        (gathered,) = self._gather(rows, self.noisy_env, prepare=np.log1p)
+        return gathered.reshape(len(gathered), -1)
 
     def band_targets(self, rows, band: int):
         clean, noisy = self._gather(
@@ -412,8 +417,8 @@ def build_dataset(
     for u, (speech, mixture, snr) in enumerate(mixtures):
         mixes.append(MixSpec(snr, noise_source, split, seed))
 
-        clean_e = envelopes(analyze(speech, stft_config), layout)
-        noisy_e = envelopes(analyze(mixture, stft_config), layout)
+        clean_e = envelopes(magnitude(speech, stft_config), layout)
+        noisy_e = envelopes(magnitude(mixture, stft_config), layout)
         clean_envs.append(clean_e)
         noisy_envs.append(noisy_e)
         m = clean_e.shape[1]

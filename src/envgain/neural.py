@@ -418,7 +418,7 @@ def train(
     """
     rng = np.random.default_rng(config.seed)
     schedule = LrSchedule(config.lr0, config.lr_decay, config.lr_floor)
-    best_model = model.copy()
+    best_model = None  # copied after each improving epoch; the first always improves
     best_val = np.inf
     epochs: list[EpochStats] = []
     stop_reason = "max_epochs"
@@ -460,6 +460,8 @@ def train(
         epochs.append(EpochStats(
             train_cost, val_cost, schedule.lr, degenerate, trained - started, validated - trained
         ))
+    if best_model is None:  # no epoch ran
+        best_model = model.copy()
     return best_model, TrainReport(epochs, stop_reason)
 
 
@@ -471,7 +473,9 @@ class FeatureNorm:
     std: np.ndarray
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / self.std
+        out = x - self.mean  # one new array, also from a read-only view
+        out /= self.std
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ bin with center frequency ``k * fs / K`` belongs to band j iff
 as ``[k1, k2)``.
 
 Band envelopes are the root-sum-square of the band's magnitude bins per
-frame. A length-N envelope vector for (band j, frame m) holds the N most
-recent envelope values ending at frame m; with the default N = 30 and
-12.8 ms hop one vector spans 384 ms. Per-window gain vectors share that
-alignment; `average_overlapping_gains` averages them into per-frame gains.
+frame, computed from an (M, K/2+1) STFT magnitude array (`stft.magnitude`,
+or a spectrogram's `.magnitude`). A length-N envelope vector for (band j,
+frame m) holds the N most recent envelope values ending at frame m; with
+the default N = 30 and 12.8 ms hop one vector spans 384 ms. Per-window gain
+vectors share that alignment; `average_overlapping_gains` averages them
+into per-frame gains.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .stft import Spectrogram
 
 N_BANDS = 15
 FIRST_CENTER_HZ = 150.0
@@ -88,15 +88,19 @@ def build_band_layout(
     return BandLayout(tuple(bands), fft_size, sample_rate_hz)
 
 
-def envelopes(spec: Spectrogram, layout: BandLayout) -> np.ndarray:
-    """Band envelope matrix, shape (J, M): root-sum-square per band, frame."""
-    if layout.bands[-1].k2 > spec.config.n_bins:
+def envelopes(magnitude: np.ndarray, layout: BandLayout) -> np.ndarray:
+    """Band envelope matrix, shape (J, M), of an (M, K/2+1) STFT magnitude
+    array: root-sum-square of each band's bins, per frame."""
+    mag = np.asarray(magnitude, dtype=np.float64)
+    if mag.ndim != 2:
+        raise ValueError(f"expected an (M, bins) magnitude array, got shape {mag.shape}")
+    if layout.bands[-1].k2 > mag.shape[1]:
         raise ValueError("layout bin range exceeds spectrogram bins")
-    mag = spec.magnitude
-    out = np.empty((layout.n_bands, spec.n_frames))
+    sq = mag * mag  # squared once; each band sums its columns
+    out = np.empty((layout.n_bands, mag.shape[0]))
     for j, band in enumerate(layout.bands):
-        out[j] = np.sqrt(np.sum(mag[:, band.k1 : band.k2] ** 2, axis=1))
-    return out
+        np.sum(sq[:, band.k1 : band.k2], axis=1, out=out[j])
+    return np.sqrt(out, out=out)
 
 
 def band_gains_to_stft_gains(

@@ -40,7 +40,9 @@ from .octave import (
     envelopes,
 )
 from .signal_io import WORKING_RATE_HZ, TimeSignal
-from .stft import Spectrogram, StftConfig, analyze, apply_gain, pad_to_frames, synthesize
+from .stft import (
+    Spectrogram, StftConfig, analyze, apply_gain, magnitude, pad_to_frames, synthesize,
+)
 
 NORM_FRAME = framed.Frame(b"ASTON", 1, "feature-norm file", neural.ModelFormatError)
 
@@ -101,15 +103,15 @@ def _analyze_noisy(noisy: TimeSignal, config: StftConfig) -> Spectrogram:
 
 
 def _gain_vectors(system: EnhancementSystem, spec: Spectrogram) -> np.ndarray:
-    env = envelopes(spec, system.layout)
+    env = envelopes(spec.magnitude, system.layout)
     j, m = env.shape
     n = system.n_env
     if m < n:
         raise ValueError(f"input too short: {m} frames, need >= {n}")
     v = m - n + 1
-    windows = np.lib.stride_tricks.sliding_window_view(env, n, axis=1)  # (J, V, N)
-    feats = np.log1p(windows.transpose(1, 0, 2).reshape(v, j * n))
-    feats = system.feature_norm.apply(feats)
+    # log-compress each frame once; every window holding it reads the result
+    windows = np.lib.stride_tricks.sliding_window_view(np.log1p(env), n, axis=1)  # (J, V, N)
+    feats = system.feature_norm.apply(windows.transpose(1, 0, 2).reshape(v, j * n))
     return _forward_side_by_side(system.models, feats, _FEATURE_CHUNK).reshape(v, j, n)
 
 
@@ -189,7 +191,7 @@ def _require_scorable(clean: TimeSignal, processed: TimeSignal):
 
 def _envelopes_of(sig: TimeSignal, layout: BandLayout, config: StftConfig) -> np.ndarray:
     """(J, M) band envelopes of a signal padded to whole frames."""
-    return envelopes(analyze(pad_to_frames(sig.samples, config), config), layout)
+    return envelopes(magnitude(pad_to_frames(sig.samples, config), config), layout)
 
 
 def _score_envelopes(clean_env: np.ndarray, proc_env: np.ndarray, n_env: int,

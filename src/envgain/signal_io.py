@@ -8,6 +8,7 @@ are reported as distinct error types.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import struct
@@ -133,6 +134,8 @@ def read_wav(path) -> TimeSignal:
 
     if code == 3:
         samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        if not np.all(np.isfinite(samples)):  # integer formats cannot hold NaN or inf
+            raise MalformedWavError(f"{path}: float data holds NaN or infinite samples")
     elif bits == 8:
         samples = (np.frombuffer(data, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
     elif bits == 24:
@@ -209,14 +212,23 @@ def to_working_rate(sig: TimeSignal) -> TimeSignal:
 
     g = math.gcd(WORKING_RATE_HZ, sig.sample_rate_hz)
     up, down = WORKING_RATE_HZ // g, sig.sample_rate_hz // g
-    max_rate = max(up, down)
+    out = _sig.resample_poly(sig.samples, up, down, window=_resample_taps(max(up, down)))
+    return TimeSignal(out, WORKING_RATE_HZ)
+
+
+# a coprime rate near the maximum needs a filter of some 200 MB, so only the
+# last few designs are kept
+@functools.lru_cache(maxsize=4)
+def _resample_taps(max_rate: int) -> np.ndarray:
+    """Read-only Kaiser lowpass taps of the up/down resampler whose larger
+    factor is `max_rate`, designed once per factor."""
     taps = _sig.firwin(
         RESAMPLE_TAPS_PER_PHASE * max_rate + 1,
         1.0 / max_rate,
         window=("kaiser", RESAMPLE_KAISER_BETA),
     )
-    out = _sig.resample_poly(sig.samples, up, down, window=taps)
-    return TimeSignal(out, WORKING_RATE_HZ)
+    taps.flags.writeable = False
+    return taps
 
 
 def synth_tone(freq_hz: float, duration_s: float, amplitude: float) -> TimeSignal:

@@ -6,7 +6,11 @@ Conventions, fixed so results are reproducible bit-for-bit:
   50% overlap used here;
 * frame m covers samples ``[m*hop, m*hop + window_len)`` starting at
   sample 0 with no pre-padding, and only frames that fit entirely inside
-  the signal are produced: ``M = (len - window_len) // hop + 1``;
+  the signal are produced: ``M = (len - window_len) // hop + 1``; the
+  frames are a read-only strided view of the signal, not a copy;
+* `magnitude` gives the (M, fft_size/2 + 1) STFT magnitudes alone, which
+  is all that envelopes, features and scores read; `analyze` adds the
+  phase, which only resynthesis needs;
 * synthesis applies the Hann window again, overlap-adds, and divides by
   the accumulated squared window, so analyze -> synthesize is the identity
   on the fully-overlapped interior. Edge samples (first/last half window)
@@ -90,10 +94,9 @@ class Spectrogram:
 
 
 def frame_signal(x: np.ndarray, config: StftConfig) -> np.ndarray:
-    """Slice x into (M, window_len) frames per the module convention."""
-    m = config.n_frames(len(x))
-    idx = np.arange(config.window_len)[None, :] + config.hop * np.arange(m)[:, None]
-    return x[idx]
+    """Read-only (M, window_len) view of x's frames per the module convention."""
+    config.n_frames(len(x))  # rejects a signal shorter than one window
+    return np.lib.stride_tricks.sliding_window_view(x, config.window_len)[:: config.hop]
 
 
 def pad_to_frames(x: np.ndarray, config: StftConfig) -> np.ndarray:
@@ -107,11 +110,21 @@ def pad_to_frames(x: np.ndarray, config: StftConfig) -> np.ndarray:
     return np.concatenate([x, np.zeros(config.hop - rem)])
 
 
+def _spectrum(signal, config: StftConfig) -> np.ndarray:
+    """Complex (M, fft_size/2 + 1) Hann-windowed rfft frames."""
+    x = np.asarray(getattr(signal, "samples", signal), dtype=np.float64)
+    return np.fft.rfft(frame_signal(x, config) * config.window(), n=config.fft_size, axis=1)
+
+
+def magnitude(signal, config: StftConfig = StftConfig()) -> np.ndarray:
+    """STFT magnitudes of a TimeSignal or sample array, (M, fft_size/2 + 1);
+    bit for bit ``analyze(signal, config).magnitude``, without the phase."""
+    return np.abs(_spectrum(signal, config))
+
+
 def analyze(signal, config: StftConfig = StftConfig()) -> Spectrogram:
     """Hann-windowed single-sided STFT of a TimeSignal or sample array."""
-    x = np.asarray(getattr(signal, "samples", signal), dtype=np.float64)
-    frames = frame_signal(x, config) * config.window()
-    spec = np.fft.rfft(frames, n=config.fft_size, axis=1)
+    spec = _spectrum(signal, config)
     return Spectrogram(np.abs(spec), np.angle(spec), config)
 
 

@@ -180,6 +180,23 @@ class TestEnhanceEvaluate:
         assert len(lines) == 3
         assert lines[1].startswith("ssn,-5,")
 
+    def test_evaluate_nan_in_float_clean_wav_is_data_error(self, data_dir, model_dir,
+                                                            tmp_path, capsys):
+        testset = tmp_path / "testset"
+        shutil.copytree(data_dir, testset)
+        bad = testset / "clean_test" / "0000.wav"
+        x = read_wav(bad).samples.astype("<f4")
+        x[len(x) // 2] = np.nan
+        payload = x.tobytes()
+        bad.write_bytes(struct.pack(
+            "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE",
+            b"fmt ", 16, 3, 1, 10000, 40000, 4, 32, b"data", len(payload),
+        ) + payload)
+        rc = main(["evaluate", "--model", str(model_dir), "--testset", str(testset),
+                   "--snrs", "0"])
+        assert rc == EXIT_DATA
+        assert str(bad) in capsys.readouterr().err
+
     def test_gain_corr_self_is_one(self, data_dir, model_dir, capsys):
         rc = main(["gain-corr", "--model-a", str(model_dir), "--model-b", str(model_dir),
                    "--testset", str(data_dir), "--snrs", "5"])

@@ -77,6 +77,13 @@ class TestActiveSpeechLevel:
         with pytest.raises(ValueError):
             active_speech_level(TimeSignal(np.zeros(1000), FS))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        x = white(5000, seed=3).samples
+        x[2500] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            active_speech_level(TimeSignal(x, FS))
+
 
 def per_rung_level(sig):
     """The ladder that `active_speech_level` replaced, kept as its
@@ -313,6 +320,7 @@ class TestPseudoSpeech:
 class TestBuildDataset:
     SPEECH = pseudo_corpus(3, 1.5, seed=20)
     NOISE = synth_ssn(pseudo_corpus(4, 8.0, seed=21), 20.0, seed=22)
+    FEATURE_DS = build_dataset(SPEECH, NOISE, split="train", seed=7)
 
     def test_sample_counts(self):
         ds = build_dataset(self.SPEECH, self.NOISE, split="train", seed=0)
@@ -361,6 +369,15 @@ class TestBuildDataset:
             c, y = ds.window(utt, frame)
             assert np.array_equal(clean[i], c[4])
             assert np.array_equal(noisy[i], y[4])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_features_equal_per_window_log1p(self, data):
+        # rows drawn across all three utterances, in any order, repeats allowed
+        ds = self.FEATURE_DS
+        rows = data.draw(st.lists(st.integers(0, ds.n_frames - 1), min_size=1, max_size=60))
+        expected = [np.log1p(ds.window(*ds.index[row])[1]).reshape(-1) for row in rows]
+        assert np.array_equal(ds.features(rows), np.array(expected))
 
 
 class TestDatasetPack:

@@ -219,16 +219,21 @@ class TestTrain:
         before = model.param_bytes()
         out, report = train(model, data, data, TrainConfig(objective="emse", max_epochs=0))
         assert out.param_bytes() == before
+        assert out is not model
+        assert all(not np.shares_memory(a, b) for la, lb in zip(out.layers, model.layers)
+                   for a, b in zip(la.params(), lb.params()))
         assert report.epochs == []
         assert report.stop_reason == "max_epochs"
 
     def test_lr_below_floor_halts_immediately(self):
         data = toy_identity_gain_data(50)
         model = init_model([8, 6, 8], seed=13)
+        before = model.param_bytes()
         config = TrainConfig(objective="emse", initial_lr_per_sample=1e-11, max_epochs=10)
-        _, report = train(model, data, data, config)
+        out, report = train(model, data, data, config)
         assert report.stop_reason == "lr_floor"
         assert report.epochs == []
+        assert out is not model and out.param_bytes() == before
 
     def test_conflicting_validation_forces_decay_to_floor(self):
         # validation target is the opposite of the training target, so the

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envgain.stft import Spectrogram, StftConfig, apply_gain
+from envgain.stft import Spectrogram, StftConfig, analyze, apply_gain, magnitude
 from envgain.octave import (
     average_overlapping_gains,
     band_gains_to_stft_gains,
@@ -73,7 +73,7 @@ class TestEnvelopes:
     def test_single_bin_band(self):
         mag = np.zeros((3, 129))
         mag[:, 4] = 3.0  # band 0 == bin 4 only
-        env = envelopes(spec_from_mag(mag), LAYOUT)
+        env = envelopes(mag, LAYOUT)
         assert np.allclose(env[0], 3.0)
 
     def test_three_four_five(self):
@@ -82,19 +82,46 @@ class TestEnvelopes:
         mag = np.zeros((2, 129))
         mag[:, band.k1] = 3.0
         mag[:, band.k1 + 1] = 4.0
-        env = envelopes(spec_from_mag(mag), LAYOUT)
+        env = envelopes(mag, LAYOUT)
         assert np.allclose(env[3], 5.0)
 
     def test_zero_spectrogram(self):
-        env = envelopes(spec_from_mag(np.zeros((4, 129))), LAYOUT)
+        env = envelopes(np.zeros((4, 129)), LAYOUT)
         assert np.all(env == 0.0)
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(0)
         mag = rng.uniform(0, 2, (6, 129))
-        env = envelopes(spec_from_mag(mag), LAYOUT)
-        scaled = envelopes(spec_from_mag(3.5 * mag), LAYOUT)
+        env = envelopes(mag, LAYOUT)
+        scaled = envelopes(3.5 * mag, LAYOUT)
         assert np.allclose(scaled, 3.5 * env, rtol=1e-12)
+
+
+def spectrogram_envelopes(spec, layout):
+    """The band loop `envelopes` ran on a Spectrogram before it took the
+    magnitude array."""
+    out = np.empty((layout.n_bands, spec.n_frames))
+    for j, band in enumerate(layout.bands):
+        out[j] = np.sqrt(np.sum(spec.magnitude[:, band.k1 : band.k2] ** 2, axis=1))
+    return out
+
+
+class TestEnvelopesFromMagnitude:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(256, 4000), st.integers(0, 2**32 - 1), st.data())
+    def test_equals_spectrogram_band_loop(self, n, seed, data):
+        x = np.random.default_rng(seed).standard_normal(n)
+        lo = data.draw(st.integers(0, n))
+        x[lo : data.draw(st.integers(lo, n))] = 0.0  # a silent stretch
+        assert np.array_equal(
+            envelopes(magnitude(x, CFG), LAYOUT), spectrogram_envelopes(analyze(x, CFG), LAYOUT)
+        )
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="magnitude array"):
+            envelopes(np.zeros(129), LAYOUT)
+        with pytest.raises(ValueError, match="exceeds"):
+            envelopes(np.zeros((3, 64)), LAYOUT)
 
 
 class TestGainBackMapping:
@@ -121,8 +148,8 @@ class TestGainBackMapping:
         spec = spec_from_mag(mag)
         band_gains = rng.uniform(0.0, 1.0, (15, 8))
         gained = apply_gain(spec, band_gains_to_stft_gains(band_gains, LAYOUT, "zero"))
-        env_before = envelopes(spec, LAYOUT)
-        env_after = envelopes(gained, LAYOUT)
+        env_before = envelopes(spec.magnitude, LAYOUT)
+        env_after = envelopes(gained.magnitude, LAYOUT)
         expected = band_gains * env_before
         assert np.max(np.abs(env_after - expected)) <= 1e-12 * np.max(env_before)
 

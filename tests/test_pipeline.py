@@ -1,6 +1,7 @@
 """Enhancement paths, scoring, gain correlation, tables, baseline."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ class TestSingleAnalysisEquivalence:
             noisy = TimeSignal(noisy.samples[: 4000 + 1717 * seed], FS)
             spec = analyze(pad_to_frames(noisy.samples, CFG), CFG)
             windows = np.lib.stride_tricks.sliding_window_view(
-                envelopes(spec, system.layout), system.n_env, axis=1
+                envelopes(spec.magnitude, system.layout), system.n_env, axis=1
             )  # (J, V, N)
             j, v, n = windows.shape
             feats = system.feature_norm.apply(np.log1p(windows.transpose(1, 0, 2).reshape(v, -1)))
@@ -177,6 +178,75 @@ class TestSingleAnalysisEquivalence:
         spec = analyze(pad_to_frames(noisy.samples, CFG), CFG)
         expected = synthesize(apply_gain(spec, gains)).samples[: len(noisy)]
         assert np.array_equal(baseline.classical_enhance(system, noisy).samples, expected)
+
+
+class RecordingNorm(neural.FeatureNorm):
+    """A feature norm that keeps a copy of every input it standardizes."""
+
+    def __init__(self, norm):
+        super().__init__(norm.mean, norm.std)
+        self.seen = []
+
+    def apply(self, x):
+        self.seen.append(np.array(x))
+        return super().apply(x)
+
+
+@st.composite
+def noisy_signals(draw):
+    """Noise of 30 to 60 frames with a silent stretch."""
+    n = draw(st.integers(29 * 128 + 256, 60 * 128 + 256))
+    x = 0.1 * np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    lo = draw(st.integers(0, n))
+    x[lo : draw(st.integers(lo, n))] = 0.0
+    return TimeSignal(x, FS)
+
+
+def tiny_classical_system(seed=0):
+    dim = baseline.CONTEXT_FRAMES * CFG.n_bins
+    rng = np.random.default_rng(seed)
+    norm = neural.FeatureNorm(rng.normal(0.0, 0.1, dim), rng.uniform(0.5, 2.0, dim))
+    model = neural.init_model([dim, 4, baseline.PREDICT_FRAMES * CFG.n_bins], seed=seed)
+    return baseline.ClassicalSystem(model, CFG, norm)
+
+
+class TestFrameLevelLog:
+    """Features log-compress each frame once; they keep the bits of log1p
+    applied to the windowed copy."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(noisy_signals())
+    def test_gain_vector_features(self, noisy):
+        recording = RecordingNorm(SYSTEM.feature_norm)
+        system = replace(SYSTEM, feature_norm=recording)
+        pipeline.predict_gain_vectors(system, noisy)
+        spec = analyze(pad_to_frames(noisy.samples, CFG), CFG)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            envelopes(spec.magnitude, LAYOUT), system.n_env, axis=1
+        )  # (J, V, N)
+        v = windows.shape[1]
+        (seen,) = recording.seen
+        assert np.array_equal(seen, np.log1p(windows.transpose(1, 0, 2).reshape(v, -1)))
+
+    @settings(max_examples=15, deadline=None)
+    @given(noisy_signals())
+    def test_classical_features(self, noisy):
+        system = tiny_classical_system()
+        recording = RecordingNorm(system.feature_norm)
+        baseline.classical_enhance(replace(system, feature_norm=recording), noisy)
+        mag = analyze(pad_to_frames(noisy.samples, CFG), CFG).magnitude
+        windows = np.lib.stride_tricks.sliding_window_view(mag, system.context, axis=0)
+        (seen,) = recording.seen
+        assert np.array_equal(seen, np.log1p(windows.transpose(0, 2, 1).reshape(len(seen), -1)))
+
+    def test_feature_norm_apply_bits_and_read_only_input(self):
+        rng = np.random.default_rng(3)
+        norm = neural.FeatureNorm(rng.normal(size=12), rng.uniform(0.5, 2.0, 12))
+        x = np.lib.stride_tricks.sliding_window_view(rng.normal(size=40), 12)[::3]
+        assert not x.flags.writeable
+        out = norm.apply(x)
+        assert np.array_equal(out, (x - norm.mean) / norm.std)
+        assert not np.shares_memory(out, x)
 
 
 class TestScoring:
@@ -283,7 +353,7 @@ class TestScoreEnvelopes:
 
     def test_score_elc_is_the_envelope_score(self):
         clean, noisy = noisy_fixture()
-        envs = [envelopes(analyze(pad_to_frames(s.samples, CFG), CFG), LAYOUT)
+        envs = [envelopes(analyze(pad_to_frames(s.samples, CFG), CFG).magnitude, LAYOUT)
                 for s in (clean, noisy)]
         assert pipeline.score_elc(clean, noisy, return_counts=True) == per_band_score(
             *envs, 30
@@ -533,6 +603,36 @@ class TestEvaluateSystem:
         monkeypatch.setattr(pipeline, "active_speech_level", counted)
         pipeline.evaluate_system(SYSTEM, SPEECH[4:6], NOISE, [-5.0, 0.0, 5.0], seed=9)
         assert len(calls) == 2 and all(a is b for a, b in zip(calls, SPEECH[4:6]))
+
+
+class TestMagnitudeDataset:
+    """Gathers keep the bits of the per-row loops they replaced."""
+
+    DS = baseline.build_magnitude_dataset(SPEECH[:3], NOISE, seed=5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_features_and_targets_equal_per_row_forms(self, data):
+        # rows drawn across all three utterances, in any order, repeats allowed
+        ds = self.DS
+        rows = data.draw(st.lists(st.integers(0, ds.n_frames - 1), min_size=1, max_size=60))
+        feats, clean, noisy = [], [], []
+        for utt, frame in ds.index[rows]:
+            context = ds.noisy_mag[utt][frame - ds.context + 1 : frame + 1]
+            feats.append(np.log1p(context).reshape(-1))
+            sl = slice(frame - ds.predict + 1, frame + 1)
+            clean.append(ds.clean_mag[utt][sl].reshape(-1))
+            noisy.append(ds.noisy_mag[utt][sl].reshape(-1))
+        assert np.array_equal(ds.features(rows), np.array(feats))
+        got_clean, got_noisy = ds.targets(rows)
+        assert np.array_equal(got_clean, np.array(clean))
+        assert np.array_equal(got_noisy, np.array(noisy))
+
+    def test_magnitudes_are_analysis_magnitudes(self):
+        mixtures = mixing._mixtures(SPEECH[:3], NOISE, 5, mixing.DEFAULT_SNR_RANGE_DB, None)
+        for u, (speech, mixture, _) in enumerate(mixtures):
+            assert np.array_equal(self.DS.clean_mag[u], analyze(speech, CFG).magnitude)
+            assert np.array_equal(self.DS.noisy_mag[u], analyze(mixture, CFG).magnitude)
 
 
 class TestClassicalBaseline:

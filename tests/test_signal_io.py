@@ -104,6 +104,14 @@ class TestReadWav:
         assert sig.sample_rate_hz == 16000
         assert np.allclose(sig.samples, [0.5, -0.25, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_sample_rejected(self, tmp_path, bad):
+        payload = np.array([0.5, bad, -0.25], dtype="<f4").tobytes()
+        path = tmp_path / "bad.wav"
+        path.write_bytes(chunked_wav(payload, fmt_code=3, bits=32))
+        with pytest.raises(MalformedWavError, match=r"bad\.wav.*NaN or infinite"):
+            read_wav(path)
+
     def test_stereo_takes_channel_zero(self, tmp_path):
         path = tmp_path / "st.wav"
         # interleaved L/R: L = 100, 300; R = 200, 400
@@ -278,6 +286,19 @@ class TestToWorkingRate:
     def test_rejects_low_rate(self):
         with pytest.raises(ValueError):
             to_working_rate(TimeSignal(np.zeros(100), 7999))
+
+    def test_taps_cached_read_only_and_fresh(self):
+        from scipy import signal as sp
+
+        from envgain.signal_io import _resample_taps
+
+        taps = _resample_taps(8)  # 16 kHz -> 10 kHz: up 5, down 8
+        assert _resample_taps(8) is taps
+        assert not taps.flags.writeable
+        fresh = sp.firwin(64 * 8 + 1, 1.0 / 8, window=("kaiser", 8.6))
+        assert np.array_equal(taps, fresh)
+        with pytest.raises(ValueError):
+            taps[0] = 0.0
 
     def test_rejects_high_rate(self):
         # 400 kHz is above the ceiling but would resample cheaply (up 1, down 40)

@@ -1,7 +1,11 @@
-"""STFT analysis/synthesis: reconstruction, Parseval, linearity."""
+"""STFT analysis/synthesis: reconstruction, Parseval, linearity, and the
+strided frame view and magnitude-only analysis pinned to the index-gather
+forms they replaced."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envgain.signal_io import TimeSignal
 from envgain.stft import (
@@ -9,7 +13,9 @@ from envgain.stft import (
     StftConfig,
     analyze,
     apply_gain,
+    frame_signal,
     hann_periodic,
+    magnitude,
     pad_to_frames,
     synthesize,
 )
@@ -81,6 +87,50 @@ class TestAnalyze:
             m2 = spec.magnitude[m] ** 2
             e_freq = (m2[0] + 2 * m2[1:-1].sum() + m2[-1]) / 256
             assert abs(e_freq / e_time - 1.0) < 1e-9
+
+
+def index_gather_frames(x, config):
+    """The fancy-index framing `frame_signal` used before its strided view."""
+    m = config.n_frames(len(x))
+    idx = np.arange(config.window_len)[None, :] + config.hop * np.arange(m)[:, None]
+    return x[idx]
+
+
+signals = st.builds(
+    lambda seed, n: np.random.default_rng(seed).standard_normal(n),
+    st.integers(0, 2**32 - 1), st.integers(256, 3000),
+)
+
+
+class TestFrontEnd:
+    @settings(max_examples=60, deadline=None)
+    @given(signals)
+    def test_strided_frames_equal_index_gather(self, x):
+        frames = frame_signal(x, CFG)
+        assert np.array_equal(frames, index_gather_frames(x, CFG))
+        assert not frames.flags.writeable
+        assert np.shares_memory(frames, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(signals)
+    def test_magnitude_is_analyze_magnitude(self, x):
+        assert np.array_equal(magnitude(x, CFG), analyze(x, CFG).magnitude)
+        sig = TimeSignal(x, 10000)
+        assert np.array_equal(magnitude(sig, CFG), analyze(sig, CFG).magnitude)
+
+    @settings(max_examples=30, deadline=None)
+    @given(signals)
+    def test_analyze_equals_index_gather_rfft(self, x):
+        spec = np.fft.rfft(index_gather_frames(x, CFG) * CFG.window(), n=CFG.fft_size, axis=1)
+        out = analyze(x, CFG)
+        assert np.array_equal(out.magnitude, np.abs(spec))
+        assert np.array_equal(out.phase, np.angle(spec))
+
+    def test_short_signal_rejected(self):
+        with pytest.raises(ValueError, match="shorter than one window"):
+            frame_signal(np.zeros(255), CFG)
+        with pytest.raises(ValueError, match="shorter than one window"):
+            magnitude(np.zeros(255), CFG)
 
 
 class TestSynthesize:
