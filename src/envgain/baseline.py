@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import neural
-from .mixing import DEFAULT_SNR_RANGE_DB, _mixtures
+from .mixing import DEFAULT_SNR_RANGE_DB, _gather_windows, _mixtures
 from .octave import average_overlapping_gains
 from .pipeline import (
     _analyze_noisy, _forward_side_by_side, _load_norm, _parse_kv, _resynthesize, _save_norm,
@@ -53,30 +53,18 @@ class MagnitudeDataset:
     def n_frames(self) -> int:
         return len(self.index)
 
-    def _windows(self, rows, width: int, *sources, prepare=None) -> list[np.ndarray]:
-        """The `width` frames ending at each requested row's frame, flattened
-        frame-major, from each per-utterance (M, K/2+1) source: (R, width*bins)
-        per source. `prepare` maps an utterance elementwise before its
-        windows are cut, once per utterance the rows read."""
-        idx = self.index[np.asarray(rows, dtype=np.int64)]
-        outs = [np.empty((len(idx), width, self.n_bins)) for _ in sources]
-        for utt in np.unique(idx[:, 0]):
-            sel = np.flatnonzero(idx[:, 0] == utt)
-            starts = idx[sel, 1] - (width - 1)
-            for out, src in zip(outs, sources):
-                frames = src[utt] if prepare is None else prepare(src[utt])
-                views = np.lib.stride_tricks.sliding_window_view(frames, width, axis=0)
-                out[sel] = views[starts].transpose(0, 2, 1)  # (S, bins, width) -> frame-major
-        return [out.reshape(len(idx), -1) for out in outs]
-
     def features(self, rows) -> np.ndarray:
         """log(1 + noisy magnitude) context: (R, context*(K/2+1))."""
-        (feats,) = self._windows(rows, self.context, self.noisy_mag, prepare=np.log1p)
-        return feats
+        (feats,) = _gather_windows(
+            self.index, rows, self.context, self.noisy_mag, axis=0, prepare=np.log1p
+        )
+        return feats.reshape(len(feats), -1)
 
     def targets(self, rows):
-        clean, noisy = self._windows(rows, self.predict, self.clean_mag, self.noisy_mag)
-        return clean, noisy
+        clean, noisy = _gather_windows(
+            self.index, rows, self.predict, self.clean_mag, self.noisy_mag, axis=0
+        )
+        return clean.reshape(len(clean), -1), noisy.reshape(len(noisy), -1)
 
 
 def build_magnitude_dataset(

@@ -296,6 +296,35 @@ def pseudo_corpus(n_utterances: int, utterance_s: float, seed: int) -> list[Time
     return [pseudo_speech(utterance_s, child) for child in children]
 
 
+def _gather_windows(index, rows, width: int, *sources, axis: int = -1,
+                    prepare=None) -> list[np.ndarray]:
+    """The `width` frames ending at each requested row's frame, from each
+    per-utterance source whose frame axis is `axis` (all sources alike);
+    `index` maps a row to its (utterance, frame). Each window keeps its
+    source's axis order, with `width` frames on `axis`: (R, *window shape)
+    per source. `prepare` maps an utterance elementwise before its windows
+    are cut, once per utterance the rows read."""
+    idx = index[np.asarray(rows, dtype=np.int64)]
+    ndim = sources[0][0].ndim
+    axis %= ndim
+    lead = (slice(None),) * axis
+    # picked windows are (..., S on `axis`, ..., width): rows first, window onto `axis`
+    perm = (axis, *(ndim if i == axis else i for i in range(ndim)))
+    outs = []
+    for src in sources:
+        shape = list(src[0].shape)
+        shape[axis] = width
+        outs.append(np.empty((len(idx), *shape)))
+    for utt in np.unique(idx[:, 0]):
+        sel = np.flatnonzero(idx[:, 0] == utt)
+        starts = idx[sel, 1] - (width - 1)
+        for out, src in zip(outs, sources):
+            frames = src[utt] if prepare is None else prepare(src[utt])
+            views = np.lib.stride_tricks.sliding_window_view(frames, width, axis=axis)
+            out[sel] = views[(*lead, starts)].transpose(perm)
+    return outs
+
+
 class EnvelopeDataset:
     """Envelope-domain dataset stored per utterance.
 
@@ -341,36 +370,24 @@ class EnvelopeDataset:
         sl = slice(frame - self.n_env + 1, frame + 1)
         return self.clean_env[utt][:, sl], self.noisy_env[utt][:, sl]
 
-    def _gather(self, rows, *sources, prepare=None) -> list[np.ndarray]:
-        """Length-N windows ending at the requested rows' frames, from each
-        per-utterance source (window axis last): (R, ..., N) per source.
-        `prepare` maps an utterance elementwise before its windows are cut,
-        once per utterance the rows read."""
-        rows = np.asarray(rows, dtype=np.int64)
-        idx = self.index[rows]
-        outs = [np.empty((len(rows), *src[0].shape[:-1], self.n_env)) for src in sources]
-        for utt in np.unique(idx[:, 0]):
-            sel = np.flatnonzero(idx[:, 0] == utt)
-            starts = idx[sel, 1] - (self.n_env - 1)
-            for out, src in zip(outs, sources):
-                frames = src[utt] if prepare is None else prepare(src[utt])
-                views = np.lib.stride_tricks.sliding_window_view(frames, self.n_env, axis=-1)
-                out[sel] = np.moveaxis(views[..., starts, :], -2, 0)
-        return outs
-
     def features(self, rows) -> np.ndarray:
         """log(1 + noisy envelope) context, flattened band-major: (R, J*N)."""
-        (gathered,) = self._gather(rows, self.noisy_env, prepare=np.log1p)
+        (gathered,) = _gather_windows(
+            self.index, rows, self.n_env, self.noisy_env, prepare=np.log1p
+        )
         return gathered.reshape(len(gathered), -1)
 
     def band_targets(self, rows, band: int):
-        clean, noisy = self._gather(
-            rows, [env[band] for env in self.clean_env], [env[band] for env in self.noisy_env]
+        clean, noisy = _gather_windows(
+            self.index, rows, self.n_env,
+            [env[band] for env in self.clean_env], [env[band] for env in self.noisy_env],
         )
         return clean, noisy
 
     def joint_targets(self, rows):
-        clean, noisy = self._gather(rows, self.clean_env, self.noisy_env)
+        clean, noisy = _gather_windows(
+            self.index, rows, self.n_env, self.clean_env, self.noisy_env
+        )
         return clean, noisy
 
 

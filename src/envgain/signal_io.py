@@ -8,7 +8,6 @@ are reported as distinct error types.
 
 from __future__ import annotations
 
-import functools
 import io
 import math
 import struct
@@ -212,23 +211,14 @@ def to_working_rate(sig: TimeSignal) -> TimeSignal:
 
     g = math.gcd(WORKING_RATE_HZ, sig.sample_rate_hz)
     up, down = WORKING_RATE_HZ // g, sig.sample_rate_hz // g
-    out = _sig.resample_poly(sig.samples, up, down, window=_resample_taps(max(up, down)))
-    return TimeSignal(out, WORKING_RATE_HZ)
-
-
-# a coprime rate near the maximum needs a filter of some 200 MB, so only the
-# last few designs are kept
-@functools.lru_cache(maxsize=4)
-def _resample_taps(max_rate: int) -> np.ndarray:
-    """Read-only Kaiser lowpass taps of the up/down resampler whose larger
-    factor is `max_rate`, designed once per factor."""
+    max_rate = max(up, down)
     taps = _sig.firwin(
         RESAMPLE_TAPS_PER_PHASE * max_rate + 1,
         1.0 / max_rate,
         window=("kaiser", RESAMPLE_KAISER_BETA),
     )
-    taps.flags.writeable = False
-    return taps
+    out = _sig.resample_poly(sig.samples, up, down, window=taps)
+    return TimeSignal(out, WORKING_RATE_HZ)
 
 
 def synth_tone(freq_hz: float, duration_s: float, amplitude: float) -> TimeSignal:

@@ -287,19 +287,6 @@ class TestToWorkingRate:
         with pytest.raises(ValueError):
             to_working_rate(TimeSignal(np.zeros(100), 7999))
 
-    def test_taps_cached_read_only_and_fresh(self):
-        from scipy import signal as sp
-
-        from envgain.signal_io import _resample_taps
-
-        taps = _resample_taps(8)  # 16 kHz -> 10 kHz: up 5, down 8
-        assert _resample_taps(8) is taps
-        assert not taps.flags.writeable
-        fresh = sp.firwin(64 * 8 + 1, 1.0 / 8, window=("kaiser", 8.6))
-        assert np.array_equal(taps, fresh)
-        with pytest.raises(ValueError):
-            taps[0] = 0.0
-
     def test_rejects_high_rate(self):
         # 400 kHz is above the ceiling but would resample cheaply (up 1, down 40)
         with pytest.raises(ValueError, match="400000 Hz above the 384000 Hz maximum"):
