@@ -7,7 +7,8 @@ gain estimates exist per frame; they are averaged. The objective is the
 MSE between the gained noisy magnitudes and the clean magnitudes, i.e.
 the same estimate-vs-target MSE as the envelope trainer, applied across
 frequency instead of within a band. Leading frames that no prediction
-window reaches pass through with unit gain.
+window reaches pass through with unit gain. `ClassicalSystem.gains` lets
+`pipeline.enhance` (also bound here as `classical_enhance`) serve it.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from . import neural
 from .mixing import DEFAULT_SNR_RANGE_DB, _gather_windows, _mixtures
 from .octave import average_overlapping_gains
 from .pipeline import (
-    _analyze_noisy, _forward_side_by_side, _load_norm, _parse_kv, _resynthesize, _save_norm,
-    _select_rows, _stft_config, _streaming_norm, _write_kv,
+    _forward_side_by_side, _load_norm, _parse_kv, _save_norm, _select_rows, _stft_config,
+    _streaming_norm, _write_kv,
 )
+from .pipeline import enhance as classical_enhance  # the shared path, by its old name
 from .signal_io import TimeSignal
-from .stft import Spectrogram, StftConfig, magnitude
+from .stft import StftConfig, magnitude
 
 CONTEXT_FRAMES = 30
 PREDICT_FRAMES = 5
@@ -96,6 +98,19 @@ class ClassicalSystem:
     context: int = CONTEXT_FRAMES
     predict: int = PREDICT_FRAMES
 
+    def gains(self, mag: np.ndarray) -> np.ndarray:
+        """(M, K/2+1) STFT gains of (M, K/2+1) noisy magnitudes."""
+        m, n_bins = mag.shape
+        if m < self.context:
+            raise ValueError(f"input too short: {m} frames, need >= {self.context}")
+        # log-compress each frame once; every window holding it reads the result
+        windows = np.lib.stride_tricks.sliding_window_view(np.log1p(mag), self.context, axis=0)
+        feats = self.feature_norm.apply(windows.transpose(0, 2, 1).reshape(len(windows), -1))
+        pred = _forward_side_by_side([self.model], feats, 2048)
+        # window v ends at frame context-1+v and predicts its last `predict` frames
+        pred = pred.reshape(len(pred), self.predict, n_bins)
+        return average_overlapping_gains(pred, m, self.context - self.predict, fill=1.0)
+
 
 def train_classical(
     train_ds: MagnitudeDataset,
@@ -128,28 +143,6 @@ def train_classical(
         replace(config, seed=int(keys[1])),
     )
     return ClassicalSystem(model, train_ds.stft_config, norm, train_ds.context, train_ds.predict), report
-
-
-def _gains(system: ClassicalSystem, spec: Spectrogram) -> np.ndarray:
-    mag = spec.magnitude
-    m, n_bins = mag.shape
-    if m < system.context:
-        raise ValueError(f"input too short: {m} frames, need >= {system.context}")
-
-    # log-compress each frame once; every window holding it reads the result
-    windows = np.lib.stride_tricks.sliding_window_view(np.log1p(mag), system.context, axis=0)
-    feats = system.feature_norm.apply(windows.transpose(0, 2, 1).reshape(len(windows), -1))
-    pred = _forward_side_by_side([system.model], feats, 2048)
-    # window v ends at frame context-1+v and predicts its last `predict` frames
-    pred = pred.reshape(len(pred), system.predict, n_bins)
-    return average_overlapping_gains(pred, m, system.context - system.predict, fill=1.0)
-
-
-def classical_enhance(system: ClassicalSystem, noisy: TimeSignal) -> TimeSignal:
-    """Gain the noisy magnitudes and resynthesize with the noisy phase,
-    from one analysis of the noisy input."""
-    spec = _analyze_noisy(noisy, system.stft_config)
-    return _resynthesize(noisy, spec, _gains(system, spec))
 
 
 def save_classical(system: ClassicalSystem, dirpath) -> None:

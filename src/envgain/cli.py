@@ -28,6 +28,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+# kinds for `pipeline._typed` (int: positive); `seed` is any int, `hidden` a list
 _CONFIG_KEYS = {
     "initial_lr_per_sample": float,
     "lr_decay": float,
@@ -35,7 +36,7 @@ _CONFIG_KEYS = {
     "max_epochs": int,
     "minibatch": int,
     "seed": int,
-    "hidden": str,
+    "hidden": int,
     "max_train_frames": int,
     "max_val_frames": int,
 }
@@ -147,13 +148,20 @@ def _load_train_config(path, objective="elc") -> tuple[neural.TrainConfig, dict]
                          f"allowed: {sorted(_CONFIG_KEYS)}")
     fields = {}
     for key, value in raw.items():
-        if key == "hidden":
-            extras["hidden"] = tuple(int(v) for v in value.split(","))
-        elif key in ("max_train_frames", "max_val_frames"):
-            extras[key] = int(value)
+        if key == "seed":
+            fields[key] = int(value)
+        elif key == "hidden":
+            extras[key] = tuple(pipeline._typed(path, key, v, int) for v in value.split(","))
         else:
-            fields[key] = _CONFIG_KEYS[key](value)
+            typed = pipeline._typed(path, key, value, _CONFIG_KEYS[key])
+            (extras if key in extras else fields)[key] = typed
     return replace(config, **fields), extras
+
+
+def _print_report(label: str, report: neural.TrainReport) -> None:
+    last = report.epochs[-1].validation_cost if report.epochs else float("nan")
+    print(f"{label}: {len(report.epochs)} epochs, stop={report.stop_reason}, "
+          f"final val cost {last:.6f}")
 
 
 def _cmd_synth_data(args) -> int:
@@ -252,11 +260,8 @@ def _cmd_train(args) -> int:
             joint=args.band == "joint", **caps,
         )
         pipeline.save_system(system, out)
-        for i, rep in enumerate(reports):
-            label = "joint" if args.band == "joint" else f"band {i:2d}"
-            last = rep.epochs[-1].validation_cost if rep.epochs else float("nan")
-            print(f"{label}: {len(rep.epochs)} epochs, stop={rep.stop_reason}, "
-                  f"final val cost {last:.6f}")
+        for i, report in enumerate(reports):
+            _print_report("joint" if args.band == "joint" else f"band {i:2d}", report)
     else:
         try:
             band = int(args.band)
@@ -271,9 +276,7 @@ def _cmd_train(args) -> int:
         pipeline._save_norm(norm, out / "feature_norm.bin")
         fields = pipeline._system_fields("per-band", config.objective, train_ds, "zero")
         pipeline._write_kv(out / "system.txt", fields)
-        last = report.epochs[-1].validation_cost if report.epochs else float("nan")
-        print(f"band {band}: {len(report.epochs)} epochs, stop={report.stop_reason}, "
-              f"final val cost {last:.6f}")
+        _print_report(f"band {band}", report)
     return EXIT_OK
 
 
@@ -306,54 +309,55 @@ def _cmd_train_baseline(args) -> int:
         max_train_frames=extras["max_train_frames"], max_val_frames=extras["max_val_frames"],
     )
     baseline.save_classical(system, args.out)
-    last = report.epochs[-1].validation_cost if report.epochs else float("nan")
-    print(f"baseline: {len(report.epochs)} epochs, stop={report.stop_reason}, "
-          f"final val cost {last:.6f}")
+    _print_report("baseline", report)
     return EXIT_OK
 
 
 def _load_any_system(model_dir):
-    """(system, kind, its enhance function) of a model directory."""
+    """(system, kind) of a model directory."""
     meta = pipeline._parse_kv(Path(model_dir) / "system.txt")
     if meta.get("kind") == "classical":
-        return baseline.load_classical(model_dir), "classical", baseline.classical_enhance
-    return pipeline.load_system(model_dir), meta.get("kind", "per-band"), pipeline.enhance
+        return baseline.load_classical(model_dir), "classical"
+    return pipeline.load_system(model_dir), meta.get("kind", "per-band")
+
+
+def _read_testset(testset):
+    """(clean test utterances, test noise, noise label) of a synth-data directory."""
+    cleans = _read_split_wavs(testset, "test")
+    noise = read_wav(Path(testset) / "noise_test.wav")
+    meta = pipeline._parse_kv(Path(testset) / "meta.txt")
+    return cleans, noise, meta.get("noise", "noise")
 
 
 def _cmd_enhance(args) -> int:
-    system, kind, enhance = _load_any_system(args.model)
-    enhanced = enhance(system, to_working_rate(read_wav(args.infile)))
+    system, kind = _load_any_system(args.model)
+    enhanced = pipeline.enhance(system, to_working_rate(read_wav(args.infile)))
     write_wav(enhanced, args.out)
     print(f"enhanced {args.infile} -> {args.out} ({kind} model)")
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
-    system, _, enhance = _load_any_system(args.model)
-    cleans = _read_split_wavs(args.testset, "test")
-    noise = read_wav(Path(args.testset) / "noise_test.wav")
-    meta = pipeline._parse_kv(Path(args.testset) / "meta.txt")
+    system, _ = _load_any_system(args.model)
+    cleans, noise, label = _read_testset(args.testset)
     rows = pipeline.evaluate_system(
-        system, cleans, noise, _parse_snr_list(args.snrs), seed=args.seed,
-        noise_type=meta.get("noise", "noise"), enhancer=lambda sig: enhance(system, sig),
+        system, cleans, noise, _parse_snr_list(args.snrs), seed=args.seed, noise_type=label
     )
     sys.stdout.write(pipeline.report_tables(rows, args.format))
     return EXIT_OK
 
 
 def _cmd_gain_corr(args) -> int:
-    system_a, kind_a, _ = _load_any_system(args.model_a)
-    system_b, kind_b, _ = _load_any_system(args.model_b)
+    system_a, kind_a = _load_any_system(args.model_a)
+    system_b, kind_b = _load_any_system(args.model_b)
     if "classical" in (kind_a, kind_b):
         raise ValueError("gain-corr requires two envelope-gain models")
-    cleans = _read_split_wavs(args.testset, "test")
-    noise = read_wav(Path(args.testset) / "noise_test.wav")
-    meta = pipeline._parse_kv(Path(args.testset) / "meta.txt")
+    cleans, noise, label = _read_testset(args.testset)
     levels = [mixing.active_speech_level(clean) for clean in cleans]
     for snr in _parse_snr_list(args.snrs):
         noisy = list(pipeline._seeded_mixtures(cleans, levels, noise, snr, args.seed))
         corr = pipeline.gain_correlation(system_a, system_b, noisy)
-        print(f"{meta.get('noise', 'noise')}  {snr:+5.1f} dB  correlation {corr:.4f}")
+        print(f"{label}  {snr:+5.1f} dB  correlation {corr:.4f}")
     return EXIT_OK
 
 

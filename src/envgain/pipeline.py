@@ -3,20 +3,21 @@
 An EnhancementSystem holds its gain networks as one ordered list, J
 per-band networks of width N or one joint network of width J*N, whose
 outputs placed side by side form a window's (J, N) gain vector; the band
-layout, STFT configuration and feature normalization come with it.
-Enhancement analyzes the noisy audio once, collects the gain vectors of
-every window as one (V, J, N) array, averages the overlapping estimates
-per frame, maps band gains onto STFT bins (uniform within a band) and
-resynthesizes from the same spectrogram with the noisy phase. Output
-duration equals input duration.
+layout, STFT configuration and feature normalization come with it. Every
+system, this one or the classical baseline, supplies `gains`: (M, K/2+1)
+noisy STFT magnitudes in, (M, K/2+1) STFT gains out. Here those are the
+gain vectors of every window as one (V, J, N) array, their overlapping
+estimates averaged per frame and spread uniformly over each band's bins.
+`enhance` analyzes the noisy audio once and resynthesizes the system's
+gains of it with the noisy phase; output duration equals input duration.
 
 Scoring averages the envelope correlation over all (band, window) pairs;
 the intelligibility score exposed here is the clip-free variant of that
 same average, so `score_approx_stoi` and `score_elc` agree exactly. A
 score is computed from the two signals' band envelopes, all (band,
-window) pairs in one batch; evaluation computes each clean utterance's
-envelopes once and scores every noisy and enhanced signal of that
-utterance against them.
+window) pairs in one batch. Evaluation computes each clean utterance's
+envelopes once and analyzes each mixture once, for both its score and
+its enhancement.
 """
 
 from __future__ import annotations
@@ -80,6 +81,12 @@ class EnhancementSystem:
         """The networks in band order; outputs side by side give the gains."""
         return [self.joint_model] if self.is_joint else self.band_models
 
+    def gains(self, mag: np.ndarray) -> np.ndarray:
+        """(M, K/2+1) STFT gains of (M, K/2+1) noisy magnitudes."""
+        vectors = _gain_vectors(self, mag)  # (V, J, N); window v starts at frame v
+        band_gains = average_overlapping_gains(vectors.transpose(0, 2, 1), len(mag), 0).T
+        return band_gains_to_stft_gains(band_gains, self.layout, self.out_of_band)
+
 
 def _compatible(a: EnhancementSystem, b: EnhancementSystem) -> bool:
     return (
@@ -97,13 +104,13 @@ def _require_working_rate(sig: TimeSignal, what: str):
         raise ValueError(f"{what} must be at the {WORKING_RATE_HZ} Hz working rate")
 
 
-def _analyze_noisy(noisy: TimeSignal, config: StftConfig) -> Spectrogram:
+def _padded_noisy(noisy: TimeSignal, config: StftConfig) -> np.ndarray:
     _require_working_rate(noisy, "noisy input")
-    return analyze(pad_to_frames(noisy.samples, config), config)
+    return pad_to_frames(noisy.samples, config)
 
 
-def _gain_vectors(system: EnhancementSystem, spec: Spectrogram) -> np.ndarray:
-    env = envelopes(spec.magnitude, system.layout)
+def _gain_vectors(system: EnhancementSystem, mag: np.ndarray) -> np.ndarray:
+    env = envelopes(mag, system.layout)
     j, m = env.shape
     n = system.n_env
     if m < n:
@@ -127,11 +134,6 @@ def _forward_side_by_side(models, feats: np.ndarray, chunk: int) -> np.ndarray:
     return out
 
 
-def _band_gains(system: EnhancementSystem, spec: Spectrogram) -> np.ndarray:
-    vectors = _gain_vectors(system, spec)  # (V, J, N); window v starts at frame v
-    return average_overlapping_gains(vectors.transpose(0, 2, 1), spec.n_frames, 0).T
-
-
 def _resynthesize(noisy: TimeSignal, spec: Spectrogram, stft_gains: np.ndarray) -> TimeSignal:
     out = synthesize(apply_gain(spec, stft_gains))
     return TimeSignal(out.samples[: len(noisy)], WORKING_RATE_HZ)
@@ -140,7 +142,8 @@ def _resynthesize(noisy: TimeSignal, spec: Spectrogram, stft_gains: np.ndarray) 
 def predict_gain_vectors(system: EnhancementSystem, noisy: TimeSignal) -> np.ndarray:
     """Raw network gain vectors for every valid frame: (V, J, N), where the
     v-th row belongs to the envelope vector ending at frame n_env-1+v."""
-    return _gain_vectors(system, _analyze_noisy(noisy, system.stft_config))
+    config = system.stft_config
+    return _gain_vectors(system, magnitude(_padded_noisy(noisy, config), config))
 
 
 def enhance_with_band_gains(
@@ -152,18 +155,20 @@ def enhance_with_band_gains(
 ) -> TimeSignal:
     """Apply per-frame band gains to a noisy signal and resynthesize with
     the noisy phase. Used by both the networks and oracle-gain harnesses."""
-    spec = _analyze_noisy(noisy, config)
+    spec = analyze(_padded_noisy(noisy, config), config)
     return _resynthesize(noisy, spec, band_gains_to_stft_gains(band_gains, layout, out_of_band))
 
 
-def enhance(system: EnhancementSystem, noisy: TimeSignal) -> TimeSignal:
-    """Noisy waveform in, enhanced waveform of identical duration out.
+def _analyze_and_enhance(system, noisy: TimeSignal) -> tuple[Spectrogram, TimeSignal]:
+    """The noisy spectrogram and the enhanced signal, from one analysis."""
+    spec = analyze(_padded_noisy(noisy, system.stft_config), system.stft_config)
+    return spec, _resynthesize(noisy, spec, system.gains(spec.magnitude))
 
-    The noisy input is analyzed once; its spectrogram feeds both the
-    networks and the resynthesis."""
-    spec = _analyze_noisy(noisy, system.stft_config)
-    gains = band_gains_to_stft_gains(_band_gains(system, spec), system.layout, system.out_of_band)
-    return _resynthesize(noisy, spec, gains)
+
+def enhance(system, noisy: TimeSignal) -> TimeSignal:
+    """Noisy waveform in, enhanced waveform of identical duration out, for
+    an EnhancementSystem or a baseline.ClassicalSystem."""
+    return _analyze_and_enhance(system, noisy)[1]
 
 
 def oracle_band_gains(
@@ -261,8 +266,10 @@ def gain_correlation(
         raise ValueError("systems have different layout or STFT configuration")
     ga, gb = [], []
     for sig in signals:
-        ga.append(predict_gain_vectors(system_a, sig).reshape(-1))
-        gb.append(predict_gain_vectors(system_b, sig).reshape(-1))
+        # the configs match, so one analysis serves both systems
+        mag = magnitude(_padded_noisy(sig, system_a.stft_config), system_a.stft_config)
+        ga.append(_gain_vectors(system_a, mag).reshape(-1))
+        gb.append(_gain_vectors(system_b, mag).reshape(-1))
     a = np.concatenate(ga)
     b = np.concatenate(gb)
     ac = a - a.mean()
@@ -414,30 +421,26 @@ def evaluate_system(
     snrs_db: Sequence[float],
     seed: int = 0,
     noise_type: str = "noise",
-    enhancer=None,
 ) -> list[EvalRow]:
     """Mix each clean utterance at each SNR, enhance, score; one row of
-    means per SNR. `enhancer` overrides the default enhance(system, .)
-    (e.g. for the classical baseline)."""
-    enhance_fn = enhancer or (lambda sig: enhance(system, sig))
-    layout = getattr(system, "layout", None) or build_band_layout()
-    config = getattr(system, "stft_config", StftConfig())
+    means per SNR. `system` is anything `enhance` takes; one without a band
+    layout is scored with the layout `score_elc` uses for its STFT config."""
+    config = system.stft_config
+    layout = getattr(system, "layout", None) or build_band_layout(config.fft_size, WORKING_RATE_HZ)
     # the same at every SNR: each utterance's level and scoring reference
     levels = [active_speech_level(clean) for clean in clean_list]
     clean_envs = [_envelopes_of(clean, layout, config) for clean in clean_list]
-
-    def score(clean, clean_env, processed):  # score_elc(clean, processed, layout, config)
-        _require_scorable(clean, processed)
-        return _score_envelopes(clean_env, _envelopes_of(processed, layout, config), ENVELOPE_LEN)
-
     rows = []
     for snr in snrs_db:
         elc_up, elc_enh = [], []
         mixtures = _seeded_mixtures(clean_list, levels, noise, snr, seed)
         for clean, clean_env, noisy in zip(clean_list, clean_envs, mixtures):
-            enhanced = enhance_fn(noisy)
-            elc_up.append(score(clean, clean_env, noisy))
-            elc_enh.append(score(clean, clean_env, enhanced))
+            spec, enhanced = _analyze_and_enhance(system, noisy)
+            # score_elc(clean, x, layout, config); x has the clean's length and rate
+            noisy_env = envelopes(spec.magnitude, layout)
+            enhanced_env = _envelopes_of(enhanced, layout, config)
+            elc_up.append(_score_envelopes(clean_env, noisy_env, ENVELOPE_LEN))
+            elc_enh.append(_score_envelopes(clean_env, enhanced_env, ENVELOPE_LEN))
         up, enh = float(np.mean(elc_up)), float(np.mean(elc_enh))
         # score_approx_stoi is score_elc by construction: score once, fill both
         rows.append(EvalRow(noise_type, float(snr), up, enh, up, enh))

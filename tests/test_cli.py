@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from envgain import mixing, neural, pipeline
+from envgain import baseline, mixing, neural, pipeline
 from envgain.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from envgain.signal_io import read_wav
 
@@ -42,6 +42,18 @@ def model_dir(data_dir, tmp_path_factory):
         "train", "--data", str(data_dir), "--objective", "elc",
         "--band", "all", "--config", str(cfg), "--out", str(d / "mdl"),
     ])
+    assert rc == EXIT_OK
+    return d / "mdl"
+
+
+@pytest.fixture(scope="module")
+def classical_dir(data_dir, tmp_path_factory):
+    d = tmp_path_factory.mktemp("classical")
+    cfg = d / "b.cfg"
+    cfg.write_text("max_epochs = 1\nhidden = 8\nmax_train_frames = 150\n"
+                   "max_val_frames = 50\nseed = 2\n")
+    rc = main(["train-baseline", "--data", str(data_dir), "--config", str(cfg),
+               "--out", str(d / "mdl")])
     assert rc == EXIT_OK
     return d / "mdl"
 
@@ -138,6 +150,23 @@ class TestTrain:
         assert rc == EXIT_DATA
 
 
+    @pytest.mark.parametrize("command", ["train", "train-baseline"])
+    @pytest.mark.parametrize("key, value, bad", [
+        ("max_train_frames", "0", "0"), ("max_val_frames", "0", "0"),
+        ("minibatch", "-3", "-3"), ("minibatch", "0", "0"), ("max_epochs", "0", "0"),
+        ("hidden", "0", "0"), ("hidden", "8,0", "0"),
+    ])
+    def test_nonpositive_config_count_is_data_error(self, data_dir, tmp_path, capsys,
+                                                    command, key, value, bad):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"max_epochs = 1\n{key} = {value}\n")
+        extra = ["--band", "2"] if command == "train" else []
+        rc = main([command, "--data", str(data_dir), *extra, "--config", str(cfg),
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_DATA
+        assert f"{cfg}: {key} = '{bad}' is not a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists() or not any((tmp_path / "x").iterdir())
+
     @pytest.mark.parametrize("defect", ["index row", "header", "UTF-8"])
     def test_bad_pack_is_data_error(self, data_dir, tmp_path, capsys, defect):
         shutil.copy(data_dir / "val.pack", tmp_path / "val.pack")
@@ -203,6 +232,24 @@ class TestEnhanceEvaluate:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "correlation 1.0000" in out
+
+    def test_evaluate_classical(self, data_dir, classical_dir, capsys):
+        rc = main(["evaluate", "--model", str(classical_dir), "--testset", str(data_dir),
+                   "--snrs", "-5,5"])
+        assert rc == EXIT_OK
+        cleans = [read_wav(p) for p in sorted((data_dir / "clean_test").glob("*.wav"))]
+        rows = pipeline.evaluate_system(
+            baseline.load_classical(classical_dir), cleans,
+            read_wav(data_dir / "noise_test.wav"), [-5.0, 5.0], seed=0, noise_type="ssn",
+        )
+        assert capsys.readouterr().out == pipeline.report_tables(rows)
+
+    def test_gain_corr_with_classical_is_data_error(self, data_dir, model_dir, classical_dir,
+                                                    capsys):
+        rc = main(["gain-corr", "--model-a", str(model_dir), "--model-b", str(classical_dir),
+                   "--testset", str(data_dir), "--snrs", "5"])
+        assert rc == EXIT_DATA
+        assert "gain-corr requires two envelope-gain models" in capsys.readouterr().err
 
     def test_gain_corr_levels_each_utterance_once(self, data_dir, model_dir, capsys,
                                                   monkeypatch):

@@ -202,12 +202,12 @@ def noisy_signals(draw):
     return TimeSignal(x, FS)
 
 
-def tiny_classical_system(seed=0):
-    dim = baseline.CONTEXT_FRAMES * CFG.n_bins
+def tiny_classical_system(seed=0, config=CFG):
+    dim = baseline.CONTEXT_FRAMES * config.n_bins
     rng = np.random.default_rng(seed)
     norm = neural.FeatureNorm(rng.normal(0.0, 0.1, dim), rng.uniform(0.5, 2.0, dim))
-    model = neural.init_model([dim, 4, baseline.PREDICT_FRAMES * CFG.n_bins], seed=seed)
-    return baseline.ClassicalSystem(model, CFG, norm)
+    model = neural.init_model([dim, 4, baseline.PREDICT_FRAMES * config.n_bins], seed=seed)
+    return baseline.ClassicalSystem(model, config, norm)
 
 
 class TestFrameLevelLog:
@@ -390,6 +390,19 @@ class TestGainCorrelation:
         with pytest.raises(ValueError):
             pipeline.gain_correlation(SYSTEM, other, [noisy])
 
+    def test_one_magnitude_analysis_per_signal(self, monkeypatch):
+        signals = [noisy_fixture(seed=70 + i)[1] for i in range(4)]
+        other, _ = tiny_system(seed=5, epochs=0)
+        # the old composition: each system's gain vectors from its own analysis
+        a, b = (np.concatenate([pipeline.predict_gain_vectors(system, sig).reshape(-1)
+                                for sig in signals]) for system in (SYSTEM, other))
+        ac, bc = a - a.mean(), b - b.mean()
+        expected = float(np.dot(ac, bc) / (np.linalg.norm(ac) * np.linalg.norm(bc)))
+        assert pipeline.gain_correlation(SYSTEM, other, signals) == expected
+        calls = count_calls(monkeypatch, pipeline, "analyze", "magnitude")
+        pipeline.gain_correlation(SYSTEM, SYSTEM, signals)
+        assert calls == {"analyze": 0, "magnitude": 4}
+
 
 class TestJointSystem:
     def test_joint_flag_trains_single_model(self):
@@ -559,6 +572,22 @@ class TestEvalTables:
             pipeline.report_tables(self.ROWS, "html")
 
 
+def count_calls(monkeypatch, module, *names):
+    """Wrap `module`'s functions `names` to count their calls; returns the
+    live name -> count dict."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
 class TestEvaluateSystem:
     def test_rows_and_determinism(self):
         rows = pipeline.evaluate_system(SYSTEM, SPEECH[5:6], NOISE, [-5.0, 5.0],
@@ -603,6 +632,33 @@ class TestEvaluateSystem:
         monkeypatch.setattr(pipeline, "active_speech_level", counted)
         pipeline.evaluate_system(SYSTEM, SPEECH[4:6], NOISE, [-5.0, 0.0, 5.0], seed=9)
         assert len(calls) == 2 and all(a is b for a, b in zip(calls, SPEECH[4:6]))
+
+    def test_each_mixture_analyzed_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, pipeline, "analyze", "magnitude")
+        pipeline.evaluate_system(SYSTEM, SPEECH[4:6], NOISE, [-5.0, 0.0, 5.0], seed=9)
+        # 6 mixtures: one analysis each feeds their score and their enhancement;
+        # one magnitude pass per clean utterance and per enhanced output
+        assert calls == {"analyze": 6, "magnitude": 2 + 6}
+
+    @pytest.mark.parametrize("fft_size", [256, 512])
+    def test_classical_rows_match_composition(self, fft_size):
+        config = StftConfig(fft_size, fft_size, fft_size // 2)
+        system = tiny_classical_system(seed=3, config=config)
+        clean_list, snrs = SPEECH[4:6], [-5.0, 5.0]
+        rows = pipeline.evaluate_system(system, clean_list, NOISE, snrs, seed=9,
+                                        noise_type="ssn")
+        levels = [mixing.active_speech_level(clean) for clean in clean_list]
+        expected = []
+        for snr in snrs:
+            scores = []
+            mixtures = pipeline._seeded_mixtures(clean_list, levels, NOISE, snr, 9)
+            for clean, noisy in zip(clean_list, mixtures):
+                enhanced = baseline.classical_enhance(system, noisy)
+                scores.append([pipeline.score_elc(clean, noisy, config=config),
+                               pipeline.score_elc(clean, enhanced, config=config)])
+            up, enh = (float(np.mean(col)) for col in zip(*scores))
+            expected.append(pipeline.EvalRow("ssn", snr, up, enh, up, enh))
+        assert rows == expected
 
 
 class TestMagnitudeDataset:
