@@ -13,6 +13,7 @@ dataset caches (train.pack / val.pack) and a meta.txt record.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import replace
@@ -45,8 +46,9 @@ _CONFIG_KEYS = {
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # let SNR values like "-5:10" or "-5,0,5" pass as option values
-        self._negative_number_matcher = re.compile(r"^-\d+[\d:,.]*$")
+        # let SNR values like "-5:10", "-5,0,5" or "-inf:5" pass as option
+        # values, so that a non-finite one is refused by its parser
+        self._negative_number_matcher = re.compile(r"^-(\d|inf|nan)[\w:,.+-]*$", re.I)
 
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -106,8 +108,10 @@ def _build_parser() -> _Parser:
 def _parse_snr_range(text: str):
     try:
         lo, hi = (float(v) for v in text.split(":"))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError
     except ValueError:
-        raise ValueError(f"bad SNR range {text!r}, expected LO:HI") from None
+        raise ValueError(f"bad SNR range {text!r}, expected LO:HI in finite dB") from None
     if hi < lo:
         raise ValueError(f"bad SNR range {text!r}: HI < LO")
     return lo, hi
@@ -115,9 +119,12 @@ def _parse_snr_range(text: str):
 
 def _parse_snr_list(text: str):
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        snrs = [float(v) for v in text.split(",") if v.strip()]
+        if not all(map(math.isfinite, snrs)):
+            raise ValueError
     except ValueError:
-        raise ValueError(f"bad SNR list {text!r}, expected comma-separated dB values") from None
+        raise ValueError(f"bad SNR list {text!r}, expected comma-separated finite dB values") from None
+    return snrs
 
 
 def _load_speech(manifest: str, seed: int) -> list[TimeSignal]:
@@ -126,8 +133,11 @@ def _load_speech(manifest: str, seed: int) -> list[TimeSignal]:
         try:
             count, secs = spec.split("x")
             count, secs = int(count), float(secs)
+            if count < 1 or not 0.0 < secs < math.inf:
+                raise ValueError
         except ValueError:
-            raise ValueError(f"bad pseudo spec {manifest!r}, expected pseudo:COUNTxSECONDS") from None
+            raise ValueError(f"bad pseudo spec {manifest!r}, expected pseudo:COUNTxSECONDS "
+                             "with a positive count and a finite, positive duration") from None
         return mixing.pseudo_corpus(count, secs, seed)
     paths = mixing.read_manifest(manifest)
     if not paths:
@@ -165,10 +175,10 @@ def _print_report(label: str, report: neural.TrainReport) -> None:
 
 
 def _cmd_synth_data(args) -> int:
+    snr_range = _parse_snr_range(args.snr_range)
     speech = _load_speech(args.manifest, args.seed)
     if len(speech) < 3:
         raise ValueError(f"need at least 3 utterances to split, got {len(speech)}")
-    snr_range = _parse_snr_range(args.snr_range)
     n = len(speech)
     n_val = max(1, n // 10)
     n_test = max(1, n // 10)
@@ -289,6 +299,8 @@ def _read_split_wavs(data_dir, split):
 
 
 def _cmd_train_baseline(args) -> int:
+    if args.hidden < 1:
+        raise ValueError(f"--hidden {args.hidden} is not a positive integer")
     data = Path(args.data)
     meta = pipeline._parse_kv(data / "meta.txt")
     seed = int(meta.get("seed", "0"))

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.fft
 from scipy import signal as _sig
 
 from . import framed
@@ -37,6 +38,9 @@ _LADDER_MAX = 80
 
 SSN_FIR_TAPS = 512
 SSN_MIN_REFERENCE_S = 30.0
+# Welch segments transformed per rFFT call: bounds the transient to a few MB
+# whatever the reference length; no output depends on it
+_WELCH_BLOCK = 256
 
 SPLITS = ("train", "validation", "test")
 DEFAULT_SNR_RANGE_DB = (-5.0, 10.0)
@@ -165,10 +169,38 @@ def _mix_at_level(speech: TimeSignal, speech_level: float, noise: TimeSignal, sn
     )
 
 
+def _welch_psd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`scipy.signal.welch(x, WORKING_RATE_HZ, nperseg=SSN_FIR_TAPS)`, bit for bit.
+
+    The same arithmetic in the same order: each half-overlapping segment
+    loses its mean, is multiplied by the periodic Hann window scaled to unit
+    power density (scipy's factor, with Python's sequential `sum`) and goes
+    through `rfft`; the one-sided power `re^2 + im^2` is doubled off DC and
+    Nyquist and averaged over segments from one C-contiguous (bins, segments)
+    matrix. Segments are a strided view, transformed `_WELCH_BLOCK` at a
+    time, so no per-segment Python step and no complex spectrogram of the
+    whole signal is held. `len(x)` must be at least `SSN_FIR_TAPS`.
+    """
+    n_fft = SSN_FIR_TAPS
+    hop = n_fft // 2
+    win = _sig.get_window("hann", n_fft)
+    win = win * (1 / np.sqrt(sum(win.real**2 + win.imag**2) / (1 / WORKING_RATE_HZ)))
+    segments = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop]
+    n_seg = len(segments)  # (len(x) - hop) // hop, as scipy counts them
+    power = np.empty((n_fft // 2 + 1, n_seg))
+    for start in range(0, n_seg, _WELCH_BLOCK):
+        block = segments[start : start + _WELCH_BLOCK]
+        spec = scipy.fft.rfft((block - block.mean(axis=-1, keepdims=True)) * win, axis=-1)
+        power[:, start : start + len(block)] = (spec.real**2 + spec.imag**2).T
+    power[1:-1] *= 2
+    return scipy.fft.rfftfreq(n_fft, 1 / WORKING_RATE_HZ), power.mean(axis=-1)
+
+
 def synth_ssn(reference_speech: Sequence[TimeSignal], duration_s: float, seed: int) -> TimeSignal:
     """Speech-shaped noise: white Gaussian noise through a 512-tap FIR
-    fitted to the Welch long-term spectrum of the reference material.
-    Output is normalized to unit RMS."""
+    fitted to the Welch long-term spectrum of the reference material
+    (`_welch_psd`: scipy's Welch estimate, 512-point Hann segments at 50%
+    overlap, with the same bits). Output is normalized to unit RMS."""
     refs = [to_working_rate(r) for r in reference_speech]
     total_s = sum(r.duration_s for r in refs)
     if total_s < SSN_MIN_REFERENCE_S:
@@ -176,7 +208,7 @@ def synth_ssn(reference_speech: Sequence[TimeSignal], duration_s: float, seed: i
             f"need >= {SSN_MIN_REFERENCE_S:.0f} s of reference speech, got {total_s:.1f} s"
         )
     ref = np.concatenate([r.samples for r in refs])
-    freqs, psd = _sig.welch(ref, WORKING_RATE_HZ, nperseg=SSN_FIR_TAPS)
+    freqs, psd = _welch_psd(ref)
     amp = np.sqrt(psd)
     amp /= amp.max()
     gain = amp.copy()

@@ -195,8 +195,8 @@ def write_wav(sig: TimeSignal, path) -> None:
 def to_working_rate(sig: TimeSignal) -> TimeSignal:
     """Resample to 10 kHz with a Kaiser-windowed polyphase lowpass.
 
-    Inputs below 8 kHz or above 384 kHz are rejected; a 10 kHz input is
-    passed through bit-identically.
+    Inputs below 8 kHz or above 384 kHz are rejected. A 10 kHz input is
+    returned as is, not copied: a `TimeSignal` is immutable by contract.
     """
     if sig.sample_rate_hz < MIN_INPUT_RATE_HZ:
         raise ValueError(
@@ -207,7 +207,7 @@ def to_working_rate(sig: TimeSignal) -> TimeSignal:
             f"sample rate {sig.sample_rate_hz} Hz above the {MAX_INPUT_RATE_HZ} Hz maximum"
         )
     if sig.sample_rate_hz == WORKING_RATE_HZ:
-        return TimeSignal(sig.samples.copy(), WORKING_RATE_HZ)
+        return sig
 
     g = math.gcd(WORKING_RATE_HZ, sig.sample_rate_hz)
     up, down = WORKING_RATE_HZ // g, sig.sample_rate_hz // g

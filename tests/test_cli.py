@@ -87,6 +87,21 @@ class TestSynthData:
                    "--out", str(tmp_path / "x")])
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("option, value", [
+        ("--manifest", "pseudo:3xinf"), ("--manifest", "pseudo:3xnan"),
+        ("--manifest", "pseudo:3x0"), ("--manifest", "pseudo:3x-2"),
+        ("--manifest", "pseudo:0x2"), ("--manifest", "pseudo:-4x2"),
+        ("--snr-range", "-inf:5"), ("--snr-range", "nan:5"), ("--snr-range", "0:inf"),
+    ])
+    def test_non_finite_or_nonpositive_number_is_data_error(self, tmp_path, capsys,
+                                                            option, value):
+        args = {"--manifest": "pseudo:3x1", "--snr-range": "-5:10", option: value}
+        rc = main(["synth-data", *(x for kv in args.items() for x in kv),
+                   "--noise", "ssn", "--out", str(tmp_path / "x")])
+        assert rc == EXIT_DATA
+        assert repr(value) in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_single_band(self, data_dir, model_dir, tmp_path):
@@ -225,6 +240,14 @@ class TestEnhanceEvaluate:
                    "--snrs", "0"])
         assert rc == EXIT_DATA
         assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snrs", ["0,inf", "nan", "-inf"])
+    def test_non_finite_snr_is_data_error(self, data_dir, model_dir, capsys, snrs):
+        for command in (["evaluate", "--model", str(model_dir)],
+                        ["gain-corr", "--model-a", str(model_dir), "--model-b", str(model_dir)]):
+            rc = main([*command, "--testset", str(data_dir), "--snrs", snrs])
+            assert rc == EXIT_DATA
+            assert f"bad SNR list {snrs!r}" in capsys.readouterr().err
 
     def test_gain_corr_self_is_one(self, data_dir, model_dir, capsys):
         rc = main(["gain-corr", "--model-a", str(model_dir), "--model-b", str(model_dir),
@@ -377,6 +400,14 @@ class TestBaselineCli:
         rc = main(["enhance", "--model", str(out), "--in", str(noisy_in),
                    "--out", str(enh)])
         assert rc == EXIT_OK
+
+    @pytest.mark.parametrize("hidden", ["0", "-3"])
+    def test_nonpositive_hidden_is_data_error(self, data_dir, tmp_path, capsys, hidden):
+        rc = main(["train-baseline", "--data", str(data_dir), "--hidden", hidden,
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_DATA
+        assert f"--hidden {hidden} is not a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestVerifyAndUsage:

@@ -251,6 +251,23 @@ class TestSynthSsn:
         with pytest.raises(ValueError):
             synth_ssn([pseudo_speech(5.0, seed=0)], 10.0, seed=0)
 
+    BLOCK = mixing._WELCH_BLOCK
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_seg=st.one_of(st.integers(1, 40), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1])),
+           tail=st.integers(0, mixing.SSN_FIR_TAPS // 2 - 1),
+           scale=st.floats(1e-6, 1e6), offset=st.floats(-1e3, 1e3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_welch_psd_is_scipy_welch_bit_for_bit(self, n_seg, tail, scale, offset, seed):
+        """Segment counts around the block size, lengths from one segment
+        up, with every leftover tail shorter than a hop."""
+        hop = mixing.SSN_FIR_TAPS // 2
+        x = offset + scale * np.random.default_rng(seed).standard_normal((n_seg + 1) * hop + tail)
+        freqs, psd = mixing._welch_psd(x)
+        ref_freqs, ref_psd = sp.welch(x, WORKING_RATE_HZ, nperseg=mixing.SSN_FIR_TAPS)
+        assert np.array_equal(freqs, ref_freqs)
+        assert np.array_equal(psd, ref_psd)
+
 
 class TestSynthBabble:
     REF = pseudo_corpus(8, 4.0, seed=42)

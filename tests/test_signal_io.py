@@ -248,6 +248,10 @@ class TestToWorkingRate:
         assert out.sample_rate_hz == 10000
         assert np.array_equal(out.samples, sig.samples)
 
+    def test_working_rate_input_is_not_copied(self):
+        sig = TimeSignal(np.zeros(100), WORKING_RATE_HZ)
+        assert to_working_rate(sig) is sig
+
     def test_sine_amplitude_preserved(self):
         # 1 kHz sine at 16 kHz -> 10 kHz; amplitude fit away from edges
         fs = 16000

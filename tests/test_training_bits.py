@@ -1,5 +1,6 @@
-"""The training step keeps its bits: golden digests of trained parameters,
-and the in-place forward/backward against the textbook formulas."""
+"""The training step keeps its bits: golden digests of trained parameters
+and of the speech-shaped noise they train on, and the in-place
+forward/backward against the textbook formulas."""
 
 import hashlib
 import json
@@ -27,7 +28,7 @@ def envelope_system(objective, joint):
         train_ds, val_ds, config, hidden=(16, 16), joint=joint,
         max_train_frames=300, max_val_frames=100,
     )
-    return system.models
+    return params(system.models)
 
 
 def classical_system():
@@ -38,12 +39,17 @@ def classical_system():
     system, _ = baseline.train_classical(
         train_ds, val_ds, config, hidden=(16, 16), max_train_frames=200, max_val_frames=60
     )
-    return [system.model]
+    return params([system.model])
+
+
+def params(models):
+    return b"".join(m.param_bytes() for m in models)
 
 
 # sha256 of the trained parameters as the textbook (allocating) training
 # step produced them; a changed digest means training no longer gives the
-# same models for the same seed
+# same models for the same seed. The SSN noise they train on is pinned as
+# scipy.signal.welch's long-term spectrum shaped it.
 GOLDEN = {
     "per-band elc": (
         lambda: envelope_system("elc", joint=False),
@@ -57,15 +63,15 @@ GOLDEN = {
         classical_system,
         "6f9ef22d9ada43677459431f426717da4154e032ff755b5ac2dc093b0a9df0ed",
     ),
+    "ssn noise": (
+        lambda: NOISE.samples.tobytes(),
+        "8663e0c07f2a354cbbe63d31217b8b1928344ceda95e512943e91f9c2acea147",
+    ),
 }
 
 
-def params_digest(models):
-    return hashlib.sha256(b"".join(m.param_bytes() for m in models)).hexdigest()
-
-
 def golden_digests():
-    return {name: params_digest(build()) for name, (build, _) in GOLDEN.items()}
+    return {name: hashlib.sha256(build()).hexdigest() for name, (build, _) in GOLDEN.items()}
 
 
 def test_trained_parameters_match_golden_digests():
