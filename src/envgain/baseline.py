@@ -14,18 +14,14 @@ window reaches pass through with unit gain. `ClassicalSystem.gains` lets
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import neural
+from . import modeldir, neural
 from .mixing import DEFAULT_SNR_RANGE_DB, _gather_windows, _mixtures
 from .octave import average_overlapping_gains
-from .pipeline import (
-    _forward_side_by_side, _load_norm, _parse_kv, _save_norm, _select_rows, _stft_config,
-    _streaming_norm, _write_kv,
-)
+from .pipeline import _forward_side_by_side, _select_rows, _streaming_norm
 from .pipeline import enhance as classical_enhance  # the shared path, by its old name
 from .signal_io import TimeSignal
 from .stft import StftConfig, magnitude
@@ -146,31 +142,17 @@ def train_classical(
 
 
 def save_classical(system: ClassicalSystem, dirpath) -> None:
-    d = Path(dirpath)
-    d.mkdir(parents=True, exist_ok=True)
-    _write_kv(d / "system.txt", {
+    fields = {
         "kind": "classical",
         "context": system.context,
         "predict": system.predict,
         "fft_size": system.stft_config.fft_size,
         "hop": system.stft_config.hop,
-    })
-    _save_norm(system.feature_norm, d / "feature_norm.bin")
-    neural.save_model(system.model, d / "baseline.mdl", "emse")
+    }
+    models = dict(zip(modeldir.model_files(fields), [system.model]))
+    modeldir.save(dirpath, fields, system.feature_norm, models, "emse")
 
 
 def load_classical(dirpath) -> ClassicalSystem:
-    d = Path(dirpath)
-    path = d / "system.txt"
-    meta = _parse_kv(path, {
-        "kind": ("classical",), "context": int, "predict": int, "fft_size": int, "hop": int,
-    })
-    cfg = _stft_config(path, meta["fft_size"], meta["hop"])
-    context, predict = meta["context"], meta["predict"]
-    n_bins = cfg.n_bins
-    model, _ = neural.load_model(
-        d / "baseline.mdl",
-        expected_input_dim=context * n_bins,
-        expected_output_dim=predict * n_bins,
-    )
-    return ClassicalSystem(model, cfg, _load_norm(d / "feature_norm.bin"), context, predict)
+    fields, cfg, _, norm, (model,) = modeldir.read(dirpath, modeldir.CLASSICAL_KINDS)
+    return ClassicalSystem(model, cfg, norm, fields["context"], fields["predict"])

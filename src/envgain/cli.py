@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baseline, mixing, neural, pipeline
+from . import baseline, mixing, modeldir, neural, pipeline
 from .signal_io import TimeSignal, WavError, read_wav, to_working_rate, write_wav
 
 EXIT_OK = 0
@@ -29,7 +29,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# kinds for `pipeline._typed` (int: positive); `seed` is any int, `hidden` a list
+# kinds for `modeldir.typed` (int: positive); `seed` is any int, `hidden` a list
 _CONFIG_KEYS = {
     "initial_lr_per_sample": float,
     "lr_decay": float,
@@ -120,7 +120,7 @@ def _parse_snr_range(text: str):
 def _parse_snr_list(text: str):
     try:
         snrs = [float(v) for v in text.split(",") if v.strip()]
-        if not all(map(math.isfinite, snrs)):
+        if not snrs or not all(map(math.isfinite, snrs)):
             raise ValueError
     except ValueError:
         raise ValueError(f"bad SNR list {text!r}, expected comma-separated finite dB values") from None
@@ -151,7 +151,7 @@ def _load_train_config(path, objective="elc") -> tuple[neural.TrainConfig, dict]
     config = neural.TrainConfig(objective=objective)
     if path is None:
         return config, extras
-    raw = pipeline._parse_kv(path)
+    raw = modeldir.parse_kv(path)
     unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}; "
@@ -161,9 +161,9 @@ def _load_train_config(path, objective="elc") -> tuple[neural.TrainConfig, dict]
         if key == "seed":
             fields[key] = int(value)
         elif key == "hidden":
-            extras[key] = tuple(pipeline._typed(path, key, v, int) for v in value.split(","))
+            extras[key] = tuple(modeldir.typed(path, key, v, int) for v in value.split(","))
         else:
-            typed = pipeline._typed(path, key, value, _CONFIG_KEYS[key])
+            typed = modeldir.typed(path, key, value, _CONFIG_KEYS[key])
             (extras if key in extras else fields)[key] = typed
     return replace(config, **fields), extras
 
@@ -218,23 +218,19 @@ def _cmd_synth_data(args) -> int:
 
     # caches are built from the quantized WAVs so that rebuilding from disk
     # reproduces them exactly
-    def reread(split):
-        d = out / f"clean_{split}"
-        return [read_wav(p) for p in sorted(d.glob("*.wav"))]
-
     noise_label = args.noise.split(":")[0]
     train_ds = mixing.build_dataset(
-        reread("train"), read_wav(out / "noise_train.wav"),
+        _read_split_wavs(out, "train"), read_wav(out / "noise_train.wav"),
         split="train", seed=args.seed + 2, snr_range_db=snr_range, noise_source=noise_label,
     )
     val_ds = mixing.build_dataset(
-        reread("val"), read_wav(out / "noise_val.wav"),
+        _read_split_wavs(out, "val"), read_wav(out / "noise_val.wav"),
         split="validation", seed=args.seed + 3, snr_range_db=snr_range, noise_source=noise_label,
     )
     mixing.save_dataset(train_ds, out / "train.pack")
     mixing.save_dataset(val_ds, out / "val.pack")
 
-    pipeline._write_kv(out / "meta.txt", {
+    modeldir.write_kv(out / "meta.txt", {
         "seed": args.seed,
         "noise": noise_label,
         "snr_range": f"{snr_range[0]:g}:{snr_range[1]:g}",
@@ -258,8 +254,6 @@ def _load_packs(data_dir):
 def _cmd_train(args) -> int:
     train_ds, val_ds = _load_packs(args.data)
     config, extras = _load_train_config(args.config, args.objective)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     caps = dict(
         max_train_frames=extras["max_train_frames"], max_val_frames=extras["max_val_frames"]
     )
@@ -269,7 +263,7 @@ def _cmd_train(args) -> int:
             train_ds, val_ds, config, hidden=extras["hidden"],
             joint=args.band == "joint", **caps,
         )
-        pipeline.save_system(system, out)
+        pipeline.save_system(system, args.out)
         for i, report in enumerate(reports):
             _print_report("joint" if args.band == "joint" else f"band {i:2d}", report)
     else:
@@ -282,10 +276,9 @@ def _cmd_train(args) -> int:
         model, report, norm = pipeline.train_band_model(
             train_ds, val_ds, band, config, hidden=extras["hidden"], **caps
         )
-        neural.save_model(model, out / f"band_{band:02d}.mdl", config.objective)
-        pipeline._save_norm(norm, out / "feature_norm.bin")
-        fields = pipeline._system_fields("per-band", config.objective, train_ds, "zero")
-        pipeline._write_kv(out / "system.txt", fields)
+        fields = modeldir.envelope_fields("per-band", config.objective, train_ds, "zero")
+        models = {modeldir.model_files(fields)[band]: model}
+        modeldir.save(args.out, fields, norm, models, config.objective)
         _print_report(f"band {band}", report)
     return EXIT_OK
 
@@ -302,7 +295,7 @@ def _cmd_train_baseline(args) -> int:
     if args.hidden < 1:
         raise ValueError(f"--hidden {args.hidden} is not a positive integer")
     data = Path(args.data)
-    meta = pipeline._parse_kv(data / "meta.txt")
+    meta = modeldir.parse_kv(data / "meta.txt")
     seed = int(meta.get("seed", "0"))
     snr_range = _parse_snr_range(meta.get("snr_range", "-5:10"))
     config, extras = _load_train_config(args.config, objective="emse")
@@ -327,17 +320,16 @@ def _cmd_train_baseline(args) -> int:
 
 def _load_any_system(model_dir):
     """(system, kind) of a model directory."""
-    meta = pipeline._parse_kv(Path(model_dir) / "system.txt")
-    if meta.get("kind") == "classical":
-        return baseline.load_classical(model_dir), "classical"
-    return pipeline.load_system(model_dir), meta.get("kind", "per-band")
+    kind = modeldir.parse_kv(Path(model_dir) / "system.txt").get("kind")
+    load = baseline.load_classical if kind == "classical" else pipeline.load_system
+    return load(model_dir), kind
 
 
 def _read_testset(testset):
     """(clean test utterances, test noise, noise label) of a synth-data directory."""
     cleans = _read_split_wavs(testset, "test")
     noise = read_wav(Path(testset) / "noise_test.wav")
-    meta = pipeline._parse_kv(Path(testset) / "meta.txt")
+    meta = modeldir.parse_kv(Path(testset) / "meta.txt")
     return cleans, noise, meta.get("noise", "noise")
 
 
@@ -350,23 +342,23 @@ def _cmd_enhance(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    snrs = _parse_snr_list(args.snrs)
     system, _ = _load_any_system(args.model)
     cleans, noise, label = _read_testset(args.testset)
-    rows = pipeline.evaluate_system(
-        system, cleans, noise, _parse_snr_list(args.snrs), seed=args.seed, noise_type=label
-    )
+    rows = pipeline.evaluate_system(system, cleans, noise, snrs, seed=args.seed, noise_type=label)
     sys.stdout.write(pipeline.report_tables(rows, args.format))
     return EXIT_OK
 
 
 def _cmd_gain_corr(args) -> int:
+    snrs = _parse_snr_list(args.snrs)
     system_a, kind_a = _load_any_system(args.model_a)
     system_b, kind_b = _load_any_system(args.model_b)
     if "classical" in (kind_a, kind_b):
         raise ValueError("gain-corr requires two envelope-gain models")
     cleans, noise, label = _read_testset(args.testset)
     levels = [mixing.active_speech_level(clean) for clean in cleans]
-    for snr in _parse_snr_list(args.snrs):
+    for snr in snrs:
         noisy = list(pipeline._seeded_mixtures(cleans, levels, noise, snr, args.seed))
         corr = pipeline.gain_correlation(system_a, system_b, noisy)
         print(f"{label}  {snr:+5.1f} dB  correlation {corr:.4f}")

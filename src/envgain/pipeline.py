@@ -22,18 +22,15 @@ its enhancement.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import cost, framed, mixing, neural
+from . import cost, mixing, modeldir, neural
 from .mixing import EnvelopeDataset, active_speech_level
 from .octave import (
     ENVELOPE_LEN,
-    OUT_OF_BAND,
     BandLayout,
     average_overlapping_gains,
     band_gains_to_stft_gains,
@@ -44,8 +41,6 @@ from .signal_io import WORKING_RATE_HZ, TimeSignal
 from .stft import (
     Spectrogram, StftConfig, analyze, apply_gain, magnitude, pad_to_frames, synthesize,
 )
-
-NORM_FRAME = framed.Frame(b"ASTON", 1, "feature-norm file", neural.ModelFormatError)
 
 _FEATURE_CHUNK = 4096
 
@@ -86,17 +81,6 @@ class EnhancementSystem:
         vectors = _gain_vectors(self, mag)  # (V, J, N); window v starts at frame v
         band_gains = average_overlapping_gains(vectors.transpose(0, 2, 1), len(mag), 0).T
         return band_gains_to_stft_gains(band_gains, self.layout, self.out_of_band)
-
-
-def _compatible(a: EnhancementSystem, b: EnhancementSystem) -> bool:
-    return (
-        a.stft_config == b.stft_config
-        and a.n_env == b.n_env
-        and a.layout.fft_size == b.layout.fft_size
-        and a.layout.sample_rate_hz == b.layout.sample_rate_hz
-        and [band.center_hz for band in a.layout.bands]
-        == [band.center_hz for band in b.layout.bands]
-    )
 
 
 def _require_working_rate(sig: TimeSignal, what: str):
@@ -262,7 +246,8 @@ def gain_correlation(
 ) -> float:
     """Pearson correlation between the two systems' concatenated gain-vector
     entries over the same inputs."""
-    if not _compatible(system_a, system_b):
+    shapes = [(s.stft_config, s.n_env, s.layout) for s in (system_a, system_b)]
+    if shapes[0] != shapes[1]:
         raise ValueError("systems have different layout or STFT configuration")
     ga, gb = [], []
     for sig in signals:
@@ -270,14 +255,10 @@ def gain_correlation(
         mag = magnitude(_padded_noisy(sig, system_a.stft_config), system_a.stft_config)
         ga.append(_gain_vectors(system_a, mag).reshape(-1))
         gb.append(_gain_vectors(system_b, mag).reshape(-1))
-    a = np.concatenate(ga)
-    b = np.concatenate(gb)
-    ac = a - a.mean()
-    bc = b - b.mean()
-    na, nb = np.linalg.norm(ac), np.linalg.norm(bc)
-    if na < cost.EPS or nb < cost.EPS:
-        raise cost.DegenerateEnvelopeError("gain sequence has zero variance")
-    return float(np.dot(ac, bc) / (na * nb))
+    try:
+        return cost.elc(np.concatenate(ga), np.concatenate(gb))
+    except cost.DegenerateEnvelopeError:
+        raise cost.DegenerateEnvelopeError("gain sequence has zero variance") from None
 
 
 # ---------------------------------------------------------------------------
@@ -481,157 +462,20 @@ def report_tables(rows: Sequence[EvalRow], fmt: str = "text") -> str:
 
 
 # ---------------------------------------------------------------------------
-# system save / load
-
-
-def _save_norm(norm: neural.FeatureNorm, path):
-    parts = [struct.pack("<I", len(norm.mean))]
-    parts += [np.ascontiguousarray(a, dtype="<f8") for a in (norm.mean, norm.std)]
-    framed.write(path, NORM_FRAME, parts)
-
-
-def _load_norm(path) -> neural.FeatureNorm:
-    body = framed.Reader(path, NORM_FRAME)
-    (dim,) = body.unpack("<I")
-    mean, std = body.array("<f8", dim), body.array("<f8", dim)
-    body.done()
-    if not np.all(np.isfinite(mean)):
-        raise neural.ModelFormatError(f"{path}: non-finite feature mean")
-    if not np.all(np.isfinite(std) & (std > 0)):
-        raise neural.ModelFormatError(f"{path}: feature std must be finite and positive")
-    return neural.FeatureNorm(mean, std)
-
-
-def _system_fields(kind: str, objective: str, source, out_of_band: str) -> dict:
-    """The system.txt record of an envelope-gain model directory; `source`
-    (a system or its training dataset) supplies layout, STFT config and
-    n_env."""
-    layout, cfg = source.layout, source.stft_config
-    return {
-        "kind": kind,
-        "objective": objective,
-        "n_bands": layout.n_bands,
-        "n_env": source.n_env,
-        "fft_size": cfg.fft_size,
-        "hop": cfg.hop,
-        "sample_rate_hz": layout.sample_rate_hz,
-        "first_center_hz": f"{layout.bands[0].center_hz:g}",
-        "out_of_band": out_of_band,
-    }
-
-
-def _model_files(kind: str, n_bands: int) -> list[str]:
-    """File names of a system's networks, in the order of `models`."""
-    return ["joint.mdl"] if kind == "joint" else [f"band_{j:02d}.mdl" for j in range(n_bands)]
+# system save / load (format: see `modeldir`)
 
 
 def save_system(system: EnhancementSystem, dirpath) -> None:
-    d = Path(dirpath)
-    d.mkdir(parents=True, exist_ok=True)
     kind = "joint" if system.is_joint else "per-band"
-    _write_kv(d / "system.txt", _system_fields(kind, system.objective, system, system.out_of_band))
-    _save_norm(system.feature_norm, d / "feature_norm.bin")
-    for name, model in zip(_model_files(kind, system.layout.n_bands), system.models):
-        neural.save_model(model, d / name, system.objective)
-
-
-def _write_kv(path, fields: dict) -> None:
-    """Write a flat `key = value` file, atomically; `_parse_kv` reads it."""
-    with framed.replacing(path) as fh:
-        fh.write("".join(f"{key} = {val}\n" for key, val in fields.items()).encode("utf-8"))
-
-
-def _parse_kv(path, required: dict | None = None) -> dict:
-    """Read a flat `key = value` file. `required` maps each key that must be
-    present to its kind (see `_typed`); a missing key or a value not of its
-    kind raises ModelFormatError naming the key, and required values come
-    back converted."""
-    out = {}
-    for number, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
-        try:
-            line = raw.decode("utf-8").split("#", 1)[0].strip()
-        except UnicodeDecodeError:
-            raise neural.ModelFormatError(f"{path}: line {number} is not UTF-8") from None
-        if not line:
-            continue
-        if "=" not in line:
-            raise neural.ModelFormatError(f"{path}: line {number} {line!r} is not key = value")
-        key, val = (part.strip() for part in line.split("=", 1))
-        out[key] = val
-    required = required or {}
-    missing = [key for key in required if key not in out]
-    if missing:
-        raise neural.ModelFormatError(f"{path}: missing key(s) {', '.join(missing)}")
-    for key, kind in required.items():
-        out[key] = _typed(path, key, out[key], kind)
-    return out
-
-
-def _typed(path, key: str, value: str, kind):
-    """`value` as `kind`: a tuple of the allowed strings, int (positive) or
-    float. Anything else raises ModelFormatError naming `key`."""
-    if isinstance(kind, tuple):
-        if value in kind:
-            return value
-        expected = "one of " + ", ".join(kind)
-    else:
-        try:
-            number = kind(value)
-            if kind is float or number > 0:
-                return number
-        except ValueError:
-            pass
-        expected = "a positive integer" if kind is int else "a number"
-    raise neural.ModelFormatError(f"{path}: {key} = {value!r} is not {expected}")
-
-
-def _stft_config(path, fft_size: int, hop: int) -> StftConfig:
-    try:
-        return StftConfig(fft_size, fft_size, hop)
-    except ValueError as exc:
-        raise neural.ModelFormatError(f"{path}: {exc}") from None
-
-
-_SYSTEM_KEYS = {
-    "kind": ("per-band", "joint"), "objective": neural.OBJECTIVES, "n_bands": int,
-    "n_env": int, "fft_size": int, "hop": int, "sample_rate_hz": int, "first_center_hz": float,
-}
+    fields = modeldir.envelope_fields(kind, system.objective, system, system.out_of_band)
+    models = dict(zip(modeldir.model_files(fields), system.models))
+    modeldir.save(dirpath, fields, system.feature_norm, models, system.objective)
 
 
 def load_system(dirpath) -> EnhancementSystem:
-    d = Path(dirpath)
-    path = d / "system.txt"
-    meta = _parse_kv(path, _SYSTEM_KEYS)
-    out_of_band = _typed(path, "out_of_band", meta.get("out_of_band", "zero"), OUT_OF_BAND)
-    n_bands, n_env = meta["n_bands"], meta["n_env"]
-    cfg = _stft_config(path, meta["fft_size"], meta["hop"])
-    try:
-        layout = build_band_layout(
-            cfg.fft_size, meta["sample_rate_hz"], n_bands, meta["first_center_hz"]
-        )
-    except (ValueError, ArithmeticError) as exc:
-        raise neural.ModelFormatError(f"{path}: bad band fields: {exc}") from None
-    norm = _load_norm(d / "feature_norm.bin")
-    names = _model_files(meta["kind"], n_bands)
-    models = []
-    for name in names:
-        model, objective = neural.load_model(
-            d / name, expected_input_dim=n_bands * n_env,
-            expected_output_dim=n_bands * n_env // len(names),
-        )
-        if objective != meta["objective"]:
-            raise neural.ModelFormatError(
-                f"{d / name}: objective {objective} != {meta['objective']} in system.txt"
-            )
-        models.append(model)
-    joint = meta["kind"] == "joint"
+    fields, cfg, layout, norm, models = modeldir.read(dirpath, modeldir.ENVELOPE_KINDS)
+    joint = fields["kind"] == "joint"
     return EnhancementSystem(
-        band_models=None if joint else models,
-        joint_model=models[0] if joint else None,
-        layout=layout,
-        stft_config=cfg,
-        feature_norm=norm,
-        objective=meta["objective"],
-        n_env=n_env,
-        out_of_band=out_of_band,
+        None if joint else models, models[0] if joint else None, layout, cfg, norm,
+        fields["objective"], fields["n_env"], fields["out_of_band"],
     )

@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from envgain import baseline, mixing, neural, pipeline
+from envgain import baseline, mixing, modeldir, neural, pipeline
 from envgain.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from envgain.signal_io import read_wav
 
@@ -249,6 +249,17 @@ class TestEnhanceEvaluate:
             assert rc == EXIT_DATA
             assert f"bad SNR list {snrs!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snrs", ["", ","])
+    @pytest.mark.parametrize("command", ["evaluate", "gain-corr"])
+    def test_empty_snr_list_is_data_error(self, tmp_path, capsys, command, snrs):
+        # the list is checked before any model or test set is read; none exists
+        none = str(tmp_path / "none")
+        models = ["--model", none] if command == "evaluate" else ["--model-a", none,
+                                                                  "--model-b", none]
+        rc = main([command, *models, "--testset", none, "--snrs", snrs])
+        assert rc == EXIT_DATA
+        assert f"bad SNR list {snrs!r}" in capsys.readouterr().err
+
     def test_gain_corr_self_is_one(self, data_dir, model_dir, capsys):
         rc = main(["gain-corr", "--model-a", str(model_dir), "--model-b", str(model_dir),
                    "--testset", str(data_dir), "--snrs", "5"])
@@ -332,8 +343,8 @@ class TestEnhanceEvaluate:
     def test_enhance_bad_feature_norm_is_data_error(self, data_dir, model_dir, tmp_path):
         model = tmp_path / "mdl"
         shutil.copytree(model_dir, model)
-        dim = len(pipeline._load_norm(model / "feature_norm.bin").mean)
-        pipeline._save_norm(
+        dim = len(modeldir.load_norm(model / "feature_norm.bin").mean)
+        modeldir.save_norm(
             neural.FeatureNorm(np.full(dim, np.nan), np.zeros(dim)), model / "feature_norm.bin"
         )
         noisy_in = next(iter((data_dir / "clean_test").glob("*.wav")))

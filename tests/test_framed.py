@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envgain import framed, mixing, neural, pipeline
+from envgain import framed, mixing, modeldir, neural
 
 
 def golden_model():
@@ -44,8 +44,8 @@ FORMATS = {
         "4e95edd6df1e0d541a744ed4270b7ccf835077df0c2c27a17457d7f066aa769f",
     ),
     "norm": (
-        lambda path: pipeline._save_norm(golden_norm(), path),
-        pipeline._load_norm,
+        lambda path: modeldir.save_norm(golden_norm(), path),
+        modeldir.load_norm,
         neural.ModelFormatError,
         "848bc87751ed7e9f691cac77cef29eecf281b5e22ac18cb4333b38ae2d5e8437",
     ),

@@ -1,11 +1,14 @@
-"""Model directories: the bytes every writer puts on disk."""
+"""Model directories: the bytes every writer puts on disk, and the
+`key = value` codec of system.txt, meta.txt and config files."""
 
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from envgain import baseline, neural, pipeline
+from envgain import baseline, modeldir, neural, pipeline
 from envgain.octave import build_band_layout
 from envgain.stft import StftConfig
 
@@ -78,3 +81,55 @@ def test_directory_digests_unchanged(tmp_path, kind):
     files = sorted((tmp_path / kind).iterdir())
     assert [p.name for p in files] == sorted(digests)  # no temp files left
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files} == digests
+
+
+
+@pytest.mark.parametrize("kind", sorted(DIRECTORIES))
+def test_feature_norm_must_fit_the_networks(tmp_path, kind):
+    build, save, _ = DIRECTORIES[kind]
+    save(build(), tmp_path)
+    modeldir.save_norm(fixed_norm(10), tmp_path / "feature_norm.bin")
+    kinds = modeldir.CLASSICAL_KINDS if kind == "classical" else modeldir.ENVELOPE_KINDS
+    with pytest.raises(neural.ModelFormatError, match="feature_norm.bin: dim 10 != expected"):
+        modeldir.read(tmp_path, kinds)
+
+
+def test_classical_network_must_be_tagged_emse(tmp_path):
+    system = classical_system()
+    baseline.save_classical(system, tmp_path)
+    neural.save_model(system.model, tmp_path / "baseline.mdl", "elc")
+    with pytest.raises(neural.ModelFormatError, match="baseline.mdl: objective elc != emse"):
+        baseline.load_classical(tmp_path)
+
+# a key or value the codec keeps as written: no separator, comment or line
+# break inside and no whitespace that parsing strips from its edges
+kv_text = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="=#\n\r")
+).filter(lambda text: text == text.strip())
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields=st.dictionaries(kv_text, kv_text, max_size=8))
+def test_kv_round_trip(tmp_path_factory, fields):
+    path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+    modeldir.write_kv(path, fields)
+    assert modeldir.parse_kv(path) == fields
+
+
+SYSTEM_REQUIRED = {"kind": modeldir.ENVELOPE_KINDS, **modeldir.SYSTEM_KEYS["per-band"]}
+# every required key present, with any text as its value, so the typing runs
+system_records = st.fixed_dictionaries({key: st.text(max_size=12) for key in SYSTEM_REQUIRED}).map(
+    lambda fields: "".join(f"{key} = {val}\n" for key, val in fields.items()).encode("utf-8")
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.one_of(st.binary(max_size=400), system_records))
+def test_kv_bytes_parse_or_raise_the_format_error(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+    path.write_bytes(raw)
+    for required in (None, SYSTEM_REQUIRED):
+        try:
+            modeldir.parse_kv(path, required)
+        except neural.ModelFormatError:
+            pass

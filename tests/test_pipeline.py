@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envgain import baseline, cost, mixing, neural, pipeline
+from envgain import baseline, cost, mixing, modeldir, neural, pipeline
 from envgain.cost import DegenerateEnvelopeError
 from envgain.octave import build_band_layout, envelopes
 from envgain.signal_io import WORKING_RATE_HZ, TimeSignal
@@ -465,11 +465,11 @@ class TestSystemFiles:
         good = np.ones(450)
         bad = neural.FeatureNorm(good.copy(), good.copy())
         bad.mean[7], bad.std[7] = mean, std
-        pipeline._save_norm(bad, path)
+        modeldir.save_norm(bad, path)
         with pytest.raises(neural.ModelFormatError):
-            pipeline._load_norm(path)
-        pipeline._save_norm(neural.FeatureNorm(good, good), path)
-        assert np.array_equal(pipeline._load_norm(path).std, good)
+            modeldir.load_norm(path)
+        modeldir.save_norm(neural.FeatureNorm(good, good), path)
+        assert np.array_equal(modeldir.load_norm(path).std, good)
 
     def test_system_txt_bytes(self, tmp_path):
         pipeline.save_system(SYSTEM, tmp_path / "mdl")
