@@ -22,8 +22,8 @@ for j, band in enumerate(layout.bands):
 
 # a 1 kHz tone should land in the band whose edges straddle 1 kHz
 tone = synth_tone(1000.0, 0.5, 0.4)
-spec = analyze(tone, cfg)
-env = envelopes(spec.magnitude, layout)
+spec = analyze(tone, cfg)  # complex (frames, 129) spectrum
+env = envelopes(np.abs(spec), layout)
 energies = env.mean(axis=1)
 print(f"\n1 kHz tone: strongest band = {int(np.argmax(energies))} "
       f"(center {layout.bands[int(np.argmax(energies))].center_hz:.0f} Hz)")
@@ -31,7 +31,7 @@ print(f"\n1 kHz tone: strongest band = {int(np.argmax(energies))} "
 # round trip: interior samples come back to machine precision
 rng = np.random.default_rng(0)
 x = rng.standard_normal(4 * 256)
-out = synthesize(analyze(x, cfg)).samples
+out = synthesize(analyze(x, cfg), cfg).samples
 interior = slice(256, len(out) - 256)
 err = np.max(np.abs(out[interior] - x[: len(out)][interior]))
 print(f"reconstruction error on the interior: {err:.2e} (relative to peak "

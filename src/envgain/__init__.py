@@ -44,7 +44,7 @@ from .pipeline import (
     train_enhancement_system,
 )
 from .signal_io import WORKING_RATE_HZ, TimeSignal, read_wav, synth_tone, to_working_rate, write_wav
-from .stft import Spectrogram, StftConfig, analyze, apply_gain, synthesize
+from .stft import StftConfig, analyze, apply_gain, synthesize
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "to_working_rate",
     "synth_tone",
     "StftConfig",
-    "Spectrogram",
     "analyze",
     "synthesize",
     "apply_gain",

@@ -29,18 +29,23 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# kinds for `modeldir.typed` (int: positive); `seed` is any int, `hidden` a list
+# the one checked form of a number in a config file or an option: its type,
+# the values allowed and how an error message names them
+_COUNT = (int, lambda v: v > 0, "a positive integer")
+_SEED = (int, lambda v: v >= 0, "a non-negative integer")
+_RATE = (float, lambda v: 0.0 < v < math.inf, "a finite positive number")
 _CONFIG_KEYS = {
-    "initial_lr_per_sample": float,
-    "lr_decay": float,
-    "lr_floor": float,
-    "max_epochs": int,
-    "minibatch": int,
-    "seed": int,
-    "hidden": int,
-    "max_train_frames": int,
-    "max_val_frames": int,
+    "initial_lr_per_sample": _RATE,
+    "lr_decay": (float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
+    "lr_floor": _RATE,
+    "max_epochs": _COUNT,
+    "minibatch": _COUNT,
+    "seed": _SEED,
+    "hidden": _COUNT,  # each entry of a comma-separated list
+    "max_train_frames": _COUNT,
+    "max_val_frames": _COUNT,
 }
+_OPTIONS = {"seed": _SEED, "hidden": _COUNT}  # numeric options, as the same kinds
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,7 +71,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--noise", required=True,
                    help="ssn | babble | file:PATH")
     p.add_argument("--snr-range", default="-5:10", help="training SNR range LO:HI in dB")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train envelope-gain networks")
@@ -78,7 +83,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train-baseline", help="train the spectral-magnitude MSE baseline")
     p.add_argument("--data", required=True)
-    p.add_argument("--hidden", type=int, default=512, help="hidden units per layer, e.g. 512 or 4096")
+    p.add_argument("--hidden", default="512", help="hidden units per layer, e.g. 512 or 4096")
     p.add_argument("--config", help="key = value training overrides")
     p.add_argument("--out", required=True)
 
@@ -92,17 +97,30 @@ def _build_parser() -> _Parser:
     p.add_argument("--testset", required=True)
     p.add_argument("--snrs", default="-5,0,5")
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
 
     p = sub.add_parser("gain-corr", help="gain-vector correlation between two models")
     p.add_argument("--model-a", required=True)
     p.add_argument("--model-b", required=True)
     p.add_argument("--testset", required=True)
     p.add_argument("--snrs", default="-5,5")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
 
     sub.add_parser("verify", help="run the analytic-vs-numeric gradient checks")
     return parser
+
+
+def _checked(what: str, text: str, kind):
+    """`text` converted by `kind`'s type if the value is allowed; otherwise a
+    ValueError that says `what` is not what the kind expects."""
+    convert, allowed, expected = kind
+    try:
+        value = convert(text)
+        if allowed(value):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{what} is not {expected}")
 
 
 def _parse_snr_range(text: str):
@@ -158,12 +176,11 @@ def _load_train_config(path, objective="elc") -> tuple[neural.TrainConfig, dict]
                          f"allowed: {sorted(_CONFIG_KEYS)}")
     fields = {}
     for key, value in raw.items():
-        if key == "seed":
-            fields[key] = int(value)
-        elif key == "hidden":
-            extras[key] = tuple(modeldir.typed(path, key, v, int) for v in value.split(","))
+        if key == "hidden":
+            extras[key] = tuple(_checked(f"{path}: {key} = {v!r}", v, _COUNT)
+                                for v in value.split(","))
         else:
-            typed = modeldir.typed(path, key, value, _CONFIG_KEYS[key])
+            typed = _checked(f"{path}: {key} = {value!r}", value, _CONFIG_KEYS[key])
             (extras if key in extras else fields)[key] = typed
     return replace(config, **fields), extras
 
@@ -292,11 +309,10 @@ def _read_split_wavs(data_dir, split):
 
 
 def _cmd_train_baseline(args) -> int:
-    if args.hidden < 1:
-        raise ValueError(f"--hidden {args.hidden} is not a positive integer")
     data = Path(args.data)
     meta = modeldir.parse_kv(data / "meta.txt")
-    seed = int(meta.get("seed", "0"))
+    seed = meta.get("seed", "0")
+    seed = _checked(f"{data / 'meta.txt'}: seed = {seed!r}", seed, _SEED)
     snr_range = _parse_snr_range(meta.get("snr_range", "-5:10"))
     config, extras = _load_train_config(args.config, objective="emse")
     hidden = (args.hidden,) * 3 if extras["hidden"] == neural.DEFAULT_HIDDEN else extras["hidden"]
@@ -380,6 +396,10 @@ def _cmd_verify() -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for option, kind in _OPTIONS.items():
+            if hasattr(args, option):
+                text = getattr(args, option)
+                setattr(args, option, _checked(f"--{option} {text}", text, kind))
         if args.command == "synth-data":
             return _cmd_synth_data(args)
         if args.command == "train":

@@ -46,7 +46,7 @@ OBJECTIVES = ("elc", "emse")
 
 
 class NumericError(RuntimeError):
-    """Training produced a non-finite cost."""
+    """Training produced a non-finite cost, parameter or network output."""
 
 
 class ModelFormatError(ValueError):
@@ -109,6 +109,9 @@ class MlpModel:
     def param_bytes(self) -> bytes:
         """Concatenated parameter bytes; handy for bit-exactness checks."""
         return b"".join(a.tobytes() for la in self.layers for a in la.params())
+
+    def is_finite(self) -> bool:
+        return all(np.isfinite(a).all() for la in self.layers for a in la.params())
 
 
 def init_model(layer_dims: Sequence[int], seed: int) -> MlpModel:
@@ -399,6 +402,8 @@ def evaluate_cost(model: MlpModel, data: ArrayDataset, objective: str, batch: in
         # because the in-place one raised the train benchmark's peak RSS by
         # about 25 MB in 3 of 6 runs
         gains, _ = _forward_cached(model, data.features[sl], False)
+        if not np.isfinite(gains).all():
+            raise NumericError("non-finite network output")
         loss, _, _ = _loss_and_grad(gains, data.clean[sl], data.noisy[sl], objective)
         total += float(loss.sum())
     return total / len(data)
@@ -447,6 +452,10 @@ def train(
             del res  # free this step's gradients before the next step makes its own
         train_cost = cost_sum / len(perm)
         trained = time.perf_counter()
+        # the ELC loss scores a NaN window as degenerate, with value and
+        # gradient 0, so a diverged network can show a finite cost
+        if not model.is_finite():
+            raise NumericError(f"non-finite parameters at epoch {len(epochs)}, lr {schedule.lr:g}")
         val_cost = evaluate_cost(model, validation_data, config.objective)
         validated = time.perf_counter()
         if not (np.isfinite(train_cost) and np.isfinite(val_cost)):
@@ -520,9 +529,9 @@ def load_model(path, expected_input_dim=None, expected_output_dim=None):
         bn = BatchNorm(*(body.array("<f8", out_dim) for _ in range(4))) if has_bn else None
         layers.append(Layer(w, b, "relu" if act == 0 else "sigmoid", bn))
     body.done()
-    if not all(np.isfinite(a).all() for layer in layers for a in layer.params()):
-        raise ModelFormatError(f"{path}: non-finite parameters")
     model = MlpModel(layers)
+    if not model.is_finite():
+        raise ModelFormatError(f"{path}: non-finite parameters")
     for side, dim, expected in (("input", model.input_dim, expected_input_dim),
                                 ("output", model.output_dim, expected_output_dim)):
         if expected is not None and dim != expected:

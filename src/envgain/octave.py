@@ -8,11 +8,11 @@ as ``[k1, k2)``.
 
 Band envelopes are the root-sum-square of the band's magnitude bins per
 frame, computed from an (M, K/2+1) STFT magnitude array (`stft.magnitude`,
-or a spectrogram's `.magnitude`). A length-N envelope vector for (band j,
-frame m) holds the N most recent envelope values ending at frame m; with
-the default N = 30 and 12.8 ms hop one vector spans 384 ms. Per-window gain
-vectors share that alignment; `average_overlapping_gains` averages them
-into per-frame gains.
+or ``np.abs`` of the complex spectrum `stft.analyze` returns). A length-N
+envelope vector for (band j, frame m) holds the N most recent envelope
+values ending at frame m; with the default N = 30 and 12.8 ms hop one
+vector spans 384 ms. Per-window gain vectors share that alignment;
+`average_overlapping_gains` averages them into per-frame gains.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def envelopes(magnitude: np.ndarray, layout: BandLayout) -> np.ndarray:
     if mag.ndim != 2:
         raise ValueError(f"expected an (M, bins) magnitude array, got shape {mag.shape}")
     if layout.bands[-1].k2 > mag.shape[1]:
-        raise ValueError("layout bin range exceeds spectrogram bins")
+        raise ValueError("layout bin range exceeds the magnitude array's bins")
     sq = mag * mag  # squared once; each band sums its columns
     out = np.empty((layout.n_bands, mag.shape[0]))
     for j, band in enumerate(layout.bands):

@@ -8,8 +8,9 @@ system, this one or the classical baseline, supplies `gains`: (M, K/2+1)
 noisy STFT magnitudes in, (M, K/2+1) STFT gains out. Here those are the
 gain vectors of every window as one (V, J, N) array, their overlapping
 estimates averaged per frame and spread uniformly over each band's bins.
-`enhance` analyzes the noisy audio once and resynthesizes the system's
-gains of it with the noisy phase; output duration equals input duration.
+`enhance` analyzes the noisy audio once into its complex STFT, scales
+that by the system's gains of its magnitudes, so the noisy phase is kept,
+and resynthesizes; output duration equals input duration.
 
 Scoring averages the envelope correlation over all (band, window) pairs;
 the intelligibility score exposed here is the clip-free variant of that
@@ -38,9 +39,7 @@ from .octave import (
     envelopes,
 )
 from .signal_io import WORKING_RATE_HZ, TimeSignal
-from .stft import (
-    Spectrogram, StftConfig, analyze, apply_gain, magnitude, pad_to_frames, synthesize,
-)
+from .stft import StftConfig, analyze, apply_gain, magnitude, pad_to_frames, synthesize
 
 _FEATURE_CHUNK = 4096
 
@@ -118,8 +117,9 @@ def _forward_side_by_side(models, feats: np.ndarray, chunk: int) -> np.ndarray:
     return out
 
 
-def _resynthesize(noisy: TimeSignal, spec: Spectrogram, stft_gains: np.ndarray) -> TimeSignal:
-    out = synthesize(apply_gain(spec, stft_gains))
+def _resynthesize(noisy: TimeSignal, spectrum: np.ndarray, stft_gains: np.ndarray,
+                  config: StftConfig) -> TimeSignal:
+    out = synthesize(apply_gain(spectrum, stft_gains), config)
     return TimeSignal(out.samples[: len(noisy)], WORKING_RATE_HZ)
 
 
@@ -139,14 +139,17 @@ def enhance_with_band_gains(
 ) -> TimeSignal:
     """Apply per-frame band gains to a noisy signal and resynthesize with
     the noisy phase. Used by both the networks and oracle-gain harnesses."""
-    spec = analyze(_padded_noisy(noisy, config), config)
-    return _resynthesize(noisy, spec, band_gains_to_stft_gains(band_gains, layout, out_of_band))
+    spectrum = analyze(_padded_noisy(noisy, config), config)
+    stft_gains = band_gains_to_stft_gains(band_gains, layout, out_of_band)
+    return _resynthesize(noisy, spectrum, stft_gains, config)
 
 
-def _analyze_and_enhance(system, noisy: TimeSignal) -> tuple[Spectrogram, TimeSignal]:
-    """The noisy spectrogram and the enhanced signal, from one analysis."""
-    spec = analyze(_padded_noisy(noisy, system.stft_config), system.stft_config)
-    return spec, _resynthesize(noisy, spec, system.gains(spec.magnitude))
+def _analyze_and_enhance(system, noisy: TimeSignal) -> tuple[np.ndarray, TimeSignal]:
+    """The noisy STFT magnitudes and the enhanced signal, from one analysis."""
+    config = system.stft_config
+    spectrum = analyze(_padded_noisy(noisy, config), config)
+    mag = np.abs(spectrum)
+    return mag, _resynthesize(noisy, spectrum, system.gains(mag), config)
 
 
 def enhance(system, noisy: TimeSignal) -> TimeSignal:
@@ -416,9 +419,9 @@ def evaluate_system(
         elc_up, elc_enh = [], []
         mixtures = _seeded_mixtures(clean_list, levels, noise, snr, seed)
         for clean, clean_env, noisy in zip(clean_list, clean_envs, mixtures):
-            spec, enhanced = _analyze_and_enhance(system, noisy)
+            noisy_mag, enhanced = _analyze_and_enhance(system, noisy)
             # score_elc(clean, x, layout, config); x has the clean's length and rate
-            noisy_env = envelopes(spec.magnitude, layout)
+            noisy_env = envelopes(noisy_mag, layout)
             enhanced_env = _envelopes_of(enhanced, layout, config)
             elc_up.append(_score_envelopes(clean_env, noisy_env, ENVELOPE_LEN))
             elc_enh.append(_score_envelopes(clean_env, enhanced_env, ENVELOPE_LEN))

@@ -8,9 +8,10 @@ Conventions, fixed so results are reproducible bit-for-bit:
   sample 0 with no pre-padding, and only frames that fit entirely inside
   the signal are produced: ``M = (len - window_len) // hop + 1``; the
   frames are a read-only strided view of the signal, not a copy;
-* `magnitude` gives the (M, fft_size/2 + 1) STFT magnitudes alone, which
-  is all that envelopes, features and scores read; `analyze` adds the
-  phase, which only resynthesis needs;
+* the one spectral value is the complex (M, fft_size/2 + 1) spectrum that
+  `analyze` returns; `magnitude` is its absolute value, which is all that
+  envelopes, features and scores read. `apply_gain` scales the spectrum
+  by real gains, which scales the magnitudes and keeps the phase;
 * synthesis applies the Hann window again, overlap-adds, and divides by
   the accumulated squared window, so analyze -> synthesize is the identity
   on the fully-overlapped interior. Edge samples (first/last half window)
@@ -22,7 +23,7 @@ analysis when full coverage is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,31 +69,6 @@ class StftConfig:
         return (n_samples - self.window_len) // self.hop + 1
 
 
-@dataclass(frozen=True)
-class Spectrogram:
-    """Single-sided magnitude/phase frames, shape (M, fft_size/2 + 1)."""
-
-    magnitude: np.ndarray
-    phase: np.ndarray
-    config: StftConfig = field(default_factory=StftConfig)
-
-    def __post_init__(self):
-        mag = np.asarray(self.magnitude, dtype=np.float64)
-        ph = np.asarray(self.phase, dtype=np.float64)
-        if mag.shape != ph.shape:
-            raise ValueError(f"magnitude {mag.shape} and phase {ph.shape} shapes differ")
-        if mag.ndim != 2 or mag.shape[1] != self.config.n_bins:
-            raise ValueError(f"expected (M, {self.config.n_bins}) arrays, got {mag.shape}")
-        if np.any(mag < 0):
-            raise ValueError("magnitude must be non-negative")
-        object.__setattr__(self, "magnitude", mag)
-        object.__setattr__(self, "phase", ph)
-
-    @property
-    def n_frames(self) -> int:
-        return self.magnitude.shape[0]
-
-
 def frame_signal(x: np.ndarray, config: StftConfig) -> np.ndarray:
     """Read-only (M, window_len) view of x's frames per the module convention."""
     config.n_frames(len(x))  # rejects a signal shorter than one window
@@ -110,25 +86,20 @@ def pad_to_frames(x: np.ndarray, config: StftConfig) -> np.ndarray:
     return np.concatenate([x, np.zeros(config.hop - rem)])
 
 
-def _spectrum(signal, config: StftConfig) -> np.ndarray:
-    """Complex (M, fft_size/2 + 1) Hann-windowed rfft frames."""
+def analyze(signal, config: StftConfig = StftConfig()) -> np.ndarray:
+    """Complex (M, fft_size/2 + 1) Hann-windowed rfft frames of a
+    TimeSignal or sample array."""
     x = np.asarray(getattr(signal, "samples", signal), dtype=np.float64)
     return np.fft.rfft(frame_signal(x, config) * config.window(), n=config.fft_size, axis=1)
 
 
 def magnitude(signal, config: StftConfig = StftConfig()) -> np.ndarray:
-    """STFT magnitudes of a TimeSignal or sample array, (M, fft_size/2 + 1);
-    bit for bit ``analyze(signal, config).magnitude``, without the phase."""
-    return np.abs(_spectrum(signal, config))
+    """STFT magnitudes of a TimeSignal or sample array, (M, fft_size/2 + 1):
+    ``np.abs(analyze(signal, config))``."""
+    return np.abs(analyze(signal, config))
 
 
-def analyze(signal, config: StftConfig = StftConfig()) -> Spectrogram:
-    """Hann-windowed single-sided STFT of a TimeSignal or sample array."""
-    spec = _spectrum(signal, config)
-    return Spectrogram(np.abs(spec), np.angle(spec), config)
-
-
-def synthesize(spec: Spectrogram) -> TimeSignal:
+def synthesize(spectrum: np.ndarray, config: StftConfig = StftConfig()) -> TimeSignal:
     """Weighted overlap-add inverse of `analyze`, at the working rate.
 
     Returns ``(M-1)*hop + window_len`` samples. Interior samples match the
@@ -139,15 +110,16 @@ def synthesize(spec: Spectrogram) -> TimeSignal:
     resynthesis is amplified; non-uniform gains push those samples past
     full scale.
     """
-    cfg = spec.config
-    win = cfg.window()
-    frames = np.fft.irfft(spec.magnitude * np.exp(1j * spec.phase), n=cfg.fft_size, axis=1)
-    frames = frames[:, : cfg.window_len] * win
+    spectrum = np.asarray(spectrum)
+    if spectrum.ndim != 2 or spectrum.shape[1] != config.n_bins:
+        raise ValueError(f"expected an (M, {config.n_bins}) spectrum, got {spectrum.shape}")
+    win = config.window()
+    frames = np.fft.irfft(spectrum, n=config.fft_size, axis=1)[:, : config.window_len] * win
 
     # with hop = window_len / 2 output block b is frame b's first half plus
     # frame b-1's second half: at most two addends per sample, from zero
-    hop = cfg.hop
-    out = np.zeros((spec.n_frames + 1, hop))
+    hop = config.hop
+    out = np.zeros((len(frames) + 1, hop))
     out[:-1] += frames[:, :hop]
     out[1:] += frames[:, hop:]
     wsq = win * win
@@ -157,11 +129,12 @@ def synthesize(spec: Spectrogram) -> TimeSignal:
     return TimeSignal((out / np.maximum(den, _OLA_FLOOR)).reshape(-1), WORKING_RATE_HZ)
 
 
-def apply_gain(spec: Spectrogram, gains: np.ndarray) -> Spectrogram:
-    """Multiply magnitudes elementwise by a gain matrix; phase unchanged."""
+def apply_gain(spectrum: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """Scale a complex spectrum elementwise by non-negative real gains: the
+    magnitudes are multiplied, the phase is unchanged."""
     g = np.asarray(gains, dtype=np.float64)
-    if g.shape != spec.magnitude.shape:
-        raise ValueError(f"gain shape {g.shape} != spectrogram shape {spec.magnitude.shape}")
+    if g.shape != spectrum.shape:
+        raise ValueError(f"gain shape {g.shape} != spectrum shape {spectrum.shape}")
     if not np.all(np.isfinite(g)) or np.any(g < 0):
         raise ValueError("gains must be finite and non-negative")
-    return Spectrogram(spec.magnitude * g, spec.phase.copy(), spec.config)
+    return spectrum * g

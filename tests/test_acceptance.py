@@ -4,12 +4,15 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one pass/fail line
 per criterion. The toy end-to-end training (criterion 8) builds a seeded
 synthetic corpus of 20 minutes of pseudo-speech and trains both a
 correlation-objective and an MSE-objective system at reduced width; the
-determinism criterion repeats it bit-for-bit.
+determinism criterion runs it twice, in two processes at once, and
+compares the runs bit-for-bit.
 """
 
 import hashlib
+import multiprocessing
 import struct
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ import pytest
 from envgain import mixing, neural, pipeline, verification
 from envgain.neural import LrSchedule, TrainConfig
 from envgain.octave import band_gains_to_stft_gains, build_band_layout, envelopes
-from envgain.stft import Spectrogram, StftConfig, analyze, apply_gain, synthesize
+from envgain.stft import StftConfig, analyze, apply_gain, synthesize
 
 CFG = StftConfig()
 LAYOUT = build_band_layout()
@@ -83,7 +86,7 @@ def test_criterion_4_stft_perfect_reconstruction():
     for _ in range(100):
         n = int(rng.integers(3 * 256, 10 * 256))
         x = rng.standard_normal(n)
-        out = synthesize(analyze(x, CFG)).samples
+        out = synthesize(analyze(x, CFG), CFG).samples
         interior = slice(256, len(out) - 256)
         err = np.max(np.abs(out[interior] - x[: len(out)][interior])) / np.max(np.abs(x))
         worst = max(worst, err)
@@ -96,11 +99,11 @@ def test_criterion_5_uniform_band_gain_consistency():
     for _ in range(20):
         m = int(rng.integers(2, 12))
         mag = rng.uniform(0.1, 2.0, (m, CFG.n_bins))
-        spec = Spectrogram(mag, rng.uniform(-np.pi, np.pi, (m, CFG.n_bins)), CFG)
+        spec = mag * np.exp(1j * rng.uniform(-np.pi, np.pi, (m, CFG.n_bins)))
         gains = rng.uniform(0.0, 1.0, (15, m))
-        env_before = envelopes(spec.magnitude, LAYOUT)
+        env_before = envelopes(np.abs(spec), LAYOUT)
         gained = apply_gain(spec, band_gains_to_stft_gains(gains, LAYOUT))
-        env_after = envelopes(gained.magnitude, LAYOUT)
+        env_after = envelopes(np.abs(gained), LAYOUT)
         err = np.abs(env_after - gains * env_before) / env_before
         worst = max(worst, float(err.max()))
     report(5, worst <= 1e-12, f"band-gain envelope identity, worst relative error {worst:.2e}")
@@ -208,7 +211,14 @@ def toy_training_run():
 
 @pytest.fixture(scope="module")
 def toy_runs():
-    return toy_training_run(), toy_training_run()
+    """Both toy runs at once, each in its own spawned process. The children
+    inherit OPENBLAS_NUM_THREADS=1 and read it when they load numpy, so both
+    runs use one BLAS thread, and criterion 10 compares two processes."""
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("OPENBLAS_NUM_THREADS", "1")
+        with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+            runs = [pool.submit(toy_training_run) for _ in range(2)]
+            return tuple(run.result() for run in runs)
 
 
 @pytest.mark.slow

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from envgain import baseline, mixing, modeldir, neural, pipeline
-from envgain.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from envgain.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from envgain.signal_io import read_wav
 
 TINY_CONFIG = """
@@ -204,6 +204,55 @@ class TestTrain:
                    "--out", str(tmp_path / "x")])
         assert rc == EXIT_DATA
         assert defect in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, value, expected", [
+        ("config", "lr_decay = nan", "lr_decay = 'nan' is not a number in (0, 1]"),
+        ("config", "lr_decay = 2", "lr_decay = '2' is not a number in (0, 1]"),
+        ("config", "lr_decay = 0", "lr_decay = '0' is not a number in (0, 1]"),
+        ("config", "lr_floor = -1", "lr_floor = '-1' is not a finite positive number"),
+        ("config", "lr_floor = nan", "lr_floor = 'nan' is not a finite positive number"),
+        ("config", "initial_lr_per_sample = inf",
+         "initial_lr_per_sample = 'inf' is not a finite positive number"),
+        ("config", "initial_lr_per_sample = 0",
+         "initial_lr_per_sample = '0' is not a finite positive number"),
+        ("config", "seed = abc", "seed = 'abc' is not a non-negative integer"),
+        ("config", "seed = -1", "seed = '-1' is not a non-negative integer"),
+        ("synth-data", "-1", "--seed -1 is not a non-negative integer"),
+        ("evaluate", "-1", "--seed -1 is not a non-negative integer"),
+        ("gain-corr", "abc", "--seed abc is not a non-negative integer"),
+    ])
+    def test_bad_config_or_seed_value_is_data_error(self, data_dir, tmp_path, capsys,
+                                                    command, value, expected):
+        out = tmp_path / "x"
+        if command == "config":
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"max_epochs = 1\n{value}\n")
+            expected = f"{cfg}: {expected}"
+            argv = ["train", "--data", str(data_dir), "--band", "2", "--config", str(cfg),
+                    "--out", str(out)]
+        else:
+            required = {
+                "synth-data": ["--manifest", "pseudo:3x1", "--noise", "ssn", "--out", str(out)],
+                "evaluate": ["--model", str(out), "--testset", str(data_dir)],
+                "gain-corr": ["--model-a", str(out), "--model-b", str(out),
+                              "--testset", str(data_dir)],
+            }[command]
+            argv = [command, *required, "--seed", value]
+        assert main(argv) == EXIT_DATA
+        assert f"envgain: {expected}\n" == capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diverged_training_is_numeric_error(self, data_dir, tmp_path, capsys):
+        # ELC training diverges to non-finite parameters or outputs while its
+        # costs stay finite; it must fail and write no model directory
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(TINY_CONFIG + "initial_lr_per_sample = 1e300\n")
+        rc = main(["train", "--data", str(data_dir), "--band", "3", "--config", str(cfg),
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_NUMERIC
+        assert "envgain: numeric failure: non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestEnhanceEvaluate:
     def test_enhance_wav(self, data_dir, model_dir, tmp_path):

@@ -299,6 +299,14 @@ class TestTrain:
         with pytest.raises(NumericError):
             train(init_model([8, 4, 3], seed=19), data, data, TrainConfig(objective="emse"))
 
+    def test_diverged_elc_training_raises(self):
+        # ELC scores a NaN window as degenerate, with value 0: the costs stay
+        # finite, so only the parameters or the network output show the divergence
+        data = toy_identity_gain_data(200, seed=3)
+        config = TrainConfig(objective="elc", initial_lr_per_sample=1e300, max_epochs=2, seed=19)
+        with pytest.raises(NumericError, match="non-finite (parameters|network output)"):
+            train(init_model([8, 8, 8], seed=19), data, data, config)
+
 
 class TestModelFiles:
     def test_round_trip_bit_exact(self, tmp_path):

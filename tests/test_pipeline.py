@@ -66,7 +66,7 @@ class TestEnhance:
         m = CFG.n_frames(len(pad_to_frames(noisy.samples, CFG)))
         ones = np.ones((15, m))
         out = pipeline.enhance_with_band_gains(noisy, ones, LAYOUT, CFG, "passthrough")
-        resynth = synthesize(analyze(pad_to_frames(noisy.samples, CFG), CFG))
+        resynth = synthesize(analyze(pad_to_frames(noisy.samples, CFG), CFG), CFG)
         assert np.array_equal(out.samples, resynth.samples[: len(noisy)])
         interior = slice(256, len(noisy) - 256)
         err = np.max(np.abs(out.samples[interior] - noisy.samples[interior]))
@@ -112,8 +112,7 @@ def reference_band_gains(system, noisy):
 
 def reference_classical_gains(system, noisy):
     """Per-window accumulation loop the array path replaced."""
-    spec = analyze(pad_to_frames(noisy.samples, system.stft_config), system.stft_config)
-    mag = spec.magnitude
+    mag = np.abs(analyze(pad_to_frames(noisy.samples, system.stft_config), system.stft_config))
     m, n_bins = mag.shape
     windows = np.lib.stride_tricks.sliding_window_view(mag, system.context, axis=0)
     feats = system.feature_norm.apply(
@@ -154,7 +153,7 @@ class TestSingleAnalysisEquivalence:
             noisy = TimeSignal(noisy.samples[: 4000 + 1717 * seed], FS)
             spec = analyze(pad_to_frames(noisy.samples, CFG), CFG)
             windows = np.lib.stride_tricks.sliding_window_view(
-                envelopes(spec.magnitude, system.layout), system.n_env, axis=1
+                envelopes(np.abs(spec), system.layout), system.n_env, axis=1
             )  # (J, V, N)
             j, v, n = windows.shape
             feats = system.feature_norm.apply(np.log1p(windows.transpose(1, 0, 2).reshape(v, -1)))
@@ -176,8 +175,47 @@ class TestSingleAnalysisEquivalence:
         _, noisy = noisy_fixture(seed=90)
         gains = reference_classical_gains(system, noisy)
         spec = analyze(pad_to_frames(noisy.samples, CFG), CFG)
-        expected = synthesize(apply_gain(spec, gains)).samples[: len(noisy)]
+        expected = synthesize(apply_gain(spec, gains), CFG).samples[: len(noisy)]
         assert np.array_equal(baseline.classical_enhance(system, noisy).samples, expected)
+
+
+def polar_enhance(system, noisy):
+    """Enhancement by the magnitude/phase round trip resynthesis used to
+    take: irfft(|X| g exp(j angle X)), then the per-frame weighted
+    overlap-add."""
+    config = system.stft_config
+    spec = analyze(pad_to_frames(noisy.samples, config), config)
+    mag, phase = np.abs(spec), np.angle(spec)
+    frames = np.fft.irfft(mag * system.gains(mag) * np.exp(1j * phase), n=config.fft_size, axis=1)
+    win = config.window()
+    out = np.zeros((len(frames) - 1) * config.hop + config.window_len)
+    den = np.zeros_like(out)
+    for i, frame in enumerate(frames * win):
+        sl = slice(i * config.hop, i * config.hop + config.window_len)
+        out[sl] += frame
+        den[sl] += win * win
+    return (out / np.maximum(den, 1e-15))[: len(noisy)]
+
+
+class TestComplexSpectrumResynthesis:
+    """Scaling the complex spectrum by the gains matches the polar formula up
+    to rounding: within 1e-15 in the interior and 1e-12 at the edges, where
+    only one small window weight covers a sample."""
+
+    @pytest.mark.parametrize("kind", ["per-band", "joint", "classical"])
+    def test_enhance_matches_polar_formula(self, kind):
+        system = {
+            "per-band": lambda: SYSTEM,
+            "joint": joint_system,
+            "classical": tiny_classical_system,
+        }[kind]()
+        for seed in range(4):
+            _, noisy = noisy_fixture(snr=-5.0 + 5 * seed, seed=100 + seed)
+            noisy = TimeSignal(noisy.samples[: 4000 + 2311 * seed], FS)
+            gap = np.abs(pipeline.enhance(system, noisy).samples - polar_enhance(system, noisy))
+            interior = slice(CFG.window_len, len(noisy) - CFG.window_len)
+            assert gap[interior].max() <= 1e-15
+            assert gap.max() <= 1e-12
 
 
 class RecordingNorm(neural.FeatureNorm):
@@ -222,7 +260,7 @@ class TestFrameLevelLog:
         pipeline.predict_gain_vectors(system, noisy)
         spec = analyze(pad_to_frames(noisy.samples, CFG), CFG)
         windows = np.lib.stride_tricks.sliding_window_view(
-            envelopes(spec.magnitude, LAYOUT), system.n_env, axis=1
+            envelopes(np.abs(spec), LAYOUT), system.n_env, axis=1
         )  # (J, V, N)
         v = windows.shape[1]
         (seen,) = recording.seen
@@ -234,7 +272,7 @@ class TestFrameLevelLog:
         system = tiny_classical_system()
         recording = RecordingNorm(system.feature_norm)
         baseline.classical_enhance(replace(system, feature_norm=recording), noisy)
-        mag = analyze(pad_to_frames(noisy.samples, CFG), CFG).magnitude
+        mag = np.abs(analyze(pad_to_frames(noisy.samples, CFG), CFG))
         windows = np.lib.stride_tricks.sliding_window_view(mag, system.context, axis=0)
         (seen,) = recording.seen
         assert np.array_equal(seen, np.log1p(windows.transpose(0, 2, 1).reshape(len(seen), -1)))
@@ -353,7 +391,7 @@ class TestScoreEnvelopes:
 
     def test_score_elc_is_the_envelope_score(self):
         clean, noisy = noisy_fixture()
-        envs = [envelopes(analyze(pad_to_frames(s.samples, CFG), CFG).magnitude, LAYOUT)
+        envs = [envelopes(np.abs(analyze(pad_to_frames(s.samples, CFG), CFG)), LAYOUT)
                 for s in (clean, noisy)]
         assert pipeline.score_elc(clean, noisy, return_counts=True) == per_band_score(
             *envs, 30
@@ -687,8 +725,8 @@ class TestMagnitudeDataset:
     def test_magnitudes_are_analysis_magnitudes(self):
         mixtures = mixing._mixtures(SPEECH[:3], NOISE, 5, mixing.DEFAULT_SNR_RANGE_DB, None)
         for u, (speech, mixture, _) in enumerate(mixtures):
-            assert np.array_equal(self.DS.clean_mag[u], analyze(speech, CFG).magnitude)
-            assert np.array_equal(self.DS.noisy_mag[u], analyze(mixture, CFG).magnitude)
+            assert np.array_equal(self.DS.clean_mag[u], np.abs(analyze(speech, CFG)))
+            assert np.array_equal(self.DS.noisy_mag[u], np.abs(analyze(mixture, CFG)))
 
 
 class TestClassicalBaseline:
@@ -719,9 +757,9 @@ class TestClassicalBaseline:
         spec = analyze(pad_to_frames(noisy.samples, CFG), CFG)
         # every estimate is 0.5; frames before the first prediction window
         # pass through untouched
-        gains = np.full(spec.magnitude.shape, 0.5)
+        gains = np.full(spec.shape, 0.5)
         gains[: system.context - system.predict] = 1.0
-        expected = synthesize(apply_gain(spec, gains)).samples[: len(noisy)]
+        expected = synthesize(apply_gain(spec, gains), CFG).samples[: len(noisy)]
         assert np.array_equal(baseline.classical_enhance(system, noisy).samples, expected)
 
     def test_enhance_preserves_duration(self):

@@ -1,6 +1,7 @@
 """STFT analysis/synthesis: reconstruction, Parseval, linearity, and the
 strided frame view and magnitude-only analysis pinned to the index-gather
-forms they replaced."""
+forms they replaced. `analyze` returns the complex spectrum; magnitudes
+and phases are read from it with `np.abs` and `np.angle`."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from envgain.signal_io import TimeSignal
 from envgain.stft import (
-    Spectrogram,
     StftConfig,
     analyze,
     apply_gain,
@@ -36,31 +36,31 @@ def direct_dft_magnitudes(frame):
 class TestAnalyze:
     def test_dc_frame_concentrates_in_bin_zero(self):
         x = np.ones(256)
-        spec = analyze(x, CFG)
-        assert spec.n_frames == 1
+        mag = np.abs(analyze(x, CFG))
+        assert len(mag) == 1
         oracle = direct_dft_magnitudes(x * hann_periodic(256))
-        assert np.allclose(spec.magnitude[0], oracle, atol=1e-9)
+        assert np.allclose(mag[0], oracle, atol=1e-9)
         # periodic Hann sums to exactly half the window length
-        assert spec.magnitude[0, 0] == pytest.approx(128.0, abs=1e-9)
-        assert np.all(spec.magnitude[0, 2:] < 1e-9)
+        assert mag[0, 0] == pytest.approx(128.0, abs=1e-9)
+        assert np.all(mag[0, 2:] < 1e-9)
 
     def test_zero_signal(self):
         spec = analyze(np.zeros(1024), CFG)
-        assert np.all(spec.magnitude == 0.0)
+        assert np.all(np.abs(spec) == 0.0)
 
     def test_pure_sine_hits_single_bin(self):
         # 1250 Hz at fs=10000, K=256 lands exactly on bin 32
         n = np.arange(256 + 5 * 128)
         x = np.sin(2 * np.pi * 1250 * n / 10000)
-        spec = analyze(x, CFG)
-        assert np.all(np.argmax(spec.magnitude, axis=1) == 32)
+        mag = np.abs(analyze(x, CFG))
+        assert np.all(np.argmax(mag, axis=1) == 32)
         oracle = direct_dft_magnitudes(x[:256] * hann_periodic(256))
-        assert np.allclose(spec.magnitude[0], oracle, atol=1e-9)
+        assert np.allclose(mag[0], oracle, atol=1e-9)
 
     def test_frame_count_formula(self):
         for n in (256, 257, 384, 385, 512, 1000):
             spec = analyze(np.ones(n), CFG)
-            assert spec.n_frames == (n - 256) // 128 + 1
+            assert spec.shape == ((n - 256) // 128 + 1, CFG.n_bins)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -71,20 +71,20 @@ class TestAnalyze:
         x = rng.standard_normal(1000)
         base = analyze(x, CFG)
         scaled = analyze(2.5 * x, CFG)
-        assert np.allclose(scaled.magnitude, 2.5 * base.magnitude, rtol=1e-12, atol=1e-12)
-        significant = base.magnitude > 1e-6
-        phase_diff = np.angle(np.exp(1j * (scaled.phase - base.phase)))
+        assert np.allclose(np.abs(scaled), 2.5 * np.abs(base), rtol=1e-12, atol=1e-12)
+        significant = np.abs(base) > 1e-6
+        phase_diff = np.angle(np.exp(1j * (np.angle(scaled) - np.angle(base))))
         assert np.max(np.abs(phase_diff[significant])) < 1e-9
 
     def test_parseval_per_frame(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(256 + 4 * 128)
-        spec = analyze(x, CFG)
+        mag = np.abs(analyze(x, CFG))
         win = hann_periodic(256)
-        for m in range(spec.n_frames):
+        for m in range(len(mag)):
             frame = x[m * 128 : m * 128 + 256] * win
             e_time = np.sum(frame**2)
-            m2 = spec.magnitude[m] ** 2
+            m2 = mag[m] ** 2
             e_freq = (m2[0] + 2 * m2[1:-1].sum() + m2[-1]) / 256
             assert abs(e_freq / e_time - 1.0) < 1e-9
 
@@ -114,17 +114,15 @@ class TestFrontEnd:
     @settings(max_examples=60, deadline=None)
     @given(signals)
     def test_magnitude_is_analyze_magnitude(self, x):
-        assert np.array_equal(magnitude(x, CFG), analyze(x, CFG).magnitude)
+        assert np.array_equal(magnitude(x, CFG), np.abs(analyze(x, CFG)))
         sig = TimeSignal(x, 10000)
-        assert np.array_equal(magnitude(sig, CFG), analyze(sig, CFG).magnitude)
+        assert np.array_equal(magnitude(sig, CFG), np.abs(analyze(sig, CFG)))
 
     @settings(max_examples=30, deadline=None)
     @given(signals)
     def test_analyze_equals_index_gather_rfft(self, x):
         spec = np.fft.rfft(index_gather_frames(x, CFG) * CFG.window(), n=CFG.fft_size, axis=1)
-        out = analyze(x, CFG)
-        assert np.array_equal(out.magnitude, np.abs(spec))
-        assert np.array_equal(out.phase, np.angle(spec))
+        assert np.array_equal(analyze(x, CFG), spec)
 
     def test_short_signal_rejected(self):
         with pytest.raises(ValueError, match="shorter than one window"):
@@ -138,37 +136,37 @@ class TestSynthesize:
         rng = np.random.default_rng(2)
         for trial in range(10):
             x = rng.standard_normal(rng.integers(3 * 256, 6 * 256))
-            out = synthesize(analyze(x, CFG)).samples
+            out = synthesize(analyze(x, CFG), CFG).samples
             interior = slice(256, len(out) - 256)
             err = np.max(np.abs(out[interior] - x[: len(out)][interior]))
             assert err <= 1e-10 * np.max(np.abs(x))
 
     def test_zero_spectrogram(self):
         shape = (4, CFG.n_bins)
-        out = synthesize(Spectrogram(np.zeros(shape), np.zeros(shape), CFG))
+        out = synthesize(np.zeros(shape, dtype=complex), CFG)
         assert np.all(out.samples == 0.0)
 
     def test_magnitude_scaling_scales_output(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(1024)
         spec = analyze(x, CFG)
-        base = synthesize(spec).samples
-        doubled = synthesize(Spectrogram(2.0 * spec.magnitude, spec.phase, CFG)).samples
+        base = synthesize(spec, CFG).samples
+        doubled = synthesize(2.0 * spec, CFG).samples
         assert np.allclose(doubled, 2.0 * base, rtol=1e-12, atol=1e-12)
 
     def test_output_length(self):
         spec = analyze(np.ones(256 + 7 * 128), CFG)
-        out = synthesize(spec)
+        out = synthesize(spec, CFG)
         assert len(out) == 256 + 7 * 128
 
     @pytest.mark.parametrize("n_frames", [1, 2, 3, 8, 41])
     def test_matches_per_frame_overlap_add(self, n_frames):
         rng = np.random.default_rng(n_frames)
         shape = (n_frames, CFG.n_bins)
-        spec = Spectrogram(rng.uniform(0, 2, shape), rng.uniform(-np.pi, np.pi, shape), CFG)
+        spec = rng.uniform(0, 2, shape) * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
         # the per-frame loop the strided overlap-add replaced
         win = CFG.window()
-        frames = np.fft.irfft(spec.magnitude * np.exp(1j * spec.phase), n=CFG.fft_size, axis=1)
+        frames = np.fft.irfft(spec, n=CFG.fft_size, axis=1)
         frames = frames[:, : CFG.window_len] * win
         out = np.zeros((n_frames - 1) * CFG.hop + CFG.window_len)
         den = np.zeros_like(out)
@@ -177,7 +175,12 @@ class TestSynthesize:
             out[sl] += frames[i]
             den[sl] += win * win
         expected = out / np.maximum(den, 1e-15)
-        assert np.array_equal(synthesize(spec).samples, expected)
+        assert np.array_equal(synthesize(spec, CFG).samples, expected)
+
+    def test_rejects_spectrum_of_another_config(self):
+        spec = analyze(np.ones(1024), StftConfig(512, 512, 256))
+        with pytest.raises(ValueError, match=r"expected an \(M, 129\) spectrum"):
+            synthesize(spec, CFG)
 
 
 class TestApplyGain:
@@ -187,31 +190,26 @@ class TestApplyGain:
 
     def test_unit_gain_identity(self):
         spec = self._spec()
-        out = apply_gain(spec, np.ones_like(spec.magnitude))
-        assert np.array_equal(out.magnitude, spec.magnitude)
-        assert np.array_equal(out.phase, spec.phase)
+        out = apply_gain(spec, np.ones(spec.shape))
+        assert np.array_equal(out, spec)
 
     def test_zero_gain(self):
         spec = self._spec()
-        out = apply_gain(spec, np.zeros_like(spec.magnitude))
-        assert np.all(out.magnitude == 0.0)
-        assert np.array_equal(out.phase, spec.phase)
+        out = apply_gain(spec, np.zeros(spec.shape))
+        assert np.all(out == 0.0)
 
     def test_half_gain(self):
         spec = self._spec()
-        out = apply_gain(spec, np.full_like(spec.magnitude, 0.5))
-        assert np.allclose(out.magnitude, 0.5 * spec.magnitude, rtol=0, atol=0)
+        out = apply_gain(spec, np.full(spec.shape, 0.5))
+        assert np.allclose(np.abs(out), 0.5 * np.abs(spec), rtol=0, atol=0)
+        assert np.array_equal(np.angle(out), np.angle(spec))
 
     def test_rejects_negative_and_mismatched(self):
         spec = self._spec()
         with pytest.raises(ValueError):
-            apply_gain(spec, -np.ones_like(spec.magnitude))
+            apply_gain(spec, -np.ones(spec.shape))
         with pytest.raises(ValueError):
             apply_gain(spec, np.ones((1, CFG.n_bins)))
-
-    def test_rejects_shape_mismatch_spectrogram(self):
-        with pytest.raises(ValueError):
-            Spectrogram(np.zeros((3, CFG.n_bins)), np.zeros((2, CFG.n_bins)), CFG)
 
 
 class TestPadding:
@@ -224,7 +222,7 @@ class TestPadding:
             assert (m - 1) * 128 + 256 == len(padded)
 
     def test_synthesize_returns_working_rate(self):
-        out = synthesize(analyze(np.ones(512), CFG))
+        out = synthesize(analyze(np.ones(512), CFG), CFG)
         assert isinstance(out, TimeSignal)
         assert out.sample_rate_hz == 10000
 
