@@ -8,7 +8,8 @@ MSE between the gained noisy magnitudes and the clean magnitudes, i.e.
 the same estimate-vs-target MSE as the envelope trainer, applied across
 frequency instead of within a band. Leading frames that no prediction
 window reaches pass through with unit gain. `ClassicalSystem.gains` lets
-`pipeline.enhance` (also bound here as `classical_enhance`) serve it.
+`pipeline.enhance` (also bound here as `classical_enhance`) serve it, and
+`pipeline._train`, the envelope networks' training front end, trains it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import modeldir, neural
 from .mixing import DEFAULT_SNR_RANGE_DB, _gather_windows, _mixtures
 from .octave import average_overlapping_gains
-from .pipeline import _forward_side_by_side, _select_rows, _streaming_norm
+from .pipeline import _forward_side_by_side, _train
 from .pipeline import enhance as classical_enhance  # the shared path, by its old name
 from .signal_io import TimeSignal
 from .stft import StftConfig, magnitude
@@ -59,6 +60,8 @@ class MagnitudeDataset:
         return feats.reshape(len(feats), -1)
 
     def targets(self, rows):
+        """Clean and noisy magnitudes of each row's last `predict` frames:
+        two (R, predict*(K/2+1)) arrays."""
         clean, noisy = _gather_windows(
             self.index, rows, self.predict, self.clean_mag, self.noisy_mag, axis=0
         )
@@ -70,14 +73,13 @@ def build_magnitude_dataset(
     noise: TimeSignal,
     seed: int = 0,
     snr_range_db=DEFAULT_SNR_RANGE_DB,
-    snr_list_db=None,
     stft_config: StftConfig = StftConfig(),
     context: int = CONTEXT_FRAMES,
     predict: int = PREDICT_FRAMES,
 ) -> MagnitudeDataset:
     """Magnitude-domain counterpart of mixing.build_dataset."""
     clean_mags, noisy_mags, index = [], [], []
-    mixtures = _mixtures(speech_list, noise, seed, snr_range_db, snr_list_db)
+    mixtures = _mixtures(speech_list, noise, seed, snr_range_db)
     for u, (speech, mixture, _) in enumerate(mixtures):
         clean_mags.append(magnitude(speech, stft_config))
         noisy_mags.append(magnitude(mixture, stft_config))
@@ -117,26 +119,11 @@ def train_classical(
     max_val_frames: int | None = None,
 ) -> tuple[ClassicalSystem, neural.TrainReport]:
     """Train the spectral-magnitude MSE baseline (objective is always the
-    magnitude-domain MSE)."""
+    magnitude-domain MSE), with its own row salt and feature-norm chunk."""
     config = replace(config, objective="emse")
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xBA5E]))
-    train_rows = _select_rows(train_ds.n_frames, max_train_frames, rng)
-    val_rows = _select_rows(val_ds.n_frames, max_val_frames, rng)
-
-    norm = _streaming_norm(train_ds.features, train_rows, 2048)
-    keys = np.random.SeedSequence(config.seed).generate_state(2)
-    dims = [train_ds.context * train_ds.n_bins, *hidden, train_ds.predict * train_ds.n_bins]
-    model = neural.init_model(dims, seed=int(keys[0]))
-
-    def materialize(ds, rows):
-        clean, noisy = ds.targets(rows)
-        return neural.ArrayDataset(norm.apply(ds.features(rows)), clean, noisy)
-
-    model, report = neural.train(
-        model,
-        materialize(train_ds, train_rows),
-        materialize(val_ds, val_rows),
-        replace(config, seed=int(keys[1])),
+    (model,), (report,), norm = _train(
+        train_ds, val_ds, [None], config, hidden, max_train_frames, max_val_frames,
+        salt=0xBA5E, chunk=2048,
     )
     return ClassicalSystem(model, train_ds.stft_config, norm, train_ds.context, train_ds.predict), report
 

@@ -161,7 +161,10 @@ def _mix_at_level(speech: TimeSignal, speech_level: float, noise: TimeSignal, sn
     if cut_rms <= 0.0:
         raise ValueError("silent noise segment")
     target_noise_level = speech_level - snr_db
-    gain = 10.0 ** ((target_noise_level - 20.0 * np.log10(cut_rms)) / 20.0)
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        gain = 10.0 ** ((target_noise_level - 20.0 * np.log10(cut_rms)) / 20.0)
+    if not np.isfinite(gain):
+        raise ValueError(f"noise gain for {snr_db:g} dB SNR is not finite")
     scaled = cut * gain
     return (
         TimeSignal(speech.samples + scaled, speech.sample_rate_hz),
@@ -409,33 +412,26 @@ class EnvelopeDataset:
         )
         return gathered.reshape(len(gathered), -1)
 
-    def band_targets(self, rows, band: int):
+    def targets(self, rows, bands: slice = slice(None)):
+        """Clean and noisy envelope windows of the selected bands: two
+        (R, bands, N) arrays."""
         clean, noisy = _gather_windows(
             self.index, rows, self.n_env,
-            [env[band] for env in self.clean_env], [env[band] for env in self.noisy_env],
-        )
-        return clean, noisy
-
-    def joint_targets(self, rows):
-        clean, noisy = _gather_windows(
-            self.index, rows, self.n_env, self.clean_env, self.noisy_env
+            [env[bands] for env in self.clean_env], [env[bands] for env in self.noisy_env],
         )
         return clean, noisy
 
 
-def _mixtures(speech_list, noise, seed, snr_range_db, snr_list_db):
+def _mixtures(speech_list, noise, seed, snr_range_db):
     """Yield (speech, mixture, snr) per utterance at the working rate. Each
-    utterance has its own seeded stream; the SNR cycles through
-    `snr_list_db` when given, else is drawn uniformly from `snr_range_db`."""
+    utterance has its own seeded stream, which draws its SNR uniformly from
+    `snr_range_db`."""
     noise = to_working_rate(noise)
     children = np.random.SeedSequence(seed).spawn(len(speech_list))
     for u, raw in enumerate(speech_list):
         rng = np.random.default_rng(children[u])
         speech = to_working_rate(raw)
-        if snr_list_db is not None:
-            snr = float(snr_list_db[u % len(snr_list_db)])
-        else:
-            snr = float(rng.uniform(*snr_range_db))
+        snr = float(rng.uniform(*snr_range_db))
         yield speech, mix_at_snr(speech, noise, snr, rng)[0], snr
 
 
@@ -445,24 +441,21 @@ def build_dataset(
     split: str = "train",
     seed: int = 0,
     snr_range_db=DEFAULT_SNR_RANGE_DB,
-    snr_list_db=None,
     noise_source: str = "noise",
     layout: BandLayout | None = None,
     stft_config: StftConfig = StftConfig(),
     n_env: int = ENVELOPE_LEN,
 ) -> EnvelopeDataset:
-    """Mix each utterance at a per-utterance SNR and extract envelope pairs.
-
-    Train/validation splits draw the SNR uniformly from `snr_range_db`;
-    passing `snr_list_db` instead cycles through the explicit list (the
-    test-split convention). Fully deterministic for a given seed.
+    """Mix each utterance at a per-utterance SNR, drawn uniformly from
+    `snr_range_db`, and extract envelope pairs. Fully deterministic for a
+    given seed.
     """
     if split not in SPLITS:
         raise ValueError(f"unknown split {split!r}")
     if layout is None:
         layout = build_band_layout(stft_config.fft_size, WORKING_RATE_HZ)
     clean_envs, noisy_envs, index, mixes = [], [], [], []
-    mixtures = _mixtures(speech_list, noise, seed, snr_range_db, snr_list_db)
+    mixtures = _mixtures(speech_list, noise, seed, snr_range_db)
     for u, (speech, mixture, snr) in enumerate(mixtures):
         mixes.append(MixSpec(snr, noise_source, split, seed))
 
@@ -524,8 +517,8 @@ def load_dataset(path) -> EnvelopeDataset:
     """Read a pack written by `save_dataset`. Raises DatasetFormatError on
     bad magic, version or CRC, on any record that runs past the end of the
     payload or leaves bytes after it, on header fields that give no valid
-    STFT configuration or band layout, and on index rows that point past
-    the stored utterances or frames."""
+    STFT configuration or band layout, on negative or non-finite envelope
+    values, and on index rows that point past the stored utterances or frames."""
     body = framed.Reader(path, DATASET_FRAME)
     n_utts, n_bands, n_env = body.unpack("<III")
     fft_size, hop, fs, first_center = body.unpack("<IIId")
@@ -551,6 +544,8 @@ def load_dataset(path) -> EnvelopeDataset:
         (seed,) = body.unpack("<q")
         mixes.append(MixSpec(snr, source, split, seed))
     body.done()
+    if not all(((env >= 0) & (env < np.inf)).all() for env in clean_envs + noisy_envs):
+        raise DatasetFormatError(f"{path}: envelope values must be finite and non-negative")
     utt, frame = index.T
     lengths = np.array([env.shape[1] for env in clean_envs])
     bad = (utt < 0) | (utt >= n_utts)

@@ -16,9 +16,11 @@ validation cost exceeds the best seen so far, and training halts once lr
 drops below `floor` (or at `max_epochs`). The best-validation model is
 returned.
 
-The training step is lean but keeps the bits of the textbook formulas:
-the cached forward and the backward pass work in place wherever an array
-is their own (bias, batch-norm centring and scaling, activations, the
+One layer loop serves inference, validation and the training step; it
+fills backprop caches only for `backward`, which always uses batch
+statistics. The step is lean but keeps the bits of the textbook formulas:
+the layer loop and the backward pass work in place wherever an array is
+their own (bias, batch-norm centring and scaling, activations, the
 sigmoid and batch-norm derivatives, the weight update), with the same
 operations in the same order, so every parameter and cost is unchanged.
 Batch variance is taken from the centred pre-activations exactly as
@@ -143,9 +145,13 @@ def _as_input(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     return a
 
 
-def _forward_cached(model: MlpModel, batch: np.ndarray, train_mode: bool):
+def _run_layers(model: MlpModel, batch: np.ndarray, train_mode: bool, caches: list | None = None):
+    """The one layer loop: batch-norm statistics from the batch in train
+    mode, the stored running ones otherwise. Works in place on each layer's
+    own pre-activation; when `caches` is a list it also appends one backprop
+    cache per layer (input, batch-norm mu/var/istd and normalized values,
+    output), which costs one extra array per batch-norm layer."""
     a = _as_input(model, batch)
-    caches = []
     for layer in model.layers:
         z = a @ layer.weights.T
         z += layer.bias
@@ -162,8 +168,11 @@ def _forward_cached(model: MlpModel, batch: np.ndarray, train_mode: bool):
                 z -= mu
             istd = 1.0 / np.sqrt(var + BN_EPS)
             z *= istd
-            c.update(mu=mu, var=var, istd=istd, zh=z)
-            z = z * bn.gamma
+            if caches is None:
+                z *= bn.gamma
+            else:
+                c.update(mu=mu, var=var, istd=istd, zh=z)
+                z = z * bn.gamma
             z += bn.beta
         if layer.activation == "relu":
             np.maximum(z, 0.0, out=z)
@@ -172,39 +181,19 @@ def _forward_cached(model: MlpModel, batch: np.ndarray, train_mode: bool):
             np.exp(z, out=z)
             z += 1.0
             np.divide(1.0, z, out=z)
-        c["a_out"] = a = z
-        caches.append(c)
-    return a, caches
+        if caches is not None:
+            c["a_out"] = z
+            caches.append(c)
+        a = z
+    return a
 
 
 def forward(model: MlpModel, batch: np.ndarray, mode: str = "infer") -> np.ndarray:
     """Run the network. mode='train' uses batch statistics for batch norm,
-    'infer' the stored running statistics, computed in place without the
-    training caches. Does not mutate the model."""
+    'infer' the stored running statistics. Does not mutate the model."""
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "train":
-        return _forward_cached(model, batch, True)[0]
-    # same operations in the same order as _forward_cached, in place and
-    # without caches, so inference gives the same bits
-    a = _as_input(model, batch)
-    for layer in model.layers:
-        a = a @ layer.weights.T
-        a += layer.bias
-        if layer.batch_norm is not None:
-            bn = layer.batch_norm
-            a -= bn.running_mean
-            a *= 1.0 / np.sqrt(bn.running_var + BN_EPS)
-            a *= bn.gamma
-            a += bn.beta
-        if layer.activation == "relu":
-            np.maximum(a, 0.0, out=a)
-        else:
-            np.negative(a, out=a)
-            np.exp(a, out=a)
-            a += 1.0
-            np.divide(1.0, a, out=a)
-    return a
+    return _run_layers(model, batch, mode == "train")
 
 
 @dataclass
@@ -253,13 +242,14 @@ def backward(
     clean: np.ndarray,
     noisy: np.ndarray,
     objective: str,
-    mode: str = "train",
 ) -> BackwardResult:
-    """Full backprop through loss, gain coupling, sigmoid/ReLU and batch norm.
+    """Full backprop of one training step through loss, gain coupling,
+    sigmoid/ReLU and batch norm with batch statistics.
 
     Returns summed-over-samples gradients for every weight, bias, gamma and
     beta (sum semantics to match the per-sample learning rate)."""
-    gains, caches = _forward_cached(model, batch, mode == "train")
+    caches: list = []
+    gains = _run_layers(model, batch, True, caches)
     loss, d_a, n_degenerate = _loss_and_grad(gains, np.asarray(clean), np.asarray(noisy), objective)
 
     grads: list[LayerGrads] = []
@@ -278,16 +268,13 @@ def backward(
             g.d_gamma = np.einsum("bi,bi->i", d_z, zh)
             g.d_beta = d_z.sum(axis=0)
             d_z *= bn.gamma  # now d_zh
-            if mode == "train":
-                b = batch.shape[0]
-                d_zh_sum = d_z.sum(axis=0)
-                d_zh_zh = np.einsum("bi,bi->i", d_z, zh)
-                d_z *= b
-                d_z -= d_zh_sum
-                d_z -= zh * d_zh_zh
-                d_z *= c["istd"] / b
-            else:
-                d_z *= c["istd"]
+            b = batch.shape[0]
+            d_zh_sum = d_z.sum(axis=0)
+            d_zh_zh = np.einsum("bi,bi->i", d_z, zh)
+            d_z *= b
+            d_z -= d_zh_sum
+            d_z -= zh * d_zh_zh
+            d_z *= c["istd"] / b
             stats.append((c["mu"], c["var"]))
         g.d_weights = d_z.T @ c["a_in"]
         g.d_bias = d_z.sum(axis=0)
@@ -398,10 +385,7 @@ def evaluate_cost(model: MlpModel, data: ArrayDataset, objective: str, batch: in
     total = 0.0
     for lo in range(0, len(data), batch):
         sl = slice(lo, lo + batch)
-        # same bits as forward(mode="infer"); validation keeps the cached path
-        # because the in-place one raised the train benchmark's peak RSS by
-        # about 25 MB in 3 of 6 runs
-        gains, _ = _forward_cached(model, data.features[sl], False)
+        gains = forward(model, data.features[sl])
         if not np.isfinite(gains).all():
             raise NumericError("non-finite network output")
         loss, _, _ = _loss_and_grad(gains, data.clean[sl], data.noisy[sl], objective)
@@ -444,7 +428,6 @@ def train(
                 train_data.clean[rows],
                 train_data.noisy[rows],
                 config.objective,
-                mode="train",
             )
             _apply_update(model, res, schedule.lr)
             cost_sum += res.loss_sum

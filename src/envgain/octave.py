@@ -50,14 +50,6 @@ class BandLayout:
     def n_bands(self) -> int:
         return len(self.bands)
 
-    @property
-    def lower_edge_hz(self) -> float:
-        return self.bands[0].center_hz / EDGE_RATIO
-
-    @property
-    def upper_edge_hz(self) -> float:
-        return self.bands[-1].center_hz * EDGE_RATIO
-
 
 def build_band_layout(
     fft_size: int = 256,

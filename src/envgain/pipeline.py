@@ -274,12 +274,14 @@ def _select_rows(n: int, cap: int | None, rng: np.random.Generator) -> np.ndarra
     return np.sort(rng.choice(n, size=cap, replace=False))
 
 
-def _streaming_norm(features, rows: np.ndarray, chunk: int) -> neural.FeatureNorm:
-    """Per-dimension mean and std of `features(rows)`, gathered `chunk` rows
-    at a time; the chunk size fixes the summation order."""
+def compute_feature_norm_for(ds, rows=None, chunk: int = _FEATURE_CHUNK) -> neural.FeatureNorm:
+    """Per-dimension mean and std of `ds.features(rows)` (every row by
+    default), gathered `chunk` rows at a time; the chunk size fixes the
+    summation order."""
+    rows = np.arange(ds.n_frames) if rows is None else rows
     sums = sqsums = 0.0
     for lo in range(0, len(rows), chunk):
-        block = features(rows[lo : lo + chunk])
+        block = ds.features(rows[lo : lo + chunk])
         sums = sums + block.sum(axis=0)
         sqsums = sqsums + (block**2).sum(axis=0)
     mean = sums / len(rows)
@@ -287,42 +289,40 @@ def _streaming_norm(features, rows: np.ndarray, chunk: int) -> neural.FeatureNor
     return neural.FeatureNorm(mean, np.maximum(np.sqrt(var), 1e-8))
 
 
-def compute_feature_norm_for(ds: EnvelopeDataset, rows=None) -> neural.FeatureNorm:
-    rows = np.arange(ds.n_frames) if rows is None else rows
-    return _streaming_norm(ds.features, rows, _FEATURE_CHUNK)
+def _train(train_ds, val_ds, bands, config: neural.TrainConfig, hidden: Sequence[int],
+           max_train_frames, max_val_frames, salt: int = 0x5E1EC7, chunk: int = _FEATURE_CHUNK):
+    """The one training front end of every gain network: envelope or
+    magnitude datasets in, (models, reports, feature norm) out, one network
+    per entry of `bands` (see `_fit`).
 
-
-def _training_inputs(train_ds, val_ds, config, max_train_frames, max_val_frames):
-    """Seeded train/validation row selection, the feature norm and the
-    normalized feature matrices, as (norm, [(ds, rows, feats)] for train
-    then validation). Every band shares them, so training band 0..14 in
-    one process or in 15 processes gives identical models and an identical
-    feature norm."""
-    row_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5E1EC7]))
+    Train and validation rows are drawn from the stream
+    SeedSequence([config.seed, salt]); the feature norm of the training rows
+    is gathered `chunk` rows at a time. Every network shares the rows, the
+    norm and the normalized features, so training band 0..14 in one process
+    or in 15 processes gives identical models and an identical norm."""
+    row_rng = np.random.default_rng(np.random.SeedSequence([config.seed, salt]))
     train_rows = _select_rows(train_ds.n_frames, max_train_frames, row_rng)
     val_rows = _select_rows(val_ds.n_frames, max_val_frames, row_rng)
-    norm = compute_feature_norm_for(train_ds, train_rows)
+    norm = compute_feature_norm_for(train_ds, train_rows, chunk)
     pairs = ((train_ds, train_rows), (val_ds, val_rows))
-    return norm, [(ds, rows, norm.apply(ds.features(rows))) for ds, rows in pairs]
+    sets = [(ds, rows, norm.apply(ds.features(rows))) for ds, rows in pairs]
+    models, reports = zip(*(_fit(sets, band, config, hidden) for band in bands))
+    return list(models), list(reports), norm
 
 
-def _fit(sets, bands: slice, config: neural.TrainConfig, hidden: Sequence[int]):
-    """Train the network of `bands` (one band, or all for the joint network)
-    on the sets of `_training_inputs`, with seed keys 2s and 2s+1 of
-    config.seed for s = bands.start: the joint network gets band 0's."""
-    train_ds = sets[0][0]
-    n_bands, n_env = train_ds.n_bands, train_ds.n_env
-    keys = np.random.SeedSequence(config.seed).generate_state(2 * n_bands + 2)
-    k = 2 * bands.start
-    width = (bands.stop - bands.start) * n_env
-    model = neural.init_model([n_bands * n_env, *hidden, width], seed=int(keys[k]))
+def _fit(sets, band: int | None, config: neural.TrainConfig, hidden: Sequence[int]):
+    """Train the network of one envelope band, or with `band` None one
+    network over every target (the joint or the classical network), with
+    seed keys 2s and 2s+1 of config.seed for s = band (0 for None)."""
+    s = band or 0
+    keys = np.random.SeedSequence(config.seed).generate_state(2 * s + 2)
+    pick = () if band is None else (slice(band, band + 1),)
     tdata, vdata = (
-        neural.ArrayDataset(feats, *(
-            ds.joint_targets(rows) if width > n_env else ds.band_targets(rows, bands.start)
-        ))
-        for ds, rows, feats in sets
+        neural.ArrayDataset(feats, *ds.targets(rows, *pick)) for ds, rows, feats in sets
     )
-    return neural.train(model, tdata, vdata, replace(config, seed=int(keys[k + 1])))
+    dims = [tdata.features.shape[1], *hidden, tdata.clean[0].size]
+    model = neural.init_model(dims, seed=int(keys[2 * s]))
+    return neural.train(model, tdata, vdata, replace(config, seed=int(keys[2 * s + 1])))
 
 
 def train_band_model(
@@ -337,8 +337,9 @@ def train_band_model(
     """Train the gain network of a single band. Seed derivation matches
     `train_enhancement_system`, so bands can be trained in parallel
     processes and assembled afterwards."""
-    norm, sets = _training_inputs(train_ds, val_ds, config, max_train_frames, max_val_frames)
-    model, report = _fit(sets, slice(band, band + 1), config, hidden)
+    (model,), (report,), norm = _train(
+        train_ds, val_ds, [band], config, hidden, max_train_frames, max_val_frames
+    )
     return model, report, norm
 
 
@@ -357,12 +358,12 @@ def train_enhancement_system(
     Per-band models get independent seeded substreams derived from
     config.seed, so the whole system is reproducible bit-for-bit.
     """
-    norm, sets = _training_inputs(train_ds, val_ds, config, max_train_frames, max_val_frames)
-    n_bands = train_ds.n_bands
-    bands = [slice(0, n_bands)] if joint else [slice(j, j + 1) for j in range(n_bands)]
-    models, reports = zip(*(_fit(sets, band, config, hidden) for band in bands))
+    bands = [None] if joint else range(train_ds.n_bands)
+    models, reports, norm = _train(
+        train_ds, val_ds, bands, config, hidden, max_train_frames, max_val_frames
+    )
     system = EnhancementSystem(
-        band_models=None if joint else list(models),
+        band_models=None if joint else models,
         joint_model=models[0] if joint else None,
         layout=train_ds.layout,
         stft_config=train_ds.stft_config,
@@ -371,7 +372,7 @@ def train_enhancement_system(
         n_env=train_ds.n_env,
         out_of_band=out_of_band,
     )
-    return system, list(reports)
+    return system, reports
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +392,11 @@ class EvalRow:
 def _seeded_mixtures(clean_list, levels, noise: TimeSignal, snr_db: float, seed: int):
     """Yield each utterance, of active level `levels[i]`, mixed at snr_db with
     the noise cut of child i of SeedSequence([seed, SNR key])."""
+    key = snr_db * 1000
+    if not np.isfinite(key):
+        raise ValueError(f"SNR {snr_db:g} dB is too large to key a mixture seed")
     # SeedSequence entropy must be non-negative; fold the signed SNR key
-    snr_key = int(round(snr_db * 1000)) % (1 << 32)
+    snr_key = int(round(key)) % (1 << 32)
     children = np.random.SeedSequence([seed, snr_key]).spawn(len(clean_list))
     for child, clean, level in zip(children, clean_list, levels):
         yield mixing._mix_at_level(clean, level, noise, snr_db, np.random.default_rng(child))[0]

@@ -5,7 +5,8 @@ correlation gradient against central finite differences, the closed-form
 gradient-norm identity, the shape of the gradient norm as a function of
 the correlation (symmetric, maximal at 0, zero at +-1, monotone in |L|,
 strictly positive away from the optimum), and a full finite-difference
-check of network backpropagation for both objectives.
+check of network backpropagation for both objectives, through the
+training step's batch-statistics batch norm.
 """
 
 from __future__ import annotations
@@ -129,40 +130,40 @@ def _rel_err(analytic: float, numeric: float) -> float:
 
 def check_network_gradients(seed: int = 3) -> CheckResult:
     """Central finite differences over every parameter of a 6->4->4->4->3
-    model, batch of 2, for both objectives, in train and infer modes."""
+    model, batch of 2, for both objectives, in train mode (batch-norm
+    statistics from the batch), the only mode `backward` has."""
     rng = np.random.default_rng(seed)
     batch = rng.uniform(-1.0, 1.0, (2, 6))
     noisy = rng.uniform(0.5, 2.0, (2, 3))
     clean = noisy * rng.uniform(0.2, 1.0, (2, 3))
     worst = 0.0
     for objective in ("elc", "emse"):
-        for mode in ("train", "infer"):
-            model = neural.init_model([6, 4, 4, 4, 3], seed=seed)
-            res = neural.backward(model, batch, clean, noisy, objective, mode)
+        model = neural.init_model([6, 4, 4, 4, 3], seed=seed)
+        res = neural.backward(model, batch, clean, noisy, objective)
 
-            def total_loss():
-                gains = neural.forward(model, batch, mode=mode)
-                loss, _, _ = neural._loss_and_grad(gains, clean, noisy, objective)
-                return float(loss.sum())
+        def total_loss():
+            gains = neural.forward(model, batch, mode="train")
+            loss, _, _ = neural._loss_and_grad(gains, clean, noisy, objective)
+            return float(loss.sum())
 
-            for layer, grads in zip(model.layers, res.grads):
-                params = [(layer.weights, grads.d_weights), (layer.bias, grads.d_bias)]
-                if layer.batch_norm is not None:
-                    params += [
-                        (layer.batch_norm.gamma, grads.d_gamma),
-                        (layer.batch_norm.beta, grads.d_beta),
-                    ]
-                for arr, grad in params:
-                    flat, gflat = arr.reshape(-1), grad.reshape(-1)
-                    for i in range(flat.size):
-                        h = FD_STEP * (1.0 + abs(flat[i]))
-                        orig = flat[i]
-                        flat[i] = orig + h
-                        up = total_loss()
-                        flat[i] = orig - h
-                        dn = total_loss()
-                        flat[i] = orig
-                        worst = max(worst, _rel_err(gflat[i], (up - dn) / (2 * h)))
+        for layer, grads in zip(model.layers, res.grads):
+            params = [(layer.weights, grads.d_weights), (layer.bias, grads.d_bias)]
+            if layer.batch_norm is not None:
+                params += [
+                    (layer.batch_norm.gamma, grads.d_gamma),
+                    (layer.batch_norm.beta, grads.d_beta),
+                ]
+            for arr, grad in params:
+                flat, gflat = arr.reshape(-1), grad.reshape(-1)
+                for i in range(flat.size):
+                    h = FD_STEP * (1.0 + abs(flat[i]))
+                    orig = flat[i]
+                    flat[i] = orig + h
+                    up = total_loss()
+                    flat[i] = orig - h
+                    dn = total_loss()
+                    flat[i] = orig
+                    worst = max(worst, _rel_err(gflat[i], (up - dn) / (2 * h)))
     return CheckResult(
         "network backpropagation vs finite differences",
         worst <= 1e-5,

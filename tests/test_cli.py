@@ -9,7 +9,7 @@ import pytest
 
 from envgain import baseline, mixing, modeldir, neural, pipeline
 from envgain.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from envgain.signal_io import read_wav
+from envgain.signal_io import TimeSignal, read_wav, write_wav
 
 TINY_CONFIG = """
 # toy-scale training
@@ -102,6 +102,16 @@ class TestSynthData:
         assert repr(value) in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_snr_range_giving_infinite_noise_is_data_error(self, tmp_path, capsys):
+        noise = tmp_path / "noise.wav"
+        white = np.random.default_rng(0).uniform(-0.5, 0.5, 25 * 10_000)
+        write_wav(TimeSignal(white, 10_000), noise)
+        rc = main(["synth-data", "--manifest", "pseudo:3x1", "--noise", f"file:{noise}",
+                   "--snr-range=-1e308:-1e308", "--out", str(tmp_path / "x")])
+        assert rc == EXIT_DATA
+        assert "noise gain for -1e+308 dB SNR is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "train.pack").exists()
+
 
 class TestTrain:
     def test_single_band(self, data_dir, model_dir, tmp_path):
@@ -182,13 +192,16 @@ class TestTrain:
         assert f"{cfg}: {key} = '{bad}' is not a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "x").exists() or not any((tmp_path / "x").iterdir())
 
-    @pytest.mark.parametrize("defect", ["index row", "header", "UTF-8"])
+    @pytest.mark.parametrize("defect", ["index row", "header", "UTF-8", "envelope values"])
     def test_bad_pack_is_data_error(self, data_dir, tmp_path, capsys, defect):
         shutil.copy(data_dir / "val.pack", tmp_path / "val.pack")
         pack = tmp_path / "train.pack"
         if defect == "index row":
             env = [np.ones((15, 40))] * 3
             mixing.save_dataset(mixing.EnvelopeDataset(env, env, [(7, 40)]), pack)
+        elif defect == "envelope values":
+            env = [np.full((15, 40), -2.0)]  # log1p of it is NaN
+            mixing.save_dataset(mixing.EnvelopeDataset(env, env, [(0, 39)]), pack)
         else:
             mixing.save_dataset(mixing.EnvelopeDataset(
                 [np.ones((15, 30))], [np.ones((15, 30))], [(0, 29)],
@@ -297,6 +310,18 @@ class TestEnhanceEvaluate:
             rc = main([*command, "--testset", str(data_dir), "--snrs", snrs])
             assert rc == EXIT_DATA
             assert f"bad SNR list {snrs!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, snrs", [
+        ("evaluate", "1e308"), ("gain-corr", "1e306"), ("evaluate", "-1e300"),
+    ])
+    def test_huge_finite_snr_is_data_error(self, data_dir, model_dir, capsys, command, snrs):
+        # 1e308 and 1e306 dB overflow the mixture seed key; -1e300 dB the noise gain
+        models = ["--model", str(model_dir)] if command == "evaluate" else [
+            "--model-a", str(model_dir), "--model-b", str(model_dir)]
+        rc = main([command, *models, "--testset", str(data_dir), "--snrs", snrs])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "too large to key a mixture seed" in err or "is not finite" in err
 
     @pytest.mark.parametrize("snrs", ["", ","])
     @pytest.mark.parametrize("command", ["evaluate", "gain-corr"])

@@ -17,8 +17,7 @@ ALLOWED = {
     ("baseline", "mixing", "_gather_windows"),
     ("baseline", "mixing", "_mixtures"),
     ("baseline", "pipeline", "_forward_side_by_side"),
-    ("baseline", "pipeline", "_select_rows"),
-    ("baseline", "pipeline", "_streaming_norm"),
+    ("baseline", "pipeline", "_train"),
     ("cli", "pipeline", "_seeded_mixtures"),
     ("pipeline", "mixing", "_mix_at_level"),
     ("verification", "neural", "_loss_and_grad"),

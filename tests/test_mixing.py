@@ -205,6 +205,11 @@ class TestMixAtSnr:
         with pytest.raises(ValueError):
             mix_at_snr(white(1000, 0), TimeSignal(np.zeros(2000), FS), 0.0)
 
+    def test_non_finite_noise_gain_rejected(self):
+        # -1e308 dB asks for a noise gain of 10**(1e308/20): not a number
+        with pytest.raises(ValueError, match="not finite"):
+            mix_at_snr(white(1000, 0), white(2000, 1), -1e308)
+
     def test_seeded_segment_choice_is_deterministic(self):
         speech = white(FS, seed=10)
         noise = white(4 * FS, seed=11)
@@ -350,13 +355,8 @@ class TestBuildDataset:
 
     def test_noise_free_mixture_gives_equal_envelopes(self):
         ds = build_dataset(self.SPEECH[:1], self.NOISE, split="test", seed=2,
-                           snr_list_db=[300.0])
+                           snr_range_db=(300.0, 300.0))
         assert np.allclose(ds.clean_env[0], ds.noisy_env[0], rtol=1e-6)
-
-    def test_snr_list_cycles(self):
-        ds = build_dataset(self.SPEECH, self.NOISE, split="test", seed=3,
-                           snr_list_db=[-5.0, 5.0])
-        assert [m.snr_db for m in ds.mixes] == [-5.0, 5.0, -5.0]
 
     def test_regeneration_is_bit_identical(self):
         a = build_dataset(self.SPEECH, self.NOISE, split="train", seed=4)
@@ -380,12 +380,16 @@ class TestBuildDataset:
 
     def test_band_targets_match_windows(self):
         ds = build_dataset(self.SPEECH[:1], self.NOISE, split="train", seed=6)
-        clean, noisy = ds.band_targets([3, 7], band=4)
+        band_clean, band_noisy = ds.targets([3, 7], slice(4, 5))
+        clean, noisy = ds.targets([3, 7])
+        assert band_clean.shape == (2, 1, ds.n_env) and clean.shape == (2, 15, ds.n_env)
         for i, row in enumerate([3, 7]):
             utt, frame = ds.index[row]
             c, y = ds.window(utt, frame)
-            assert np.array_equal(clean[i], c[4])
-            assert np.array_equal(noisy[i], y[4])
+            assert np.array_equal(band_clean[i], c[4:5])
+            assert np.array_equal(band_noisy[i], y[4:5])
+            assert np.array_equal(clean[i], c)
+            assert np.array_equal(noisy[i], y)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -480,6 +484,15 @@ class TestDatasetPack:
         patch_pack(path, path.read_bytes().index(b"ssn"), b"\xff")
         with pytest.raises(DatasetFormatError, match="UTF-8"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -2.0])
+    def test_non_finite_or_negative_envelope_rejected(self, tmp_path, value):
+        noisy = np.ones((15, 40))
+        noisy[3, 17] = value
+        ds = EnvelopeDataset([np.ones((15, 40))], [noisy], [(0, 39)])
+        save_dataset(ds, tmp_path / "d.pack")
+        with pytest.raises(DatasetFormatError, match="finite and non-negative"):
+            load_dataset(tmp_path / "d.pack")
 
 
 def patch_pack(path, offset, new_bytes):

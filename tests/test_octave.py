@@ -50,8 +50,8 @@ class TestBandLayout:
             assert upper == pytest.approx(lower, rel=1e-12)
 
     def test_band_partition_covers_each_bin_once(self):
-        lower0 = LAYOUT.lower_edge_hz
-        upper14 = LAYOUT.upper_edge_hz
+        lower0 = LAYOUT.bands[0].center_hz / 2 ** (1 / 6)
+        upper14 = LAYOUT.bands[-1].center_hz * 2 ** (1 / 6)
         for k in range(129):
             f = k * 10000 / 256
             owners = sum(1 for b in LAYOUT.bands if b.k1 <= k < b.k2)

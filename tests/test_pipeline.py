@@ -723,7 +723,7 @@ class TestMagnitudeDataset:
         assert np.array_equal(got_noisy, np.array(noisy))
 
     def test_magnitudes_are_analysis_magnitudes(self):
-        mixtures = mixing._mixtures(SPEECH[:3], NOISE, 5, mixing.DEFAULT_SNR_RANGE_DB, None)
+        mixtures = mixing._mixtures(SPEECH[:3], NOISE, 5, mixing.DEFAULT_SNR_RANGE_DB)
         for u, (speech, mixture, _) in enumerate(mixtures):
             assert np.array_equal(self.DS.clean_mag[u], np.abs(analyze(speech, CFG)))
             assert np.array_equal(self.DS.noisy_mag[u], np.abs(analyze(mixture, CFG)))

@@ -117,8 +117,8 @@ def reference_forward_cached(model, batch, train_mode):
     return a, caches
 
 
-def reference_backward(model, batch, clean, noisy, objective, mode):
-    gains, caches = reference_forward_cached(model, batch, mode == "train")
+def reference_backward(model, batch, clean, noisy, objective):
+    gains, caches = reference_forward_cached(model, batch, True)
     loss, d_a, n_degenerate = neural._loss_and_grad(gains, clean, noisy, objective)
     grads, stats = [], []
     for layer, c in zip(reversed(model.layers), reversed(caches)):
@@ -132,15 +132,12 @@ def reference_backward(model, batch, clean, noisy, objective, mode):
             g.d_gamma = np.einsum("bi,bi->i", d_z, c["zh"])
             g.d_beta = d_z.sum(axis=0)
             d_zh = d_z * bn.gamma
-            if mode == "train":
-                b = batch.shape[0]
-                d_z = (c["istd"] / b) * (
-                    b * d_zh
-                    - d_zh.sum(axis=0)
-                    - c["zh"] * np.einsum("bi,bi->i", d_zh, c["zh"])
-                )
-            else:
-                d_z = d_zh * c["istd"]
+            b = batch.shape[0]
+            d_z = (c["istd"] / b) * (
+                b * d_zh
+                - d_zh.sum(axis=0)
+                - c["zh"] * np.einsum("bi,bi->i", d_zh, c["zh"])
+            )
             stats.append((c["mu"], c["var"]))
         g.d_weights = d_z.T @ c["a_in"]
         g.d_bias = d_z.sum(axis=0)
@@ -181,26 +178,30 @@ def step_cases(draw):
     clean = noisy * rng.uniform(0.2, 1.0, shape)
     if draw(st.booleans()):
         clean[0] = 1.0  # a flat clean envelope: a degenerate ELC window
-    return (model, batch, clean, noisy, draw(st.sampled_from(neural.OBJECTIVES)),
-            draw(st.sampled_from(["train", "infer"])))
+    return model, batch, clean, noisy, draw(st.sampled_from(neural.OBJECTIVES))
 
 
 @settings(max_examples=150, deadline=None)
 @given(step_cases())
 def test_lean_step_matches_textbook_step(case):
-    model, batch, clean, noisy, objective, mode = case
+    model, batch, clean, noisy, objective = case
     before = [a.copy() for layer in model.layers for a in layer.params()] + [batch.copy()]
 
-    gains, caches = neural._forward_cached(model, batch, mode == "train")
-    ref_gains, ref_caches = reference_forward_cached(model, batch, mode == "train")
+    ref_gains, _ = reference_forward_cached(model, batch, False)
+    assert np.array_equal(neural.forward(model, batch, mode="infer"), ref_gains)
+
+    caches = []
+    gains = neural._run_layers(model, batch, True, caches)
+    ref_gains, ref_caches = reference_forward_cached(model, batch, True)
     assert np.array_equal(gains, ref_gains)
+    assert np.array_equal(neural.forward(model, batch, mode="train"), ref_gains)
     for c, ref in zip(caches, ref_caches, strict=True):
         assert set(c) == set(ref) - {"z"}
         for key in c:
             assert np.array_equal(c[key], ref[key]), key
 
-    res = neural.backward(model, batch, clean, noisy, objective, mode)
-    ref = reference_backward(model, batch, clean, noisy, objective, mode)
+    res = neural.backward(model, batch, clean, noisy, objective)
+    ref = reference_backward(model, batch, clean, noisy, objective)
     assert res.loss_sum == ref.loss_sum
     assert res.n_degenerate == ref.n_degenerate
     for g, rg in zip(res.grads, ref.grads, strict=True):
