@@ -14,8 +14,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +32,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+# a pseudo corpus holds at most this much speech, each utterance counted as at
+# least a second: ten hours are 2.9 GB of samples
+MAX_PSEUDO_SECONDS = 36_000
 
 # the one checked form of a number in a config file or an option: its type,
 # the values allowed and how an error message names them
@@ -151,11 +159,13 @@ def _load_speech(manifest: str, seed: int) -> list[TimeSignal]:
         try:
             count, secs = spec.split("x")
             count, secs = int(count), float(secs)
-            if count < 1 or not 0.0 < secs < math.inf:
+            if not (1 <= count <= MAX_PSEUDO_SECONDS and 0.0 < secs <= MAX_PSEUDO_SECONDS / count):
                 raise ValueError
         except ValueError:
             raise ValueError(f"bad pseudo spec {manifest!r}, expected pseudo:COUNTxSECONDS "
-                             "with a positive count and a finite, positive duration") from None
+                             "with a positive count and a finite, positive duration, at most "
+                             f"{MAX_PSEUDO_SECONDS} utterances and {MAX_PSEUDO_SECONDS} s in all"
+                             ) from None
         return mixing.pseudo_corpus(count, secs, seed)
     paths = mixing.read_manifest(manifest)
     if not paths:
@@ -191,6 +201,28 @@ def _print_report(label: str, report: neural.TrainReport) -> None:
           f"final val cost {last:.6f}")
 
 
+@contextmanager
+def _staged_directory(out: Path):
+    """A fresh directory to write into; when the block succeeds its entries
+    move into `out`, each replacing one of the same name. When it fails,
+    nothing new is left: `out` keeps what it held, and directories made for
+    it are removed."""
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    out.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    done = False
+    try:
+        yield stage
+        for entry in stage.iterdir():
+            target = out / entry.name
+            if target.is_dir() and not target.is_symlink():
+                shutil.rmtree(target)
+            os.replace(entry, target)
+        done = True
+    finally:
+        shutil.rmtree(made[-1] if made and not done else stage, ignore_errors=True)
+
+
 def _cmd_synth_data(args) -> int:
     snr_range = _parse_snr_range(args.snr_range)
     speech = _load_speech(args.manifest, args.seed)
@@ -222,39 +254,39 @@ def _cmd_synth_data(args) -> int:
         noise, seg_s, seg_s, noise.duration_s - 2 * seg_s
     )
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for split, signals in splits.items():
-        d = out / f"clean_{split}"
-        d.mkdir(exist_ok=True)
-        for i, sig in enumerate(signals):
-            write_wav(sig, d / f"{i:04d}.wav")
-    write_wav(noise_train, out / "noise_train.wav")
-    write_wav(noise_val, out / "noise_val.wav")
-    write_wav(noise_test, out / "noise_test.wav")
+    with _staged_directory(Path(args.out)) as stage:
+        for split, signals in splits.items():
+            d = stage / f"clean_{split}"
+            d.mkdir()
+            for i, sig in enumerate(signals):
+                write_wav(sig, d / f"{i:04d}.wav")
+        write_wav(noise_train, stage / "noise_train.wav")
+        write_wav(noise_val, stage / "noise_val.wav")
+        write_wav(noise_test, stage / "noise_test.wav")
 
-    # caches are built from the quantized WAVs so that rebuilding from disk
-    # reproduces them exactly
-    noise_label = args.noise.split(":")[0]
-    train_ds = mixing.build_dataset(
-        _read_split_wavs(out, "train"), read_wav(out / "noise_train.wav"),
-        split="train", seed=args.seed + 2, snr_range_db=snr_range, noise_source=noise_label,
-    )
-    val_ds = mixing.build_dataset(
-        _read_split_wavs(out, "val"), read_wav(out / "noise_val.wav"),
-        split="validation", seed=args.seed + 3, snr_range_db=snr_range, noise_source=noise_label,
-    )
-    mixing.save_dataset(train_ds, out / "train.pack")
-    mixing.save_dataset(val_ds, out / "val.pack")
+        # caches are built from the quantized WAVs so that rebuilding from disk
+        # reproduces them exactly
+        noise_label = args.noise.split(":")[0]
+        train_ds = mixing.build_dataset(
+            _read_split_wavs(stage, "train"), read_wav(stage / "noise_train.wav"),
+            split="train", seed=args.seed + 2, snr_range_db=snr_range, noise_source=noise_label,
+        )
+        val_ds = mixing.build_dataset(
+            _read_split_wavs(stage, "val"), read_wav(stage / "noise_val.wav"),
+            split="validation", seed=args.seed + 3, snr_range_db=snr_range,
+            noise_source=noise_label,
+        )
+        mixing.save_dataset(train_ds, stage / "train.pack")
+        mixing.save_dataset(val_ds, stage / "val.pack")
 
-    modeldir.write_kv(out / "meta.txt", {
-        "seed": args.seed,
-        "noise": noise_label,
-        "snr_range": f"{snr_range[0]:g}:{snr_range[1]:g}",
-        "n_train": n_train,
-        "n_val": n_val,
-        "n_test": n_test,
-    })
+        modeldir.write_kv(stage / "meta.txt", {
+            "seed": args.seed,
+            "noise": noise_label,
+            "snr_range": f"{snr_range[0]:g}:{snr_range[1]:g}",
+            "n_train": n_train,
+            "n_val": n_val,
+            "n_test": n_test,
+        })
     print(f"wrote {args.out}: {n_train} train / {n_val} val / {n_test} test utterances, "
           f"{train_ds.n_frames} train frames")
     return EXIT_OK

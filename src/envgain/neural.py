@@ -465,6 +465,10 @@ class FeatureNorm:
     std: np.ndarray
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """(x - mean) / std as a new array. It cannot work in place:
+        `ClassicalSystem.gains` passes a read-only strided view whose rows
+        overlap in memory. Training normalizes its own gathered copies in
+        place with these two operations (`pipeline._train`)."""
         out = x - self.mean  # one new array, also from a read-only view
         out /= self.std
         return out

@@ -274,18 +274,23 @@ def _select_rows(n: int, cap: int | None, rng: np.random.Generator) -> np.ndarra
     return np.sort(rng.choice(n, size=cap, replace=False))
 
 
-def compute_feature_norm_for(ds, rows=None, chunk: int = _FEATURE_CHUNK) -> neural.FeatureNorm:
-    """Per-dimension mean and std of `ds.features(rows)` (every row by
-    default), gathered `chunk` rows at a time; the chunk size fixes the
-    summation order."""
-    rows = np.arange(ds.n_frames) if rows is None else rows
+def compute_feature_norm_for(feats: np.ndarray,
+                             chunk: int = _FEATURE_CHUNK) -> neural.FeatureNorm:
+    """Per-dimension mean and std of the rows of `feats`, summed `chunk` rows
+    at a time; the chunk size fixes the summation order. `einsum` adds each
+    row's squares in row order, as `(block**2).sum(axis=0)` does, without a
+    chunk-sized array of squares. A width-1 block is squared first: numpy
+    sums its one contiguous axis pairwise, which `einsum` does not."""
     sums = sqsums = 0.0
-    for lo in range(0, len(rows), chunk):
-        block = ds.features(rows[lo : lo + chunk])
+    for lo in range(0, len(feats), chunk):
+        block = feats[lo : lo + chunk]
         sums = sums + block.sum(axis=0)
-        sqsums = sqsums + (block**2).sum(axis=0)
-    mean = sums / len(rows)
-    var = np.maximum(sqsums / len(rows) - mean**2, 0.0)
+        if block.shape[1] == 1:
+            sqsums = sqsums + (block**2).sum(axis=0)
+        else:
+            sqsums = sqsums + np.einsum("ij,ij->j", block, block)
+    mean = sums / len(feats)
+    var = np.maximum(sqsums / len(feats) - mean**2, 0.0)
     return neural.FeatureNorm(mean, np.maximum(np.sqrt(var), 1e-8))
 
 
@@ -296,16 +301,21 @@ def _train(train_ds, val_ds, bands, config: neural.TrainConfig, hidden: Sequence
     per entry of `bands` (see `_fit`).
 
     Train and validation rows are drawn from the stream
-    SeedSequence([config.seed, salt]); the feature norm of the training rows
-    is gathered `chunk` rows at a time. Every network shares the rows, the
-    norm and the normalized features, so training band 0..14 in one process
-    or in 15 processes gives identical models and an identical norm."""
+    SeedSequence([config.seed, salt]). Each split's features are gathered
+    once; the feature norm of the training rows is summed `chunk` rows at a
+    time, and both matrices are then normalized in place, with the bits of
+    `FeatureNorm.apply`. Every network shares the rows, the norm and the
+    normalized features, so training band 0..14 in one process or in 15
+    processes gives identical models and an identical norm."""
     row_rng = np.random.default_rng(np.random.SeedSequence([config.seed, salt]))
     train_rows = _select_rows(train_ds.n_frames, max_train_frames, row_rng)
     val_rows = _select_rows(val_ds.n_frames, max_val_frames, row_rng)
-    norm = compute_feature_norm_for(train_ds, train_rows, chunk)
     pairs = ((train_ds, train_rows), (val_ds, val_rows))
-    sets = [(ds, rows, norm.apply(ds.features(rows))) for ds, rows in pairs]
+    sets = [(ds, rows, ds.features(rows)) for ds, rows in pairs]
+    norm = compute_feature_norm_for(sets[0][2], chunk)
+    for _, _, feats in sets:  # FeatureNorm.apply's two operations, in place
+        feats -= norm.mean
+        feats /= norm.std
     models, reports = zip(*(_fit(sets, band, config, hidden) for band in bands))
     return list(models), list(reports), norm
 

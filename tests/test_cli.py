@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from envgain import baseline, mixing, modeldir, neural, pipeline
+from envgain import baseline, cli, mixing, modeldir, neural, pipeline
 from envgain.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from envgain.signal_io import TimeSignal, read_wav, write_wav
 
@@ -58,6 +58,10 @@ def classical_dir(data_dir, tmp_path_factory):
     return d / "mdl"
 
 
+def white_noise(seconds):
+    return TimeSignal(np.random.default_rng(0).uniform(-0.5, 0.5, int(seconds * 10_000)), 10_000)
+
+
 class TestSynthData:
     def test_layout(self, data_dir):
         assert sorted(p.name for p in data_dir.glob("*.pack")) == ["train.pack", "val.pack"]
@@ -104,13 +108,74 @@ class TestSynthData:
 
     def test_snr_range_giving_infinite_noise_is_data_error(self, tmp_path, capsys):
         noise = tmp_path / "noise.wav"
-        white = np.random.default_rng(0).uniform(-0.5, 0.5, 25 * 10_000)
-        write_wav(TimeSignal(white, 10_000), noise)
+        write_wav(white_noise(25.0), noise)
         rc = main(["synth-data", "--manifest", "pseudo:3x1", "--noise", f"file:{noise}",
                    "--snr-range=-1e308:-1e308", "--out", str(tmp_path / "x")])
         assert rc == EXIT_DATA
         assert "noise gain for -1e+308 dB SNR is not finite" in capsys.readouterr().err
         assert not (tmp_path / "x" / "train.pack").exists()
+
+    @pytest.mark.parametrize("out, existing", [
+        ("x", None), ("x", "x"), ("x", "x/keep"), ("a/b/x", None),
+    ])
+    def test_failed_run_leaves_nothing_new(self, tmp_path, monkeypatch, out, existing):
+        # mixing fails after the WAVs of every split are written; `existing`
+        # is what the output path already held
+        monkeypatch.chdir(tmp_path)
+        write_wav(white_noise(25.0), "noise.wav")
+        if existing:
+            (tmp_path / "x" / "clean_train").mkdir(parents=True)
+        if existing == "x/keep":
+            write_wav(white_noise(0.1), "x/keep.wav")
+        before = sorted(tmp_path.rglob("*"))
+        rc = main("synth-data --manifest pseudo:3x1 --noise file:noise.wav "
+                  f"--snr-range=-1e308:-1e308 --out {out}".split())
+        assert rc == EXIT_DATA
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_rerun_replaces_the_corpus(self, data_dir, tmp_path):
+        # a second run into a corpus directory leaves the files of this run,
+        # none of the first's, and keeps what else the directory held
+        out = tmp_path / "corpus"
+        shutil.copytree(data_dir, out)
+        (out / "notes.txt").write_text("mine\n")
+        write_wav(white_noise(25.0), tmp_path / "noise.wav")
+        rc = main(["synth-data", "--manifest", "pseudo:12x1.6",
+                   "--noise", f"file:{tmp_path / 'noise.wav'}", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert len(list((out / "clean_train").glob("*.wav"))) == 10
+        assert (out / "notes.txt").read_text() == "mine\n"
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [p.name for p in data_dir.iterdir()] + ["notes.txt"]
+        )
+
+    @pytest.mark.parametrize("spec", [
+        "pseudo:1x1e7", "pseudo:100000000x1", "pseudo:100000000x0.001", "pseudo:36001x1",
+        "pseudo:2x18000.5", f"pseudo:{'9' * 400}x1",
+    ])
+    def test_pseudo_spec_above_the_cap_is_data_error(self, tmp_path, capsys, monkeypatch,
+                                                     spec):
+        # refused before any speech is synthesized: were one let through, the
+        # stand-in would fail the test instead of allocating
+        def refuse(*args):
+            raise AssertionError(f"{spec} reached pseudo_corpus")
+
+        monkeypatch.setattr(mixing, "pseudo_corpus", refuse)
+        rc = main(["synth-data", "--manifest", spec, "--noise", "ssn",
+                   "--out", str(tmp_path / "y")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"bad pseudo spec {spec!r}" in err
+        assert f"{cli.MAX_PSEUDO_SECONDS} s in all" in err
+        assert not (tmp_path / "y").exists()
+
+    @pytest.mark.parametrize("spec, count, seconds", [
+        ("pseudo:36000x1", 36000, 1.0), ("pseudo:2x18000", 2, 18000.0),
+        ("pseudo:36000x0.5", 36000, 0.5),
+    ])
+    def test_pseudo_spec_at_the_cap_is_accepted(self, monkeypatch, spec, count, seconds):
+        monkeypatch.setattr(mixing, "pseudo_corpus", lambda *args: args)
+        assert cli._load_speech(spec, 7) == (count, seconds, 7)
 
 
 class TestTrain:
