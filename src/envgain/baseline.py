@@ -7,9 +7,10 @@ gain estimates exist per frame; they are averaged. The objective is the
 MSE between the gained noisy magnitudes and the clean magnitudes, i.e.
 the same estimate-vs-target MSE as the envelope trainer, applied across
 frequency instead of within a band. Leading frames that no prediction
-window reaches pass through with unit gain. `ClassicalSystem.gains` lets
-`pipeline.enhance` (also bound here as `classical_enhance`) serve it, and
-`pipeline._train`, the envelope networks' training front end, trains it.
+window reaches pass through with unit gain. Its dataset and its input come
+from the envelope networks' front end in `mixing`, kept in magnitudes;
+`pipeline.enhance` (bound here as `classical_enhance`) serves it through
+`ClassicalSystem.gains`, and `pipeline._train` trains it.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from typing import Sequence
 import numpy as np
 
 from . import modeldir, neural
-from .mixing import DEFAULT_SNR_RANGE_DB, _gather_windows, _mixtures
+from .mixing import DEFAULT_SNR_RANGE_DB, _joined, _windows, frame_index, log_windows
+from .mixing import mixture_magnitudes
 from .octave import average_overlapping_gains
 from .pipeline import _forward_side_by_side, _train
 from .pipeline import enhance as classical_enhance  # the shared path, by its old name
 from .signal_io import TimeSignal
-from .stft import StftConfig, magnitude
+from .stft import StftConfig
 
 CONTEXT_FRAMES = 30
 PREDICT_FRAMES = 5
@@ -45,27 +47,20 @@ class MagnitudeDataset:
         self.predict = predict
 
     @property
-    def n_bins(self) -> int:
-        return self.clean_mag[0].shape[1]
-
-    @property
     def n_frames(self) -> int:
         return len(self.index)
 
     def features(self, rows) -> np.ndarray:
-        """log(1 + noisy magnitude) context: (R, context*(K/2+1))."""
-        (feats,) = _gather_windows(
-            self.index, rows, self.context, self.noisy_mag, axis=0, prepare=np.log1p
-        )
-        return feats.reshape(len(feats), -1)
+        """`log_windows` of the noisy magnitudes: (R, context*(K/2+1))."""
+        return log_windows(*_joined(self.index, rows, self.context, self.noisy_mag, 0),
+                           self.context, 0)
 
     def targets(self, rows):
         """Clean and noisy magnitudes of each row's last `predict` frames:
         two (R, predict*(K/2+1)) arrays."""
-        clean, noisy = _gather_windows(
-            self.index, rows, self.predict, self.clean_mag, self.noisy_mag, axis=0
-        )
-        return clean.reshape(len(clean), -1), noisy.reshape(len(noisy), -1)
+        windows = (_windows(*_joined(self.index, rows, self.predict, mags, 0), self.predict, 0)
+                   for mags in (self.clean_mag, self.noisy_mag))
+        return [w.reshape(len(w), -1) for w in windows]
 
 
 def build_magnitude_dataset(
@@ -73,19 +68,15 @@ def build_magnitude_dataset(
     noise: TimeSignal,
     seed: int = 0,
     snr_range_db=DEFAULT_SNR_RANGE_DB,
-    stft_config: StftConfig = StftConfig(),
-    context: int = CONTEXT_FRAMES,
-    predict: int = PREDICT_FRAMES,
 ) -> MagnitudeDataset:
-    """Magnitude-domain counterpart of mixing.build_dataset."""
-    clean_mags, noisy_mags, index = [], [], []
-    mixtures = _mixtures(speech_list, noise, seed, snr_range_db)
-    for u, (speech, mixture, _) in enumerate(mixtures):
-        clean_mags.append(magnitude(speech, stft_config))
-        noisy_mags.append(magnitude(mixture, stft_config))
-        for frame in range(context - 1, clean_mags[-1].shape[0]):
-            index.append((u, frame))
-    return MagnitudeDataset(clean_mags, noisy_mags, index, stft_config, context, predict)
+    """Magnitude-domain counterpart of mixing.build_dataset: the magnitudes
+    of `mixing.mixture_magnitudes`, kept as they are."""
+    clean_mags, noisy_mags = [], []
+    for clean, noisy, _ in mixture_magnitudes(speech_list, noise, seed, snr_range_db):
+        clean_mags.append(clean)
+        noisy_mags.append(noisy)
+    index = frame_index([mag.shape[0] for mag in clean_mags], CONTEXT_FRAMES)
+    return MagnitudeDataset(clean_mags, noisy_mags, index)
 
 
 @dataclass
@@ -98,16 +89,11 @@ class ClassicalSystem:
 
     def gains(self, mag: np.ndarray) -> np.ndarray:
         """(M, K/2+1) STFT gains of (M, K/2+1) noisy magnitudes."""
-        m, n_bins = mag.shape
-        if m < self.context:
-            raise ValueError(f"input too short: {m} frames, need >= {self.context}")
-        # log-compress each frame once; every window holding it reads the result
-        windows = np.lib.stride_tricks.sliding_window_view(np.log1p(mag), self.context, axis=0)
-        feats = self.feature_norm.apply(windows.transpose(0, 2, 1).reshape(len(windows), -1))
+        feats = self.feature_norm.apply(log_windows(mag, slice(None), self.context, 0))
         pred = _forward_side_by_side([self.model], feats, 2048)
         # window v ends at frame context-1+v and predicts its last `predict` frames
-        pred = pred.reshape(len(pred), self.predict, n_bins)
-        return average_overlapping_gains(pred, m, self.context - self.predict, fill=1.0)
+        pred = pred.reshape(len(pred), self.predict, mag.shape[1])
+        return average_overlapping_gains(pred, len(mag), self.context - self.predict, fill=1.0)
 
 
 def train_classical(

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, mixing, modeldir, neural, pipeline
-from .signal_io import TimeSignal, WavError, read_wav, to_working_rate, write_wav
+from .signal_io import WORKING_RATE_HZ, TimeSignal, WavError, read_wav, to_working_rate, write_wav
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -225,6 +225,11 @@ def _staged_directory(out: Path):
 
 def _cmd_synth_data(args) -> int:
     snr_range = _parse_snr_range(args.snr_range)
+    # the noise spec is checked, and a noise file read, before any speech is made
+    if args.noise.startswith("file:"):
+        noise = to_working_rate(read_wav(args.noise[len("file:"):]))
+    elif args.noise not in ("ssn", "babble"):
+        raise ValueError(f"unknown noise source {args.noise!r}")
     speech = _load_speech(args.manifest, args.seed)
     if len(speech) < 3:
         raise ValueError(f"need at least 3 utterances to split, got {len(speech)}")
@@ -244,10 +249,6 @@ def _cmd_synth_data(args) -> int:
         noise = mixing.synth_ssn(splits["train"], 3 * seg_s, seed=args.seed + 1)
     elif args.noise == "babble":
         noise = mixing.synth_babble(splits["train"], 6, 3 * seg_s, seed=args.seed + 1)
-    elif args.noise.startswith("file:"):
-        noise = to_working_rate(read_wav(args.noise[len("file:"):]))
-    else:
-        raise ValueError(f"unknown noise source {args.noise!r}")
     # stored level is irrelevant (mixing rescales); keep 16-bit headroom
     noise = TimeSignal(noise.samples * (0.9 / np.max(np.abs(noise.samples))), noise.sample_rate_hz)
     noise_train, noise_val, noise_test = mixing.split_noise(
@@ -276,6 +277,12 @@ def _cmd_synth_data(args) -> int:
             split="validation", seed=args.seed + 3, snr_range_db=snr_range,
             noise_source=noise_label,
         )
+        for split, ds in (("train", train_ds), ("validation", val_ds)):
+            if ds.n_frames == 0:
+                min_len = (ds.n_env - 1) * ds.stft_config.hop + ds.stft_config.window_len
+                raise ValueError(f"the {split} pack would have no rows: an utterance needs at "
+                                 f"least {min_len} samples at {WORKING_RATE_HZ} Hz for one "
+                                 f"{ds.n_env}-frame window")
         mixing.save_dataset(train_ds, stage / "train.pack")
         mixing.save_dataset(val_ds, stage / "val.pack")
 

@@ -1,4 +1,4 @@
-"""Noisy-mixture construction and envelope dataset assembly.
+"""Noisy mixtures and the one dataset front end of both gain-network families.
 
 SNR is defined against the *active* speech level (speech-pause-free power,
 estimated in the style of ITU-T P.56 method B) while the noise side uses
@@ -7,6 +7,11 @@ plain overall RMS. Mixtures therefore satisfy
     active_level(speech) - overall_level(scaled_noise) == snr_db
 
 to within floating-point rounding.
+
+The front end, which `baseline` shares: `mixture_magnitudes` is the mixing
+and analysis loop of both dataset builders, `frame_index` their (utterance,
+frame) rows and `log_windows` the network input, read alike by training
+features and by each system's `gains`.
 
 A synthetic "pseudo-speech" generator (amplitude-modulated harmonic
 syllables with pauses) stands in for licensed corpora so the whole
@@ -134,12 +139,6 @@ def overall_level(sig: TimeSignal) -> float:
     return float(20.0 * np.log10(rms))
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def mix_at_snr(speech: TimeSignal, noise: TimeSignal, snr_db: float, rng=0):
     """Scale a random contiguous noise cut so the mixture hits snr_db.
 
@@ -154,7 +153,7 @@ def _mix_at_level(speech: TimeSignal, speech_level: float, noise: TimeSignal, sn
         raise ValueError("speech and noise sample rates differ")
     if len(noise) < len(speech):
         raise ValueError(f"noise ({len(noise)}) shorter than speech ({len(speech)})")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator passes through as it is
     start = int(rng.integers(0, len(noise) - len(speech) + 1))
     cut = noise.samples[start : start + len(speech)]
     cut_rms = np.sqrt(np.mean(cut**2))
@@ -331,33 +330,44 @@ def pseudo_corpus(n_utterances: int, utterance_s: float, seed: int) -> list[Time
     return [pseudo_speech(utterance_s, child) for child in children]
 
 
-def _gather_windows(index, rows, width: int, *sources, axis: int = -1,
-                    prepare=None) -> list[np.ndarray]:
-    """The `width` frames ending at each requested row's frame, from each
-    per-utterance source whose frame axis is `axis` (all sources alike);
-    `index` maps a row to its (utterance, frame). Each window keeps its
-    source's axis order, with `width` frames on `axis`: (R, *window shape)
-    per source. `prepare` maps an utterance elementwise before its windows
-    are cut, once per utterance the rows read."""
-    idx = index[np.asarray(rows, dtype=np.int64)]
-    ndim = sources[0][0].ndim
+def frame_index(lengths, width: int) -> np.ndarray:
+    """The (utterance, frame) rows of utterances of `lengths` frames, (R, 2)
+    int64: each frame that ends a full `width`-frame window, in utterance
+    then frame order. An utterance shorter than one window has none."""
+    counts = np.maximum(np.asarray(lengths, dtype=np.int64) - (width - 1), 0)
+    utt = np.repeat(np.arange(len(counts)), counts)
+    frame = np.arange(len(utt)) - (np.cumsum(counts) - counts)[utt] + (width - 1)
+    return np.stack([utt, frame], axis=1)
+
+
+def _windows(frames, starts, width: int, axis: int) -> np.ndarray:
+    """The `width`-frame windows of `frames` (frame axis `axis`) that start at
+    `starts`, an index array (a C-ordered copy) or a slice (a view): rows
+    first, each window in the axis order of `frames`, (R, *window shape)."""
+    if frames.shape[axis] < width:
+        raise ValueError(f"input too short: {frames.shape[axis]} frames, need >= {width}")
+    ndim = frames.ndim
     axis %= ndim
-    lead = (slice(None),) * axis
-    # picked windows are (..., S on `axis`, ..., width): rows first, window onto `axis`
-    perm = (axis, *(ndim if i == axis else i for i in range(ndim)))
-    outs = []
-    for src in sources:
-        shape = list(src[0].shape)
-        shape[axis] = width
-        outs.append(np.empty((len(idx), *shape)))
-    for utt in np.unique(idx[:, 0]):
-        sel = np.flatnonzero(idx[:, 0] == utt)
-        starts = idx[sel, 1] - (width - 1)
-        for out, src in zip(outs, sources):
-            frames = src[utt] if prepare is None else prepare(src[utt])
-            views = np.lib.stride_tricks.sliding_window_view(frames, width, axis=axis)
-            out[sel] = views[(*lead, starts)].transpose(perm)
-    return outs
+    views = np.lib.stride_tricks.sliding_window_view(frames, width, axis=axis)
+    # views are (..., V on `axis`, ..., width): windows first, width onto `axis`
+    return views.transpose(axis, *(ndim if i == axis else i for i in range(ndim)))[starts]
+
+
+def log_windows(frames, starts, width: int, axis: int) -> np.ndarray:
+    """The input of every gain network: the `_windows` of log(1 + frames),
+    each flattened, (R, width * other dims). Each frame is log-compressed
+    once, whatever the windows that hold it."""
+    windows = _windows(np.log1p(frames), starts, width, axis)
+    return windows.reshape(len(windows), -1)
+
+
+def _joined(index, rows, width: int, sources, axis: int):
+    """The per-utterance arrays of `sources` joined along their frame axis,
+    and where in them the `width`-frame window that ends at each requested
+    row's frame starts; `index` maps a row to its (utterance, frame)."""
+    idx = index[np.asarray(rows, dtype=np.int64)]
+    first_frame = np.cumsum([0, *(src.shape[axis] for src in sources[:-1])])
+    return np.concatenate(sources, axis=axis), first_frame[idx[:, 0]] + idx[:, 1] - (width - 1)
 
 
 class EnvelopeDataset:
@@ -406,33 +416,29 @@ class EnvelopeDataset:
         return self.clean_env[utt][:, sl], self.noisy_env[utt][:, sl]
 
     def features(self, rows) -> np.ndarray:
-        """log(1 + noisy envelope) context, flattened band-major: (R, J*N)."""
-        (gathered,) = _gather_windows(
-            self.index, rows, self.n_env, self.noisy_env, prepare=np.log1p
-        )
-        return gathered.reshape(len(gathered), -1)
+        """`log_windows` of the noisy envelopes, flattened band-major: (R, J*N)."""
+        return log_windows(*_joined(self.index, rows, self.n_env, self.noisy_env, 1), self.n_env, 1)
 
     def targets(self, rows, bands: slice = slice(None)):
         """Clean and noisy envelope windows of the selected bands: two
         (R, bands, N) arrays."""
-        clean, noisy = _gather_windows(
-            self.index, rows, self.n_env,
-            [env[bands] for env in self.clean_env], [env[bands] for env in self.noisy_env],
-        )
-        return clean, noisy
+        return [_windows(*_joined(self.index, rows, self.n_env, [env[bands] for env in envs], 1),
+                         self.n_env, 1) for envs in (self.clean_env, self.noisy_env)]
 
 
-def _mixtures(speech_list, noise, seed, snr_range_db):
-    """Yield (speech, mixture, snr) per utterance at the working rate. Each
-    utterance has its own seeded stream, which draws its SNR uniformly from
-    `snr_range_db`."""
+def mixture_magnitudes(speech_list, noise, seed, snr_range_db):
+    """The mixing loop of every dataset builder: yield (clean STFT magnitudes,
+    noisy STFT magnitudes, snr) per utterance, each (M, K/2+1) at the working
+    rate. Each utterance has its own seeded stream, which draws its SNR
+    uniformly from `snr_range_db` and then its noise cut (`mix_at_snr`)."""
     noise = to_working_rate(noise)
     children = np.random.SeedSequence(seed).spawn(len(speech_list))
-    for u, raw in enumerate(speech_list):
-        rng = np.random.default_rng(children[u])
+    for child, raw in zip(children, speech_list):
+        rng = np.random.default_rng(child)
         speech = to_working_rate(raw)
         snr = float(rng.uniform(*snr_range_db))
-        yield speech, mix_at_snr(speech, noise, snr, rng)[0], snr
+        mixture = mix_at_snr(speech, noise, snr, rng)[0]
+        yield magnitude(speech), magnitude(mixture), snr
 
 
 def build_dataset(
@@ -442,31 +448,21 @@ def build_dataset(
     seed: int = 0,
     snr_range_db=DEFAULT_SNR_RANGE_DB,
     noise_source: str = "noise",
-    layout: BandLayout | None = None,
-    stft_config: StftConfig = StftConfig(),
-    n_env: int = ENVELOPE_LEN,
 ) -> EnvelopeDataset:
     """Mix each utterance at a per-utterance SNR, drawn uniformly from
-    `snr_range_db`, and extract envelope pairs. Fully deterministic for a
-    given seed.
+    `snr_range_db`, and keep the band envelopes of its clean and noisy
+    magnitudes (`mixture_magnitudes`). Fully deterministic for a given seed.
     """
     if split not in SPLITS:
         raise ValueError(f"unknown split {split!r}")
-    if layout is None:
-        layout = build_band_layout(stft_config.fft_size, WORKING_RATE_HZ)
-    clean_envs, noisy_envs, index, mixes = [], [], [], []
-    mixtures = _mixtures(speech_list, noise, seed, snr_range_db)
-    for u, (speech, mixture, snr) in enumerate(mixtures):
+    layout = build_band_layout()
+    clean_envs, noisy_envs, mixes = [], [], []
+    for clean, noisy, snr in mixture_magnitudes(speech_list, noise, seed, snr_range_db):
+        clean_envs.append(envelopes(clean, layout))
+        noisy_envs.append(envelopes(noisy, layout))
         mixes.append(MixSpec(snr, noise_source, split, seed))
-
-        clean_e = envelopes(magnitude(speech, stft_config), layout)
-        noisy_e = envelopes(magnitude(mixture, stft_config), layout)
-        clean_envs.append(clean_e)
-        noisy_envs.append(noisy_e)
-        m = clean_e.shape[1]
-        for frame in range(n_env - 1, m):
-            index.append((u, frame))
-    return EnvelopeDataset(clean_envs, noisy_envs, index, n_env, mixes, layout, stft_config)
+    index = frame_index([env.shape[1] for env in clean_envs], ENVELOPE_LEN)
+    return EnvelopeDataset(clean_envs, noisy_envs, index, ENVELOPE_LEN, mixes, layout)
 
 
 def read_manifest(path) -> list[str]:
@@ -525,7 +521,9 @@ def load_dataset(path) -> EnvelopeDataset:
     if min(n_utts, n_bands, n_env) == 0:
         raise DatasetFormatError(f"{path}: no utterances, bands or envelope frames")
     try:
-        cfg = StftConfig(fft_size, fft_size, hop)
+        cfg = StftConfig(fft_size)
+        if hop != cfg.hop:  # stored, but not free: half the FFT size
+            raise ValueError(f"hop must be window_len / 2 ({cfg.hop}), got {hop}")
         layout = build_band_layout(fft_size, fs, n_bands, first_center)
     except (ValueError, ArithmeticError) as exc:
         raise DatasetFormatError(f"{path}: bad STFT or band header: {exc}") from None

@@ -148,7 +148,9 @@ def read(dirpath, kinds: tuple) -> tuple:
     path = d / "system.txt"
     fields = parse_kv(path, {"kind": kinds, **SYSTEM_KEYS[kinds[0]]})  # `kinds` share keys
     try:
-        cfg = StftConfig(fields["fft_size"], fields["fft_size"], fields["hop"])
+        cfg = StftConfig(fields["fft_size"])
+        if fields["hop"] != cfg.hop:  # stored, but not free: half the FFT size
+            raise ValueError(f"hop must be window_len / 2 ({cfg.hop}), got {fields['hop']}")
     except ValueError as exc:
         raise neural.ModelFormatError(f"{path}: {exc}") from None
     names = model_files(fields)

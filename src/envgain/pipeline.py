@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import cost, mixing, modeldir, neural
-from .mixing import EnvelopeDataset, active_speech_level
+from .mixing import EnvelopeDataset, active_speech_level, log_windows
 from .octave import (
     ENVELOPE_LEN,
     BandLayout,
@@ -93,16 +93,9 @@ def _padded_noisy(noisy: TimeSignal, config: StftConfig) -> np.ndarray:
 
 
 def _gain_vectors(system: EnhancementSystem, mag: np.ndarray) -> np.ndarray:
-    env = envelopes(mag, system.layout)
-    j, m = env.shape
-    n = system.n_env
-    if m < n:
-        raise ValueError(f"input too short: {m} frames, need >= {n}")
-    v = m - n + 1
-    # log-compress each frame once; every window holding it reads the result
-    windows = np.lib.stride_tricks.sliding_window_view(np.log1p(env), n, axis=1)  # (J, V, N)
-    feats = system.feature_norm.apply(windows.transpose(1, 0, 2).reshape(v, j * n))
-    return _forward_side_by_side(system.models, feats, _FEATURE_CHUNK).reshape(v, j, n)
+    env, n = envelopes(mag, system.layout), system.n_env
+    feats = system.feature_norm.apply(log_windows(env, slice(None), n, 1))
+    return _forward_side_by_side(system.models, feats, _FEATURE_CHUNK).reshape(len(feats), -1, n)
 
 
 def _forward_side_by_side(models, feats: np.ndarray, chunk: int) -> np.ndarray:
@@ -306,7 +299,11 @@ def _train(train_ds, val_ds, bands, config: neural.TrainConfig, hidden: Sequence
     time, and both matrices are then normalized in place, with the bits of
     `FeatureNorm.apply`. Every network shares the rows, the norm and the
     normalized features, so training band 0..14 in one process or in 15
-    processes gives identical models and an identical norm."""
+    processes gives identical models and an identical norm. An empty split
+    is refused."""
+    for name, ds in (("train", train_ds), ("validation", val_ds)):
+        if ds.n_frames == 0:
+            raise ValueError(f"the {name} split has no rows: its utterances are too short")
     row_rng = np.random.default_rng(np.random.SeedSequence([config.seed, salt]))
     train_rows = _select_rows(train_ds.n_frames, max_train_frames, row_rng)
     val_rows = _select_rows(val_ds.n_frames, max_val_frames, row_rng)

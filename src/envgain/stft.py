@@ -30,7 +30,6 @@ import numpy as np
 from .signal_io import WORKING_RATE_HZ, TimeSignal
 
 DEFAULT_FFT_SIZE = 256
-DEFAULT_HOP = 128
 
 # Floor for the accumulated squared synthesis window; only relevant where
 # the window is exactly zero (sample 0 of the first frame).
@@ -44,15 +43,21 @@ def hann_periodic(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StftConfig:
+    """One free value: the window is as long as the FFT, the hop half of it."""
+
     fft_size: int = DEFAULT_FFT_SIZE
-    window_len: int = DEFAULT_FFT_SIZE
-    hop: int = DEFAULT_HOP
 
     def __post_init__(self):
-        if self.fft_size != self.window_len:
-            raise ValueError("fft_size must equal window_len")
-        if self.hop * 2 != self.window_len:
-            raise ValueError("hop must be window_len / 2 (50% overlap)")
+        if self.fft_size <= 0 or self.fft_size % 2:
+            raise ValueError(f"fft_size must be a positive even number, got {self.fft_size}")
+
+    @property
+    def window_len(self) -> int:
+        return self.fft_size
+
+    @property
+    def hop(self) -> int:
+        return self.fft_size // 2
 
     @property
     def n_bins(self) -> int:

@@ -133,6 +133,31 @@ class TestSynthData:
         assert rc == EXIT_DATA
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_utterances_shorter_than_one_window_are_data_error(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # 0.2 s utterances hold no 30-frame window: the train pack would have
+        # no row, and nothing is written
+        monkeypatch.chdir(tmp_path)
+        write_wav(white_noise(25.0), "noise.wav")
+        before = sorted(tmp_path.rglob("*"))
+        rc = main("synth-data --manifest pseudo:3x0.2 --noise file:noise.wav --out x".split())
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "the train pack would have no rows" in err
+        assert "at least 3968 samples at 10000 Hz" in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_unknown_noise_refused_before_speech_is_made(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("speech was synthesized before the noise spec was checked")
+
+        monkeypatch.setattr(mixing, "pseudo_corpus", refuse)
+        rc = main(["synth-data", "--manifest", "pseudo:400x3", "--noise", "bogus",
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_DATA
+        assert "unknown noise source 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_rerun_replaces_the_corpus(self, data_dir, tmp_path):
         # a second run into a corpus directory leaves the files of this run,
         # none of the first's, and keeps what else the directory held
@@ -179,6 +204,19 @@ class TestSynthData:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("empty", ["train", "validation"])
+    def test_pack_without_rows_is_data_error(self, tmp_path, capsys, empty):
+        # utterances shorter than one window give a pack of no rows
+        short, full = [np.ones((15, 20))], [np.ones((15, 40))]
+        for split, name in (("train", "train.pack"), ("validation", "val.pack")):
+            env, rows = (short, []) if split == empty else (full, [(0, 29), (0, 39)])
+            mixing.save_dataset(mixing.EnvelopeDataset(env, env, rows), tmp_path / name)
+        rc = main(["train", "--data", str(tmp_path), "--band", "0",
+                   "--out", str(tmp_path / "m")])
+        assert rc == EXIT_DATA
+        assert f"the {empty} split has no rows" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     def test_single_band(self, data_dir, model_dir, tmp_path):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(TINY_CONFIG)

@@ -14,8 +14,8 @@ PACKAGE = Path(envgain.__file__).parent
 MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
 
 ALLOWED = {
-    ("baseline", "mixing", "_gather_windows"),
-    ("baseline", "mixing", "_mixtures"),
+    ("baseline", "mixing", "_joined"),
+    ("baseline", "mixing", "_windows"),
     ("baseline", "pipeline", "_forward_side_by_side"),
     ("baseline", "pipeline", "_train"),
     ("cli", "pipeline", "_seeded_mixtures"),

@@ -400,6 +400,19 @@ class TestBuildDataset:
         expected = [np.log1p(ds.window(*ds.index[row])[1]).reshape(-1) for row in rows]
         assert np.array_equal(ds.features(rows), np.array(expected))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 90), max_size=12), st.integers(1, 40))
+    def test_frame_index_equals_the_per_frame_loop(self, lengths, width):
+        # utterances shorter than one window, of any length down to none, give no row
+        index = []
+        for u, m in enumerate(lengths):
+            for frame in range(width - 1, m):
+                index.append((u, frame))
+        expected = np.asarray(index, dtype=np.int64).reshape(-1, 2)
+        got = mixing.frame_index(lengths, width)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
 
 class TestDatasetPack:
     def test_round_trip(self, tmp_path):
@@ -465,7 +478,8 @@ class TestDatasetPack:
 
     @pytest.mark.parametrize(
         "offset, fmt, value",
-        [(21, "<I", 0), (21, "<I", 100), (29, "<I", 0), (33, "<d", float("nan")), (33, "<d", 1e9)],
+        [(21, "<I", 0), (21, "<I", 100), (29, "<I", 0), (29, "<I", 64), (33, "<d", float("nan")),
+         (33, "<d", 1e9)],
     )
     def test_bad_stft_or_band_header_rejected(self, tmp_path, offset, fmt, value):
         # header: magic 5, version 4, counts 12, then fft_size, hop, fs, first center

@@ -240,6 +240,13 @@ def noisy_signals(draw):
     return TimeSignal(x, FS)
 
 
+def seeded_mixture(speech, noise, seed, u, n_utterances, snr_range=mixing.DEFAULT_SNR_RANGE_DB):
+    """Utterance u of a builder's mixing loop, from its own seeded stream:
+    the SNR drawn first, then the noise cut."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(n_utterances)[u])
+    return mixing.mix_at_snr(speech, noise, float(rng.uniform(*snr_range)), rng)[0]
+
+
 def tiny_classical_system(seed=0, config=CFG):
     dim = baseline.CONTEXT_FRAMES * config.n_bins
     rng = np.random.default_rng(seed)
@@ -276,6 +283,29 @@ class TestFrameLevelLog:
         windows = np.lib.stride_tricks.sliding_window_view(mag, system.context, axis=0)
         (seen,) = recording.seen
         assert np.array_equal(seen, np.log1p(windows.transpose(0, 2, 1).reshape(len(seen), -1)))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_envelope_training_features_are_the_inference_input(self, seed):
+        # train/serve parity: a dataset's features over all rows of one
+        # utterance are the matrix `gains` standardizes for its mixture
+        ds = mixing.build_dataset(SPEECH[:1], NOISE, seed=seed)
+        recording = RecordingNorm(SYSTEM.feature_norm)
+        mixture = seeded_mixture(SPEECH[0], NOISE, seed, 0, 1)
+        replace(SYSTEM, feature_norm=recording).gains(np.abs(analyze(mixture, CFG)))
+        (seen,) = recording.seen
+        assert ds.n_frames == len(seen) > 0
+        assert np.array_equal(ds.features(np.arange(ds.n_frames)), seen)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_magnitude_training_features_are_the_inference_input(self, seed):
+        ds = baseline.build_magnitude_dataset(SPEECH[:1], NOISE, seed=seed)
+        system = tiny_classical_system()
+        recording = RecordingNorm(system.feature_norm)
+        mixture = seeded_mixture(SPEECH[0], NOISE, seed, 0, 1)
+        replace(system, feature_norm=recording).gains(np.abs(analyze(mixture, CFG)))
+        (seen,) = recording.seen
+        assert ds.n_frames == len(seen) > 0
+        assert np.array_equal(ds.features(np.arange(ds.n_frames)), seen)
 
     def test_feature_norm_apply_bits_and_read_only_input(self):
         rng = np.random.default_rng(3)
@@ -539,6 +569,7 @@ class TestSystemFiles:
         ("objective", "stoi", "objective = 'stoi' is not one of elc, emse"),
         ("out_of_band", "banana", "out_of_band = 'banana' is not one of zero, passthrough"),
         ("hop", "100", "hop must be window_len / 2"),
+        ("hop", "64", "hop must be window_len / 2 (128), got 64"),
         ("first_center_hz", "inf", "bad band fields"),
     ])
     def test_bad_system_value_named(self, tmp_path, key, value, expected):
@@ -680,7 +711,7 @@ class TestEvaluateSystem:
 
     @pytest.mark.parametrize("fft_size", [256, 512])
     def test_classical_rows_match_composition(self, fft_size):
-        config = StftConfig(fft_size, fft_size, fft_size // 2)
+        config = StftConfig(fft_size)
         system = tiny_classical_system(seed=3, config=config)
         clean_list, snrs = SPEECH[4:6], [-5.0, 5.0]
         rows = pipeline.evaluate_system(system, clean_list, NOISE, snrs, seed=9,
@@ -723,8 +754,8 @@ class TestMagnitudeDataset:
         assert np.array_equal(got_noisy, np.array(noisy))
 
     def test_magnitudes_are_analysis_magnitudes(self):
-        mixtures = mixing._mixtures(SPEECH[:3], NOISE, 5, mixing.DEFAULT_SNR_RANGE_DB)
-        for u, (speech, mixture, _) in enumerate(mixtures):
+        for u, speech in enumerate(SPEECH[:3]):
+            mixture = seeded_mixture(speech, NOISE, 5, u, 3)
             assert np.array_equal(self.DS.clean_mag[u], np.abs(analyze(speech, CFG)))
             assert np.array_equal(self.DS.noisy_mag[u], np.abs(analyze(mixture, CFG)))
 

@@ -178,7 +178,7 @@ class TestSynthesize:
         assert np.array_equal(synthesize(spec, CFG).samples, expected)
 
     def test_rejects_spectrum_of_another_config(self):
-        spec = analyze(np.ones(1024), StftConfig(512, 512, 256))
+        spec = analyze(np.ones(1024), StftConfig(512))
         with pytest.raises(ValueError, match=r"expected an \(M, 129\) spectrum"):
             synthesize(spec, CFG)
 
@@ -229,8 +229,12 @@ class TestPadding:
 
 class TestConfig:
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            StftConfig(256, 256, 64)  # hop must be half the window
-        with pytest.raises(ValueError):
-            StftConfig(512, 256, 128)  # fft must equal window length
+        # the FFT size is the one free value: window as long, hop half of it
+        assert (CFG.fft_size, CFG.window_len, CFG.hop) == (256, 256, 128)
+        assert (StftConfig(512).window_len, StftConfig(512).hop) == (512, 256)
         assert CFG.n_bins == 129
+
+    @pytest.mark.parametrize("fft_size", [255, 0, -256])
+    def test_odd_or_nonpositive_fft_size_rejected(self, fft_size):
+        with pytest.raises(ValueError, match="positive even"):
+            StftConfig(fft_size)
