@@ -14,7 +14,7 @@ Library layout::
  baseline  -- classical spectral-magnitude MSE enhancer
 """
 
-from .cost import elc, elc_grad, elc_grad_norm, emse, emse_grad
+from .cost import elc, elc_grad_norm
 from .mixing import (
     active_speech_level,
     build_dataset,
@@ -65,10 +65,7 @@ __all__ = [
     "band_gains_to_stft_gains",
     "average_overlapping_gains",
     "elc",
-    "elc_grad",
     "elc_grad_norm",
-    "emse",
-    "emse_grad",
     "active_speech_level",
     "mix_at_snr",
     "synth_ssn",

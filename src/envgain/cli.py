@@ -249,6 +249,10 @@ def _cmd_synth_data(args) -> int:
         noise = mixing.synth_ssn(splits["train"], 3 * seg_s, seed=args.seed + 1)
     elif args.noise == "babble":
         noise = mixing.synth_babble(splits["train"], 6, 3 * seg_s, seed=args.seed + 1)
+    elif noise.duration_s < 2 * seg_s + longest_s:  # a file: its test cut must hold any utterance
+        raise ValueError(f"{args.noise}: {noise.duration_s:g} s of noise is too short, need at "
+                         f"least {2 * seg_s + longest_s:g} s (two {seg_s:g} s segments and the "
+                         f"longest utterance, {longest_s:g} s)")
     # stored level is irrelevant (mixing rescales); keep 16-bit headroom
     noise = TimeSignal(noise.samples * (0.9 / np.max(np.abs(noise.samples))), noise.sample_rate_hz)
     noise_train, noise_val, noise_test = mixing.split_noise(

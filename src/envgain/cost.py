@@ -17,12 +17,11 @@ where the denominator is the norm of the *centered* estimate; the identity
 fails for the raw norm whenever the estimate has a nonzero mean, and the
 test suite pins this numerically.
 
-Degenerate inputs (either centered norm, or the cross inner product,
-below EPS) raise typed errors here; the trainer maps them to "skip this
-sample with zero gradient".
+All forms run on one row kernel. The batch forms flag degenerate rows
+(a centered norm, or for gradients the cross inner product, below EPS)
+as invalid, with value 0 and zero gradient; the scalar forms are one-row
+calls that raise `DegenerateEnvelopeError` on a zero-variance vector.
 """
-
-from __future__ import annotations
 
 import numpy as np
 
@@ -33,131 +32,85 @@ class DegenerateEnvelopeError(ValueError):
     """A vector has (numerically) zero variance; correlation is undefined."""
 
 
-class DegenerateGradientError(DegenerateEnvelopeError):
-    """The centered cross inner product is (numerically) zero."""
-
-
-def _centered(v, name):
-    arr = np.asarray(getattr(v, "values", v), dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError(f"{name} must be a 1-D vector of length >= 2")
-    c = arr - arr.mean()
-    norm = np.linalg.norm(c)
-    if norm < EPS:
-        raise DegenerateEnvelopeError(f"{name} has zero variance")
-    return arr, c, norm
-
-
-def elc(clean, estimate) -> float:
-    """Linear correlation of mean-centered vectors, in [-1, 1]."""
-    _, xc, xn = _centered(clean, "clean")
-    _, hc, hn = _centered(estimate, "estimate")
-    if len(xc) != len(hc):
-        raise ValueError("vectors must have equal length")
-    return float(np.dot(xc, hc) / (xn * hn))
-
-
-def elc_grad(clean, estimate) -> np.ndarray:
-    """Analytic gradient of `elc` with respect to the estimate entries."""
-    _, xc, xn = _centered(clean, "clean")
-    _, hc, hn = _centered(estimate, "estimate")
-    if len(xc) != len(hc):
-        raise ValueError("vectors must have equal length")
-    cross = np.dot(hc, xc)
-    if abs(cross) < EPS:
-        raise DegenerateGradientError("centered cross inner product is zero")
-    value = cross / (xn * hn)
-    return value * xc / cross - value * hc / (hn * hn)
-
-
-def elc_grad_norm(clean, estimate) -> float:
-    """Closed-form euclidean norm of `elc_grad`: sqrt(1-L^2)/||centered estimate||.
-
-    Unlike `elc_grad`, whose literal form divides by the centered cross
-    inner product, the closed form stays defined when the correlation is
-    exactly zero (where it takes its maximum, 1/||centered estimate||);
-    only zero-variance inputs are rejected.
-    """
-    _, xc, xn = _centered(clean, "clean")
-    _, hc, hn = _centered(estimate, "estimate")
-    if len(xc) != len(hc):
-        raise ValueError("vectors must have equal length")
-    value = np.dot(hc, xc) / (xn * hn)
-    return float(np.sqrt(max(0.0, 1.0 - value * value)) / hn)
-
-
-def emse(clean, estimate) -> float:
-    """Mean squared error between envelope vectors."""
-    x = np.asarray(getattr(clean, "values", clean), dtype=np.float64)
-    h = np.asarray(getattr(estimate, "values", estimate), dtype=np.float64)
-    if x.shape != h.shape:
-        raise ValueError("vectors must have equal length")
-    d = h - x
-    return float(np.mean(d * d))
-
-
-def emse_grad(clean, estimate) -> np.ndarray:
-    """Gradient of `emse` with respect to the estimate: (2/N)(xh - x)."""
-    x = np.asarray(getattr(clean, "values", clean), dtype=np.float64)
-    h = np.asarray(getattr(estimate, "values", estimate), dtype=np.float64)
-    if x.shape != h.shape:
-        raise ValueError("vectors must have equal length")
-    return 2.0 * (h - x) / x.size
-
-
-def elc_batch(clean: np.ndarray, estimate: np.ndarray):
-    """Vectorized ELC values and gradients over rows.
-
-    Returns (values, grads, valid) where invalid rows (degenerate per the
-    scalar functions' error conditions) carry value 0 and zero gradient.
-    Matches the scalar functions exactly on valid rows.
-    """
+def _matching_rows(clean, estimate):
     x = np.asarray(clean, dtype=np.float64)
     h = np.asarray(estimate, dtype=np.float64)
     if x.shape != h.shape or x.ndim != 2:
         raise ValueError("expected matching (B, N) arrays")
+    return x, h
+
+
+def _elc_rows(clean, estimate):
+    """The ELC kernel on matching (B, N) rows: the centered rows xc and hc,
+    hn = ||hc||, the cross inner products, and values: the correlation where
+    both norms reach EPS (`varied`), else 0. No row depends on another."""
+    x, h = _matching_rows(clean, estimate)
     xc = x - x.mean(axis=1, keepdims=True)
     hc = h - h.mean(axis=1, keepdims=True)
     xn = np.linalg.norm(xc, axis=1)
     hn = np.linalg.norm(hc, axis=1)
     cross = np.einsum("ij,ij->i", hc, xc)
-    valid = (xn >= EPS) & (hn >= EPS) & (np.abs(cross) >= EPS)
+    varied = (xn >= EPS) & (hn >= EPS)
+    values = np.where(varied, cross / np.where(varied, xn * hn, 1.0), 0.0)
+    return xc, hc, hn, cross, values, varied
 
+
+def _one_row(clean, estimate):
+    """(value, centered estimate norm) of two 1-D vectors, by the kernel."""
+    if np.ndim(clean) != 1 or np.ndim(estimate) != 1:
+        raise ValueError("expected two 1-D vectors")
+    _, _, hn, _, values, varied = _elc_rows(np.asarray(clean)[None], np.asarray(estimate)[None])
+    if not varied[0]:
+        raise DegenerateEnvelopeError("a vector has zero variance")
+    return values[0], hn[0]
+
+
+def elc(clean, estimate) -> float:
+    """Linear correlation of mean-centered vectors, in [-1, 1]."""
+    return float(_one_row(clean, estimate)[0])
+
+
+def elc_grad_norm(clean, estimate) -> float:
+    """Closed-form euclidean norm of the ELC gradient: sqrt(1-L^2)/||centered estimate||.
+
+    Unlike the gradient, which divides by the centered cross inner product,
+    it is defined (and maximal) at zero correlation; only zero-variance
+    inputs are rejected.
+    """
+    value, hn = _one_row(clean, estimate)
+    return float(np.sqrt(max(0.0, 1.0 - value * value)) / hn)
+
+
+def elc_batch(clean: np.ndarray, estimate: np.ndarray):
+    """Vectorized ELC values and gradients over rows: (values, grads, valid).
+
+    Rows of zero variance or zero centered cross inner product are invalid,
+    with value 0 and zero gradient. On valid rows the values have the bits
+    of `elc_value_batch`; values and gradients agree with the textbook 1-D
+    forms to rounding, not bit for bit (within 1e-14 at unit scale).
+    """
+    xc, hc, hn, cross, values, varied = _elc_rows(clean, estimate)
+    valid = varied & (np.abs(cross) >= EPS)
+    values = np.where(valid, values, 0.0)
     safe_cross = np.where(valid, cross, 1.0)
-    safe_norms = np.where(valid, xn * hn, 1.0)
     safe_hn2 = np.where(valid, hn * hn, 1.0)
-    values = np.where(valid, cross / safe_norms, 0.0)
     grads = values[:, None] * (xc / safe_cross[:, None] - hc / safe_hn2[:, None])
     grads[~valid] = 0.0
     return values, grads, valid
 
 
 def elc_value_batch(clean: np.ndarray, estimate: np.ndarray):
-    """Vectorized ELC values over rows, without gradients.
+    """Vectorized ELC values over rows, without gradients: (values, valid).
 
-    valid requires only non-degenerate variance (a zero cross inner
-    product is a legitimate correlation of 0); invalid rows carry 0.
-    """
-    x = np.asarray(clean, dtype=np.float64)
-    h = np.asarray(estimate, dtype=np.float64)
-    if x.shape != h.shape or x.ndim != 2:
-        raise ValueError("expected matching (B, N) arrays")
-    xc = x - x.mean(axis=1, keepdims=True)
-    hc = h - h.mean(axis=1, keepdims=True)
-    xn = np.linalg.norm(xc, axis=1)
-    hn = np.linalg.norm(hc, axis=1)
-    valid = (xn >= EPS) & (hn >= EPS)
-    denom = np.where(valid, xn * hn, 1.0)
-    values = np.where(valid, np.einsum("ij,ij->i", hc, xc) / denom, 0.0)
+    valid requires only non-degenerate variance (a zero cross inner product
+    is a legitimate correlation of 0); invalid rows carry 0."""
+    *_, values, valid = _elc_rows(clean, estimate)
     return values, valid
 
 
 def emse_batch(clean: np.ndarray, estimate: np.ndarray):
-    """Vectorized EMSE values and gradients over rows; every row is valid."""
-    x = np.asarray(clean, dtype=np.float64)
-    h = np.asarray(estimate, dtype=np.float64)
-    if x.shape != h.shape or x.ndim != 2:
-        raise ValueError("expected matching (B, N) arrays")
+    """Vectorized EMSE values and gradients (2/N)(xh - x) over rows; all valid."""
+    x, h = _matching_rows(clean, estimate)
     d = h - x
     values = np.mean(d * d, axis=1)
     grads = 2.0 * d / x.shape[1]

@@ -267,8 +267,8 @@ def split_noise(noise: TimeSignal, train_s: float, val_s: float, test_s: float):
     """Three contiguous, disjoint segments in order (train, val, test)."""
     fs = noise.sample_rate_hz
     lens = [int(round(s * fs)) for s in (train_s, val_s, test_s)]
-    if sum(lens) > len(noise):
-        raise ValueError(f"noise of {len(noise)} samples too short for requested split")
+    if min(lens) < 0 or sum(lens) > len(noise):
+        raise ValueError(f"cannot cut segments of {lens} samples from {len(noise)} noise samples")
     out = []
     pos = 0
     for ln in lens:

@@ -9,7 +9,7 @@ import pytest
 
 from envgain import baseline, cli, mixing, modeldir, neural, pipeline
 from envgain.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from envgain.signal_io import TimeSignal, read_wav, write_wav
+from envgain.signal_io import TimeSignal, read_wav, to_working_rate, write_wav
 
 TINY_CONFIG = """
 # toy-scale training
@@ -174,6 +174,78 @@ class TestSynthData:
             [p.name for p in data_dir.iterdir()] + ["notes.txt"]
         )
 
+    def test_wav_manifest(self, tmp_path):
+        # 16 kHz utterances listed one per line are resampled to the working rate
+        paths = [tmp_path / f"u{i}.wav" for i in range(3)]
+        for i, path in enumerate(paths):
+            write_wav(mixing.pseudo_speech(1.6, seed=i, fs=16000), path)
+        manifest = tmp_path / "list.txt"
+        manifest.write_text("# three utterances\n" + "".join(f"{p}\n" for p in paths))
+        write_wav(white_noise(25.0), tmp_path / "noise.wav")
+        out = tmp_path / "x"
+        rc = main(["synth-data", "--manifest", str(manifest),
+                   "--noise", f"file:{tmp_path / 'noise.wav'}", "--out", str(out)])
+        assert rc == EXIT_OK
+        written = read_wav(out / "clean_train" / "0000.wav")
+        expected = to_working_rate(read_wav(paths[0]))
+        assert written.sample_rate_hz == expected.sample_rate_hz == 10_000
+        assert np.max(np.abs(written.samples - expected.samples)) <= 1 / 32768
+        assert (out / "train.pack").exists()
+
+    def test_babble_noise(self, tmp_path):
+        # babble mixes 6 distinct train utterances: 8 give 6 train, 1 val, 1 test
+        out = tmp_path / "x"
+        rc = main(["synth-data", "--manifest", "pseudo:8x1.6", "--noise", "babble",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        assert "noise = babble\n" in (out / "meta.txt").read_text()
+        assert (out / "train.pack").exists()
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--manifest", "{tmp}/empty.txt", "empty manifest"),
+        ("--manifest", "pseudo:2x3", "need at least 3 utterances to split, got 2"),
+        ("--snr-range", "5:-5", "bad SNR range '5:-5': HI < LO"),
+    ])
+    def test_bad_corpus_request_is_data_error(self, tmp_path, capsys, option, value, message):
+        (tmp_path / "empty.txt").write_text("# no utterances\n\n")
+        args = {"--manifest": "pseudo:3x1", "--snr-range": "-5:10",
+                option: value.format(tmp=tmp_path)}
+        rc = main(["synth-data", *(x for kv in args.items() for x in kv),
+                   "--noise", "ssn", "--out", str(tmp_path / "x")])
+        assert rc == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_short_noise_file_refused_before_anything_is_written(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # 3 s utterances cut two 10 s segments, and the test cut must hold
+        # the longest utterance: 23 s of noise are needed, 5 s are given
+        def refuse(*args, **kwargs):
+            raise AssertionError("written or mixed before the noise length was checked")
+
+        monkeypatch.setattr(cli, "write_wav", refuse)
+        monkeypatch.setattr(mixing, "build_dataset", refuse)
+        write_wav(white_noise(5.0), tmp_path / "short.wav")
+        out = tmp_path / "x"
+        (out / "clean_train").mkdir(parents=True)
+        (out / "notes.txt").write_text("mine\n")
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(["synth-data", "--manifest", "pseudo:20x3",
+                   "--noise", f"file:{tmp_path / 'short.wav'}", "--out", str(out)])
+        assert rc == EXIT_DATA
+        assert ("5 s of noise is too short, need at least 23 s (two 10 s segments and the "
+                "longest utterance, 3 s)") in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (out / "notes.txt").read_text() == "mine\n"
+
+    @pytest.mark.parametrize("seconds, rc", [(20.9999, EXIT_DATA), (21.0, EXIT_OK)])
+    def test_noise_file_length_bound(self, tmp_path, seconds, rc):
+        # 1 s utterances: two 10 s segments and a 1 s test cut
+        write_wav(white_noise(seconds), tmp_path / "noise.wav")
+        assert main(["synth-data", "--manifest", "pseudo:3x1",
+                     "--noise", f"file:{tmp_path / 'noise.wav'}",
+                     "--out", str(tmp_path / "x")]) == rc
+
     @pytest.mark.parametrize("spec", [
         "pseudo:1x1e7", "pseudo:100000000x1", "pseudo:100000000x0.001", "pseudo:36001x1",
         "pseudo:2x18000.5", f"pseudo:{'9' * 400}x1",
@@ -256,10 +328,14 @@ class TestTrain:
         assert rc == EXIT_DATA
         assert f"{cfg}: line 2 'seed 5' is not key = value" in capsys.readouterr().err
 
-    def test_bad_band_rejected(self, data_dir, tmp_path):
-        rc = main(["train", "--data", str(data_dir), "--band", "15",
-                   "--out", str(tmp_path / "x")])
-        assert rc == EXIT_DATA
+    def test_bad_band_rejected(self, data_dir, tmp_path, capsys):
+        for band, message in (("15", "band 15 out of range 0..14"),
+                              ("x", "--band must be 0..14, all or joint, got 'x'")):
+            rc = main(["train", "--data", str(data_dir), "--band", band,
+                       "--out", str(tmp_path / "x")])
+            assert rc == EXIT_DATA
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "x").exists()
 
     def test_truncated_pack_is_data_error(self, data_dir, tmp_path):
         for name in ("train.pack", "val.pack"):

@@ -313,6 +313,12 @@ class TestSplitNoise:
         with pytest.raises(ValueError):
             split_noise(white(FS, 0), 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("lengths", [(10.0, 10.0, -15.0), (-1.0, 1.0, 1.0), (1.0, -0.5, 1.0)])
+    def test_negative_length_rejected(self, lengths):
+        # the lengths sum to at most the 5 s of noise, so only the sign can refuse them
+        with pytest.raises(ValueError, match="cannot cut segments of"):
+            split_noise(white(5 * FS, 0), *lengths)
+
 
 class TestPseudoSpeech:
     def test_deterministic_and_normalized(self):

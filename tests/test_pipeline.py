@@ -464,8 +464,7 @@ class TestGainCorrelation:
         # the old composition: each system's gain vectors from its own analysis
         a, b = (np.concatenate([pipeline.predict_gain_vectors(system, sig).reshape(-1)
                                 for sig in signals]) for system in (SYSTEM, other))
-        ac, bc = a - a.mean(), b - b.mean()
-        expected = float(np.dot(ac, bc) / (np.linalg.norm(ac) * np.linalg.norm(bc)))
+        expected = cost.elc(a, b)
         assert pipeline.gain_correlation(SYSTEM, other, signals) == expected
         calls = count_calls(monkeypatch, pipeline, "analyze", "magnitude")
         pipeline.gain_correlation(SYSTEM, SYSTEM, signals)

@@ -157,6 +157,54 @@ def chunked_wav(payload, fmt_code=1, bits=16, channels=1, rate=10000):
     ) + payload + pad
 
 
+# the 14 bytes after the format code in every KSDATAFORMAT_SUBTYPE GUID
+KSDATAFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def extensible_wav(payload, fmt_code=1, bits=16, channels=1, rate=10000, ext_len=24):
+    """`chunked_wav` with a WAVE_FORMAT_EXTENSIBLE fmt chunk whose extension
+    (cbSize, valid bits, channel mask, subformat GUID) is cut to `ext_len`."""
+    block = channels * bits // 8
+    ext = (struct.pack("<HHIH", 22, bits, 0, fmt_code) + KSDATAFORMAT_GUID_TAIL)[:ext_len]
+    fmt = struct.pack("<HHIIHH", 0xFFFE, channels, rate, rate * block, block, bits) + ext
+    pad = b"\0" * (len(payload) & 1)
+    body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(payload)) + payload + pad)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+class TestExtensibleFormat:
+    @pytest.mark.parametrize("fmt_code, bits, channels", [
+        (1, 16, 1), (1, 24, 1), (1, 32, 1), (3, 32, 1), (1, 24, 2), (1, 8, 1),
+    ])
+    def test_same_bits_as_plain_format(self, tmp_path, fmt_code, bits, channels):
+        rng = np.random.default_rng(bits + channels)
+        if fmt_code == 3:
+            payload = rng.uniform(-1, 1, 40 * channels).astype("<f4").tobytes()
+        else:
+            payload = rng.integers(0, 256, 40 * bits // 8 * channels, dtype=np.uint8).tobytes()
+        (tmp_path / "plain.wav").write_bytes(chunked_wav(payload, fmt_code, bits, channels))
+        (tmp_path / "ext.wav").write_bytes(extensible_wav(payload, fmt_code, bits, channels))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            plain, ext = read_wav(tmp_path / "plain.wav"), read_wav(tmp_path / "ext.wav")
+        assert ext.sample_rate_hz == plain.sample_rate_hz
+        assert np.array_equal(ext.samples, plain.samples)
+
+    @pytest.mark.parametrize("ext_len", [0, 2, 22])
+    def test_short_extension_rejected(self, tmp_path, ext_len):
+        path = tmp_path / "short.wav"
+        path.write_bytes(extensible_wav(b"\0\0" * 8, ext_len=ext_len))
+        with pytest.raises(MalformedWavError, match="bad WAVE_FORMAT_EXTENSIBLE fmt chunk"):
+            read_wav(path)
+
+    def test_unsupported_subformat_rejected(self, tmp_path):
+        path = tmp_path / "alaw.wav"
+        path.write_bytes(extensible_wav(b"\0" * 8, fmt_code=6, bits=8))
+        with pytest.raises(UnsupportedWavError, match="format code 6, 8-bit not supported"):
+            read_wav(path)
+
+
 class TestPartialFrames:
     @pytest.mark.parametrize("fmt_code, bits, channels, size", [
         (1, 16, 1, 1), (1, 16, 1, 3), (1, 32, 1, 6), (3, 32, 1, 5), (1, 24, 1, 7),
