@@ -228,6 +228,8 @@ def _cmd_synth_data(args) -> int:
     # the noise spec is checked, and a noise file read, before any speech is made
     if args.noise.startswith("file:"):
         noise = to_working_rate(read_wav(args.noise[len("file:"):]))
+        if not np.any(noise.samples):
+            raise ValueError(f"{args.noise}: the noise file is silent (every sample is 0)")
     elif args.noise not in ("ssn", "babble"):
         raise ValueError(f"unknown noise source {args.noise!r}")
     speech = _load_speech(args.manifest, args.seed)

@@ -19,10 +19,17 @@ score is computed from the two signals' band envelopes, all (band,
 window) pairs in one batch. Evaluation computes each clean utterance's
 envelopes once and analyzes each mixture once, for both its score and
 its enhancement.
+
+Inference runs each network on each chunk of feature rows as its own
+task, on the cores BLAS leaves idle (see `_forward_side_by_side`). Outputs
+are a function of the seed, the inputs, the BLAS build and the BLAS
+thread count, never of the number of worker threads.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -42,6 +49,25 @@ from .signal_io import WORKING_RATE_HZ, TimeSignal
 from .stft import StftConfig, analyze, apply_gain, magnitude, pad_to_frames, synthesize
 
 _FEATURE_CHUNK = 4096
+
+
+def _worker_count(environ, cores: int) -> int:
+    """Threads for the inference fan-out: the usable cores divided by the
+    BLAS thread count, at least 1. The BLAS count is that of the first
+    variable OpenBLAS reads that holds a positive integer; with none set,
+    OpenBLAS runs a thread per core and leaves no core idle."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas = int(environ.get(name, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return max(1, cores // blas)
+    return 1
+
+
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_WORKERS = _worker_count(os.environ, _CORES)
 
 
 @dataclass
@@ -100,13 +126,32 @@ def _gain_vectors(system: EnhancementSystem, mag: np.ndarray) -> np.ndarray:
 
 def _forward_side_by_side(models, feats: np.ndarray, chunk: int) -> np.ndarray:
     """Run every model over the rows of `feats`, `chunk` rows at a time, and
-    place their outputs side by side: (rows, sum of output dims)."""
+    place their outputs side by side: (rows, sum of output dims).
+
+    The one inference fan-out of every gain network: each (row chunk,
+    model) task writes its own block of the output, on up to `_WORKERS`
+    threads (the usable cores over the BLAS thread count). Every
+    `neural.forward` call has the arguments of the serial loop, so the
+    output has its bits at any worker count. A single task (a joint or
+    classical network on one chunk) runs in the caller's thread. The
+    first exception of a task is raised here."""
     edges = np.cumsum([0, *(m.output_dim for m in models)])
     out = np.empty((len(feats), edges[-1]))
-    for lo in range(0, len(feats), chunk):
-        rows = slice(lo, lo + chunk)
-        for model, a, b in zip(models, edges, edges[1:]):
-            out[rows, a:b] = neural.forward(model, feats[rows])
+    tasks = [(slice(lo, lo + chunk), model, a, b)
+             for lo in range(0, len(feats), chunk)
+             for model, a, b in zip(models, edges, edges[1:])]
+
+    def run(task):
+        rows, model, a, b = task
+        out[rows, a:b] = neural.forward(model, feats[rows])
+
+    workers = min(len(tasks), _WORKERS)
+    if workers <= 1:
+        for task in tasks:
+            run(task)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, tasks))
     return out
 
 

@@ -158,6 +158,23 @@ class TestSynthData:
         assert "unknown noise source 'bogus'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_silent_noise_file_refused_before_speech_is_made(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def refuse(*args):
+            raise AssertionError("speech was synthesized before the noise file was checked")
+
+        monkeypatch.setattr(mixing, "pseudo_corpus", refuse)
+        noise = tmp_path / "z.wav"
+        write_wav(TimeSignal(np.zeros(25 * 10000), 10000), noise)
+        (tmp_path / "x").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        with np.errstate(all="raise"):
+            rc = main(["synth-data", "--manifest", "pseudo:3x1", "--noise", f"file:{noise}",
+                       "--out", str(tmp_path / "x")])
+        assert rc == EXIT_DATA
+        assert f"file:{noise}: the noise file is silent" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_rerun_replaces_the_corpus(self, data_dir, tmp_path):
         # a second run into a corpus directory leaves the files of this run,
         # none of the first's, and keeps what else the directory held

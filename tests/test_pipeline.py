@@ -1,6 +1,8 @@
 """Enhancement paths, scoring, gain correlation, tables, baseline."""
 
 import re
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -177,6 +179,115 @@ class TestSingleAnalysisEquivalence:
         spec = analyze(pad_to_frames(noisy.samples, CFG), CFG)
         expected = synthesize(apply_gain(spec, gains), CFG).samples[: len(noisy)]
         assert np.array_equal(baseline.classical_enhance(system, noisy).samples, expected)
+
+
+def serial_side_by_side(models, feats, chunk):
+    """The inference loop before the fan-out: chunk by chunk, model by model."""
+    out = np.empty((len(feats), sum(m.output_dim for m in models)))
+    for lo in range(0, len(feats), chunk):
+        rows, a = slice(lo, lo + chunk), 0
+        for model in models:
+            out[rows, a : a + model.output_dim] = neural.forward(model, feats[rows])
+            a += model.output_dim
+    return out
+
+
+def forward_threads(monkeypatch):
+    """Record the thread of every `neural.forward` call; returns the live set."""
+    seen = set()
+    forward = neural.forward
+
+    def recorded(*args, **kwargs):
+        seen.add(threading.get_ident())
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(neural, "forward", recorded)
+    return seen
+
+
+class TestInferenceFanOut:
+    """With two workers and a chunk below the row count, the (chunk, model)
+    tasks run on pool threads and every output keeps the bits of the serial
+    per-model loop; a one-task system stays in the caller's thread."""
+
+    @pytest.mark.parametrize("environ, cores, workers", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+        ({"OMP_NUM_THREADS": "1"}, 2, 2),
+        ({"GOTO_NUM_THREADS": "1"}, 4, 4),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "two", "OMP_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "two"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "-1"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1.5"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+        ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
+    ])
+    def test_worker_count_rule(self, environ, cores, workers):
+        assert pipeline._worker_count(environ, cores) == workers
+
+    @pytest.mark.parametrize("kind", ["per-band", "joint", "classical"])
+    def test_forward_side_by_side_matches_serial_loop(self, monkeypatch, kind):
+        models, dim = {
+            "per-band": lambda: (SYSTEM.models, 450),
+            "joint": lambda: (joint_system().models, 450),
+            "classical": lambda: ([tiny_classical_system().model], 3870),
+        }[kind]()
+        feats = np.random.default_rng(3).standard_normal((53, dim))
+        expected = serial_side_by_side(models, feats, 8)
+        monkeypatch.setattr(pipeline, "_WORKERS", 2)
+        threads = forward_threads(monkeypatch)
+        assert np.array_equal(pipeline._forward_side_by_side(models, feats, 8), expected)
+        assert threads and threading.get_ident() not in threads
+
+    def test_more_workers_than_cores_lose_no_block(self, monkeypatch):
+        # 750 tasks on 8 threads that switch every microsecond
+        feats = np.random.default_rng(4).standard_normal((200, 450))
+        expected = serial_side_by_side(SYSTEM.models, feats, 4)
+        monkeypatch.setattr(pipeline, "_WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = pipeline._forward_side_by_side(SYSTEM.models, feats, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("kind", ["per-band", "joint", "classical"])
+    def test_enhance_matches_serial_loop(self, monkeypatch, kind):
+        system = {
+            "per-band": lambda: SYSTEM,
+            "joint": joint_system,
+            "classical": tiny_classical_system,
+        }[kind]()
+        _, noisy = noisy_fixture(seed=95)
+        monkeypatch.setattr(pipeline, "_FEATURE_CHUNK", 16)  # 88 rows: 6 chunks
+        with monkeypatch.context() as serial:
+            serial.setattr(pipeline, "_forward_side_by_side", serial_side_by_side)
+            serial.setattr(baseline, "_forward_side_by_side", serial_side_by_side)
+            expected = pipeline.enhance(system, noisy)
+        monkeypatch.setattr(pipeline, "_WORKERS", 2)
+        threads = forward_threads(monkeypatch)
+        assert np.array_equal(pipeline.enhance(system, noisy).samples, expected.samples)
+        # the classical net's rows fit in one 2048-row chunk: one task
+        assert (threads == {threading.get_ident()}) == (kind == "classical")
+
+    def test_task_error_is_raised_from_enhance(self, monkeypatch):
+        system = replace(SYSTEM, band_models=list(SYSTEM.models))
+        system.band_models[9] = neural.init_model([449, 4, 30], seed=0)  # wrong input width
+        _, noisy = noisy_fixture()
+        monkeypatch.setattr(pipeline, "_FEATURE_CHUNK", 16)
+        errors = []
+        for workers in (1, 2):
+            monkeypatch.setattr(pipeline, "_WORKERS", workers)
+            with pytest.raises(ValueError) as info:
+                pipeline.enhance(system, noisy)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == "expected (B, 449) input, got (16, 450)"
 
 
 def polar_enhance(system, noisy):
