@@ -21,15 +21,17 @@ envelopes once and analyzes each mixture once, for both its score and
 its enhancement.
 
 Inference runs each network on each chunk of feature rows as its own
-task, on the cores BLAS leaves idle (see `_forward_side_by_side`). Outputs
-are a function of the seed, the inputs, the BLAS build and the BLAS
-thread count, never of the number of worker threads.
+task, and training fits each band's network as its own task, on the cores
+BLAS leaves idle (see `_fan_out`). Outputs are a function of the seed, the
+inputs, the BLAS build and the BLAS thread count, never of the number of
+worker threads.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -52,10 +54,10 @@ _FEATURE_CHUNK = 4096
 
 
 def _worker_count(environ, cores: int) -> int:
-    """Threads for the inference fan-out: the usable cores divided by the
-    BLAS thread count, at least 1. The BLAS count is that of the first
-    variable OpenBLAS reads that holds a positive integer; with none set,
-    OpenBLAS runs a thread per core and leaves no core idle."""
+    """Threads for `_fan_out`: the usable cores divided by the BLAS thread
+    count, at least 1. The BLAS count is that of the first variable
+    OpenBLAS reads that holds a positive integer; with none set, OpenBLAS
+    runs a thread per core and leaves no core idle."""
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             blas = int(environ.get(name, ""))
@@ -68,6 +70,74 @@ def _worker_count(environ, cores: int) -> int:
 
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _WORKERS = _worker_count(os.environ, _CORES)
+_POOL: ThreadPoolExecutor | None = None
+_POOL_SIZE = 0
+_POOL_LOCK = threading.Lock()
+
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's thread pool, made on first use and made anew when a
+    call wants more threads than it has."""
+    global _POOL, _POOL_SIZE
+    with _POOL_LOCK:
+        if workers > _POOL_SIZE:
+            if _POOL is not None:
+                _POOL.shutdown(wait=False)  # its threads end once idle
+            _POOL, _POOL_SIZE = ThreadPoolExecutor(workers, thread_name_prefix="envgain"), workers
+        return _POOL
+
+
+def _forget_pool():
+    """A forked child has the pool object but none of its threads."""
+    global _POOL, _POOL_SIZE, _POOL_LOCK
+    _POOL, _POOL_SIZE, _POOL_LOCK = None, 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _fan_out(run, tasks: Sequence) -> list:
+    """`[run(task) for task in tasks]`, the tasks spread over up to
+    `_WORKERS` threads of the process's pool; the one fan-out of inference
+    and training. A single task, or a single worker, runs in the caller's
+    thread.
+
+    Tasks start in list order. Once a task has raised, no further task
+    starts; the tasks in flight run to their end, and the error of the
+    earliest failed task is raised, which is the error the serial loop
+    raises. An interrupt of the caller also starts no further task and
+    waits for those in flight."""
+    workers = min(len(tasks), _WORKERS)
+    if workers <= 1:
+        return [run(task) for task in tasks]
+    lock, stop = threading.Lock(), threading.Event()
+    order = iter(range(len(tasks)))
+    results, errors = [None] * len(tasks), {}
+
+    def claim():
+        with lock:
+            return None if stop.is_set() else next(order, None)
+
+    def drain():
+        while (i := claim()) is not None:
+            try:
+                results[i] = run(tasks[i])
+            except BaseException as exc:  # raised again in the caller
+                errors[i] = exc
+                stop.set()
+
+    pool = _pool(workers)
+    futures = [pool.submit(drain) for _ in range(workers)]
+    try:
+        wait(futures)
+    except BaseException:
+        stop.set()
+        wait(futures)
+        raise
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 @dataclass
@@ -128,13 +198,10 @@ def _forward_side_by_side(models, feats: np.ndarray, chunk: int) -> np.ndarray:
     """Run every model over the rows of `feats`, `chunk` rows at a time, and
     place their outputs side by side: (rows, sum of output dims).
 
-    The one inference fan-out of every gain network: each (row chunk,
-    model) task writes its own block of the output, on up to `_WORKERS`
-    threads (the usable cores over the BLAS thread count). Every
+    The inference of every gain network: each (row chunk, model) task
+    writes its own block of the output, through `_fan_out`. Every
     `neural.forward` call has the arguments of the serial loop, so the
-    output has its bits at any worker count. A single task (a joint or
-    classical network on one chunk) runs in the caller's thread. The
-    first exception of a task is raised here."""
+    output has its bits at any worker count."""
     edges = np.cumsum([0, *(m.output_dim for m in models)])
     out = np.empty((len(feats), edges[-1]))
     tasks = [(slice(lo, lo + chunk), model, a, b)
@@ -145,13 +212,7 @@ def _forward_side_by_side(models, feats: np.ndarray, chunk: int) -> np.ndarray:
         rows, model, a, b = task
         out[rows, a:b] = neural.forward(model, feats[rows])
 
-    workers = min(len(tasks), _WORKERS)
-    if workers <= 1:
-        for task in tasks:
-            run(task)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, tasks))
+    _fan_out(run, tasks)
     return out
 
 
@@ -344,8 +405,9 @@ def _train(train_ds, val_ds, bands, config: neural.TrainConfig, hidden: Sequence
     time, and both matrices are then normalized in place, with the bits of
     `FeatureNorm.apply`. Every network shares the rows, the norm and the
     normalized features, so training band 0..14 in one process or in 15
-    processes gives identical models and an identical norm. An empty split
-    is refused."""
+    processes gives identical models and an identical norm. The networks
+    train as independent tasks (`_fan_out`), so their bits do not depend on
+    the worker count either. An empty split is refused."""
     for name, ds in (("train", train_ds), ("validation", val_ds)):
         if ds.n_frames == 0:
             raise ValueError(f"the {name} split has no rows: its utterances are too short")
@@ -358,8 +420,16 @@ def _train(train_ds, val_ds, bands, config: neural.TrainConfig, hidden: Sequence
     for _, _, feats in sets:  # FeatureNorm.apply's two operations, in place
         feats -= norm.mean
         feats /= norm.std
-    models, reports = zip(*(_fit(sets, band, config, hidden) for band in bands))
-    return list(models), list(reports), norm
+    fits = _fan_out(lambda band: _fit(sets, band, config, hidden), bands)
+    # Memory a pool thread frees stays in that thread's malloc arena, where
+    # the caller cannot reuse it. So the caller copies each model it keeps,
+    # and the pool's arenas hold no more than the fits in flight.
+    models, reports = [], []
+    while fits:
+        model, report = fits.pop(0)
+        models.append(model.copy())
+        reports.append(report)
+    return models, reports, norm
 
 
 def _fit(sets, band: int | None, config: neural.TrainConfig, hidden: Sequence[int]):

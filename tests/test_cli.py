@@ -462,6 +462,23 @@ class TestTrain:
         assert "envgain: numeric failure: non-finite" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_diverged_band_fan_out_is_numeric_error(self, data_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        # every band diverges; on two workers the error is band 0's, as in
+        # the serial loop, and no model directory is written
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(TINY_CONFIG + "initial_lr_per_sample = 1e300\n")
+        errors = []
+        for workers in (1, 2):
+            monkeypatch.setattr(pipeline, "_WORKERS", workers)
+            rc = main(["train", "--data", str(data_dir), "--band", "all", "--config", str(cfg),
+                       "--out", str(tmp_path / "x")])
+            assert rc == EXIT_NUMERIC
+            assert not (tmp_path / "x").exists()
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("envgain: numeric failure: non-finite")
+
 
 class TestEnhanceEvaluate:
     def test_enhance_wav(self, data_dir, model_dir, tmp_path):

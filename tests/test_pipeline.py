@@ -1,8 +1,11 @@
 """Enhancement paths, scoring, gain correlation, tables, baseline."""
 
+import os
 import re
+import signal
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -192,16 +195,16 @@ def serial_side_by_side(models, feats, chunk):
     return out
 
 
-def forward_threads(monkeypatch):
-    """Record the thread of every `neural.forward` call; returns the live set."""
+def call_threads(monkeypatch, name="forward"):
+    """Record the thread of every `neural.<name>` call; returns the live set."""
     seen = set()
-    forward = neural.forward
+    call = getattr(neural, name)
 
     def recorded(*args, **kwargs):
         seen.add(threading.get_ident())
-        return forward(*args, **kwargs)
+        return call(*args, **kwargs)
 
-    monkeypatch.setattr(neural, "forward", recorded)
+    monkeypatch.setattr(neural, name, recorded)
     return seen
 
 
@@ -240,7 +243,7 @@ class TestInferenceFanOut:
         feats = np.random.default_rng(3).standard_normal((53, dim))
         expected = serial_side_by_side(models, feats, 8)
         monkeypatch.setattr(pipeline, "_WORKERS", 2)
-        threads = forward_threads(monkeypatch)
+        threads = call_threads(monkeypatch)
         assert np.array_equal(pipeline._forward_side_by_side(models, feats, 8), expected)
         assert threads and threading.get_ident() not in threads
 
@@ -271,7 +274,7 @@ class TestInferenceFanOut:
             serial.setattr(baseline, "_forward_side_by_side", serial_side_by_side)
             expected = pipeline.enhance(system, noisy)
         monkeypatch.setattr(pipeline, "_WORKERS", 2)
-        threads = forward_threads(monkeypatch)
+        threads = call_threads(monkeypatch)
         assert np.array_equal(pipeline.enhance(system, noisy).samples, expected.samples)
         # the classical net's rows fit in one 2048-row chunk: one task
         assert (threads == {threading.get_ident()}) == (kind == "classical")
@@ -288,6 +291,118 @@ class TestInferenceFanOut:
                 pipeline.enhance(system, noisy)
             errors.append(str(info.value))
         assert errors[0] == errors[1] == "expected (B, 449) input, got (16, 450)"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_fans_out_on_its_own_pool(self, monkeypatch):
+        # The child inherits the pool object but not its threads. Two tasks
+        # that wait for each other need two live threads: in the parent they
+        # make the pool start both, and in the child they hang or break the
+        # barrier unless the child has a pool of its own.
+        def meet(_):
+            barrier.wait()
+
+        feats = np.random.default_rng(5).standard_normal((40, 450))
+        monkeypatch.setattr(pipeline, "_WORKERS", 2)
+        barrier = threading.Barrier(2, timeout=10)
+        pipeline._fan_out(meet, range(2))
+        expected = pipeline._forward_side_by_side(SYSTEM.models, feats, 8)
+        pid = os.fork()
+        if pid == 0:  # the child: exit 0 only if both fan-outs ran
+            code = 2
+            try:
+                barrier = threading.Barrier(2, timeout=10)
+                pipeline._fan_out(meet, range(2))
+                out = pipeline._forward_side_by_side(SYSTEM.models, feats, 8)
+                code = 0 if np.array_equal(out, expected) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (status := os.waitpid(pid, os.WNOHANG)) == (0, 0) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if status == (0, 0):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's fan-out did not finish in 60 s")
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+def report_values(reports):
+    """Every field of the training reports but the wall times."""
+    return [(r.stop_reason, [(e.train_cost, e.validation_cost, e.lr, e.n_degenerate)
+                             for e in r.epochs]) for r in reports]
+
+
+def band_train_seed(seed, band):
+    """The `neural.train` seed of `band`'s network (see `pipeline._fit`)."""
+    return int(np.random.SeedSequence(seed).generate_state(2 * band + 2)[2 * band + 1])
+
+
+class TestTrainingFanOut:
+    """With two workers, the per-band networks train on pool threads and
+    keep every bit of the serial loop; one network trains in the caller's
+    thread; a diverging band fails as in the serial loop."""
+
+    def test_band_system_matches_serial_training(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_WORKERS", 1)
+        serial, serial_reports = tiny_system()
+        monkeypatch.setattr(pipeline, "_WORKERS", 2)
+        threads = call_threads(monkeypatch, "train")
+        system, reports = tiny_system()
+        assert threads and threading.get_ident() not in threads
+        assert [m.param_bytes() for m in system.models] == [
+            m.param_bytes() for m in serial.models]
+        assert report_values(reports) == report_values(serial_reports)
+        assert np.array_equal(system.feature_norm.mean, serial.feature_norm.mean)
+        assert np.array_equal(system.feature_norm.std, serial.feature_norm.std)
+
+    def test_one_network_trains_in_the_callers_thread(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_WORKERS", 2)
+        threads = call_threads(monkeypatch, "train")
+        joint_system()
+        train_ds = mixing.build_dataset(SPEECH[:4], NOISE, split="train", seed=0)
+        val_ds = mixing.build_dataset(SPEECH[4:5], NOISE, split="validation", seed=1)
+        model, _, _ = pipeline.train_band_model(
+            train_ds, val_ds, 3, neural.TrainConfig(objective="elc", max_epochs=2, seed=0),
+            hidden=(16, 16), max_train_frames=400, max_val_frames=120,
+        )
+        assert threads == {threading.get_ident()}
+        assert model.param_bytes() == SYSTEM.models[3].param_bytes()
+
+    def test_diverging_band_raises_the_serial_error(self, monkeypatch):
+        # band 3 starts from an infinite weight; the bands after it wait for
+        # band 3 to end, so none of them can finish before it fails
+        train, bad = neural.train, band_train_seed(0, 3)
+        bad_done = threading.Event()
+        started = []
+
+        def diverging(model, tdata, vdata, config):
+            started.append(config.seed)
+            if config.seed == bad:
+                model.layers[0].weights[0, 0] = np.inf
+                try:
+                    with np.errstate(all="ignore"):
+                        return train(model, tdata, vdata, config)
+                finally:
+                    bad_done.set()
+            if config.seed not in [band_train_seed(0, b) for b in range(3)]:
+                assert bad_done.wait(60)
+            return train(model, tdata, vdata, config)
+
+        monkeypatch.setattr(neural, "train", diverging)
+        errors, calls = [], []
+        for workers in (1, 2):
+            monkeypatch.setattr(pipeline, "_WORKERS", workers)
+            started.clear()
+            bad_done.clear()
+            with pytest.raises(neural.NumericError) as info:
+                tiny_system()
+            errors.append(str(info.value))
+            calls.append(list(started))
+        assert errors[0] == errors[1] and errors[0].startswith("non-finite parameters at epoch 0")
+        # the serial loop starts bands 0-3; the pool at most one band more
+        assert calls[0] == [band_train_seed(0, b) for b in range(4)]
+        assert set(calls[1]) == {band_train_seed(0, b) for b in range(len(calls[1]))}
+        assert 4 <= len(calls[1]) <= 5
 
 
 def polar_enhance(system, noisy):

@@ -1,6 +1,6 @@
 """The training step keeps its bits: golden digests of trained parameters
-and of the speech-shaped noise they train on, and the in-place
-forward/backward against the textbook formulas."""
+and of the speech-shaped noise they train on, at one and at two OpenBLAS
+threads, and the in-place forward/backward against the textbook formulas."""
 
 import hashlib
 import json
@@ -47,9 +47,10 @@ def params(models):
 
 
 # sha256 of the trained parameters as the textbook (allocating) training
-# step produced them; a changed digest means training no longer gives the
-# same models for the same seed. The SSN noise they train on is pinned as
-# scipy.signal.welch's long-term spectrum shaped it.
+# step produced them, with two OpenBLAS threads; a changed digest means
+# training no longer gives the same models for the same seed. The SSN noise
+# they train on is pinned as scipy.signal.welch's long-term spectrum shaped
+# it.
 GOLDEN = {
     "per-band elc": (
         lambda: envelope_system("elc", joint=False),
@@ -70,21 +71,31 @@ GOLDEN = {
 }
 
 
+# The BLAS thread count changes how OpenBLAS splits the classical net's
+# wide products, and so their bits: one thread gives this classical digest.
+# The envelope nets' products are split alike at both counts.
+CLASSICAL_AT_ONE_THREAD = "d676ff0db67977a8bb4c36422e9d8ffd18da103f463b0be1a84cb6b6f708532f"
+
+
 def golden_digests():
     return {name: hashlib.sha256(build()).hexdigest() for name, (build, _) in GOLDEN.items()}
 
 
 def test_trained_parameters_match_golden_digests():
-    # The digests were recorded with two OpenBLAS threads. The thread count
-    # changes how BLAS splits the classical net's wide products, and so their
-    # bits (one thread gives another classical digest), so they are computed
-    # by running this file in a child process pinned to two threads.
+    # OpenBLAS reads its thread count once, when numpy is imported, so each
+    # count runs this file in its own child process. On two or more cores,
+    # one BLAS thread leaves a core idle and the per-band nets train on pool
+    # threads; two BLAS threads on two cores train them in the caller's
+    # thread. The envelope digests must not depend on it.
     src = str(Path(envgain.__file__).parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    child = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True)
-    assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout) == {name: digest for name, (_, digest) in GOLDEN.items()}
+    golden = {name: digest for name, (_, digest) in GOLDEN.items()}
+    for threads, classical in (("1", CLASSICAL_AT_ONE_THREAD), ("2", golden["classical"])):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
+                               text=True)
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout) == {**golden, "classical": classical}, threads
 
 
 # -- the textbook step, as the network code computed it before it worked in
