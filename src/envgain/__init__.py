@@ -9,6 +9,7 @@ Library layout::
  neural    -- from-scratch MLP, batch norm, SGD trainer, model files
  framed    -- the checked magic/version/CRC32 frame of the binary files
  mixing    -- active-level SNR mixing, noise synthesis, dataset assembly
+ fanout    -- the one thread-pool fan-out of inference, training and loading
  modeldir  -- the model-directory format: system.txt, feature norm, networks
  pipeline  -- end-to-end enhancement, scoring, evaluation tables
  baseline  -- classical spectral-magnitude MSE enhancer

@@ -90,7 +90,7 @@ class ClassicalSystem:
     def gains(self, mag: np.ndarray) -> np.ndarray:
         """(M, K/2+1) STFT gains of (M, K/2+1) noisy magnitudes."""
         feats = self.feature_norm.apply(log_windows(mag, slice(None), self.context, 0))
-        pred = _forward_side_by_side([self.model], feats, 2048)
+        pred = _forward_side_by_side([self.model], feats)
         # window v ends at frame context-1+v and predicts its last `predict` frames
         pred = pred.reshape(len(pred), self.predict, mag.shape[1])
         return average_overlapping_gains(pred, len(mag), self.context - self.predict, fill=1.0)

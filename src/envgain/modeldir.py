@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import framed, neural
+from .fanout import fan_out
 from .octave import OUT_OF_BAND, build_band_layout
 from .stft import StftConfig
 
@@ -143,7 +144,9 @@ def read(dirpath, kinds: tuple) -> tuple:
     whose kind is one of `kinds` (ENVELOPE_KINDS or CLASSICAL_KINDS): the
     typed system.txt record, the objects it names (layout None for the
     classical kind) and the networks in `model_files` order, each checked
-    for its dims and objective tag. A defect raises ModelFormatError."""
+    for its dims and objective tag. A defect raises ModelFormatError; the
+    networks load as `fan_out` tasks, so the error is that of the first
+    defective file, as in a serial loop, and no fan-out task may call this."""
     d = Path(dirpath)
     path = d / "system.txt"
     fields = parse_kv(path, {"kind": kinds, **SYSTEM_KEYS[kinds[0]]})  # `kinds` share keys
@@ -172,10 +175,11 @@ def read(dirpath, kinds: tuple) -> tuple:
     norm = load_norm(norm_path)
     if len(norm.mean) != n_in:
         raise neural.ModelFormatError(f"{norm_path}: dim {len(norm.mean)} != expected {n_in}")
-    models = []
-    for name in names:
+
+    def load(name):
         model, tag = neural.load_model(d / name, expected_input_dim=n_in, expected_output_dim=n_out)
         if tag != objective:
             raise neural.ModelFormatError(f"{d / name}: objective {tag} != {objective}")
-        models.append(model)
-    return fields, cfg, layout, norm, models
+        return model
+
+    return fields, cfg, layout, norm, fan_out(load, names)

@@ -20,24 +20,22 @@ window) pairs in one batch. Evaluation computes each clean utterance's
 envelopes once and analyzes each mixture once, for both its score and
 its enhancement.
 
-Inference runs each network on each chunk of feature rows as its own
+Inference runs each network on each block of feature rows as its own
 task, and training fits each band's network as its own task, on the cores
-BLAS leaves idle (see `_fan_out`). Outputs are a function of the seed, the
+BLAS leaves idle (see `fanout`). Outputs are a function of the seed, the
 inputs, the BLAS build and the BLAS thread count, never of the number of
 worker threads.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import cost, mixing, modeldir, neural
+from .fanout import fan_out
 from .mixing import EnvelopeDataset, active_speech_level, log_windows
 from .octave import (
     ENVELOPE_LEN,
@@ -51,93 +49,7 @@ from .signal_io import WORKING_RATE_HZ, TimeSignal
 from .stft import StftConfig, analyze, apply_gain, magnitude, pad_to_frames, synthesize
 
 _FEATURE_CHUNK = 4096
-
-
-def _worker_count(environ, cores: int) -> int:
-    """Threads for `_fan_out`: the usable cores divided by the BLAS thread
-    count, at least 1. The BLAS count is that of the first variable
-    OpenBLAS reads that holds a positive integer; with none set, OpenBLAS
-    runs a thread per core and leaves no core idle."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            blas = int(environ.get(name, ""))
-        except ValueError:
-            continue
-        if blas > 0:
-            return max(1, cores // blas)
-    return 1
-
-
-_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_WORKERS = _worker_count(os.environ, _CORES)
-_POOL: ThreadPoolExecutor | None = None
-_POOL_SIZE = 0
-_POOL_LOCK = threading.Lock()
-
-
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """The process's thread pool, made on first use and made anew when a
-    call wants more threads than it has."""
-    global _POOL, _POOL_SIZE
-    with _POOL_LOCK:
-        if workers > _POOL_SIZE:
-            if _POOL is not None:
-                _POOL.shutdown(wait=False)  # its threads end once idle
-            _POOL, _POOL_SIZE = ThreadPoolExecutor(workers, thread_name_prefix="envgain"), workers
-        return _POOL
-
-
-def _forget_pool():
-    """A forked child has the pool object but none of its threads."""
-    global _POOL, _POOL_SIZE, _POOL_LOCK
-    _POOL, _POOL_SIZE, _POOL_LOCK = None, 0, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _fan_out(run, tasks: Sequence) -> list:
-    """`[run(task) for task in tasks]`, the tasks spread over up to
-    `_WORKERS` threads of the process's pool; the one fan-out of inference
-    and training. A single task, or a single worker, runs in the caller's
-    thread.
-
-    Tasks start in list order. Once a task has raised, no further task
-    starts; the tasks in flight run to their end, and the error of the
-    earliest failed task is raised, which is the error the serial loop
-    raises. An interrupt of the caller also starts no further task and
-    waits for those in flight."""
-    workers = min(len(tasks), _WORKERS)
-    if workers <= 1:
-        return [run(task) for task in tasks]
-    lock, stop = threading.Lock(), threading.Event()
-    order = iter(range(len(tasks)))
-    results, errors = [None] * len(tasks), {}
-
-    def claim():
-        with lock:
-            return None if stop.is_set() else next(order, None)
-
-    def drain():
-        while (i := claim()) is not None:
-            try:
-                results[i] = run(tasks[i])
-            except BaseException as exc:  # raised again in the caller
-                errors[i] = exc
-                stop.set()
-
-    pool = _pool(workers)
-    futures = [pool.submit(drain) for _ in range(workers)]
-    try:
-        wait(futures)
-    except BaseException:
-        stop.set()
-        wait(futures)
-        raise
-    if errors:
-        raise errors[min(errors)]
-    return results
+_MIN_TASKS = 4  # a constant, not the worker count: bits must not depend on the latter
 
 
 @dataclass
@@ -191,28 +103,38 @@ def _padded_noisy(noisy: TimeSignal, config: StftConfig) -> np.ndarray:
 def _gain_vectors(system: EnhancementSystem, mag: np.ndarray) -> np.ndarray:
     env, n = envelopes(mag, system.layout), system.n_env
     feats = system.feature_norm.apply(log_windows(env, slice(None), n, 1))
-    return _forward_side_by_side(system.models, feats, _FEATURE_CHUNK).reshape(len(feats), -1, n)
+    return _forward_side_by_side(system.models, feats).reshape(len(feats), -1, n)
 
 
-def _forward_side_by_side(models, feats: np.ndarray, chunk: int) -> np.ndarray:
-    """Run every model over the rows of `feats`, `chunk` rows at a time, and
-    place their outputs side by side: (rows, sum of output dims).
+def _row_block(rows: int, n_models: int) -> int:
+    """Rows per inference task: the rows in equal blocks, as few as give
+    `_MIN_TASKS` (row block, network) tasks in all, at most `_FEATURE_CHUNK`
+    rows each. 15 per-band networks take their rows in one block; one joint
+    or classical network in 4."""
+    blocks = -(-_MIN_TASKS // n_models)
+    return max(1, min(_FEATURE_CHUNK, -(-rows // blocks)))
 
-    The inference of every gain network: each (row chunk, model) task
-    writes its own block of the output, through `_fan_out`. Every
+
+def _forward_side_by_side(models, feats: np.ndarray) -> np.ndarray:
+    """Run every model over the rows of `feats`, one `_row_block` at a time,
+    and place their outputs side by side: (rows, sum of output dims).
+
+    The inference of every gain network: each (row block, model) task
+    writes its own block of the output, through `fan_out`. Every
     `neural.forward` call has the arguments of the serial loop, so the
     output has its bits at any worker count."""
     edges = np.cumsum([0, *(m.output_dim for m in models)])
     out = np.empty((len(feats), edges[-1]))
-    tasks = [(slice(lo, lo + chunk), model, a, b)
-             for lo in range(0, len(feats), chunk)
+    block = _row_block(len(feats), len(models))
+    tasks = [(slice(lo, lo + block), model, a, b)
+             for lo in range(0, len(feats), block)
              for model, a, b in zip(models, edges, edges[1:])]
 
     def run(task):
         rows, model, a, b = task
         out[rows, a:b] = neural.forward(model, feats[rows])
 
-    _fan_out(run, tasks)
+    fan_out(run, tasks)
     return out
 
 
@@ -406,7 +328,7 @@ def _train(train_ds, val_ds, bands, config: neural.TrainConfig, hidden: Sequence
     `FeatureNorm.apply`. Every network shares the rows, the norm and the
     normalized features, so training band 0..14 in one process or in 15
     processes gives identical models and an identical norm. The networks
-    train as independent tasks (`_fan_out`), so their bits do not depend on
+    train as independent tasks (`fan_out`), so their bits do not depend on
     the worker count either. An empty split is refused."""
     for name, ds in (("train", train_ds), ("validation", val_ds)):
         if ds.n_frames == 0:
@@ -420,15 +342,8 @@ def _train(train_ds, val_ds, bands, config: neural.TrainConfig, hidden: Sequence
     for _, _, feats in sets:  # FeatureNorm.apply's two operations, in place
         feats -= norm.mean
         feats /= norm.std
-    fits = _fan_out(lambda band: _fit(sets, band, config, hidden), bands)
-    # Memory a pool thread frees stays in that thread's malloc arena, where
-    # the caller cannot reuse it. So the caller copies each model it keeps,
-    # and the pool's arenas hold no more than the fits in flight.
-    models, reports = [], []
-    while fits:
-        model, report = fits.pop(0)
-        models.append(model.copy())
-        reports.append(report)
+    fits = fan_out(lambda band: _fit(sets, band, config, hidden), bands)
+    models, reports = (list(column) for column in zip(*fits))
     return models, reports, norm
 
 

@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from envgain import baseline, cli, mixing, modeldir, neural, pipeline
+from envgain import baseline, cli, fanout, mixing, modeldir, neural, pipeline
 from envgain.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from envgain.signal_io import TimeSignal, read_wav, to_working_rate, write_wav
 
@@ -470,7 +470,7 @@ class TestTrain:
         cfg.write_text(TINY_CONFIG + "initial_lr_per_sample = 1e300\n")
         errors = []
         for workers in (1, 2):
-            monkeypatch.setattr(pipeline, "_WORKERS", workers)
+            monkeypatch.setattr(fanout, "_WORKERS", workers)
             rc = main(["train", "--data", str(data_dir), "--band", "all", "--config", str(cfg),
                        "--out", str(tmp_path / "x")])
             assert rc == EXIT_NUMERIC

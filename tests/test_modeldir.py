@@ -2,13 +2,14 @@
 `key = value` codec of system.txt, meta.txt and config files."""
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envgain import baseline, modeldir, neural, pipeline
+from envgain import baseline, fanout, modeldir, neural, pipeline
 from envgain.octave import build_band_layout
 from envgain.stft import StftConfig
 
@@ -100,6 +101,46 @@ def test_classical_network_must_be_tagged_emse(tmp_path):
     neural.save_model(system.model, tmp_path / "baseline.mdl", "elc")
     with pytest.raises(neural.ModelFormatError, match="baseline.mdl: objective elc != emse"):
         baseline.load_classical(tmp_path)
+
+
+def test_parallel_load_raises_the_first_defective_files_error(tmp_path, monkeypatch):
+    # band 3 loads slowly, so on two workers band 9 fails first; the error
+    # is still band 3's, as in the serial loop
+    pipeline.save_system(per_band_system(), tmp_path)
+    for name in ("band_03.mdl", "band_09.mdl"):
+        raw = bytearray((tmp_path / name).read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        (tmp_path / name).write_bytes(bytes(raw))
+    load = neural.load_model
+
+    def slow_band_03(path, *args, **kwargs):
+        if path.name == "band_03.mdl":
+            time.sleep(0.2)
+        return load(path, *args, **kwargs)
+
+    monkeypatch.setattr(neural, "load_model", slow_band_03)
+    errors = []
+    for workers in (1, 2):
+        monkeypatch.setattr(fanout, "_WORKERS", workers)
+        with pytest.raises(neural.ModelFormatError) as info:
+            pipeline.load_system(tmp_path)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert "band_03.mdl" in errors[0]
+
+
+@pytest.mark.parametrize("kind", sorted(DIRECTORIES))
+def test_parallel_load_gives_the_serial_networks(tmp_path, monkeypatch, kind):
+    build, save, _ = DIRECTORIES[kind]
+    save(build(), tmp_path)
+    kinds = modeldir.CLASSICAL_KINDS if kind == "classical" else modeldir.ENVELOPE_KINDS
+    loaded = []
+    for workers in (1, 2):
+        monkeypatch.setattr(fanout, "_WORKERS", workers)
+        loaded.append([model.param_bytes() for model in modeldir.read(tmp_path, kinds)[4]])
+    assert loaded[0] == loaded[1]
+    assert len(loaded[0]) == (15 if kind == "per-band" else 1)
+
 
 # a key or value the codec keeps as written: no separator, comment or line
 # break inside and no whitespace that parsing strips from its edges

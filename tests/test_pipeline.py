@@ -1,6 +1,7 @@
 """Enhancement paths, scoring, gain correlation, tables, baseline."""
 
 import os
+import platform
 import re
 import signal
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envgain import baseline, cost, mixing, modeldir, neural, pipeline
+from envgain import baseline, cost, fanout, mixing, modeldir, neural, pipeline
 from envgain.cost import DegenerateEnvelopeError
 from envgain.octave import build_band_layout, envelopes
 from envgain.signal_io import WORKING_RATE_HZ, TimeSignal
@@ -125,8 +126,9 @@ def reference_classical_gains(system, noisy):
     )
     sums = np.zeros((m, n_bins))
     counts = np.zeros((m, 1))
-    for lo in range(0, len(feats), 2048):
-        pred = neural.forward(system.model, feats[lo : lo + 2048])
+    block = pipeline._row_block(len(feats), 1)
+    for lo in range(0, len(feats), block):
+        pred = neural.forward(system.model, feats[lo : lo + block])
         pred = pred.reshape(len(pred), system.predict, n_bins)
         for i in range(len(pred)):
             t = system.context - 1 + lo + i
@@ -162,8 +164,7 @@ class TestSingleAnalysisEquivalence:
             )  # (J, V, N)
             j, v, n = windows.shape
             feats = system.feature_norm.apply(np.log1p(windows.transpose(1, 0, 2).reshape(v, -1)))
-            outputs = [neural.forward(model, feats) for model in system.models]
-            vectors = np.concatenate(outputs, axis=1).reshape(v, j, n)
+            vectors = serial_side_by_side(system.models, feats).reshape(v, j, n)
             assert np.array_equal(pipeline.predict_gain_vectors(system, noisy), vectors)
             expected = pipeline.enhance_with_band_gains(
                 noisy, reference_band_gains(system, noisy), system.layout,
@@ -184,11 +185,13 @@ class TestSingleAnalysisEquivalence:
         assert np.array_equal(baseline.classical_enhance(system, noisy).samples, expected)
 
 
-def serial_side_by_side(models, feats, chunk):
-    """The inference loop before the fan-out: chunk by chunk, model by model."""
+def serial_side_by_side(models, feats):
+    """The inference loop without the fan-out: row block by row block, model
+    by model, in the row blocks of `pipeline._row_block`."""
+    block = pipeline._row_block(len(feats), len(models))
     out = np.empty((len(feats), sum(m.output_dim for m in models)))
-    for lo in range(0, len(feats), chunk):
-        rows, a = slice(lo, lo + chunk), 0
+    for lo in range(0, len(feats), block):
+        rows, a = slice(lo, lo + block), 0
         for model in models:
             out[rows, a : a + model.output_dim] = neural.forward(model, feats[rows])
             a += model.output_dim
@@ -231,7 +234,7 @@ class TestInferenceFanOut:
         ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
     ])
     def test_worker_count_rule(self, environ, cores, workers):
-        assert pipeline._worker_count(environ, cores) == workers
+        assert fanout._worker_count(environ, cores) == workers
 
     @pytest.mark.parametrize("kind", ["per-band", "joint", "classical"])
     def test_forward_side_by_side_matches_serial_loop(self, monkeypatch, kind):
@@ -241,21 +244,46 @@ class TestInferenceFanOut:
             "classical": lambda: ([tiny_classical_system().model], 3870),
         }[kind]()
         feats = np.random.default_rng(3).standard_normal((53, dim))
-        expected = serial_side_by_side(models, feats, 8)
-        monkeypatch.setattr(pipeline, "_WORKERS", 2)
+        monkeypatch.setattr(pipeline, "_FEATURE_CHUNK", 8)  # 7 row blocks
+        expected = serial_side_by_side(models, feats)
+        monkeypatch.setattr(fanout, "_WORKERS", 2)
         threads = call_threads(monkeypatch)
-        assert np.array_equal(pipeline._forward_side_by_side(models, feats, 8), expected)
+        assert np.array_equal(pipeline._forward_side_by_side(models, feats), expected)
         assert threads and threading.get_ident() not in threads
+
+    @pytest.mark.parametrize("rows, models, block", [
+        (88, 15, 88), (5000, 15, 4096), (88, 1, 22), (1000, 1, 250), (53, 1, 14),
+        (20000, 1, 4096), (53, 2, 27), (53, 3, 27), (3, 1, 1), (0, 1, 1),
+    ])
+    def test_row_block_rule(self, rows, models, block):
+        # equal blocks, enough for 4 tasks in all, capped at 4,096 rows
+        assert pipeline._row_block(rows, models) == block
+
+    @pytest.mark.parametrize("kind", ["joint", "classical"])
+    def test_row_blocks_are_within_rounding_of_a_whole_array_forward(self, kind):
+        model, dim = {
+            "joint": lambda: (neural.init_model([450, 64, 64, 450], seed=11), 450),
+            "classical": lambda: (neural.init_model([3870, 64, 64, 645], seed=12), 3870),
+        }[kind]()
+        feats = np.random.default_rng(6).standard_normal((1000, dim))
+        whole = neural.forward(model, feats)
+        blocked = pipeline._forward_side_by_side([model], feats)
+        np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+    def test_one_malloc_arena_on_glibc(self):
+        assert fanout._one_arena()
 
     def test_more_workers_than_cores_lose_no_block(self, monkeypatch):
         # 750 tasks on 8 threads that switch every microsecond
         feats = np.random.default_rng(4).standard_normal((200, 450))
-        expected = serial_side_by_side(SYSTEM.models, feats, 4)
-        monkeypatch.setattr(pipeline, "_WORKERS", 8)
+        monkeypatch.setattr(pipeline, "_FEATURE_CHUNK", 4)
+        expected = serial_side_by_side(SYSTEM.models, feats)
+        monkeypatch.setattr(fanout, "_WORKERS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            out = pipeline._forward_side_by_side(SYSTEM.models, feats, 4)
+            out = pipeline._forward_side_by_side(SYSTEM.models, feats)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(out, expected)
@@ -268,16 +296,15 @@ class TestInferenceFanOut:
             "classical": tiny_classical_system,
         }[kind]()
         _, noisy = noisy_fixture(seed=95)
-        monkeypatch.setattr(pipeline, "_FEATURE_CHUNK", 16)  # 88 rows: 6 chunks
+        monkeypatch.setattr(pipeline, "_FEATURE_CHUNK", 16)  # 88 rows: 6 blocks
         with monkeypatch.context() as serial:
             serial.setattr(pipeline, "_forward_side_by_side", serial_side_by_side)
             serial.setattr(baseline, "_forward_side_by_side", serial_side_by_side)
             expected = pipeline.enhance(system, noisy)
-        monkeypatch.setattr(pipeline, "_WORKERS", 2)
+        monkeypatch.setattr(fanout, "_WORKERS", 2)
         threads = call_threads(monkeypatch)
         assert np.array_equal(pipeline.enhance(system, noisy).samples, expected.samples)
-        # the classical net's rows fit in one 2048-row chunk: one task
-        assert (threads == {threading.get_ident()}) == (kind == "classical")
+        assert threads and threading.get_ident() not in threads
 
     def test_task_error_is_raised_from_enhance(self, monkeypatch):
         system = replace(SYSTEM, band_models=list(SYSTEM.models))
@@ -286,7 +313,7 @@ class TestInferenceFanOut:
         monkeypatch.setattr(pipeline, "_FEATURE_CHUNK", 16)
         errors = []
         for workers in (1, 2):
-            monkeypatch.setattr(pipeline, "_WORKERS", workers)
+            monkeypatch.setattr(fanout, "_WORKERS", workers)
             with pytest.raises(ValueError) as info:
                 pipeline.enhance(system, noisy)
             errors.append(str(info.value))
@@ -302,17 +329,18 @@ class TestInferenceFanOut:
             barrier.wait()
 
         feats = np.random.default_rng(5).standard_normal((40, 450))
-        monkeypatch.setattr(pipeline, "_WORKERS", 2)
+        monkeypatch.setattr(pipeline, "_FEATURE_CHUNK", 8)
+        monkeypatch.setattr(fanout, "_WORKERS", 2)
         barrier = threading.Barrier(2, timeout=10)
-        pipeline._fan_out(meet, range(2))
-        expected = pipeline._forward_side_by_side(SYSTEM.models, feats, 8)
+        fanout.fan_out(meet, range(2))
+        expected = pipeline._forward_side_by_side(SYSTEM.models, feats)
         pid = os.fork()
         if pid == 0:  # the child: exit 0 only if both fan-outs ran
             code = 2
             try:
                 barrier = threading.Barrier(2, timeout=10)
-                pipeline._fan_out(meet, range(2))
-                out = pipeline._forward_side_by_side(SYSTEM.models, feats, 8)
+                fanout.fan_out(meet, range(2))
+                out = pipeline._forward_side_by_side(SYSTEM.models, feats)
                 code = 0 if np.array_equal(out, expected) else 1
             finally:
                 os._exit(code)
@@ -343,9 +371,9 @@ class TestTrainingFanOut:
     thread; a diverging band fails as in the serial loop."""
 
     def test_band_system_matches_serial_training(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "_WORKERS", 1)
+        monkeypatch.setattr(fanout, "_WORKERS", 1)
         serial, serial_reports = tiny_system()
-        monkeypatch.setattr(pipeline, "_WORKERS", 2)
+        monkeypatch.setattr(fanout, "_WORKERS", 2)
         threads = call_threads(monkeypatch, "train")
         system, reports = tiny_system()
         assert threads and threading.get_ident() not in threads
@@ -356,7 +384,7 @@ class TestTrainingFanOut:
         assert np.array_equal(system.feature_norm.std, serial.feature_norm.std)
 
     def test_one_network_trains_in_the_callers_thread(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "_WORKERS", 2)
+        monkeypatch.setattr(fanout, "_WORKERS", 2)
         threads = call_threads(monkeypatch, "train")
         joint_system()
         train_ds = mixing.build_dataset(SPEECH[:4], NOISE, split="train", seed=0)
@@ -391,7 +419,7 @@ class TestTrainingFanOut:
         monkeypatch.setattr(neural, "train", diverging)
         errors, calls = [], []
         for workers in (1, 2):
-            monkeypatch.setattr(pipeline, "_WORKERS", workers)
+            monkeypatch.setattr(fanout, "_WORKERS", workers)
             started.clear()
             bad_done.clear()
             with pytest.raises(neural.NumericError) as info:
