@@ -212,9 +212,9 @@ def call_threads(monkeypatch, name="forward"):
 
 
 class TestInferenceFanOut:
-    """With two workers and a chunk below the row count, the (chunk, model)
-    tasks run on pool threads and every output keeps the bits of the serial
-    per-model loop; a one-task system stays in the caller's thread."""
+    """With two workers, the (row block, model) tasks of every system kind
+    run on pool threads, and every output keeps the bits of the serial loop
+    over the same row blocks."""
 
     @pytest.mark.parametrize("environ, cores, workers", [
         ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
