@@ -26,6 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, mixing, modeldir, neural, pipeline
+from .modeldir import COUNT, RATE, SEED, checked
+from .octave import N_BANDS
 from .signal_io import WORKING_RATE_HZ, TimeSignal, WavError, read_wav, to_working_rate, write_wav
 
 EXIT_OK = 0
@@ -37,23 +39,19 @@ EXIT_NUMERIC = 3
 # least a second: ten hours are 2.9 GB of samples
 MAX_PSEUDO_SECONDS = 36_000
 
-# the one checked form of a number in a config file or an option: its type,
-# the values allowed and how an error message names them
-_COUNT = (int, lambda v: v > 0, "a positive integer")
-_SEED = (int, lambda v: v >= 0, "a non-negative integer")
-_RATE = (float, lambda v: 0.0 < v < math.inf, "a finite positive number")
+# the kind (see `modeldir.checked`) of each config file key and numeric option
 _CONFIG_KEYS = {
-    "initial_lr_per_sample": _RATE,
+    "initial_lr_per_sample": RATE,
     "lr_decay": (float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
-    "lr_floor": _RATE,
-    "max_epochs": _COUNT,
-    "minibatch": _COUNT,
-    "seed": _SEED,
-    "hidden": _COUNT,  # each entry of a comma-separated list
-    "max_train_frames": _COUNT,
-    "max_val_frames": _COUNT,
+    "lr_floor": RATE,
+    "max_epochs": COUNT,
+    "minibatch": COUNT,
+    "seed": SEED,
+    "hidden": COUNT,  # each entry of a comma-separated list
+    "max_train_frames": COUNT,
+    "max_val_frames": COUNT,
 }
-_OPTIONS = {"seed": _SEED, "hidden": _COUNT}  # numeric options, as the same kinds
+_OPTIONS = {"seed": SEED, "hidden": COUNT}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,19 +116,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _checked(what: str, text: str, kind):
-    """`text` converted by `kind`'s type if the value is allowed; otherwise a
-    ValueError that says `what` is not what the kind expects."""
-    convert, allowed, expected = kind
-    try:
-        value = convert(text)
-        if allowed(value):
-            return value
-    except ValueError:
-        pass
-    raise ValueError(f"{what} is not {expected}")
-
-
 def _parse_snr_range(text: str):
     try:
         lo, hi = (float(v) for v in text.split(":"))
@@ -187,10 +172,10 @@ def _load_train_config(path, objective="elc") -> tuple[neural.TrainConfig, dict]
     fields = {}
     for key, value in raw.items():
         if key == "hidden":
-            extras[key] = tuple(_checked(f"{path}: {key} = {v!r}", v, _COUNT)
+            extras[key] = tuple(checked(f"{path}: {key} = {v!r}", v, COUNT)
                                 for v in value.split(","))
         else:
-            typed = _checked(f"{path}: {key} = {value!r}", value, _CONFIG_KEYS[key])
+            typed = checked(f"{path}: {key} = {value!r}", value, _CONFIG_KEYS[key])
             (extras if key in extras else fields)[key] = typed
     return replace(config, **fields), extras
 
@@ -314,31 +299,35 @@ def _load_packs(data_dir):
 
 
 def _cmd_train(args) -> int:
+    band = args.band
+    if band not in ("all", "joint"):
+        try:
+            band = int(band)
+        except ValueError:
+            raise ValueError(f"--band must be 0..{N_BANDS - 1}, all or joint, "
+                             f"got {args.band!r}") from None
+        if not 0 <= band < N_BANDS:
+            raise ValueError(f"band {band} out of range 0..{N_BANDS - 1}")
     train_ds, val_ds = _load_packs(args.data)
     config, extras = _load_train_config(args.config, args.objective)
     caps = dict(
         max_train_frames=extras["max_train_frames"], max_val_frames=extras["max_val_frames"]
     )
 
-    if args.band in ("all", "joint"):
+    if band in ("all", "joint"):
         system, reports = pipeline.train_enhancement_system(
-            train_ds, val_ds, config, hidden=extras["hidden"],
-            joint=args.band == "joint", **caps,
+            train_ds, val_ds, config, hidden=extras["hidden"], joint=band == "joint", **caps,
         )
         pipeline.save_system(system, args.out)
         for i, report in enumerate(reports):
-            _print_report("joint" if args.band == "joint" else f"band {i:2d}", report)
+            _print_report("joint" if band == "joint" else f"band {i:2d}", report)
     else:
-        try:
-            band = int(args.band)
-        except ValueError:
-            raise ValueError(f"--band must be 0..14, all or joint, got {args.band!r}") from None
-        if not 0 <= band < train_ds.n_bands:
-            raise ValueError(f"band {band} out of range 0..{train_ds.n_bands - 1}")
         model, report, norm = pipeline.train_band_model(
             train_ds, val_ds, band, config, hidden=extras["hidden"], **caps
         )
-        fields = modeldir.envelope_fields("per-band", config.objective, train_ds, "zero")
+        fields = modeldir.envelope_fields(
+            "per-band", config.objective, train_ds.stft_config, train_ds.n_env
+        )
         models = {modeldir.model_files(fields)[band]: model}
         modeldir.save(args.out, fields, norm, models, config.objective)
         _print_report(f"band {band}", report)
@@ -357,7 +346,7 @@ def _cmd_train_baseline(args) -> int:
     data = Path(args.data)
     meta = modeldir.parse_kv(data / "meta.txt")
     seed = meta.get("seed", "0")
-    seed = _checked(f"{data / 'meta.txt'}: seed = {seed!r}", seed, _SEED)
+    seed = checked(f"{data / 'meta.txt'}: seed = {seed!r}", seed, SEED)
     snr_range = _parse_snr_range(meta.get("snr_range", "-5:10"))
     config, extras = _load_train_config(args.config, objective="emse")
     hidden = (args.hidden,) * 3 if extras["hidden"] == neural.DEFAULT_HIDDEN else extras["hidden"]
@@ -444,7 +433,7 @@ def main(argv=None) -> int:
         for option, kind in _OPTIONS.items():
             if hasattr(args, option):
                 text = getattr(args, option)
-                setattr(args, option, _checked(f"--{option} {text}", text, kind))
+                setattr(args, option, checked(f"--{option} {text}", text, kind))
         if args.command == "synth-data":
             return _cmd_synth_data(args)
         if args.command == "train":

@@ -31,7 +31,7 @@ import scipy.fft
 from scipy import signal as _sig
 
 from . import framed
-from .octave import ENVELOPE_LEN, BandLayout, build_band_layout, envelopes
+from .octave import ENVELOPE_LEN, FIRST_CENTER_HZ, build_band_layout, envelopes, stored_layout
 from .signal_io import WORKING_RATE_HZ, TimeSignal, to_working_rate
 from .stft import StftConfig, magnitude
 
@@ -386,7 +386,6 @@ class EnvelopeDataset:
         index,
         n_env=ENVELOPE_LEN,
         mixes=None,
-        layout: BandLayout | None = None,
         stft_config: StftConfig = StftConfig(),
     ):
         self.clean_env = clean_env
@@ -395,9 +394,9 @@ class EnvelopeDataset:
         self.n_env = int(n_env)
         self.mixes = list(mixes) if mixes else []
         self.stft_config = stft_config
-        self.layout = layout or build_band_layout(stft_config.fft_size, WORKING_RATE_HZ)
-        if clean_env and clean_env[0].ndim != 2:
-            raise ValueError("envelope matrices must be (J, M)")
+        self.layout = build_band_layout(stft_config.fft_size)
+        if clean_env and clean_env[0].shape[:-1] != (self.layout.n_bands,):
+            raise ValueError(f"envelope matrices must be ({self.layout.n_bands}, M)")
 
     @property
     def n_bands(self) -> int:
@@ -462,7 +461,7 @@ def build_dataset(
         noisy_envs.append(envelopes(noisy, layout))
         mixes.append(MixSpec(snr, noise_source, split, seed))
     index = frame_index([env.shape[1] for env in clean_envs], ENVELOPE_LEN)
-    return EnvelopeDataset(clean_envs, noisy_envs, index, ENVELOPE_LEN, mixes, layout)
+    return EnvelopeDataset(clean_envs, noisy_envs, index, ENVELOPE_LEN, mixes)
 
 
 def read_manifest(path) -> list[str]:
@@ -492,9 +491,7 @@ def save_dataset(ds: EnvelopeDataset, path) -> None:
     cfg = ds.stft_config
     parts = [
         struct.pack("<III", len(ds.clean_env), ds.n_bands, ds.n_env),
-        struct.pack(
-            "<IIId", cfg.fft_size, cfg.hop, ds.layout.sample_rate_hz, ds.layout.bands[0].center_hz
-        ),
+        struct.pack("<IIId", cfg.fft_size, cfg.hop, WORKING_RATE_HZ, FIRST_CENTER_HZ),
         struct.pack("<Q", ds.n_frames),
     ]
     for clean, noisy in zip(ds.clean_env, ds.noisy_env):
@@ -512,20 +509,17 @@ def save_dataset(ds: EnvelopeDataset, path) -> None:
 def load_dataset(path) -> EnvelopeDataset:
     """Read a pack written by `save_dataset`. Raises DatasetFormatError on
     bad magic, version or CRC, on any record that runs past the end of the
-    payload or leaves bytes after it, on header fields that give no valid
-    STFT configuration or band layout, on negative or non-finite envelope
-    values, and on index rows that point past the stored utterances or frames."""
+    payload or leaves bytes after it, on header fields `octave.stored_layout`
+    refuses, on negative or non-finite envelope values, and on index rows
+    that point past the stored utterances or frames."""
     body = framed.Reader(path, DATASET_FRAME)
     n_utts, n_bands, n_env = body.unpack("<III")
     fft_size, hop, fs, first_center = body.unpack("<IIId")
     if min(n_utts, n_bands, n_env) == 0:
         raise DatasetFormatError(f"{path}: no utterances, bands or envelope frames")
     try:
-        cfg = StftConfig(fft_size)
-        if hop != cfg.hop:  # stored, but not free: half the FFT size
-            raise ValueError(f"hop must be window_len / 2 ({cfg.hop}), got {hop}")
-        layout = build_band_layout(fft_size, fs, n_bands, first_center)
-    except (ValueError, ArithmeticError) as exc:
+        cfg, _ = stored_layout(fft_size, hop, fs, n_bands, first_center)
+    except ValueError as exc:
         raise DatasetFormatError(f"{path}: bad STFT or band header: {exc}") from None
     (n_rows,) = body.unpack("<Q")
     clean_envs, noisy_envs = [], []
@@ -553,4 +547,4 @@ def load_dataset(path) -> EnvelopeDataset:
         raise DatasetFormatError(
             f"{path}: index row {row} {tuple(index[row].tolist())} points past the stored frames"
         )
-    return EnvelopeDataset(clean_envs, noisy_envs, index, n_env, mixes, layout, cfg)
+    return EnvelopeDataset(clean_envs, noisy_envs, index, n_env, mixes, cfg)

@@ -4,11 +4,13 @@ A directory holds `system.txt` (a flat `key = value` record whose `kind`
 picks its other keys), `feature_norm.bin` and the networks of its kind:
 band_00.mdl .. band_{J-1}.mdl (per-band), joint.mdl (joint) or
 baseline.mdl (classical). The `key = value` codec also serves data
-directories' meta.txt and training configuration files.
+directories' meta.txt and training configuration files, and `checked`,
+its one check of a value's kind, also serves the numeric command options.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -16,7 +18,8 @@ import numpy as np
 
 from . import framed, neural
 from .fanout import fan_out
-from .octave import OUT_OF_BAND, build_band_layout
+from .octave import FIRST_CENTER_HZ, N_BANDS, stored_layout
+from .signal_io import WORKING_RATE_HZ
 from .stft import StftConfig
 
 NORM_FRAME = framed.Frame(b"ASTON", 1, "feature-norm file", neural.ModelFormatError)
@@ -24,15 +27,31 @@ NORM_FRAME = framed.Frame(b"ASTON", 1, "feature-norm file", neural.ModelFormatEr
 ENVELOPE_KINDS = ("per-band", "joint")
 CLASSICAL_KINDS = ("classical",)
 
-# the required system.txt keys of each kind besides `kind`, as `typed` kinds;
-# envelope kinds may add `out_of_band` (default zero)
+# the kind of a `key = value` text or an option (see `checked`): how it is
+# converted, which values are allowed and how an error names them
+COUNT = (int, lambda v: v > 0, "a positive integer")
+SEED = (int, lambda v: v >= 0, "a non-negative integer")
+RATE = (float, lambda v: 0.0 < v < math.inf, "a finite positive number")
+NUMBER = (float, lambda v: True, "a number")
+
+
+def one_of(*words: str) -> tuple:
+    return str, words.__contains__, "one of " + ", ".join(words)
+
+
+# the required system.txt keys of each kind besides `kind`; envelope kinds
+# may add `out_of_band`, which must be `zero`. The rate, band count and first
+# centre have one allowed value each (`octave.stored_layout`).
 SYSTEM_KEYS = {
     **dict.fromkeys(ENVELOPE_KINDS, {
-        "objective": neural.OBJECTIVES, "n_bands": int, "n_env": int, "fft_size": int, "hop": int,
-        "sample_rate_hz": int, "first_center_hz": float,
+        "objective": one_of(*neural.OBJECTIVES), "n_bands": COUNT, "n_env": COUNT,
+        "fft_size": COUNT, "hop": COUNT, "sample_rate_hz": COUNT, "first_center_hz": NUMBER,
     }),
-    "classical": {"context": int, "predict": int, "fft_size": int, "hop": int},
+    "classical": {"context": COUNT, "predict": COUNT, "fft_size": COUNT, "hop": COUNT},
 }
+OUT_OF_BAND = one_of("zero")
+# the system.txt keys `octave.stored_layout` takes, by its parameter names
+HEADER_KEYS = ("fft_size", "hop", "sample_rate_hz", "n_bands", "first_center_hz")
 
 
 def write_kv(path, fields: dict) -> None:
@@ -43,9 +62,9 @@ def write_kv(path, fields: dict) -> None:
 
 def parse_kv(path, required: dict | None = None) -> dict:
     """Read a flat `key = value` file. `required` maps each key that must be
-    present to its kind (see `typed`); a missing key or a value not of its
-    kind raises ModelFormatError naming the key, and required values come
-    back converted."""
+    present to its kind (see `checked`); a missing key or a value not of
+    its kind raises ModelFormatError naming the key, and required values
+    come back converted."""
     out = {}
     for number, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
         try:
@@ -63,26 +82,23 @@ def parse_kv(path, required: dict | None = None) -> dict:
     if missing:
         raise neural.ModelFormatError(f"{path}: missing key(s) {', '.join(missing)}")
     for key, kind in required.items():
-        out[key] = typed(path, key, out[key], kind)
+        out[key] = checked(f"{path}: {key} = {out[key]!r}", out[key], kind,
+                           neural.ModelFormatError)
     return out
 
 
-def typed(path, key: str, value: str, kind):
-    """`value` as `kind`: a tuple of the allowed strings, int (positive) or
-    float. Anything else raises ModelFormatError naming `key`."""
-    if isinstance(kind, tuple):
-        if value in kind:
+def checked(what: str, text: str, kind: tuple, error: type = ValueError):
+    """`text` converted by `kind`'s type if the value is allowed; otherwise
+    `error` saying that `what` (`<where>: <key> = '<text>'` in a file,
+    `--<option> <text>` for an option) is not what the kind expects."""
+    convert, allowed, expected = kind
+    try:
+        value = convert(text)
+        if allowed(value):
             return value
-        expected = "one of " + ", ".join(kind)
-    else:
-        try:
-            number = kind(value)
-            if kind is float or number > 0:
-                return number
-        except ValueError:
-            pass
-        expected = "a positive integer" if kind is int else "a number"
-    raise neural.ModelFormatError(f"{path}: {key} = {value!r} is not {expected}")
+    except ValueError:
+        pass
+    raise error(f"{what} is not {expected}")
 
 
 def save_norm(norm: neural.FeatureNorm, path) -> None:
@@ -103,20 +119,19 @@ def load_norm(path) -> neural.FeatureNorm:
     return neural.FeatureNorm(mean, std)
 
 
-def envelope_fields(kind: str, objective: str, source, out_of_band: str) -> dict:
-    """The system.txt record of an envelope-gain directory; `source` (a
-    system or its training dataset) supplies layout, STFT config and n_env."""
-    layout, cfg = source.layout, source.stft_config
+def envelope_fields(kind: str, objective: str, config: StftConfig, n_env: int) -> dict:
+    """The system.txt record of an envelope-gain directory: every key, the
+    fixed band values among them, as the format has always stored them."""
     return {
         "kind": kind,
         "objective": objective,
-        "n_bands": layout.n_bands,
-        "n_env": source.n_env,
-        "fft_size": cfg.fft_size,
-        "hop": cfg.hop,
-        "sample_rate_hz": layout.sample_rate_hz,
-        "first_center_hz": f"{layout.bands[0].center_hz:g}",
-        "out_of_band": out_of_band,
+        "n_bands": N_BANDS,
+        "n_env": n_env,
+        "fft_size": config.fft_size,
+        "hop": config.hop,
+        "sample_rate_hz": WORKING_RATE_HZ,
+        "first_center_hz": f"{FIRST_CENTER_HZ:g}",
+        "out_of_band": "zero",
     }
 
 
@@ -142,33 +157,27 @@ def save(dirpath, fields: dict, norm: neural.FeatureNorm, models: dict, objectiv
 def read(dirpath, kinds: tuple) -> tuple:
     """(fields, stft_config, layout, feature_norm, models) of a model directory
     whose kind is one of `kinds` (ENVELOPE_KINDS or CLASSICAL_KINDS): the
-    typed system.txt record, the objects it names (layout None for the
-    classical kind) and the networks in `model_files` order, each checked
-    for its dims and objective tag. A defect raises ModelFormatError; the
-    networks load as `fan_out` tasks, so the error is that of the first
+    typed system.txt record, the STFT config and layout of its header
+    (`octave.stored_layout`) and the networks in `model_files` order, each
+    checked for its dims and objective tag. A defect raises ModelFormatError;
+    the networks load as `fan_out` tasks, so the error is that of the first
     defective file, as in a serial loop, and no fan-out task may call this."""
     d = Path(dirpath)
     path = d / "system.txt"
-    fields = parse_kv(path, {"kind": kinds, **SYSTEM_KEYS[kinds[0]]})  # `kinds` share keys
+    # the kinds of `kinds` share their keys
+    fields = parse_kv(path, {"kind": one_of(*kinds), **SYSTEM_KEYS[kinds[0]]})
     try:
-        cfg = StftConfig(fields["fft_size"])
-        if fields["hop"] != cfg.hop:  # stored, but not free: half the FFT size
-            raise ValueError(f"hop must be window_len / 2 ({cfg.hop}), got {fields['hop']}")
+        cfg, layout = stored_layout(**{key: fields[key] for key in HEADER_KEYS if key in fields})
     except ValueError as exc:
         raise neural.ModelFormatError(f"{path}: {exc}") from None
     names = model_files(fields)
     if fields["kind"] == "classical":
-        layout, objective = None, "emse"
+        objective = "emse"
         n_in, n_out = fields["context"] * cfg.n_bins, fields["predict"] * cfg.n_bins
     else:
         out_of_band = fields.get("out_of_band", "zero")
-        fields["out_of_band"] = typed(path, "out_of_band", out_of_band, OUT_OF_BAND)
-        try:
-            layout = build_band_layout(
-                cfg.fft_size, fields["sample_rate_hz"], fields["n_bands"], fields["first_center_hz"]
-            )
-        except (ValueError, ArithmeticError) as exc:
-            raise neural.ModelFormatError(f"{path}: bad band fields: {exc}") from None
+        checked(f"{path}: out_of_band = {out_of_band!r}", out_of_band, OUT_OF_BAND,
+                neural.ModelFormatError)
         n_in = fields["n_bands"] * fields["n_env"]
         n_out, objective = n_in // len(names), fields["objective"]
     norm_path = d / "feature_norm.bin"

@@ -1,10 +1,12 @@
 """One-third-octave band layout and short-time temporal envelopes.
 
-Band j has center frequency ``first_center * 2**(j/3)`` and edges a factor
-``2**(1/6)`` to either side, so adjacent band edges meet exactly. An STFT
-bin with center frequency ``k * fs / K`` belongs to band j iff
-``lower_edge(j) <= f_bin < upper_edge(j)``; bin ranges are stored half-open
-as ``[k1, k2)``.
+The layout is STOI's (Taal et al., IEEE TASLP 2011), a function of the
+FFT size K alone: 15 bands at the 10 kHz working rate, band j centred at
+``150 Hz * 2**(j/3)`` with edges a factor ``2**(1/6)`` to either side, so
+adjacent band edges meet exactly and the top one, 4,277 Hz, lies below
+Nyquist. An STFT bin with center frequency ``k * fs / K`` belongs to band
+j iff ``lower_edge(j) <= f_bin < upper_edge(j)``; bin ranges are stored
+half-open as ``[k1, k2)``, and bins outside every band get gain 0.
 
 Band envelopes are the root-sum-square of the band's magnitude bins per
 frame, computed from an (M, K/2+1) STFT magnitude array (`stft.magnitude`,
@@ -21,12 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signal_io import WORKING_RATE_HZ
+from .stft import DEFAULT_FFT_SIZE, StftConfig
+
 N_BANDS = 15
 FIRST_CENTER_HZ = 150.0
 ENVELOPE_LEN = 30
 
 EDGE_RATIO = 2.0 ** (1.0 / 6.0)
-OUT_OF_BAND = ("zero", "passthrough")  # gain policies for bins outside every band
 
 
 @dataclass(frozen=True)
@@ -44,40 +48,48 @@ class Band:
 class BandLayout:
     bands: tuple[Band, ...]
     fft_size: int
-    sample_rate_hz: int
 
     @property
     def n_bands(self) -> int:
         return len(self.bands)
 
 
-def build_band_layout(
-    fft_size: int = 256,
-    sample_rate_hz: int = 10000,
-    n_bands: int = N_BANDS,
-    first_center_hz: float = FIRST_CENTER_HZ,
-) -> BandLayout:
-    """Assign STFT bins to one-third-octave bands.
+def build_band_layout(fft_size: int = DEFAULT_FFT_SIZE) -> BandLayout:
+    """Assign the STFT bins of a `fft_size`-point FFT to the bands.
 
-    Raises ValueError if any band ends up empty or extends past Nyquist.
+    Raises ValueError if any band ends up empty.
     """
-    bin_hz = sample_rate_hz / fft_size
-    n_bins = fft_size // 2 + 1
+    bin_hz = WORKING_RATE_HZ / fft_size
     bands = []
-    for j in range(n_bands):
-        center = first_center_hz * 2.0 ** (j / 3.0)
-        lower = center / EDGE_RATIO
-        upper = center * EDGE_RATIO
-        k1 = int(np.ceil(lower / bin_hz))
-        k2 = int(np.ceil(upper / bin_hz))
-        if k2 > n_bins:
-            raise ValueError(
-                f"band {j} (center {center:.1f} Hz) extends past Nyquist for fs={sample_rate_hz}"
-            )
+    for j in range(N_BANDS):
+        center = FIRST_CENTER_HZ * 2.0 ** (j / 3.0)
+        k1 = int(np.ceil(center / EDGE_RATIO / bin_hz))
+        k2 = int(np.ceil(center * EDGE_RATIO / bin_hz))
         if k2 <= k1:
-            raise ValueError(f"band {j} (center {center:.1f} Hz) contains no STFT bin")
+            raise ValueError(f"fft_size {fft_size} leaves band {j} (center {center:.1f} Hz) "
+                             "without an STFT bin")
         bands.append(Band(center, k1, k2))
-    return BandLayout(tuple(bands), fft_size, sample_rate_hz)
+    return BandLayout(tuple(bands), fft_size)
+
+
+def stored_layout(fft_size, hop, sample_rate_hz=WORKING_RATE_HZ, n_bands=N_BANDS,
+                  first_center_hz=FIRST_CENTER_HZ) -> tuple[StftConfig, BandLayout]:
+    """The STFT configuration and band layout of a stored record's header.
+
+    The FFT size is the one free value: `hop` must be half of it, and the
+    rate, band count and first centre must be the fixed ones (a record that
+    stores none of the three, the classical kind, leaves them out). Raises
+    ValueError naming the first field that is not so.
+    """
+    config = StftConfig(fft_size)
+    if hop != config.hop:  # stored, but not free: half the FFT size
+        raise ValueError(f"hop must be window_len / 2 ({config.hop}), got {hop}")
+    for name, stored, value in (("sample_rate_hz", sample_rate_hz, WORKING_RATE_HZ),
+                                ("n_bands", n_bands, N_BANDS),
+                                ("first_center_hz", first_center_hz, FIRST_CENTER_HZ)):
+        if stored != value:
+            raise ValueError(f"{name} = {stored!r} is not {value!r}")
+    return config, build_band_layout(fft_size)
 
 
 def envelopes(magnitude: np.ndarray, layout: BandLayout) -> np.ndarray:
@@ -95,25 +107,16 @@ def envelopes(magnitude: np.ndarray, layout: BandLayout) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def band_gains_to_stft_gains(
-    band_gains: np.ndarray,
-    layout: BandLayout,
-    out_of_band: str = "zero",
-) -> np.ndarray:
+def band_gains_to_stft_gains(band_gains: np.ndarray, layout: BandLayout) -> np.ndarray:
     """Expand per-band gains (J, M) to a per-bin gain matrix (M, K/2+1).
 
-    Every bin inside band j at frame m receives that band's gain. Bins
-    outside all bands get 0 ("zero" policy, the default) or 1
-    ("passthrough").
+    Every bin inside band j at frame m receives that band's gain; bins
+    outside every band get 0.
     """
     gains = np.asarray(band_gains, dtype=np.float64)
     if gains.shape[0] != layout.n_bands:
         raise ValueError(f"expected {layout.n_bands} band rows, got {gains.shape[0]}")
-    if out_of_band not in OUT_OF_BAND:
-        raise ValueError(f"unknown out-of-band policy {out_of_band!r}")
-    n_bins = layout.fft_size // 2 + 1
-    fill = 0.0 if out_of_band == "zero" else 1.0
-    out = np.full((gains.shape[1], n_bins), fill)
+    out = np.zeros((gains.shape[1], layout.fft_size // 2 + 1))
     for j, band in enumerate(layout.bands):
         out[:, band.k1 : band.k2] = gains[j][:, None]
     return out

@@ -2,12 +2,14 @@
 
 An EnhancementSystem holds its gain networks as one ordered list, J
 per-band networks of width N or one joint network of width J*N, whose
-outputs placed side by side form a window's (J, N) gain vector; the band
-layout, STFT configuration and feature normalization come with it. Every
+outputs placed side by side form a window's (J, N) gain vector; the STFT
+configuration, its band layout (`octave.build_band_layout` of the FFT
+size, as everywhere) and feature normalization come with it. Every
 system, this one or the classical baseline, supplies `gains`: (M, K/2+1)
 noisy STFT magnitudes in, (M, K/2+1) STFT gains out. Here those are the
 gain vectors of every window as one (V, J, N) array, their overlapping
-estimates averaged per frame and spread uniformly over each band's bins.
+estimates averaged per frame and spread uniformly over each band's bins;
+bins outside every band get gain 0.
 `enhance` analyzes the noisy audio once into its complex STFT, scales
 that by the system's gains of its magnitudes, so the noisy phase is kept,
 and resynthesizes; output duration equals input duration.
@@ -61,11 +63,13 @@ class EnhancementSystem:
     feature_norm: neural.FeatureNorm
     objective: str
     n_env: int = ENVELOPE_LEN
-    out_of_band: str = "zero"
 
     def __post_init__(self):
         if (self.band_models is None) == (self.joint_model is None):
             raise ValueError("exactly one of band_models / joint_model must be set")
+        if self.layout != build_band_layout(self.stft_config.fft_size):
+            raise ValueError(f"the layout is not the band layout of a "
+                             f"{self.stft_config.fft_size}-point FFT")
         dim = self.layout.n_bands * self.n_env
         count = 1 if self.is_joint else self.layout.n_bands
         if len(self.models) != count or len(self.feature_norm.mean) != dim or any(
@@ -87,7 +91,7 @@ class EnhancementSystem:
         """(M, K/2+1) STFT gains of (M, K/2+1) noisy magnitudes."""
         vectors = _gain_vectors(self, mag)  # (V, J, N); window v starts at frame v
         band_gains = average_overlapping_gains(vectors.transpose(0, 2, 1), len(mag), 0).T
-        return band_gains_to_stft_gains(band_gains, self.layout, self.out_of_band)
+        return band_gains_to_stft_gains(band_gains, self.layout)
 
 
 def _require_working_rate(sig: TimeSignal, what: str):
@@ -152,16 +156,12 @@ def predict_gain_vectors(system: EnhancementSystem, noisy: TimeSignal) -> np.nda
 
 
 def enhance_with_band_gains(
-    noisy: TimeSignal,
-    band_gains: np.ndarray,
-    layout: BandLayout,
-    config: StftConfig = StftConfig(),
-    out_of_band: str = "zero",
+    noisy: TimeSignal, band_gains: np.ndarray, config: StftConfig = StftConfig()
 ) -> TimeSignal:
     """Apply per-frame band gains to a noisy signal and resynthesize with
     the noisy phase. Used by both the networks and oracle-gain harnesses."""
     spectrum = analyze(_padded_noisy(noisy, config), config)
-    stft_gains = band_gains_to_stft_gains(band_gains, layout, out_of_band)
+    stft_gains = band_gains_to_stft_gains(band_gains, build_band_layout(config.fft_size))
     return _resynthesize(noisy, spectrum, stft_gains, config)
 
 
@@ -180,14 +180,12 @@ def enhance(system, noisy: TimeSignal) -> TimeSignal:
 
 
 def oracle_band_gains(
-    clean: TimeSignal,
-    noisy: TimeSignal,
-    layout: BandLayout,
-    config: StftConfig = StftConfig(),
+    clean: TimeSignal, noisy: TimeSignal, config: StftConfig = StftConfig()
 ) -> np.ndarray:
     """Ideal per-frame band gains min(1, X/Y); silent noisy bands get 0."""
     if len(clean) != len(noisy):
         raise ValueError("clean and noisy lengths differ")
+    layout = build_band_layout(config.fft_size)
     clean_env = _envelopes_of(clean, layout, config)
     noisy_env = _envelopes_of(noisy, layout, config)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -239,22 +237,20 @@ def _score_envelopes(clean_env: np.ndarray, proc_env: np.ndarray, n_env: int,
 def score_elc(
     clean: TimeSignal,
     processed: TimeSignal,
-    layout: BandLayout | None = None,
     config: StftConfig = StftConfig(),
-    n_env: int = ENVELOPE_LEN,
     return_counts: bool = False,
 ):
-    """Mean envelope correlation over all valid (band, window) pairs.
+    """Mean envelope correlation over all valid (band, window) pairs of
+    ENVELOPE_LEN frames.
 
     Windows where either centered envelope norm is (numerically) zero are
     skipped; pass return_counts=True to get (score, n_used, n_skipped).
     """
     _require_scorable(clean, processed)
-    if layout is None:
-        layout = build_band_layout(config.fft_size, WORKING_RATE_HZ)
+    layout = build_band_layout(config.fft_size)
     clean_env = _envelopes_of(clean, layout, config)
     proc_env = _envelopes_of(processed, layout, config)
-    return _score_envelopes(clean_env, proc_env, n_env, return_counts)
+    return _score_envelopes(clean_env, proc_env, ENVELOPE_LEN, return_counts)
 
 
 def score_approx_stoi(clean, processed, **kwargs):
@@ -270,9 +266,9 @@ def gain_correlation(
 ) -> float:
     """Pearson correlation between the two systems' concatenated gain-vector
     entries over the same inputs."""
-    shapes = [(s.stft_config, s.n_env, s.layout) for s in (system_a, system_b)]
+    shapes = [(s.stft_config, s.n_env) for s in (system_a, system_b)]
     if shapes[0] != shapes[1]:
-        raise ValueError("systems have different layout or STFT configuration")
+        raise ValueError("systems have different STFT configurations or envelope lengths")
     ga, gb = [], []
     for sig in signals:
         # the configs match, so one analysis serves both systems
@@ -386,7 +382,6 @@ def train_enhancement_system(
     config: neural.TrainConfig = neural.TrainConfig(),
     hidden: Sequence[int] = neural.DEFAULT_HIDDEN,
     joint: bool = False,
-    out_of_band: str = "zero",
     max_train_frames: int | None = None,
     max_val_frames: int | None = None,
 ) -> tuple[EnhancementSystem, list[neural.TrainReport]]:
@@ -407,7 +402,6 @@ def train_enhancement_system(
         feature_norm=norm,
         objective=config.objective,
         n_env=train_ds.n_env,
-        out_of_band=out_of_band,
     )
     return system, reports
 
@@ -448,10 +442,10 @@ def evaluate_system(
     noise_type: str = "noise",
 ) -> list[EvalRow]:
     """Mix each clean utterance at each SNR, enhance, score; one row of
-    means per SNR. `system` is anything `enhance` takes; one without a band
-    layout is scored with the layout `score_elc` uses for its STFT config."""
+    means per SNR. `system` is anything `enhance` takes; it is scored, as
+    `score_elc` scores, in the band layout of its FFT size."""
     config = system.stft_config
-    layout = getattr(system, "layout", None) or build_band_layout(config.fft_size, WORKING_RATE_HZ)
+    layout = build_band_layout(config.fft_size)
     # the same at every SNR: each utterance's level and scoring reference
     levels = [active_speech_level(clean) for clean in clean_list]
     clean_envs = [_envelopes_of(clean, layout, config) for clean in clean_list]
@@ -461,7 +455,7 @@ def evaluate_system(
         mixtures = _seeded_mixtures(clean_list, levels, noise, snr, seed)
         for clean, clean_env, noisy in zip(clean_list, clean_envs, mixtures):
             noisy_mag, enhanced = _analyze_and_enhance(system, noisy)
-            # score_elc(clean, x, layout, config); x has the clean's length and rate
+            # score_elc(clean, x, config); x has the clean's length and rate
             noisy_env = envelopes(noisy_mag, layout)
             enhanced_env = _envelopes_of(enhanced, layout, config)
             elc_up.append(_score_envelopes(clean_env, noisy_env, ENVELOPE_LEN))
@@ -511,7 +505,7 @@ def report_tables(rows: Sequence[EvalRow], fmt: str = "text") -> str:
 
 def save_system(system: EnhancementSystem, dirpath) -> None:
     kind = "joint" if system.is_joint else "per-band"
-    fields = modeldir.envelope_fields(kind, system.objective, system, system.out_of_band)
+    fields = modeldir.envelope_fields(kind, system.objective, system.stft_config, system.n_env)
     models = dict(zip(modeldir.model_files(fields), system.models))
     modeldir.save(dirpath, fields, system.feature_norm, models, system.objective)
 
@@ -521,5 +515,5 @@ def load_system(dirpath) -> EnhancementSystem:
     joint = fields["kind"] == "joint"
     return EnhancementSystem(
         None if joint else models, models[0] if joint else None, layout, cfg, norm,
-        fields["objective"], fields["n_env"], fields["out_of_band"],
+        fields["objective"], fields["n_env"],
     )

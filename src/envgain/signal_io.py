@@ -18,6 +18,8 @@ from pathlib import Path
 import numpy as np
 from scipy import signal as _sig
 
+from . import framed
+
 WORKING_RATE_HZ = 10000
 MIN_INPUT_RATE_HZ = 8000
 # The resampler's filter grows with the rate, so absurd rates are refused.
@@ -158,7 +160,7 @@ def read_wav(path) -> TimeSignal:
 
 
 def write_wav(sig: TimeSignal, path) -> None:
-    """Write 16-bit PCM mono WAV. Amplitudes are clamped to [-1, 1].
+    """Write 16-bit PCM mono WAV, atomically; amplitudes are clamped to [-1, 1].
 
     Quantization rounds half away from zero; +1.0 maps to 32767.
     """
@@ -187,7 +189,7 @@ def write_wav(sig: TimeSignal, path) -> None:
         b"data",
         len(payload),
     )
-    with open(path, "wb") as fh:
+    with framed.replacing(path) as fh:
         fh.write(header)
         fh.write(payload)
 

@@ -147,8 +147,8 @@ def oracle_gain_run():
     wave_hash = hashlib.sha256()
     for i, clean in enumerate(speech):
         noisy, _ = mixing.mix_at_snr(clean, noise, 0.0, rng=7000 + i)
-        gains = pipeline.oracle_band_gains(clean, noisy, LAYOUT, CFG)
-        enhanced = pipeline.enhance_with_band_gains(noisy, gains, LAYOUT, CFG)
+        gains = pipeline.oracle_band_gains(clean, noisy, CFG)
+        enhanced = pipeline.enhance_with_band_gains(noisy, gains, CFG)
         up = pipeline.score_elc(clean, noisy)
         enh = pipeline.score_elc(clean, enhanced)
         improved += enh >= up

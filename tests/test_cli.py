@@ -354,6 +354,32 @@ class TestTrain:
             assert message in capsys.readouterr().err
             assert not (tmp_path / "x").exists()
 
+    def test_bad_band_rejected_before_any_pack_is_read(self, data_dir, tmp_path, capsys,
+                                                       monkeypatch):
+        def unread(path):
+            raise AssertionError(f"{path} read before --band was checked")
+
+        monkeypatch.setattr(mixing, "load_dataset", unread)
+        rc = main(["train", "--data", str(data_dir), "--band", "15",
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_DATA
+        assert "band 15 out of range 0..14" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_pack_of_another_rate_is_data_error(self, data_dir, tmp_path, capsys):
+        shutil.copy(data_dir / "val.pack", tmp_path / "val.pack")
+        payload = bytearray((data_dir / "train.pack").read_bytes()[:-4])
+        assert struct.unpack_from("<I", payload, 29) == (10_000,)  # the sample rate
+        payload[29:33] = struct.pack("<I", 9000)
+        pack = tmp_path / "train.pack"
+        pack.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+        rc = main(["train", "--data", str(tmp_path), "--band", "all",
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_DATA
+        assert (f"{pack}: bad STFT or band header: sample_rate_hz = 9000 is not 10000"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+
     def test_truncated_pack_is_data_error(self, data_dir, tmp_path):
         for name in ("train.pack", "val.pack"):
             shutil.copy(data_dir / name, tmp_path / name)
@@ -645,7 +671,10 @@ class TestEnhanceEvaluate:
         ("non-finite", "non-finite parameters"),
         ("hop = 12x8", "hop = '12x8' is not a positive integer"),
         ("kind = banana", "kind = 'banana' is not one of per-band, joint"),
-        ("out_of_band = banana", "out_of_band = 'banana' is not one of zero, passthrough"),
+        ("out_of_band = banana", "out_of_band = 'banana' is not one of zero"),
+        ("out_of_band = passthrough", "out_of_band = 'passthrough' is not one of zero"),
+        ("sample_rate_hz = 9000", "sample_rate_hz = 9000 is not 10000"),
+        ("first_center_hz = 170", "first_center_hz = 170.0 is not 150.0"),
     ])
     def test_enhance_bad_model_dir_is_data_error(
         self, data_dir, model_dir, tmp_path, capsys, defect, message

@@ -466,6 +466,12 @@ class TestDatasetPack:
         with pytest.raises(DatasetFormatError, match="truncated"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("shape", [(12, 40), (40,), (15, 2, 40)])
+    def test_envelopes_of_another_band_count_refused(self, shape):
+        # such a dataset would save to a pack that `load_dataset` refuses
+        with pytest.raises(ValueError, match=r"envelope matrices must be \(15, M\)"):
+            EnvelopeDataset([np.ones(shape)], [np.ones(shape)], [])
+
     def test_trailing_bytes_rejected(self, tmp_path):
         ds = EnvelopeDataset([np.ones((15, 30))], [np.ones((15, 30))], [(0, 29)])
         path = tmp_path / "d.pack"

@@ -29,9 +29,7 @@ def per_band_system():
 
 def joint_system():
     model = neural.init_model([DIM, 4, DIM], seed=20)
-    return pipeline.EnhancementSystem(
-        None, model, LAYOUT, CFG, fixed_norm(DIM), "emse", out_of_band="passthrough"
-    )
+    return pipeline.EnhancementSystem(None, model, LAYOUT, CFG, fixed_norm(DIM), "emse")
 
 
 def classical_system():
@@ -65,7 +63,7 @@ DIRECTORIES = {
     "joint": (joint_system, pipeline.save_system, {
         "feature_norm.bin": NORM_450,
         "joint.mdl": "cbd308919aa4b2c4752df730816b2819100e49bb3c6aedfa4fdfc3dc18cb75aa",
-        "system.txt": "2564970ea79f9f026b2ba759b13c1a87d4db8888582c84cd23bbb7e094805fe6",
+        "system.txt": "8c9dd08cc914f2469a4a13548e606b18ce21033952955e7dbc94a5082a51fae6",
     }),
     "classical": (classical_system, baseline.save_classical, {
         "baseline.mdl": "af1ae25c526d2d84a74bcfdaf84bdef62abf6c522353617952ab4dc0839eead9",
@@ -157,7 +155,9 @@ def test_kv_round_trip(tmp_path_factory, fields):
     assert modeldir.parse_kv(path) == fields
 
 
-SYSTEM_REQUIRED = {"kind": modeldir.ENVELOPE_KINDS, **modeldir.SYSTEM_KEYS["per-band"]}
+SYSTEM_REQUIRED = {
+    "kind": modeldir.one_of(*modeldir.ENVELOPE_KINDS), **modeldir.SYSTEM_KEYS["per-band"]
+}
 # every required key present, with any text as its value, so the typing runs
 system_records = st.fixed_dictionaries({key: st.text(max_size=12) for key in SYSTEM_REQUIRED}).map(
     lambda fields: "".join(f"{key} = {val}\n" for key, val in fields.items()).encode("utf-8")

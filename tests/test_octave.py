@@ -1,20 +1,24 @@
 """Band layout geometry, envelopes, and gain back-mapping."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from envgain import modeldir
 from envgain.stft import StftConfig, analyze, apply_gain, magnitude
 from envgain.octave import (
     average_overlapping_gains,
     band_gains_to_stft_gains,
     build_band_layout,
     envelopes,
+    stored_layout,
 )
 
 CFG = StftConfig()
-LAYOUT = build_band_layout(256, 10000)
+LAYOUT = build_band_layout(256)
 
 
 def spec_from_mag(mag):
@@ -67,7 +71,58 @@ class TestBandLayout:
 
     def test_empty_band_rejected(self):
         with pytest.raises(ValueError):
-            build_band_layout(32, 10000)  # 312.5 Hz bins leave band 0 empty
+            build_band_layout(32)  # 312.5 Hz bins leave band 0 empty
+
+
+def every_band_holds_a_bin(fft_size):
+    """Whether each band's edges hold an STFT bin centre, from the edges."""
+    freqs = np.arange(fft_size // 2 + 1) * 10000 / fft_size
+    centers = 150.0 * 2 ** (np.arange(15) / 3)
+    return all(np.any((c * 2 ** (-1 / 6) <= freqs) & (freqs < c * 2 ** (1 / 6))) for c in centers)
+
+
+def written_header(fft_size):
+    """The header fields a model directory's system.txt stores for an FFT
+    size, as its reader types them."""
+    fields = modeldir.envelope_fields("per-band", "elc", StftConfig(fft_size), 30)
+    kinds = modeldir.SYSTEM_KEYS["per-band"]
+    return {key: modeldir.checked(key, str(fields[key]), kinds[key])
+            for key in modeldir.HEADER_KEYS}
+
+
+def header_value(written):
+    """Either the value a writer stores or another one of its type."""
+    other = st.integers(-2, 20_000) if isinstance(written, int) else st.floats(allow_nan=True)
+    return st.one_of(st.just(written), other)
+
+
+class TestStoredLayout:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), fft_size=st.integers(-2, 4096))
+    def test_accepts_exactly_the_written_header(self, data, fft_size):
+        written = written_header(fft_size if fft_size > 0 and fft_size % 2 == 0 else 256)
+        header = {key: data.draw(header_value(value), label=key) for key, value in written.items()}
+        header["fft_size"] = fft_size
+        valid = fft_size > 0 and fft_size % 2 == 0 and every_band_holds_a_bin(fft_size)
+        if valid and header == written:
+            assert stored_layout(**header) == (StftConfig(fft_size), build_band_layout(fft_size))
+        else:
+            with pytest.raises(ValueError):
+                stored_layout(**header)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("hop", 64, "hop must be window_len / 2 (128), got 64"),
+        ("sample_rate_hz", 9000, "sample_rate_hz = 9000 is not 10000"),
+        ("n_bands", 12, "n_bands = 12 is not 15"),
+        ("first_center_hz", 170.0, "first_center_hz = 170.0 is not 150.0"),
+    ])
+    def test_refusal_names_the_field(self, key, value, message):
+        header = {**written_header(256), key: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stored_layout(**header)
+
+    def test_record_without_band_fields_gets_the_fixed_ones(self):
+        assert stored_layout(512, 256) == (StftConfig(512), build_band_layout(512))
 
 
 class TestEnvelopes:
@@ -127,19 +182,12 @@ class TestEnvelopesFromMagnitude:
 
 class TestGainBackMapping:
     def test_unit_gains_fill_bands_with_ones(self):
-        gains = band_gains_to_stft_gains(np.ones((15, 4)), LAYOUT, "zero")
+        gains = band_gains_to_stft_gains(np.ones((15, 4)), LAYOUT)
         assert gains.shape == (4, 129)
         for band in LAYOUT.bands:
             assert np.all(gains[:, band.k1 : band.k2] == 1.0)
         assert np.all(gains[:, : LAYOUT.bands[0].k1] == 0.0)
         assert np.all(gains[:, LAYOUT.bands[-1].k2 :] == 0.0)
-
-    def test_passthrough_policy(self):
-        gains = band_gains_to_stft_gains(np.zeros((15, 2)), LAYOUT, "passthrough")
-        assert np.all(gains[:, : LAYOUT.bands[0].k1] == 1.0)
-        assert np.all(gains[:, LAYOUT.bands[-1].k2 :] == 1.0)
-        for band in LAYOUT.bands:
-            assert np.all(gains[:, band.k1 : band.k2] == 0.0)
 
     def test_uniform_gain_identity_on_envelopes(self):
         # applying uniform per-band gains scales each band envelope by
@@ -148,7 +196,7 @@ class TestGainBackMapping:
         mag = rng.uniform(0.1, 2.0, (8, 129))
         spec = spec_from_mag(mag)
         band_gains = rng.uniform(0.0, 1.0, (15, 8))
-        gained = apply_gain(spec, band_gains_to_stft_gains(band_gains, LAYOUT, "zero"))
+        gained = apply_gain(spec, band_gains_to_stft_gains(band_gains, LAYOUT))
         env_before = envelopes(np.abs(spec), LAYOUT)
         env_after = envelopes(np.abs(gained), LAYOUT)
         expected = band_gains * env_before
@@ -157,16 +205,12 @@ class TestGainBackMapping:
     def test_zero_gain_zeroes_exactly_one_band(self):
         band_gains = np.ones((15, 3))
         band_gains[7] = 0.0
-        gains = band_gains_to_stft_gains(band_gains, LAYOUT, "zero")
+        gains = band_gains_to_stft_gains(band_gains, LAYOUT)
         b7 = LAYOUT.bands[7]
         assert np.all(gains[:, b7.k1 : b7.k2] == 0.0)
         for j, band in enumerate(LAYOUT.bands):
             if j != 7:
                 assert np.all(gains[:, band.k1 : band.k2] == 1.0)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            band_gains_to_stft_gains(np.ones((15, 2)), LAYOUT, "mirror")
 
 
 def reference_average(vectors, n_frames, first_frame, fill=None):

@@ -1,6 +1,7 @@
 """WAV round trips, fuzzed and partial WAV files, resampling quality, and
 tone generation."""
 
+import io
 import struct
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from envgain import framed
 from envgain.signal_io import (
     MAX_INPUT_RATE_HZ,
     WORKING_RATE_HZ,
@@ -143,6 +145,22 @@ class TestWriteWav:
         write_wav(once, tmp_path / "b.wav")
         twice = read_wav(tmp_path / "b.wav")
         assert np.array_equal(once.samples, twice.samples)
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.wav"
+        write_wav(TimeSignal(np.full(64, 0.25), WORKING_RATE_HZ), path)
+        old = path.read_bytes()
+
+        class FailingFile(io.FileIO):  # opens, writes 8 bytes, then fails
+            def write(self, data):
+                super().write(bytes(data)[:8])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(framed, "open", FailingFile, raising=False)
+        with pytest.raises(OSError, match="no space left on device"):
+            write_wav(TimeSignal(np.full(64, -0.5), WORKING_RATE_HZ), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["out.wav"]  # no temp file left
 
 
 def chunked_wav(payload, fmt_code=1, bits=16, channels=1, rate=10000):
