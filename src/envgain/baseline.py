@@ -122,8 +122,7 @@ def save_classical(system: ClassicalSystem, dirpath) -> None:
         "fft_size": system.stft_config.fft_size,
         "hop": system.stft_config.hop,
     }
-    models = dict(zip(modeldir.model_files(fields), [system.model]))
-    modeldir.save(dirpath, fields, system.feature_norm, models, "emse")
+    modeldir.save(dirpath, fields, system.feature_norm, [system.model], "emse")
 
 
 def load_classical(dirpath) -> ClassicalSystem:

@@ -14,20 +14,15 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
-import shutil
 import sys
-import tempfile
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import baseline, mixing, modeldir, neural, pipeline
-from .modeldir import COUNT, RATE, SEED, checked
-from .octave import N_BANDS
+from . import baseline, framed, mixing, modeldir, neural, pipeline
+from .modeldir import COUNT, RATE, SEED, checked, one_of
 from .signal_io import WORKING_RATE_HZ, TimeSignal, WavError, read_wav, to_working_rate, write_wav
 
 EXIT_OK = 0
@@ -83,7 +78,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="train envelope-gain networks")
     p.add_argument("--data", required=True)
     p.add_argument("--objective", choices=("elc", "emse"), default="elc")
-    p.add_argument("--band", default="all", help="0..14, all, or joint")
+    p.add_argument("--band", default="all", help="all (one network per band) or joint")
     p.add_argument("--config", help="key = value training overrides")
     p.add_argument("--out", required=True)
 
@@ -186,28 +181,6 @@ def _print_report(label: str, report: neural.TrainReport) -> None:
           f"final val cost {last:.6f}")
 
 
-@contextmanager
-def _staged_directory(out: Path):
-    """A fresh directory to write into; when the block succeeds its entries
-    move into `out`, each replacing one of the same name. When it fails,
-    nothing new is left: `out` keeps what it held, and directories made for
-    it are removed."""
-    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
-    out.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
-    done = False
-    try:
-        yield stage
-        for entry in stage.iterdir():
-            target = out / entry.name
-            if target.is_dir() and not target.is_symlink():
-                shutil.rmtree(target)
-            os.replace(entry, target)
-        done = True
-    finally:
-        shutil.rmtree(made[-1] if made and not done else stage, ignore_errors=True)
-
-
 def _cmd_synth_data(args) -> int:
     snr_range = _parse_snr_range(args.snr_range)
     # the noise spec is checked, and a noise file read, before any speech is made
@@ -246,7 +219,7 @@ def _cmd_synth_data(args) -> int:
         noise, seg_s, seg_s, noise.duration_s - 2 * seg_s
     )
 
-    with _staged_directory(Path(args.out)) as stage:
+    with framed.staged_directory(args.out) as stage:
         for split, signals in splits.items():
             d = stage / f"clean_{split}"
             d.mkdir()
@@ -299,38 +272,17 @@ def _load_packs(data_dir):
 
 
 def _cmd_train(args) -> int:
-    band = args.band
-    if band not in ("all", "joint"):
-        try:
-            band = int(band)
-        except ValueError:
-            raise ValueError(f"--band must be 0..{N_BANDS - 1}, all or joint, "
-                             f"got {args.band!r}") from None
-        if not 0 <= band < N_BANDS:
-            raise ValueError(f"band {band} out of range 0..{N_BANDS - 1}")
+    checked(f"--band {args.band}", args.band, one_of("all", "joint"))
     train_ds, val_ds = _load_packs(args.data)
     config, extras = _load_train_config(args.config, args.objective)
-    caps = dict(
-        max_train_frames=extras["max_train_frames"], max_val_frames=extras["max_val_frames"]
+    joint = args.band == "joint"
+    system, reports = pipeline.train_enhancement_system(
+        train_ds, val_ds, config, hidden=extras["hidden"], joint=joint,
+        max_train_frames=extras["max_train_frames"], max_val_frames=extras["max_val_frames"],
     )
-
-    if band in ("all", "joint"):
-        system, reports = pipeline.train_enhancement_system(
-            train_ds, val_ds, config, hidden=extras["hidden"], joint=band == "joint", **caps,
-        )
-        pipeline.save_system(system, args.out)
-        for i, report in enumerate(reports):
-            _print_report("joint" if band == "joint" else f"band {i:2d}", report)
-    else:
-        model, report, norm = pipeline.train_band_model(
-            train_ds, val_ds, band, config, hidden=extras["hidden"], **caps
-        )
-        fields = modeldir.envelope_fields(
-            "per-band", config.objective, train_ds.stft_config, train_ds.n_env
-        )
-        models = {modeldir.model_files(fields)[band]: model}
-        modeldir.save(args.out, fields, norm, models, config.objective)
-        _print_report(f"band {band}", report)
+    pipeline.save_system(system, args.out)
+    for i, report in enumerate(reports):
+        _print_report("joint" if joint else f"band {i:2d}", report)
     return EXIT_OK
 
 

@@ -4,7 +4,8 @@
 `_WORKERS` threads of one thread pool per process. Inference's (row block,
 network) tasks, per-band training and the loading of a model directory's
 networks all run through it. Results never depend on the worker count:
-each task computes what the serial loop computes.
+each task computes what the serial loop computes. A `fan_out` called by a
+task runs its own tasks serially in that task's thread.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ _WORKERS = _worker_count(os.environ, _CORES)
 _POOL: ThreadPoolExecutor | None = None
 _POOL_SIZE = 0
 _POOL_LOCK = threading.Lock()
+_IN_TASK = threading.local()  # .active is set in the pool's threads
 
 
 def _one_arena() -> bool:
@@ -79,9 +81,9 @@ if hasattr(os, "register_at_fork"):
 
 def fan_out(run, tasks: Sequence) -> list:
     """`[run(task) for task in tasks]`, the tasks spread over up to
-    `_WORKERS` threads of the process's pool. A single task, or a single
-    worker, runs in the caller's thread. A task must not call `fan_out`:
-    it would wait for threads of the pool it is holding.
+    `_WORKERS` threads of the process's pool. A call with one task or one
+    worker, or made by a task, runs its tasks in the caller's thread: a
+    task that waited for the pool's threads could be waiting for its own.
 
     Tasks start in list order. Once a task has raised, no further task
     starts; the tasks in flight run to their end, and the error of the
@@ -89,7 +91,7 @@ def fan_out(run, tasks: Sequence) -> list:
     raises. An interrupt of the caller also starts no further task and
     waits for those in flight."""
     workers = min(len(tasks), _WORKERS)
-    if workers <= 1:
+    if workers <= 1 or getattr(_IN_TASK, "active", False):
         return [run(task) for task in tasks]
     lock, stop = threading.Lock(), threading.Event()
     order = iter(range(len(tasks)))
@@ -100,6 +102,7 @@ def fan_out(run, tasks: Sequence) -> list:
             return None if stop.is_set() else next(order, None)
 
     def drain():
+        _IN_TASK.active = True
         while (i := claim()) is not None:
             try:
                 results[i] = run(tasks[i])

@@ -7,15 +7,20 @@ Every file is, little-endian throughout::
 A codec declares its `Frame` once and keeps only its body layout: `write`
 emits the frame through an atomic replace, and `Reader` checks it and
 serves bounds-checked reads of the body. Every defect a reader finds is
-raised as the frame's own error class.
+raised as the frame's own error class. `replacing` is the atomic replace
+of one file; `staged_directory` is that of a whole directory's entries,
+which data and model directories are written through.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import shutil
 import struct
+import tempfile
 import zlib
+from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -43,6 +48,29 @@ def replacing(path):
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def staged_directory(out):
+    """A fresh directory to write into; when the block succeeds its entries
+    move into `out`, each replacing one of the same name. When it fails,
+    nothing new is left: `out` keeps what it held, and directories made for
+    it are removed."""
+    out = Path(out)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    out.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    done = False
+    try:
+        yield stage
+        for entry in stage.iterdir():
+            target = out / entry.name
+            if target.is_dir() and not target.is_symlink():
+                shutil.rmtree(target)
+            os.replace(entry, target)
+        done = True
+    finally:
+        shutil.rmtree(made[-1] if made and not done else stage, ignore_errors=True)
 
 
 def pack_text(s: str) -> bytes:

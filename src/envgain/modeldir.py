@@ -1,4 +1,5 @@
-"""Model directories: the one writer, `save`, and the one checked reader, `read`.
+"""Model directories: the one writer, `save`, which replaces a directory
+whole or not at all, and the one checked reader, `read`.
 
 A directory holds `system.txt` (a flat `key = value` record whose `kind`
 picks its other keys), `feature_norm.bin` and the networks of its kind:
@@ -142,16 +143,21 @@ def model_files(fields: dict) -> list[str]:
     return ["joint.mdl" if fields["kind"] == "joint" else "baseline.mdl"]
 
 
-def save(dirpath, fields: dict, norm: neural.FeatureNorm, models: dict, objective: str) -> None:
-    """Write system.txt from `fields`, the feature norm and each {file name:
-    network} of `models` tagged with `objective`, creating the directory. A
-    subset of a record's networks may be written, one band at a time."""
-    d = Path(dirpath)
-    d.mkdir(parents=True, exist_ok=True)
-    write_kv(d / "system.txt", fields)
-    save_norm(norm, d / "feature_norm.bin")
-    for name, model in models.items():
-        neural.save_model(model, d / name, objective)
+def save(dirpath, fields: dict, norm: neural.FeatureNorm, models: list, objective: str) -> None:
+    """Write system.txt from `fields`, the feature norm and `models`, the
+    networks in `model_files(fields)` order, each tagged with `objective`.
+    Every file is written into a staging directory and moved into `dirpath`
+    at the end (`framed.staged_directory`): a save that raises leaves
+    `dirpath` as it was, and none if there was none."""
+    names = model_files(fields)
+    if len(models) != len(names):
+        raise ValueError(f"a {fields['kind']} directory holds {len(names)} network(s), "
+                         f"got {len(models)}")
+    with framed.staged_directory(dirpath) as stage:
+        write_kv(stage / "system.txt", fields)
+        save_norm(norm, stage / "feature_norm.bin")
+        for name, model in zip(names, models):
+            neural.save_model(model, stage / name, objective)
 
 
 def read(dirpath, kinds: tuple) -> tuple:
@@ -161,7 +167,7 @@ def read(dirpath, kinds: tuple) -> tuple:
     (`octave.stored_layout`) and the networks in `model_files` order, each
     checked for its dims and objective tag. A defect raises ModelFormatError;
     the networks load as `fan_out` tasks, so the error is that of the first
-    defective file, as in a serial loop, and no fan-out task may call this."""
+    defective file, as in a serial loop."""
     d = Path(dirpath)
     path = d / "system.txt"
     # the kinds of `kinds` share their keys

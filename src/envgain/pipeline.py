@@ -148,13 +148,6 @@ def _resynthesize(noisy: TimeSignal, spectrum: np.ndarray, stft_gains: np.ndarra
     return TimeSignal(out.samples[: len(noisy)], WORKING_RATE_HZ)
 
 
-def predict_gain_vectors(system: EnhancementSystem, noisy: TimeSignal) -> np.ndarray:
-    """Raw network gain vectors for every valid frame: (V, J, N), where the
-    v-th row belongs to the envelope vector ending at frame n_env-1+v."""
-    config = system.stft_config
-    return _gain_vectors(system, magnitude(_padded_noisy(noisy, config), config))
-
-
 def enhance_with_band_gains(
     noisy: TimeSignal, band_gains: np.ndarray, config: StftConfig = StftConfig()
 ) -> TimeSignal:
@@ -322,8 +315,8 @@ def _train(train_ds, val_ds, bands, config: neural.TrainConfig, hidden: Sequence
     once; the feature norm of the training rows is summed `chunk` rows at a
     time, and both matrices are then normalized in place, with the bits of
     `FeatureNorm.apply`. Every network shares the rows, the norm and the
-    normalized features, so training band 0..14 in one process or in 15
-    processes gives identical models and an identical norm. The networks
+    normalized features, so a band's network and the norm have the same
+    bits whichever other bands `bands` lists. The networks
     train as independent tasks (`fan_out`), so their bits do not depend on
     the worker count either. An empty split is refused."""
     for name, ds in (("train", train_ds), ("validation", val_ds)):
@@ -356,24 +349,6 @@ def _fit(sets, band: int | None, config: neural.TrainConfig, hidden: Sequence[in
     dims = [tdata.features.shape[1], *hidden, tdata.clean[0].size]
     model = neural.init_model(dims, seed=int(keys[2 * s]))
     return neural.train(model, tdata, vdata, replace(config, seed=int(keys[2 * s + 1])))
-
-
-def train_band_model(
-    train_ds: EnvelopeDataset,
-    val_ds: EnvelopeDataset,
-    band: int,
-    config: neural.TrainConfig = neural.TrainConfig(),
-    hidden: Sequence[int] = neural.DEFAULT_HIDDEN,
-    max_train_frames: int | None = None,
-    max_val_frames: int | None = None,
-) -> tuple[neural.MlpModel, neural.TrainReport, neural.FeatureNorm]:
-    """Train the gain network of a single band. Seed derivation matches
-    `train_enhancement_system`, so bands can be trained in parallel
-    processes and assembled afterwards."""
-    (model,), (report,), norm = _train(
-        train_ds, val_ds, [band], config, hidden, max_train_frames, max_val_frames
-    )
-    return model, report, norm
 
 
 def train_enhancement_system(
@@ -506,8 +481,7 @@ def report_tables(rows: Sequence[EvalRow], fmt: str = "text") -> str:
 def save_system(system: EnhancementSystem, dirpath) -> None:
     kind = "joint" if system.is_joint else "per-band"
     fields = modeldir.envelope_fields(kind, system.objective, system.stft_config, system.n_env)
-    models = dict(zip(modeldir.model_files(fields), system.models))
-    modeldir.save(dirpath, fields, system.feature_norm, models, system.objective)
+    modeldir.save(dirpath, fields, system.feature_norm, system.models, system.objective)
 
 
 def load_system(dirpath) -> EnhancementSystem:

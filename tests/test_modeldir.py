@@ -82,6 +82,45 @@ def test_directory_digests_unchanged(tmp_path, kind):
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files} == digests
 
 
+@pytest.mark.parametrize("existing", [True, False])
+def test_failed_save_leaves_the_directory_as_it_was(tmp_path, monkeypatch, existing):
+    # the fifth network file fails, as on a full disk
+    target = tmp_path / "new" / "mdl"
+    old = per_band_system()
+    if existing:
+        pipeline.save_system(old, target)
+    models = [neural.init_model([DIM, 4, 30], seed=100 + j) for j in range(LAYOUT.n_bands)]
+    norm = neural.FeatureNorm(old.feature_norm.mean + 1.0, old.feature_norm.std * 2.0)
+    new = pipeline.EnhancementSystem(models, None, LAYOUT, CFG, norm, "elc")
+    save_model, written = neural.save_model, []
+
+    def failing(model, path, objective):
+        if len(written) == 4:
+            raise OSError(28, "No space left on device")
+        save_model(model, path, objective)
+        written.append(path)
+
+    monkeypatch.setattr(neural, "save_model", failing)
+    with pytest.raises(OSError):
+        pipeline.save_system(new, target)
+    assert len(written) == 4
+    if not existing:
+        assert list(tmp_path.iterdir()) == []
+        return
+    loaded = pipeline.load_system(target)
+    assert [m.param_bytes() for m in loaded.models] == [m.param_bytes() for m in old.models]
+    assert np.array_equal(loaded.feature_norm.mean, old.feature_norm.mean)
+    assert np.array_equal(loaded.feature_norm.std, old.feature_norm.std)
+    assert not list(target.glob(".staging-*"))
+
+
+def test_save_refuses_a_network_list_of_the_wrong_length(tmp_path):
+    system = per_band_system()
+    fields = modeldir.envelope_fields("per-band", "elc", CFG, system.n_env)
+    with pytest.raises(ValueError, match="a per-band directory holds 15 network"):
+        modeldir.save(tmp_path / "mdl", fields, system.feature_norm, system.models[:14], "elc")
+    assert not (tmp_path / "mdl").exists()
+
 
 @pytest.mark.parametrize("kind", sorted(DIRECTORIES))
 def test_feature_norm_must_fit_the_networks(tmp_path, kind):

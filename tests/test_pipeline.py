@@ -18,7 +18,7 @@ from envgain import baseline, cost, fanout, mixing, modeldir, neural, pipeline
 from envgain.cost import DegenerateEnvelopeError
 from envgain.octave import build_band_layout, envelopes
 from envgain.signal_io import WORKING_RATE_HZ, TimeSignal
-from envgain.stft import StftConfig, analyze, apply_gain, pad_to_frames, synthesize
+from envgain.stft import StftConfig, analyze, apply_gain, magnitude, pad_to_frames, synthesize
 
 FS = WORKING_RATE_HZ
 CFG = StftConfig()
@@ -101,9 +101,15 @@ class TestEnhance:
             pipeline.enhance(SYSTEM, TimeSignal(np.ones(20000), 16000))
 
 
+def gain_vectors(system, noisy):
+    """(V, J, N) gain vectors of a noisy signal; window v starts at frame v."""
+    config = system.stft_config
+    return pipeline._gain_vectors(system, magnitude(pad_to_frames(noisy.samples, config), config))
+
+
 def reference_band_gains(system, noisy):
     """Per-band, per-vector averaging loop the array path replaced."""
-    vectors = pipeline.predict_gain_vectors(system, noisy)
+    vectors = gain_vectors(system, noisy)
     v, j, n = vectors.shape
     out = np.empty((j, v + n - 1))
     for band in range(j):
@@ -165,7 +171,7 @@ class TestSingleAnalysisEquivalence:
             j, v, n = windows.shape
             feats = system.feature_norm.apply(np.log1p(windows.transpose(1, 0, 2).reshape(v, -1)))
             vectors = serial_side_by_side(system.models, feats).reshape(v, j, n)
-            assert np.array_equal(pipeline.predict_gain_vectors(system, noisy), vectors)
+            assert np.array_equal(gain_vectors(system, noisy), vectors)
             expected = pipeline.enhance_with_band_gains(
                 noisy, reference_band_gains(system, noisy), system.stft_config
             )
@@ -352,6 +358,19 @@ class TestInferenceFanOut:
             pytest.fail("the forked child's fan-out did not finish in 60 s")
         assert os.waitstatus_to_exitcode(status[1]) == 0
 
+    def test_fan_out_called_by_a_task_runs_serially(self, monkeypatch):
+        # each outer task holds a pool thread; a nested call that waited for
+        # the pool's threads would wait for its own
+        monkeypatch.setattr(fanout, "_WORKERS", 2)
+        results = []
+        nested = threading.Thread(daemon=True, target=lambda: results.append(
+            fanout.fan_out(lambda t: fanout.fan_out(lambda x: x * t, [1, 2]), [1, 2])
+        ))
+        nested.start()
+        nested.join(timeout=10)
+        assert not nested.is_alive(), "the nested fan_out did not return in 10 s"
+        assert results == [[[1, 2], [2, 4]]]
+
 
 def report_values(reports):
     """Every field of the training reports but the wall times."""
@@ -388,9 +407,9 @@ class TestTrainingFanOut:
         joint_system()
         train_ds = mixing.build_dataset(SPEECH[:4], NOISE, split="train", seed=0)
         val_ds = mixing.build_dataset(SPEECH[4:5], NOISE, split="validation", seed=1)
-        model, _, _ = pipeline.train_band_model(
-            train_ds, val_ds, 3, neural.TrainConfig(objective="elc", max_epochs=2, seed=0),
-            hidden=(16, 16), max_train_frames=400, max_val_frames=120,
+        (model,), _, _ = pipeline._train(
+            train_ds, val_ds, [3], neural.TrainConfig(objective="elc", max_epochs=2, seed=0),
+            (16, 16), 400, 120,
         )
         assert threads == {threading.get_ident()}
         assert model.param_bytes() == SYSTEM.models[3].param_bytes()
@@ -517,7 +536,7 @@ class TestFrameLevelLog:
     def test_gain_vector_features(self, noisy):
         recording = RecordingNorm(SYSTEM.feature_norm)
         system = replace(SYSTEM, feature_norm=recording)
-        pipeline.predict_gain_vectors(system, noisy)
+        gain_vectors(system, noisy)
         spec = analyze(pad_to_frames(noisy.samples, CFG), CFG)
         windows = np.lib.stride_tricks.sliding_window_view(
             envelopes(np.abs(spec), LAYOUT), system.n_env, axis=1
@@ -715,7 +734,7 @@ class TestGainCorrelation:
         signals = [noisy_fixture(seed=70 + i)[1] for i in range(4)]
         other, _ = tiny_system(seed=5, epochs=0)
         # the old composition: each system's gain vectors from its own analysis
-        a, b = (np.concatenate([pipeline.predict_gain_vectors(system, sig).reshape(-1)
+        a, b = (np.concatenate([gain_vectors(system, sig).reshape(-1)
                                 for sig in signals]) for system in (SYSTEM, other))
         expected = cost.elc(a, b)
         assert pipeline.gain_correlation(SYSTEM, other, signals) == expected
@@ -763,10 +782,7 @@ class TestBandModelParity:
         train_ds = mixing.build_dataset(SPEECH[:4], NOISE, split="train", seed=0)
         val_ds = mixing.build_dataset(SPEECH[4:5], NOISE, split="validation", seed=1)
         config = neural.TrainConfig(objective="elc", max_epochs=2, seed=0)
-        model, _, norm = pipeline.train_band_model(
-            train_ds, val_ds, 3, config, hidden=(16, 16),
-            max_train_frames=400, max_val_frames=120,
-        )
+        (model,), _, norm = pipeline._train(train_ds, val_ds, [3], config, (16, 16), 400, 120)
         assert model.param_bytes() == SYSTEM.models[3].param_bytes()
         assert np.array_equal(norm.mean, SYSTEM.feature_norm.mean)
 
