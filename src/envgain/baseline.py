@@ -2,7 +2,7 @@
 
 A single network consumes 30 consecutive frames of log-compressed noisy
 magnitude spectra and emits sigmoid gains for the 5 most recent frames of
-the context (all K/2+1 bins each). Successive steps overlap, so up to 5
+the context (all N_BINS bins each). Successive steps overlap, so up to 5
 gain estimates exist per frame; they are averaged. The objective is the
 MSE between the gained noisy magnitudes and the clean magnitudes, i.e.
 the same estimate-vs-target MSE as the envelope trainer, applied across
@@ -27,22 +27,21 @@ from .octave import average_overlapping_gains
 from .pipeline import _forward_side_by_side, _train
 from .pipeline import enhance as classical_enhance  # the shared path, by its old name
 from .signal_io import TimeSignal
-from .stft import StftConfig
+from .stft import FFT_SIZE, HOP, StftConfig
 
 CONTEXT_FRAMES = 30
 PREDICT_FRAMES = 5
 
 
 class MagnitudeDataset:
-    """Per-utterance clean/noisy magnitude matrices (M, K/2+1) plus a flat
+    """Per-utterance clean/noisy magnitude matrices (M, N_BINS) plus a flat
     (utterance, frame) index of valid context end frames."""
 
-    def __init__(self, clean_mag, noisy_mag, index, stft_config=StftConfig(),
-                 context=CONTEXT_FRAMES, predict=PREDICT_FRAMES):
+    def __init__(self, clean_mag, noisy_mag, index, context=CONTEXT_FRAMES,
+                 predict=PREDICT_FRAMES):
         self.clean_mag = clean_mag
         self.noisy_mag = noisy_mag
         self.index = np.asarray(index, dtype=np.int64).reshape(-1, 2)
-        self.stft_config = stft_config
         self.context = context
         self.predict = predict
 
@@ -51,13 +50,13 @@ class MagnitudeDataset:
         return len(self.index)
 
     def features(self, rows) -> np.ndarray:
-        """`log_windows` of the noisy magnitudes: (R, context*(K/2+1))."""
+        """`log_windows` of the noisy magnitudes: (R, context*N_BINS)."""
         return log_windows(*_joined(self.index, rows, self.context, self.noisy_mag, 0),
                            self.context, 0)
 
     def targets(self, rows):
         """Clean and noisy magnitudes of each row's last `predict` frames:
-        two (R, predict*(K/2+1)) arrays."""
+        two (R, predict*N_BINS) arrays."""
         windows = (_windows(*_joined(self.index, rows, self.predict, mags, 0), self.predict, 0)
                    for mags in (self.clean_mag, self.noisy_mag))
         return [w.reshape(len(w), -1) for w in windows]
@@ -82,13 +81,17 @@ def build_magnitude_dataset(
 @dataclass
 class ClassicalSystem:
     model: neural.MlpModel
-    stft_config: StftConfig
+    stft_config: StftConfig  # always StftConfig()
     feature_norm: neural.FeatureNorm
     context: int = CONTEXT_FRAMES
     predict: int = PREDICT_FRAMES
 
+    def __post_init__(self):
+        if self.stft_config != StftConfig():
+            raise ValueError(f"the STFT configuration is not the fixed {FFT_SIZE}-point one")
+
     def gains(self, mag: np.ndarray) -> np.ndarray:
-        """(M, K/2+1) STFT gains of (M, K/2+1) noisy magnitudes."""
+        """(M, N_BINS) STFT gains of (M, N_BINS) noisy magnitudes."""
         feats = self.feature_norm.apply(log_windows(mag, slice(None), self.context, 0))
         pred = _forward_side_by_side([self.model], feats)
         # window v ends at frame context-1+v and predicts its last `predict` frames
@@ -111,7 +114,7 @@ def train_classical(
         train_ds, val_ds, [None], config, hidden, max_train_frames, max_val_frames,
         salt=0xBA5E, chunk=2048,
     )
-    return ClassicalSystem(model, train_ds.stft_config, norm, train_ds.context, train_ds.predict), report
+    return ClassicalSystem(model, StftConfig(), norm, train_ds.context, train_ds.predict), report
 
 
 def save_classical(system: ClassicalSystem, dirpath) -> None:
@@ -119,12 +122,12 @@ def save_classical(system: ClassicalSystem, dirpath) -> None:
         "kind": "classical",
         "context": system.context,
         "predict": system.predict,
-        "fft_size": system.stft_config.fft_size,
-        "hop": system.stft_config.hop,
+        "fft_size": FFT_SIZE,
+        "hop": HOP,
     }
     modeldir.save(dirpath, fields, system.feature_norm, [system.model], "emse")
 
 
 def load_classical(dirpath) -> ClassicalSystem:
-    fields, cfg, _, norm, (model,) = modeldir.read(dirpath, modeldir.CLASSICAL_KINDS)
-    return ClassicalSystem(model, cfg, norm, fields["context"], fields["predict"])
+    fields, norm, (model,) = modeldir.read(dirpath, modeldir.CLASSICAL_KINDS)
+    return ClassicalSystem(model, StftConfig(), norm, fields["context"], fields["predict"])

@@ -23,7 +23,9 @@ import numpy as np
 
 from . import baseline, framed, mixing, modeldir, neural, pipeline
 from .modeldir import COUNT, RATE, SEED, checked, one_of
+from .octave import ENVELOPE_LEN
 from .signal_io import WORKING_RATE_HZ, TimeSignal, WavError, read_wav, to_working_rate, write_wav
+from .stft import FFT_SIZE, HOP
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,6 +69,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth-data", help="generate a desk-scale mixing corpus")
+    p.set_defaults(run=_cmd_synth_data)
     p.add_argument("--manifest", required=True,
                    help="WAV file list, or pseudo:COUNTxSECONDS for synthetic speech")
     p.add_argument("--noise", required=True,
@@ -76,6 +79,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train envelope-gain networks")
+    p.set_defaults(run=_cmd_train)
     p.add_argument("--data", required=True)
     p.add_argument("--objective", choices=("elc", "emse"), default="elc")
     p.add_argument("--band", default="all", help="all (one network per band) or joint")
@@ -83,17 +87,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train-baseline", help="train the spectral-magnitude MSE baseline")
+    p.set_defaults(run=_cmd_train_baseline)
     p.add_argument("--data", required=True)
     p.add_argument("--hidden", default="512", help="hidden units per layer, e.g. 512 or 4096")
     p.add_argument("--config", help="key = value training overrides")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("enhance", help="enhance one WAV file")
+    p.set_defaults(run=_cmd_enhance)
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("evaluate", help="score a model on a test set")
+    p.set_defaults(run=_cmd_evaluate)
     p.add_argument("--model", required=True)
     p.add_argument("--testset", required=True)
     p.add_argument("--snrs", default="-5,0,5")
@@ -101,13 +108,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", default="0")
 
     p = sub.add_parser("gain-corr", help="gain-vector correlation between two models")
+    p.set_defaults(run=_cmd_gain_corr)
     p.add_argument("--model-a", required=True)
     p.add_argument("--model-b", required=True)
     p.add_argument("--testset", required=True)
     p.add_argument("--snrs", default="-5,5")
     p.add_argument("--seed", default="0")
 
-    sub.add_parser("verify", help="run the analytic-vs-numeric gradient checks")
+    p = sub.add_parser("verify", help="run the analytic-vs-numeric gradient checks")
+    p.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -243,10 +252,10 @@ def _cmd_synth_data(args) -> int:
         )
         for split, ds in (("train", train_ds), ("validation", val_ds)):
             if ds.n_frames == 0:
-                min_len = (ds.n_env - 1) * ds.stft_config.hop + ds.stft_config.window_len
+                min_len = (ENVELOPE_LEN - 1) * HOP + FFT_SIZE
                 raise ValueError(f"the {split} pack would have no rows: an utterance needs at "
                                  f"least {min_len} samples at {WORKING_RATE_HZ} Hz for one "
-                                 f"{ds.n_env}-frame window")
+                                 f"{ENVELOPE_LEN}-frame window")
         mixing.save_dataset(train_ds, stage / "train.pack")
         mixing.save_dataset(val_ds, stage / "val.pack")
 
@@ -367,7 +376,7 @@ def _cmd_gain_corr(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify() -> int:
+def _cmd_verify(args) -> int:
     from .verification import run_verification
 
     results = run_verification()
@@ -386,21 +395,7 @@ def main(argv=None) -> int:
             if hasattr(args, option):
                 text = getattr(args, option)
                 setattr(args, option, checked(f"--{option} {text}", text, kind))
-        if args.command == "synth-data":
-            return _cmd_synth_data(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "train-baseline":
-            return _cmd_train_baseline(args)
-        if args.command == "enhance":
-            return _cmd_enhance(args)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
-        if args.command == "gain-corr":
-            return _cmd_gain_corr(args)
-        if args.command == "verify":
-            return _cmd_verify()
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     except neural.NumericError as exc:
         print(f"envgain: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -31,9 +31,9 @@ import scipy.fft
 from scipy import signal as _sig
 
 from . import framed
-from .octave import ENVELOPE_LEN, FIRST_CENTER_HZ, build_band_layout, envelopes, stored_layout
+from .octave import ENVELOPE_LEN, FIRST_CENTER_HZ, N_BANDS, check_header, envelopes
 from .signal_io import WORKING_RATE_HZ, TimeSignal, to_working_rate
-from .stft import StftConfig, magnitude
+from .stft import FFT_SIZE, HOP, magnitude
 
 # Active-level estimator parameters (P.56 method-B style).
 LEVEL_SMOOTH_TC_S = 0.030
@@ -375,28 +375,19 @@ class EnvelopeDataset:
 
     Keeps clean/noisy band-envelope matrices (J, M) per utterance plus a
     flat (utterance, frame) index of valid frames; per-sample feature
-    vectors and windows are materialized on demand. One valid frame holds
-    one training sample per band.
+    vectors and windows of `n_env` = ENVELOPE_LEN frames are materialized
+    on demand. One valid frame holds one training sample per band.
     """
 
-    def __init__(
-        self,
-        clean_env,
-        noisy_env,
-        index,
-        n_env=ENVELOPE_LEN,
-        mixes=None,
-        stft_config: StftConfig = StftConfig(),
-    ):
+    n_env = ENVELOPE_LEN
+
+    def __init__(self, clean_env, noisy_env, index, mixes=None):
         self.clean_env = clean_env
         self.noisy_env = noisy_env
         self.index = np.asarray(index, dtype=np.int64).reshape(-1, 2)
-        self.n_env = int(n_env)
         self.mixes = list(mixes) if mixes else []
-        self.stft_config = stft_config
-        self.layout = build_band_layout(stft_config.fft_size)
-        if clean_env and clean_env[0].shape[:-1] != (self.layout.n_bands,):
-            raise ValueError(f"envelope matrices must be ({self.layout.n_bands}, M)")
+        if clean_env and clean_env[0].shape[:-1] != (N_BANDS,):
+            raise ValueError(f"envelope matrices must be ({N_BANDS}, M)")
 
     @property
     def n_bands(self) -> int:
@@ -427,7 +418,7 @@ class EnvelopeDataset:
 
 def mixture_magnitudes(speech_list, noise, seed, snr_range_db):
     """The mixing loop of every dataset builder: yield (clean STFT magnitudes,
-    noisy STFT magnitudes, snr) per utterance, each (M, K/2+1) at the working
+    noisy STFT magnitudes, snr) per utterance, each (M, N_BINS) at the working
     rate. Each utterance has its own seeded stream, which draws its SNR
     uniformly from `snr_range_db` and then its noise cut (`mix_at_snr`)."""
     noise = to_working_rate(noise)
@@ -454,14 +445,13 @@ def build_dataset(
     """
     if split not in SPLITS:
         raise ValueError(f"unknown split {split!r}")
-    layout = build_band_layout()
     clean_envs, noisy_envs, mixes = [], [], []
     for clean, noisy, snr in mixture_magnitudes(speech_list, noise, seed, snr_range_db):
-        clean_envs.append(envelopes(clean, layout))
-        noisy_envs.append(envelopes(noisy, layout))
+        clean_envs.append(envelopes(clean))
+        noisy_envs.append(envelopes(noisy))
         mixes.append(MixSpec(snr, noise_source, split, seed))
     index = frame_index([env.shape[1] for env in clean_envs], ENVELOPE_LEN)
-    return EnvelopeDataset(clean_envs, noisy_envs, index, ENVELOPE_LEN, mixes)
+    return EnvelopeDataset(clean_envs, noisy_envs, index, mixes)
 
 
 def read_manifest(path) -> list[str]:
@@ -477,7 +467,8 @@ def read_manifest(path) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # optional binary dataset cache (frame: see `framed`); body: counts, STFT
-# and band-layout header, per-utterance envelopes, the index, mix records
+# and band-layout header (the fixed values, as the format has always stored
+# them), per-utterance envelopes, the index, mix records
 
 
 class DatasetFormatError(ValueError):
@@ -488,10 +479,9 @@ DATASET_FRAME = framed.Frame(b"ASTOD", 1, "dataset pack", DatasetFormatError)
 
 
 def save_dataset(ds: EnvelopeDataset, path) -> None:
-    cfg = ds.stft_config
     parts = [
-        struct.pack("<III", len(ds.clean_env), ds.n_bands, ds.n_env),
-        struct.pack("<IIId", cfg.fft_size, cfg.hop, WORKING_RATE_HZ, FIRST_CENTER_HZ),
+        struct.pack("<III", len(ds.clean_env), ds.n_bands, ENVELOPE_LEN),
+        struct.pack("<IIId", FFT_SIZE, HOP, WORKING_RATE_HZ, FIRST_CENTER_HZ),
         struct.pack("<Q", ds.n_frames),
     ]
     for clean, noisy in zip(ds.clean_env, ds.noisy_env):
@@ -509,18 +499,19 @@ def save_dataset(ds: EnvelopeDataset, path) -> None:
 def load_dataset(path) -> EnvelopeDataset:
     """Read a pack written by `save_dataset`. Raises DatasetFormatError on
     bad magic, version or CRC, on any record that runs past the end of the
-    payload or leaves bytes after it, on header fields `octave.stored_layout`
-    refuses, on negative or non-finite envelope values, and on index rows
-    that point past the stored utterances or frames."""
+    payload or leaves bytes after it, on header fields `octave.check_header`
+    refuses, on a pack of no utterances, on negative or non-finite envelope
+    values, and on index rows that point past the stored utterances or
+    frames."""
     body = framed.Reader(path, DATASET_FRAME)
     n_utts, n_bands, n_env = body.unpack("<III")
     fft_size, hop, fs, first_center = body.unpack("<IIId")
-    if min(n_utts, n_bands, n_env) == 0:
-        raise DatasetFormatError(f"{path}: no utterances, bands or envelope frames")
     try:
-        cfg, _ = stored_layout(fft_size, hop, fs, n_bands, first_center)
+        check_header(fft_size, hop, n_env, fs, n_bands, first_center)
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: bad STFT or band header: {exc}") from None
+    if n_utts == 0:
+        raise DatasetFormatError(f"{path}: no utterances")
     (n_rows,) = body.unpack("<Q")
     clean_envs, noisy_envs = [], []
     for _ in range(n_utts):
@@ -547,4 +538,4 @@ def load_dataset(path) -> EnvelopeDataset:
         raise DatasetFormatError(
             f"{path}: index row {row} {tuple(index[row].tolist())} points past the stored frames"
         )
-    return EnvelopeDataset(clean_envs, noisy_envs, index, n_env, mixes, cfg)
+    return EnvelopeDataset(clean_envs, noisy_envs, index, mixes)

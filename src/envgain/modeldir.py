@@ -19,9 +19,9 @@ import numpy as np
 
 from . import framed, neural
 from .fanout import fan_out
-from .octave import FIRST_CENTER_HZ, N_BANDS, stored_layout
+from .octave import ENVELOPE_LEN, FIRST_CENTER_HZ, N_BANDS, check_header
 from .signal_io import WORKING_RATE_HZ
-from .stft import StftConfig
+from .stft import FFT_SIZE, HOP, N_BINS
 
 NORM_FRAME = framed.Frame(b"ASTON", 1, "feature-norm file", neural.ModelFormatError)
 
@@ -41,8 +41,9 @@ def one_of(*words: str) -> tuple:
 
 
 # the required system.txt keys of each kind besides `kind`; envelope kinds
-# may add `out_of_band`, which must be `zero`. The rate, band count and first
-# centre have one allowed value each (`octave.stored_layout`).
+# may add `out_of_band`, which must be `zero`. The STFT, envelope length,
+# rate, band count and first centre have one allowed value each
+# (`octave.check_header`).
 SYSTEM_KEYS = {
     **dict.fromkeys(ENVELOPE_KINDS, {
         "objective": one_of(*neural.OBJECTIVES), "n_bands": COUNT, "n_env": COUNT,
@@ -51,8 +52,8 @@ SYSTEM_KEYS = {
     "classical": {"context": COUNT, "predict": COUNT, "fft_size": COUNT, "hop": COUNT},
 }
 OUT_OF_BAND = one_of("zero")
-# the system.txt keys `octave.stored_layout` takes, by its parameter names
-HEADER_KEYS = ("fft_size", "hop", "sample_rate_hz", "n_bands", "first_center_hz")
+# the system.txt keys `octave.check_header` takes, by its parameter names
+HEADER_KEYS = ("fft_size", "hop", "n_env", "sample_rate_hz", "n_bands", "first_center_hz")
 
 
 def write_kv(path, fields: dict) -> None:
@@ -120,16 +121,16 @@ def load_norm(path) -> neural.FeatureNorm:
     return neural.FeatureNorm(mean, std)
 
 
-def envelope_fields(kind: str, objective: str, config: StftConfig, n_env: int) -> dict:
+def envelope_fields(kind: str, objective: str) -> dict:
     """The system.txt record of an envelope-gain directory: every key, the
-    fixed band values among them, as the format has always stored them."""
+    fixed front-end values among them, as the format has always stored them."""
     return {
         "kind": kind,
         "objective": objective,
         "n_bands": N_BANDS,
-        "n_env": n_env,
-        "fft_size": config.fft_size,
-        "hop": config.hop,
+        "n_env": ENVELOPE_LEN,
+        "fft_size": FFT_SIZE,
+        "hop": HOP,
         "sample_rate_hz": WORKING_RATE_HZ,
         "first_center_hz": f"{FIRST_CENTER_HZ:g}",
         "out_of_band": "zero",
@@ -148,7 +149,9 @@ def save(dirpath, fields: dict, norm: neural.FeatureNorm, models: list, objectiv
     networks in `model_files(fields)` order, each tagged with `objective`.
     Every file is written into a staging directory and moved into `dirpath`
     at the end (`framed.staged_directory`): a save that raises leaves
-    `dirpath` as it was, and none if there was none."""
+    `dirpath` as it was, and none if there was none. A save that succeeds
+    then removes every other `*.mdl` in `dirpath`, so a directory whose kind
+    changes keeps no networks of its old kind."""
     names = model_files(fields)
     if len(models) != len(names):
         raise ValueError(f"a {fields['kind']} directory holds {len(names)} network(s), "
@@ -158,28 +161,30 @@ def save(dirpath, fields: dict, norm: neural.FeatureNorm, models: list, objectiv
         save_norm(norm, stage / "feature_norm.bin")
         for name, model in zip(names, models):
             neural.save_model(model, stage / name, objective)
+    for stale in Path(dirpath).glob("*.mdl"):
+        if stale.name not in names:
+            stale.unlink()
 
 
 def read(dirpath, kinds: tuple) -> tuple:
-    """(fields, stft_config, layout, feature_norm, models) of a model directory
-    whose kind is one of `kinds` (ENVELOPE_KINDS or CLASSICAL_KINDS): the
-    typed system.txt record, the STFT config and layout of its header
-    (`octave.stored_layout`) and the networks in `model_files` order, each
-    checked for its dims and objective tag. A defect raises ModelFormatError;
-    the networks load as `fan_out` tasks, so the error is that of the first
-    defective file, as in a serial loop."""
+    """(fields, feature_norm, models) of a model directory whose kind is one
+    of `kinds` (ENVELOPE_KINDS or CLASSICAL_KINDS): the typed system.txt
+    record, its header checked (`octave.check_header`), and the networks in
+    `model_files` order, each checked for its dims and objective tag. A
+    defect raises ModelFormatError; the networks load as `fan_out` tasks, so
+    the error is that of the first defective file, as in a serial loop."""
     d = Path(dirpath)
     path = d / "system.txt"
     # the kinds of `kinds` share their keys
     fields = parse_kv(path, {"kind": one_of(*kinds), **SYSTEM_KEYS[kinds[0]]})
     try:
-        cfg, layout = stored_layout(**{key: fields[key] for key in HEADER_KEYS if key in fields})
+        check_header(**{key: fields[key] for key in HEADER_KEYS if key in fields})
     except ValueError as exc:
         raise neural.ModelFormatError(f"{path}: {exc}") from None
     names = model_files(fields)
     if fields["kind"] == "classical":
         objective = "emse"
-        n_in, n_out = fields["context"] * cfg.n_bins, fields["predict"] * cfg.n_bins
+        n_in, n_out = fields["context"] * N_BINS, fields["predict"] * N_BINS
     else:
         out_of_band = fields.get("out_of_band", "zero")
         checked(f"{path}: out_of_band = {out_of_band!r}", out_of_band, OUT_OF_BAND,
@@ -197,4 +202,4 @@ def read(dirpath, kinds: tuple) -> tuple:
             raise neural.ModelFormatError(f"{d / name}: objective {tag} != {objective}")
         return model
 
-    return fields, cfg, layout, norm, fan_out(load, names)
+    return fields, norm, fan_out(load, names)

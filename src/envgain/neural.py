@@ -178,7 +178,8 @@ def _run_layers(model: MlpModel, batch: np.ndarray, train_mode: bool, caches: li
             np.maximum(z, 0.0, out=z)
         else:
             np.negative(z, out=z)
-            np.exp(z, out=z)
+            with np.errstate(over="ignore"):  # exp(>709) = inf gives the gain 1/inf = 0
+                np.exp(z, out=z)
             z += 1.0
             np.divide(1.0, z, out=z)
         if caches is not None:

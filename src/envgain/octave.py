@@ -1,19 +1,20 @@
 """One-third-octave band layout and short-time temporal envelopes.
 
-The layout is STOI's (Taal et al., IEEE TASLP 2011), a function of the
-FFT size K alone: 15 bands at the 10 kHz working rate, band j centred at
-``150 Hz * 2**(j/3)`` with edges a factor ``2**(1/6)`` to either side, so
-adjacent band edges meet exactly and the top one, 4,277 Hz, lies below
-Nyquist. An STFT bin with center frequency ``k * fs / K`` belongs to band
-j iff ``lower_edge(j) <= f_bin < upper_edge(j)``; bin ranges are stored
+The layout is STOI's (Taal et al., IEEE TASLP 2011) on this repo's fixed
+256-point analysis (`stft`), built once at import as `LAYOUT`: 15 bands at
+the 10 kHz working rate, band j centred at ``150 Hz * 2**(j/3)`` with edges
+a factor ``2**(1/6)`` to either side, so adjacent band edges meet exactly
+and the top one, 4,277 Hz, lies below Nyquist. An STFT bin with center
+frequency ``k * fs / FFT_SIZE`` belongs to band j iff
+``lower_edge(j) <= f_bin < upper_edge(j)``; bin ranges are stored
 half-open as ``[k1, k2)``, and bins outside every band get gain 0.
 
 Band envelopes are the root-sum-square of the band's magnitude bins per
-frame, computed from an (M, K/2+1) STFT magnitude array (`stft.magnitude`,
+frame, computed from an (M, N_BINS) STFT magnitude array (`stft.magnitude`,
 or ``np.abs`` of the complex spectrum `stft.analyze` returns). A length-N
-envelope vector for (band j, frame m) holds the N most recent envelope
-values ending at frame m; with the default N = 30 and 12.8 ms hop one
-vector spans 384 ms. Per-window gain vectors share that alignment;
+envelope vector for (band j, frame m) holds the N = ENVELOPE_LEN = 30 most
+recent envelope values ending at frame m; with the 12.8 ms hop one vector
+spans 384 ms. Per-window gain vectors share that alignment;
 `average_overlapping_gains` averages them into per-frame gains.
 """
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signal_io import WORKING_RATE_HZ
-from .stft import DEFAULT_FFT_SIZE, StftConfig
+from .stft import FFT_SIZE, HOP, N_BINS
 
 N_BANDS = 15
 FIRST_CENTER_HZ = 150.0
@@ -47,77 +48,66 @@ class Band:
 @dataclass(frozen=True)
 class BandLayout:
     bands: tuple[Band, ...]
-    fft_size: int
 
     @property
     def n_bands(self) -> int:
         return len(self.bands)
 
 
-def build_band_layout(fft_size: int = DEFAULT_FFT_SIZE) -> BandLayout:
-    """Assign the STFT bins of a `fft_size`-point FFT to the bands.
-
-    Raises ValueError if any band ends up empty.
-    """
-    bin_hz = WORKING_RATE_HZ / fft_size
-    bands = []
-    for j in range(N_BANDS):
-        center = FIRST_CENTER_HZ * 2.0 ** (j / 3.0)
-        k1 = int(np.ceil(center / EDGE_RATIO / bin_hz))
-        k2 = int(np.ceil(center * EDGE_RATIO / bin_hz))
-        if k2 <= k1:
-            raise ValueError(f"fft_size {fft_size} leaves band {j} (center {center:.1f} Hz) "
-                             "without an STFT bin")
-        bands.append(Band(center, k1, k2))
-    return BandLayout(tuple(bands), fft_size)
+def build_band_layout() -> BandLayout:
+    """Assign the STFT bins to the bands; every band holds at least one."""
+    bin_hz = WORKING_RATE_HZ / FFT_SIZE
+    centers = (FIRST_CENTER_HZ * 2.0 ** (j / 3.0) for j in range(N_BANDS))
+    return BandLayout(tuple(Band(c, int(np.ceil(c / EDGE_RATIO / bin_hz)),
+                                 int(np.ceil(c * EDGE_RATIO / bin_hz))) for c in centers))
 
 
-def stored_layout(fft_size, hop, sample_rate_hz=WORKING_RATE_HZ, n_bands=N_BANDS,
-                  first_center_hz=FIRST_CENTER_HZ) -> tuple[StftConfig, BandLayout]:
-    """The STFT configuration and band layout of a stored record's header.
+LAYOUT = build_band_layout()
 
-    The FFT size is the one free value: `hop` must be half of it, and the
-    rate, band count and first centre must be the fixed ones (a record that
-    stores none of the three, the classical kind, leaves them out). Raises
-    ValueError naming the first field that is not so.
-    """
-    config = StftConfig(fft_size)
-    if hop != config.hop:  # stored, but not free: half the FFT size
-        raise ValueError(f"hop must be window_len / 2 ({config.hop}), got {hop}")
-    for name, stored, value in (("sample_rate_hz", sample_rate_hz, WORKING_RATE_HZ),
+
+def check_header(fft_size, hop, n_env=ENVELOPE_LEN, sample_rate_hz=WORKING_RATE_HZ,
+                 n_bands=N_BANDS, first_center_hz=FIRST_CENTER_HZ) -> None:
+    """Refuse a stored record's header unless every field is the fixed
+    front end's: the STFT, the envelope length, the rate, the band count
+    and the first centre (a record that stores none of the last four, the
+    classical kind, leaves them out). Raises ValueError naming the first
+    field that is not so."""
+    for name, stored, value in (("fft_size", fft_size, FFT_SIZE), ("n_env", n_env, ENVELOPE_LEN),
+                                ("sample_rate_hz", sample_rate_hz, WORKING_RATE_HZ),
                                 ("n_bands", n_bands, N_BANDS),
                                 ("first_center_hz", first_center_hz, FIRST_CENTER_HZ)):
         if stored != value:
             raise ValueError(f"{name} = {stored!r} is not {value!r}")
-    return config, build_band_layout(fft_size)
+    if hop != HOP:  # stored, but never free: half the window
+        raise ValueError(f"hop must be window_len / 2 ({HOP}), got {hop}")
 
 
-def envelopes(magnitude: np.ndarray, layout: BandLayout) -> np.ndarray:
-    """Band envelope matrix, shape (J, M), of an (M, K/2+1) STFT magnitude
+def envelopes(magnitude: np.ndarray) -> np.ndarray:
+    """Band envelope matrix, shape (J, M), of an (M, N_BINS) STFT magnitude
     array: root-sum-square of each band's bins, per frame."""
     mag = np.asarray(magnitude, dtype=np.float64)
     if mag.ndim != 2:
         raise ValueError(f"expected an (M, bins) magnitude array, got shape {mag.shape}")
-    if layout.bands[-1].k2 > mag.shape[1]:
+    if LAYOUT.bands[-1].k2 > mag.shape[1]:
         raise ValueError("layout bin range exceeds the magnitude array's bins")
     sq = mag * mag  # squared once; each band sums its columns
-    out = np.empty((layout.n_bands, mag.shape[0]))
-    for j, band in enumerate(layout.bands):
+    out = np.empty((LAYOUT.n_bands, mag.shape[0]))
+    for j, band in enumerate(LAYOUT.bands):
         np.sum(sq[:, band.k1 : band.k2], axis=1, out=out[j])
     return np.sqrt(out, out=out)
 
 
-def band_gains_to_stft_gains(band_gains: np.ndarray, layout: BandLayout) -> np.ndarray:
-    """Expand per-band gains (J, M) to a per-bin gain matrix (M, K/2+1).
+def band_gains_to_stft_gains(band_gains: np.ndarray) -> np.ndarray:
+    """Expand per-band gains (J, M) to a per-bin gain matrix (M, N_BINS).
 
     Every bin inside band j at frame m receives that band's gain; bins
     outside every band get 0.
     """
     gains = np.asarray(band_gains, dtype=np.float64)
-    if gains.shape[0] != layout.n_bands:
-        raise ValueError(f"expected {layout.n_bands} band rows, got {gains.shape[0]}")
-    out = np.zeros((gains.shape[1], layout.fft_size // 2 + 1))
-    for j, band in enumerate(layout.bands):
+    if gains.shape[0] != LAYOUT.n_bands:
+        raise ValueError(f"expected {LAYOUT.n_bands} band rows, got {gains.shape[0]}")
+    out = np.zeros((gains.shape[1], N_BINS))
+    for j, band in enumerate(LAYOUT.bands):
         out[:, band.k1 : band.k2] = gains[j][:, None]
     return out
 

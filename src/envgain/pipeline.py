@@ -2,14 +2,14 @@
 
 An EnhancementSystem holds its gain networks as one ordered list, J
 per-band networks of width N or one joint network of width J*N, whose
-outputs placed side by side form a window's (J, N) gain vector; the STFT
-configuration, its band layout (`octave.build_band_layout` of the FFT
-size, as everywhere) and feature normalization come with it. Every
-system, this one or the classical baseline, supplies `gains`: (M, K/2+1)
-noisy STFT magnitudes in, (M, K/2+1) STFT gains out. Here those are the
-gain vectors of every window as one (V, J, N) array, their overlapping
-estimates averaged per frame and spread uniformly over each band's bins;
-bins outside every band get gain 0.
+outputs placed side by side form a window's (J, N) gain vector, with its
+feature normalization. The analysis, the band layout and N are the fixed
+ones of `stft` and `octave`, everywhere. Every system, this one or the
+classical baseline, supplies `gains`: (M, N_BINS) noisy STFT magnitudes
+in, (M, N_BINS) STFT gains out. Here those are the gain vectors of every
+window as one (V, J, N) array, their overlapping estimates averaged per
+frame and spread uniformly over each band's bins; bins outside every band
+get gain 0.
 `enhance` analyzes the noisy audio once into its complex STFT, scales
 that by the system's gains of its magnitudes, so the noisy phase is kept,
 and resynthesizes; output duration equals input duration.
@@ -41,14 +41,14 @@ from .fanout import fan_out
 from .mixing import EnvelopeDataset, active_speech_level, log_windows
 from .octave import (
     ENVELOPE_LEN,
+    LAYOUT,
     BandLayout,
     average_overlapping_gains,
     band_gains_to_stft_gains,
-    build_band_layout,
     envelopes,
 )
 from .signal_io import WORKING_RATE_HZ, TimeSignal
-from .stft import StftConfig, analyze, apply_gain, magnitude, pad_to_frames, synthesize
+from .stft import FFT_SIZE, StftConfig, analyze, apply_gain, magnitude, pad_to_frames, synthesize
 
 _FEATURE_CHUNK = 4096
 _MIN_TASKS = 4  # a constant, not the worker count: bits must not depend on the latter
@@ -58,20 +58,21 @@ _MIN_TASKS = 4  # a constant, not the worker count: bits must not depend on the 
 class EnhancementSystem:
     band_models: list[neural.MlpModel] | None  # one per band, or None if joint
     joint_model: neural.MlpModel | None
-    layout: BandLayout
-    stft_config: StftConfig
+    layout: BandLayout  # always octave.LAYOUT
+    stft_config: StftConfig  # always StftConfig()
     feature_norm: neural.FeatureNorm
     objective: str
-    n_env: int = ENVELOPE_LEN
+    n_env = ENVELOPE_LEN
 
     def __post_init__(self):
         if (self.band_models is None) == (self.joint_model is None):
             raise ValueError("exactly one of band_models / joint_model must be set")
-        if self.layout != build_band_layout(self.stft_config.fft_size):
-            raise ValueError(f"the layout is not the band layout of a "
-                             f"{self.stft_config.fft_size}-point FFT")
-        dim = self.layout.n_bands * self.n_env
-        count = 1 if self.is_joint else self.layout.n_bands
+        if self.layout != LAYOUT:
+            raise ValueError(f"the layout is not the band layout of a {FFT_SIZE}-point FFT")
+        if self.stft_config != StftConfig():
+            raise ValueError(f"the STFT configuration is not the fixed {FFT_SIZE}-point one")
+        dim = LAYOUT.n_bands * ENVELOPE_LEN
+        count = 1 if self.is_joint else LAYOUT.n_bands
         if len(self.models) != count or len(self.feature_norm.mean) != dim or any(
             (m.input_dim, m.output_dim) != (dim, dim // count) for m in self.models
         ):
@@ -88,10 +89,10 @@ class EnhancementSystem:
         return [self.joint_model] if self.is_joint else self.band_models
 
     def gains(self, mag: np.ndarray) -> np.ndarray:
-        """(M, K/2+1) STFT gains of (M, K/2+1) noisy magnitudes."""
+        """(M, N_BINS) STFT gains of (M, N_BINS) noisy magnitudes."""
         vectors = _gain_vectors(self, mag)  # (V, J, N); window v starts at frame v
         band_gains = average_overlapping_gains(vectors.transpose(0, 2, 1), len(mag), 0).T
-        return band_gains_to_stft_gains(band_gains, self.layout)
+        return band_gains_to_stft_gains(band_gains)
 
 
 def _require_working_rate(sig: TimeSignal, what: str):
@@ -99,15 +100,14 @@ def _require_working_rate(sig: TimeSignal, what: str):
         raise ValueError(f"{what} must be at the {WORKING_RATE_HZ} Hz working rate")
 
 
-def _padded_noisy(noisy: TimeSignal, config: StftConfig) -> np.ndarray:
+def _padded_noisy(noisy: TimeSignal) -> np.ndarray:
     _require_working_rate(noisy, "noisy input")
-    return pad_to_frames(noisy.samples, config)
+    return pad_to_frames(noisy.samples)
 
 
 def _gain_vectors(system: EnhancementSystem, mag: np.ndarray) -> np.ndarray:
-    env, n = envelopes(mag, system.layout), system.n_env
-    feats = system.feature_norm.apply(log_windows(env, slice(None), n, 1))
-    return _forward_side_by_side(system.models, feats).reshape(len(feats), -1, n)
+    feats = system.feature_norm.apply(log_windows(envelopes(mag), slice(None), ENVELOPE_LEN, 1))
+    return _forward_side_by_side(system.models, feats).reshape(len(feats), -1, ENVELOPE_LEN)
 
 
 def _row_block(rows: int, n_models: int) -> int:
@@ -142,28 +142,23 @@ def _forward_side_by_side(models, feats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _resynthesize(noisy: TimeSignal, spectrum: np.ndarray, stft_gains: np.ndarray,
-                  config: StftConfig) -> TimeSignal:
-    out = synthesize(apply_gain(spectrum, stft_gains), config)
+def _resynthesize(noisy: TimeSignal, spectrum: np.ndarray, stft_gains: np.ndarray) -> TimeSignal:
+    out = synthesize(apply_gain(spectrum, stft_gains))
     return TimeSignal(out.samples[: len(noisy)], WORKING_RATE_HZ)
 
 
-def enhance_with_band_gains(
-    noisy: TimeSignal, band_gains: np.ndarray, config: StftConfig = StftConfig()
-) -> TimeSignal:
+def enhance_with_band_gains(noisy: TimeSignal, band_gains: np.ndarray) -> TimeSignal:
     """Apply per-frame band gains to a noisy signal and resynthesize with
     the noisy phase. Used by both the networks and oracle-gain harnesses."""
-    spectrum = analyze(_padded_noisy(noisy, config), config)
-    stft_gains = band_gains_to_stft_gains(band_gains, build_band_layout(config.fft_size))
-    return _resynthesize(noisy, spectrum, stft_gains, config)
+    spectrum = analyze(_padded_noisy(noisy))
+    return _resynthesize(noisy, spectrum, band_gains_to_stft_gains(band_gains))
 
 
 def _analyze_and_enhance(system, noisy: TimeSignal) -> tuple[np.ndarray, TimeSignal]:
     """The noisy STFT magnitudes and the enhanced signal, from one analysis."""
-    config = system.stft_config
-    spectrum = analyze(_padded_noisy(noisy, config), config)
+    spectrum = analyze(_padded_noisy(noisy))
     mag = np.abs(spectrum)
-    return mag, _resynthesize(noisy, spectrum, system.gains(mag), config)
+    return mag, _resynthesize(noisy, spectrum, system.gains(mag))
 
 
 def enhance(system, noisy: TimeSignal) -> TimeSignal:
@@ -172,15 +167,11 @@ def enhance(system, noisy: TimeSignal) -> TimeSignal:
     return _analyze_and_enhance(system, noisy)[1]
 
 
-def oracle_band_gains(
-    clean: TimeSignal, noisy: TimeSignal, config: StftConfig = StftConfig()
-) -> np.ndarray:
+def oracle_band_gains(clean: TimeSignal, noisy: TimeSignal) -> np.ndarray:
     """Ideal per-frame band gains min(1, X/Y); silent noisy bands get 0."""
     if len(clean) != len(noisy):
         raise ValueError("clean and noisy lengths differ")
-    layout = build_band_layout(config.fft_size)
-    clean_env = _envelopes_of(clean, layout, config)
-    noisy_env = _envelopes_of(noisy, layout, config)
+    clean_env, noisy_env = _envelopes_of(clean), _envelopes_of(noisy)
     with np.errstate(divide="ignore", invalid="ignore"):
         gains = np.where(noisy_env > 0, np.minimum(1.0, clean_env / noisy_env), 0.0)
     return gains
@@ -193,13 +184,12 @@ def _require_scorable(clean: TimeSignal, processed: TimeSignal):
     _require_working_rate(processed, "processed")
 
 
-def _envelopes_of(sig: TimeSignal, layout: BandLayout, config: StftConfig) -> np.ndarray:
+def _envelopes_of(sig: TimeSignal) -> np.ndarray:
     """(J, M) band envelopes of a signal padded to whole frames."""
-    return envelopes(magnitude(pad_to_frames(sig.samples, config), config), layout)
+    return envelopes(magnitude(pad_to_frames(sig.samples)))
 
 
-def _score_envelopes(clean_env: np.ndarray, proc_env: np.ndarray, n_env: int,
-                     return_counts: bool = False):
+def _score_envelopes(clean_env: np.ndarray, proc_env: np.ndarray, return_counts: bool = False):
     """Mean envelope correlation over every (band, window) pair of two (J, M)
     envelope arrays, all bands in one `elc_value_batch` call.
 
@@ -207,6 +197,7 @@ def _score_envelopes(clean_env: np.ndarray, proc_env: np.ndarray, n_env: int,
     values are summed band by band in band order, so the score has the bits
     of scoring the bands one at a time.
     """
+    n_env = ENVELOPE_LEN
     if clean_env.shape[1] < n_env:
         raise ValueError(f"too short to score: {clean_env.shape[1]} frames, need >= {n_env}")
     windows = [
@@ -227,12 +218,7 @@ def _score_envelopes(clean_env: np.ndarray, proc_env: np.ndarray, n_env: int,
     return score
 
 
-def score_elc(
-    clean: TimeSignal,
-    processed: TimeSignal,
-    config: StftConfig = StftConfig(),
-    return_counts: bool = False,
-):
+def score_elc(clean: TimeSignal, processed: TimeSignal, return_counts: bool = False):
     """Mean envelope correlation over all valid (band, window) pairs of
     ENVELOPE_LEN frames.
 
@@ -240,10 +226,7 @@ def score_elc(
     skipped; pass return_counts=True to get (score, n_used, n_skipped).
     """
     _require_scorable(clean, processed)
-    layout = build_band_layout(config.fft_size)
-    clean_env = _envelopes_of(clean, layout, config)
-    proc_env = _envelopes_of(processed, layout, config)
-    return _score_envelopes(clean_env, proc_env, ENVELOPE_LEN, return_counts)
+    return _score_envelopes(_envelopes_of(clean), _envelopes_of(processed), return_counts)
 
 
 def score_approx_stoi(clean, processed, **kwargs):
@@ -259,13 +242,9 @@ def gain_correlation(
 ) -> float:
     """Pearson correlation between the two systems' concatenated gain-vector
     entries over the same inputs."""
-    shapes = [(s.stft_config, s.n_env) for s in (system_a, system_b)]
-    if shapes[0] != shapes[1]:
-        raise ValueError("systems have different STFT configurations or envelope lengths")
     ga, gb = [], []
     for sig in signals:
-        # the configs match, so one analysis serves both systems
-        mag = magnitude(_padded_noisy(sig, system_a.stft_config), system_a.stft_config)
+        mag = magnitude(_padded_noisy(sig))  # one analysis serves both systems
         ga.append(_gain_vectors(system_a, mag).reshape(-1))
         gb.append(_gain_vectors(system_b, mag).reshape(-1))
     try:
@@ -372,11 +351,10 @@ def train_enhancement_system(
     system = EnhancementSystem(
         band_models=None if joint else models,
         joint_model=models[0] if joint else None,
-        layout=train_ds.layout,
-        stft_config=train_ds.stft_config,
+        layout=LAYOUT,
+        stft_config=StftConfig(),
         feature_norm=norm,
         objective=config.objective,
-        n_env=train_ds.n_env,
     )
     return system, reports
 
@@ -417,24 +395,20 @@ def evaluate_system(
     noise_type: str = "noise",
 ) -> list[EvalRow]:
     """Mix each clean utterance at each SNR, enhance, score; one row of
-    means per SNR. `system` is anything `enhance` takes; it is scored, as
-    `score_elc` scores, in the band layout of its FFT size."""
-    config = system.stft_config
-    layout = build_band_layout(config.fft_size)
+    means per SNR. `system` is anything `enhance` takes; it is scored as
+    `score_elc` scores."""
     # the same at every SNR: each utterance's level and scoring reference
     levels = [active_speech_level(clean) for clean in clean_list]
-    clean_envs = [_envelopes_of(clean, layout, config) for clean in clean_list]
+    clean_envs = [_envelopes_of(clean) for clean in clean_list]
     rows = []
     for snr in snrs_db:
         elc_up, elc_enh = [], []
         mixtures = _seeded_mixtures(clean_list, levels, noise, snr, seed)
         for clean, clean_env, noisy in zip(clean_list, clean_envs, mixtures):
             noisy_mag, enhanced = _analyze_and_enhance(system, noisy)
-            # score_elc(clean, x, config); x has the clean's length and rate
-            noisy_env = envelopes(noisy_mag, layout)
-            enhanced_env = _envelopes_of(enhanced, layout, config)
-            elc_up.append(_score_envelopes(clean_env, noisy_env, ENVELOPE_LEN))
-            elc_enh.append(_score_envelopes(clean_env, enhanced_env, ENVELOPE_LEN))
+            # score_elc(clean, x); x has the clean's length and rate
+            elc_up.append(_score_envelopes(clean_env, envelopes(noisy_mag)))
+            elc_enh.append(_score_envelopes(clean_env, _envelopes_of(enhanced)))
         up, enh = float(np.mean(elc_up)), float(np.mean(elc_enh))
         # score_approx_stoi is score_elc by construction: score once, fill both
         rows.append(EvalRow(noise_type, float(snr), up, enh, up, enh))
@@ -480,14 +454,12 @@ def report_tables(rows: Sequence[EvalRow], fmt: str = "text") -> str:
 
 def save_system(system: EnhancementSystem, dirpath) -> None:
     kind = "joint" if system.is_joint else "per-band"
-    fields = modeldir.envelope_fields(kind, system.objective, system.stft_config, system.n_env)
+    fields = modeldir.envelope_fields(kind, system.objective)
     modeldir.save(dirpath, fields, system.feature_norm, system.models, system.objective)
 
 
 def load_system(dirpath) -> EnhancementSystem:
-    fields, cfg, layout, norm, models = modeldir.read(dirpath, modeldir.ENVELOPE_KINDS)
+    fields, norm, models = modeldir.read(dirpath, modeldir.ENVELOPE_KINDS)
     joint = fields["kind"] == "joint"
-    return EnhancementSystem(
-        None if joint else models, models[0] if joint else None, layout, cfg, norm,
-        fields["objective"], fields["n_env"],
-    )
+    return EnhancementSystem(None if joint else models, models[0] if joint else None, LAYOUT,
+                             StftConfig(), norm, fields["objective"])

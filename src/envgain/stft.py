@@ -1,14 +1,17 @@
 """Short-time spectral analysis and synthesis.
 
-Conventions, fixed so results are reproducible bit-for-bit:
+The analysis is fixed: a 256-point FFT over 256-sample frames (25.6 ms at
+the 10 kHz working rate), a hop of half that and N_BINS = 129 bins. These
+are module constants, and nothing takes them as a parameter. Conventions,
+fixed so results are reproducible bit-for-bit:
 
 * periodic (DFT-even) Hann analysis window, which is exactly COLA at the
   50% overlap used here;
-* frame m covers samples ``[m*hop, m*hop + window_len)`` starting at
+* frame m covers samples ``[m*HOP, m*HOP + FFT_SIZE)`` starting at
   sample 0 with no pre-padding, and only frames that fit entirely inside
-  the signal are produced: ``M = (len - window_len) // hop + 1``; the
+  the signal are produced: ``M = (len - FFT_SIZE) // HOP + 1``; the
   frames are a read-only strided view of the signal, not a copy;
-* the one spectral value is the complex (M, fft_size/2 + 1) spectrum that
+* the one spectral value is the complex (M, N_BINS) spectrum that
   `analyze` returns; `magnitude` is its absolute value, which is all that
   envelopes, features and scores read. `apply_gain` scales the spectrum
   by real gains, which scales the magnitudes and keeps the phase;
@@ -29,7 +32,9 @@ import numpy as np
 
 from .signal_io import WORKING_RATE_HZ, TimeSignal
 
-DEFAULT_FFT_SIZE = 256
+FFT_SIZE = 256  # also the window length
+HOP = FFT_SIZE // 2
+N_BINS = FFT_SIZE // 2 + 1
 
 # Floor for the accumulated squared synthesis window; only relevant where
 # the window is exactly zero (sample 0 of the first frame).
@@ -41,73 +46,53 @@ def hann_periodic(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
+WINDOW = hann_periodic(FFT_SIZE)
+WINDOW.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class StftConfig:
-    """One free value: the window is as long as the FFT, the hop half of it."""
+    """The fixed analysis as a value, for the system classes that carry one:
+    every instance is equal, and its `n_bins` is N_BINS."""
 
-    fft_size: int = DEFAULT_FFT_SIZE
-
-    def __post_init__(self):
-        if self.fft_size <= 0 or self.fft_size % 2:
-            raise ValueError(f"fft_size must be a positive even number, got {self.fft_size}")
-
-    @property
-    def window_len(self) -> int:
-        return self.fft_size
-
-    @property
-    def hop(self) -> int:
-        return self.fft_size // 2
-
-    @property
-    def n_bins(self) -> int:
-        return self.fft_size // 2 + 1
-
-    def window(self) -> np.ndarray:
-        return hann_periodic(self.window_len)
-
-    def n_frames(self, n_samples: int) -> int:
-        if n_samples < self.window_len:
-            raise ValueError(
-                f"signal of {n_samples} samples shorter than one window ({self.window_len})"
-            )
-        return (n_samples - self.window_len) // self.hop + 1
+    n_bins = N_BINS
 
 
-def frame_signal(x: np.ndarray, config: StftConfig) -> np.ndarray:
-    """Read-only (M, window_len) view of x's frames per the module convention."""
-    config.n_frames(len(x))  # rejects a signal shorter than one window
-    return np.lib.stride_tricks.sliding_window_view(x, config.window_len)[:: config.hop]
+def frame_signal(x: np.ndarray) -> np.ndarray:
+    """Read-only (M, FFT_SIZE) view of x's frames per the module convention."""
+    if len(x) < FFT_SIZE:
+        raise ValueError(f"signal of {len(x)} samples shorter than one window ({FFT_SIZE})")
+    return np.lib.stride_tricks.sliding_window_view(x, FFT_SIZE)[::HOP]
 
 
-def pad_to_frames(x: np.ndarray, config: StftConfig) -> np.ndarray:
+def pad_to_frames(x: np.ndarray) -> np.ndarray:
     """Zero-pad the tail so every sample falls inside some analysis frame."""
     n = len(x)
-    if n < config.window_len:
-        return np.concatenate([x, np.zeros(config.window_len - n)])
-    rem = (n - config.window_len) % config.hop
+    if n < FFT_SIZE:
+        return np.concatenate([x, np.zeros(FFT_SIZE - n)])
+    rem = (n - FFT_SIZE) % HOP
     if rem == 0:
         return x
-    return np.concatenate([x, np.zeros(config.hop - rem)])
+    return np.concatenate([x, np.zeros(HOP - rem)])
 
 
-def analyze(signal, config: StftConfig = StftConfig()) -> np.ndarray:
-    """Complex (M, fft_size/2 + 1) Hann-windowed rfft frames of a
-    TimeSignal or sample array."""
+def analyze(signal) -> np.ndarray:
+    """Complex (M, N_BINS) Hann-windowed rfft frames of a TimeSignal or
+    sample array."""
     x = np.asarray(getattr(signal, "samples", signal), dtype=np.float64)
-    return np.fft.rfft(frame_signal(x, config) * config.window(), n=config.fft_size, axis=1)
+    return np.fft.rfft(frame_signal(x) * WINDOW, n=FFT_SIZE, axis=1)
 
 
-def magnitude(signal, config: StftConfig = StftConfig()) -> np.ndarray:
-    """STFT magnitudes of a TimeSignal or sample array, (M, fft_size/2 + 1):
-    ``np.abs(analyze(signal, config))``."""
-    return np.abs(analyze(signal, config))
+def magnitude(signal) -> np.ndarray:
+    """STFT magnitudes of a TimeSignal or sample array, (M, N_BINS):
+    ``np.abs(analyze(signal))``."""
+    return np.abs(analyze(signal))
 
 
-def synthesize(spectrum: np.ndarray, config: StftConfig = StftConfig()) -> TimeSignal:
+def synthesize(spectrum: np.ndarray) -> TimeSignal:
     """Weighted overlap-add inverse of `analyze`, at the working rate.
 
-    Returns ``(M-1)*hop + window_len`` samples. Interior samples match the
+    Returns ``(M-1)*HOP + FFT_SIZE`` samples. Interior samples match the
     analyzed signal to near machine precision; edge half-windows do not.
     Known defect, kept because bench/reference.py pins it: near the first
     and last samples only one squared window covers the output and it is
@@ -116,21 +101,19 @@ def synthesize(spectrum: np.ndarray, config: StftConfig = StftConfig()) -> TimeS
     full scale.
     """
     spectrum = np.asarray(spectrum)
-    if spectrum.ndim != 2 or spectrum.shape[1] != config.n_bins:
-        raise ValueError(f"expected an (M, {config.n_bins}) spectrum, got {spectrum.shape}")
-    win = config.window()
-    frames = np.fft.irfft(spectrum, n=config.fft_size, axis=1)[:, : config.window_len] * win
+    if spectrum.ndim != 2 or spectrum.shape[1] != N_BINS:
+        raise ValueError(f"expected an (M, {N_BINS}) spectrum, got {spectrum.shape}")
+    frames = np.fft.irfft(spectrum, n=FFT_SIZE, axis=1) * WINDOW
 
-    # with hop = window_len / 2 output block b is frame b's first half plus
+    # with HOP = FFT_SIZE / 2 output block b is frame b's first half plus
     # frame b-1's second half: at most two addends per sample, from zero
-    hop = config.hop
-    out = np.zeros((len(frames) + 1, hop))
-    out[:-1] += frames[:, :hop]
-    out[1:] += frames[:, hop:]
-    wsq = win * win
+    out = np.zeros((len(frames) + 1, HOP))
+    out[:-1] += frames[:, :HOP]
+    out[1:] += frames[:, HOP:]
+    wsq = WINDOW * WINDOW
     den = np.zeros_like(out)
-    den[:-1] += wsq[:hop]
-    den[1:] += wsq[hop:]
+    den[:-1] += wsq[:HOP]
+    den[1:] += wsq[HOP:]
     return TimeSignal((out / np.maximum(den, _OLA_FLOOR)).reshape(-1), WORKING_RATE_HZ)
 
 

@@ -19,11 +19,9 @@ import pytest
 
 from envgain import mixing, neural, pipeline, verification
 from envgain.neural import LrSchedule, TrainConfig
-from envgain.octave import band_gains_to_stft_gains, build_band_layout, envelopes
-from envgain.stft import StftConfig, analyze, apply_gain, synthesize
+from envgain.octave import band_gains_to_stft_gains, envelopes
+from envgain.stft import N_BINS, analyze, apply_gain, synthesize
 
-CFG = StftConfig()
-LAYOUT = build_band_layout()
 
 # toy-training scale (criterion 8): >= 20 min of pseudo-speech, width 64
 TRAIN_UTTERANCES = 400
@@ -86,7 +84,7 @@ def test_criterion_4_stft_perfect_reconstruction():
     for _ in range(100):
         n = int(rng.integers(3 * 256, 10 * 256))
         x = rng.standard_normal(n)
-        out = synthesize(analyze(x, CFG), CFG).samples
+        out = synthesize(analyze(x)).samples
         interior = slice(256, len(out) - 256)
         err = np.max(np.abs(out[interior] - x[: len(out)][interior])) / np.max(np.abs(x))
         worst = max(worst, err)
@@ -98,12 +96,12 @@ def test_criterion_5_uniform_band_gain_consistency():
     worst = 0.0
     for _ in range(20):
         m = int(rng.integers(2, 12))
-        mag = rng.uniform(0.1, 2.0, (m, CFG.n_bins))
-        spec = mag * np.exp(1j * rng.uniform(-np.pi, np.pi, (m, CFG.n_bins)))
+        mag = rng.uniform(0.1, 2.0, (m, N_BINS))
+        spec = mag * np.exp(1j * rng.uniform(-np.pi, np.pi, (m, N_BINS)))
         gains = rng.uniform(0.0, 1.0, (15, m))
-        env_before = envelopes(np.abs(spec), LAYOUT)
-        gained = apply_gain(spec, band_gains_to_stft_gains(gains, LAYOUT))
-        env_after = envelopes(np.abs(gained), LAYOUT)
+        env_before = envelopes(np.abs(spec))
+        gained = apply_gain(spec, band_gains_to_stft_gains(gains))
+        env_after = envelopes(np.abs(gained))
         err = np.abs(env_after - gains * env_before) / env_before
         worst = max(worst, float(err.max()))
     report(5, worst <= 1e-12, f"band-gain envelope identity, worst relative error {worst:.2e}")
@@ -147,8 +145,8 @@ def oracle_gain_run():
     wave_hash = hashlib.sha256()
     for i, clean in enumerate(speech):
         noisy, _ = mixing.mix_at_snr(clean, noise, 0.0, rng=7000 + i)
-        gains = pipeline.oracle_band_gains(clean, noisy, CFG)
-        enhanced = pipeline.enhance_with_band_gains(noisy, gains, CFG)
+        gains = pipeline.oracle_band_gains(clean, noisy)
+        enhanced = pipeline.enhance_with_band_gains(noisy, gains)
         up = pipeline.score_elc(clean, noisy)
         enh = pipeline.score_elc(clean, enhanced)
         improved += enh >= up

@@ -399,6 +399,24 @@ class TestTrain:
         assert f"{cfg}: {key} = '{bad}' is not a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "x").exists() or not any((tmp_path / "x").iterdir())
 
+    @pytest.mark.parametrize("offset, value, message", [
+        (21, 512, "fft_size = 512 is not 256"),
+        (25, 256, "hop must be window_len / 2 (128), got 256"),
+        (17, 20, "n_env = 20 is not 30"),
+    ])
+    def test_pack_of_another_front_end_is_data_error(self, data_dir, tmp_path, capsys, offset,
+                                                     value, message):
+        shutil.copy(data_dir / "val.pack", tmp_path / "val.pack")
+        pack = tmp_path / "train.pack"
+        shutil.copy(data_dir / "train.pack", pack)
+        payload = bytearray(pack.read_bytes()[:-4])
+        payload[offset : offset + 4] = struct.pack("<I", value)
+        pack.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+        rc = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "x")])
+        assert rc == EXIT_DATA
+        assert f"{pack}: bad STFT or band header: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("defect", ["index row", "header", "UTF-8", "envelope values"])
     def test_bad_pack_is_data_error(self, data_dir, tmp_path, capsys, defect):
         shutil.copy(data_dir / "val.pack", tmp_path / "val.pack")
@@ -660,6 +678,9 @@ class TestEnhanceEvaluate:
         ("out_of_band = passthrough", "out_of_band = 'passthrough' is not one of zero"),
         ("sample_rate_hz = 9000", "sample_rate_hz = 9000 is not 10000"),
         ("first_center_hz = 170", "first_center_hz = 170.0 is not 150.0"),
+        ("fft_size = 512", "fft_size = 512 is not 256"),
+        ("hop = 256", "hop must be window_len / 2 (128), got 256"),
+        ("n_env = 20", "n_env = 20 is not 30"),
     ])
     def test_enhance_bad_model_dir_is_data_error(
         self, data_dir, model_dir, tmp_path, capsys, defect, message

@@ -434,10 +434,6 @@ class TestDatasetPack:
         assert all(np.array_equal(a, b) for a, b in zip(back.clean_env, ds.clean_env))
         assert all(np.array_equal(a, b) for a, b in zip(back.noisy_env, ds.noisy_env))
         assert back.mixes == ds.mixes
-        assert back.stft_config == ds.stft_config
-        assert [b.center_hz for b in back.layout.bands] == [
-            b.center_hz for b in ds.layout.bands
-        ]
 
     def test_corruption_detected(self, tmp_path):
         ds = EnvelopeDataset(
@@ -491,16 +487,25 @@ class TestDatasetPack:
     @pytest.mark.parametrize(
         "offset, fmt, value",
         [(21, "<I", 0), (21, "<I", 100), (29, "<I", 0), (29, "<I", 64), (33, "<d", float("nan")),
-         (33, "<d", 1e9)],
+         (33, "<d", 1e9), (21, "<I", 512), (25, "<I", 256), (17, "<I", 20), (17, "<I", 0),
+         (13, "<I", 0)],
     )
     def test_bad_stft_or_band_header_rejected(self, tmp_path, offset, fmt, value):
-        # header: magic 5, version 4, counts 12, then fft_size, hop, fs, first center
+        # header: magic 5, version 4, counts 12 (the last n_env), then fft_size, hop,
+        # fs, first center
         ds = EnvelopeDataset([np.ones((15, 30))], [np.ones((15, 30))], [(0, 29)])
         path = tmp_path / "d.pack"
         save_dataset(ds, path)
         patch_pack(path, offset, struct.pack(fmt, value))
         with pytest.raises(DatasetFormatError, match="header"):
             load_dataset(path)
+
+    def test_pack_of_no_utterances_rejected(self, tmp_path):
+        ds = EnvelopeDataset([np.ones((15, 30))], [np.ones((15, 30))], [(0, 29)])
+        save_dataset(ds, tmp_path / "d.pack")
+        patch_pack(tmp_path / "d.pack", 9, struct.pack("<I", 0))
+        with pytest.raises(DatasetFormatError, match="no utterances"):
+            load_dataset(tmp_path / "d.pack")
 
     def test_non_utf8_mix_string_rejected(self, tmp_path):
         ds = EnvelopeDataset([np.ones((15, 30))], [np.ones((15, 30))], [(0, 29)],

@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envgain import baseline, fanout, modeldir, neural, pipeline
-from envgain.octave import build_band_layout
-from envgain.stft import StftConfig
+from envgain.octave import LAYOUT
+from envgain.stft import N_BINS, StftConfig
 
 CFG = StftConfig()
-LAYOUT = build_band_layout()
 DIM = LAYOUT.n_bands * 30
 
 
@@ -33,7 +32,7 @@ def joint_system():
 
 
 def classical_system():
-    dims = [baseline.CONTEXT_FRAMES * CFG.n_bins, 4, baseline.PREDICT_FRAMES * CFG.n_bins]
+    dims = [baseline.CONTEXT_FRAMES * N_BINS, 4, baseline.PREDICT_FRAMES * N_BINS]
     return baseline.ClassicalSystem(neural.init_model(dims, seed=30), CFG, fixed_norm(dims[0]))
 
 
@@ -82,6 +81,16 @@ def test_directory_digests_unchanged(tmp_path, kind):
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files} == digests
 
 
+@pytest.mark.parametrize("first, second", [("per-band", "joint"), ("joint", "classical")])
+def test_save_over_another_kind_keeps_only_the_new_networks(tmp_path, first, second):
+    for kind in (first, second):
+        build, save, _ = DIRECTORIES[kind]
+        save(build(), tmp_path / "mdl")
+    files = sorted((tmp_path / "mdl").iterdir())
+    digests = DIRECTORIES[second][2]  # system.txt, feature_norm.bin and the new networks
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files} == digests
+
+
 @pytest.mark.parametrize("existing", [True, False])
 def test_failed_save_leaves_the_directory_as_it_was(tmp_path, monkeypatch, existing):
     # the fifth network file fails, as on a full disk
@@ -116,7 +125,7 @@ def test_failed_save_leaves_the_directory_as_it_was(tmp_path, monkeypatch, exist
 
 def test_save_refuses_a_network_list_of_the_wrong_length(tmp_path):
     system = per_band_system()
-    fields = modeldir.envelope_fields("per-band", "elc", CFG, system.n_env)
+    fields = modeldir.envelope_fields("per-band", "elc")
     with pytest.raises(ValueError, match="a per-band directory holds 15 network"):
         modeldir.save(tmp_path / "mdl", fields, system.feature_norm, system.models[:14], "elc")
     assert not (tmp_path / "mdl").exists()
@@ -174,7 +183,7 @@ def test_parallel_load_gives_the_serial_networks(tmp_path, monkeypatch, kind):
     loaded = []
     for workers in (1, 2):
         monkeypatch.setattr(fanout, "_WORKERS", workers)
-        loaded.append([model.param_bytes() for model in modeldir.read(tmp_path, kinds)[4]])
+        loaded.append([model.param_bytes() for model in modeldir.read(tmp_path, kinds)[2]])
     assert loaded[0] == loaded[1]
     assert len(loaded[0]) == (15 if kind == "per-band" else 1)
 

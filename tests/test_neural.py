@@ -1,6 +1,7 @@
 """Network init, forward/backward, the SGD loop, and model files."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,16 @@ class TestForward:
             # nothing depends on batch statistics, so the training loop agrees
             assert np.array_equal(out, neural._run_layers(model, batch, True, []))
         assert np.array_equal(batch, before)
+
+    @pytest.mark.parametrize("mode", ["infer", "train"])
+    def test_saturated_sigmoid_is_exactly_zero_without_a_warning(self, mode):
+        # exp(1000) overflows to inf, and the gain 1/(1 + inf) is exactly 0
+        model = zeroed_model([6, 4, 3])
+        model.layers[-1].bias[:] = [-1000.0, 0.0, 1000.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = forward(model, np.ones((2, 6)), mode=mode)
+        assert np.array_equal(out, np.tile([0.0, 0.5, 1.0], (2, 1)))
 
     def test_dimension_mismatch(self):
         model = init_model([6, 8, 3], seed=0)

@@ -8,8 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from envgain.octave import check_header
 from envgain.signal_io import TimeSignal
 from envgain.stft import (
+    FFT_SIZE,
+    HOP,
+    N_BINS,
+    WINDOW,
     StftConfig,
     analyze,
     apply_gain,
@@ -19,8 +24,6 @@ from envgain.stft import (
     pad_to_frames,
     synthesize,
 )
-
-CFG = StftConfig()
 
 
 def direct_dft_magnitudes(frame):
@@ -36,7 +39,7 @@ def direct_dft_magnitudes(frame):
 class TestAnalyze:
     def test_dc_frame_concentrates_in_bin_zero(self):
         x = np.ones(256)
-        mag = np.abs(analyze(x, CFG))
+        mag = np.abs(analyze(x))
         assert len(mag) == 1
         oracle = direct_dft_magnitudes(x * hann_periodic(256))
         assert np.allclose(mag[0], oracle, atol=1e-9)
@@ -45,32 +48,32 @@ class TestAnalyze:
         assert np.all(mag[0, 2:] < 1e-9)
 
     def test_zero_signal(self):
-        spec = analyze(np.zeros(1024), CFG)
+        spec = analyze(np.zeros(1024))
         assert np.all(np.abs(spec) == 0.0)
 
     def test_pure_sine_hits_single_bin(self):
         # 1250 Hz at fs=10000, K=256 lands exactly on bin 32
         n = np.arange(256 + 5 * 128)
         x = np.sin(2 * np.pi * 1250 * n / 10000)
-        mag = np.abs(analyze(x, CFG))
+        mag = np.abs(analyze(x))
         assert np.all(np.argmax(mag, axis=1) == 32)
         oracle = direct_dft_magnitudes(x[:256] * hann_periodic(256))
         assert np.allclose(mag[0], oracle, atol=1e-9)
 
     def test_frame_count_formula(self):
         for n in (256, 257, 384, 385, 512, 1000):
-            spec = analyze(np.ones(n), CFG)
-            assert spec.shape == ((n - 256) // 128 + 1, CFG.n_bins)
+            spec = analyze(np.ones(n))
+            assert spec.shape == ((n - 256) // 128 + 1, N_BINS)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            analyze(np.ones(255), CFG)
+            analyze(np.ones(255))
 
     def test_linearity_in_amplitude(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(1000)
-        base = analyze(x, CFG)
-        scaled = analyze(2.5 * x, CFG)
+        base = analyze(x)
+        scaled = analyze(2.5 * x)
         assert np.allclose(np.abs(scaled), 2.5 * np.abs(base), rtol=1e-12, atol=1e-12)
         significant = np.abs(base) > 1e-6
         phase_diff = np.angle(np.exp(1j * (np.angle(scaled) - np.angle(base))))
@@ -79,7 +82,7 @@ class TestAnalyze:
     def test_parseval_per_frame(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(256 + 4 * 128)
-        mag = np.abs(analyze(x, CFG))
+        mag = np.abs(analyze(x))
         win = hann_periodic(256)
         for m in range(len(mag)):
             frame = x[m * 128 : m * 128 + 256] * win
@@ -89,10 +92,10 @@ class TestAnalyze:
             assert abs(e_freq / e_time - 1.0) < 1e-9
 
 
-def index_gather_frames(x, config):
+def index_gather_frames(x):
     """The fancy-index framing `frame_signal` used before its strided view."""
-    m = config.n_frames(len(x))
-    idx = np.arange(config.window_len)[None, :] + config.hop * np.arange(m)[:, None]
+    m = (len(x) - FFT_SIZE) // HOP + 1
+    idx = np.arange(FFT_SIZE)[None, :] + HOP * np.arange(m)[:, None]
     return x[idx]
 
 
@@ -106,29 +109,29 @@ class TestFrontEnd:
     @settings(max_examples=60, deadline=None)
     @given(signals)
     def test_strided_frames_equal_index_gather(self, x):
-        frames = frame_signal(x, CFG)
-        assert np.array_equal(frames, index_gather_frames(x, CFG))
+        frames = frame_signal(x)
+        assert np.array_equal(frames, index_gather_frames(x))
         assert not frames.flags.writeable
         assert np.shares_memory(frames, x)
 
     @settings(max_examples=60, deadline=None)
     @given(signals)
     def test_magnitude_is_analyze_magnitude(self, x):
-        assert np.array_equal(magnitude(x, CFG), np.abs(analyze(x, CFG)))
+        assert np.array_equal(magnitude(x), np.abs(analyze(x)))
         sig = TimeSignal(x, 10000)
-        assert np.array_equal(magnitude(sig, CFG), np.abs(analyze(sig, CFG)))
+        assert np.array_equal(magnitude(sig), np.abs(analyze(sig)))
 
     @settings(max_examples=30, deadline=None)
     @given(signals)
     def test_analyze_equals_index_gather_rfft(self, x):
-        spec = np.fft.rfft(index_gather_frames(x, CFG) * CFG.window(), n=CFG.fft_size, axis=1)
-        assert np.array_equal(analyze(x, CFG), spec)
+        spec = np.fft.rfft(index_gather_frames(x) * WINDOW, n=FFT_SIZE, axis=1)
+        assert np.array_equal(analyze(x), spec)
 
     def test_short_signal_rejected(self):
         with pytest.raises(ValueError, match="shorter than one window"):
-            frame_signal(np.zeros(255), CFG)
+            frame_signal(np.zeros(255))
         with pytest.raises(ValueError, match="shorter than one window"):
-            magnitude(np.zeros(255), CFG)
+            magnitude(np.zeros(255))
 
 
 class TestSynthesize:
@@ -136,57 +139,57 @@ class TestSynthesize:
         rng = np.random.default_rng(2)
         for trial in range(10):
             x = rng.standard_normal(rng.integers(3 * 256, 6 * 256))
-            out = synthesize(analyze(x, CFG), CFG).samples
+            out = synthesize(analyze(x)).samples
             interior = slice(256, len(out) - 256)
             err = np.max(np.abs(out[interior] - x[: len(out)][interior]))
             assert err <= 1e-10 * np.max(np.abs(x))
 
     def test_zero_spectrogram(self):
-        shape = (4, CFG.n_bins)
-        out = synthesize(np.zeros(shape, dtype=complex), CFG)
+        shape = (4, N_BINS)
+        out = synthesize(np.zeros(shape, dtype=complex))
         assert np.all(out.samples == 0.0)
 
     def test_magnitude_scaling_scales_output(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(1024)
-        spec = analyze(x, CFG)
-        base = synthesize(spec, CFG).samples
-        doubled = synthesize(2.0 * spec, CFG).samples
+        spec = analyze(x)
+        base = synthesize(spec).samples
+        doubled = synthesize(2.0 * spec).samples
         assert np.allclose(doubled, 2.0 * base, rtol=1e-12, atol=1e-12)
 
     def test_output_length(self):
-        spec = analyze(np.ones(256 + 7 * 128), CFG)
-        out = synthesize(spec, CFG)
+        spec = analyze(np.ones(256 + 7 * 128))
+        out = synthesize(spec)
         assert len(out) == 256 + 7 * 128
 
     @pytest.mark.parametrize("n_frames", [1, 2, 3, 8, 41])
     def test_matches_per_frame_overlap_add(self, n_frames):
         rng = np.random.default_rng(n_frames)
-        shape = (n_frames, CFG.n_bins)
+        shape = (n_frames, N_BINS)
         spec = rng.uniform(0, 2, shape) * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
         # the per-frame loop the strided overlap-add replaced
-        win = CFG.window()
-        frames = np.fft.irfft(spec, n=CFG.fft_size, axis=1)
-        frames = frames[:, : CFG.window_len] * win
-        out = np.zeros((n_frames - 1) * CFG.hop + CFG.window_len)
+        win = WINDOW
+        frames = np.fft.irfft(spec, n=FFT_SIZE, axis=1)
+        frames = frames[:, : FFT_SIZE] * win
+        out = np.zeros((n_frames - 1) * HOP + FFT_SIZE)
         den = np.zeros_like(out)
         for i in range(n_frames):
-            sl = slice(i * CFG.hop, i * CFG.hop + CFG.window_len)
+            sl = slice(i * HOP, i * HOP + FFT_SIZE)
             out[sl] += frames[i]
             den[sl] += win * win
         expected = out / np.maximum(den, 1e-15)
-        assert np.array_equal(synthesize(spec, CFG).samples, expected)
+        assert np.array_equal(synthesize(spec).samples, expected)
 
     def test_rejects_spectrum_of_another_config(self):
-        spec = analyze(np.ones(1024), StftConfig(512))
+        spec = np.fft.rfft(np.ones((3, 512)), axis=1)  # 257 bins, a 512-point analysis's
         with pytest.raises(ValueError, match=r"expected an \(M, 129\) spectrum"):
-            synthesize(spec, CFG)
+            synthesize(spec)
 
 
 class TestApplyGain:
     def _spec(self):
         rng = np.random.default_rng(4)
-        return analyze(rng.standard_normal(800), CFG)
+        return analyze(rng.standard_normal(800))
 
     def test_unit_gain_identity(self):
         spec = self._spec()
@@ -209,32 +212,33 @@ class TestApplyGain:
         with pytest.raises(ValueError):
             apply_gain(spec, -np.ones(spec.shape))
         with pytest.raises(ValueError):
-            apply_gain(spec, np.ones((1, CFG.n_bins)))
+            apply_gain(spec, np.ones((1, N_BINS)))
 
 
 class TestPadding:
     def test_pad_covers_all_samples(self):
         for n in (256, 300, 511, 512, 513):
-            padded = pad_to_frames(np.ones(n), CFG)
+            padded = pad_to_frames(np.ones(n))
             assert (len(padded) - 256) % 128 == 0
             assert len(padded) >= n
-            m = CFG.n_frames(len(padded))
+            m = len(frame_signal(padded))
             assert (m - 1) * 128 + 256 == len(padded)
 
     def test_synthesize_returns_working_rate(self):
-        out = synthesize(analyze(np.ones(512), CFG), CFG)
+        out = synthesize(analyze(np.ones(512)))
         assert isinstance(out, TimeSignal)
         assert out.sample_rate_hz == 10000
 
 
 class TestConfig:
     def test_invariants(self):
-        # the FFT size is the one free value: window as long, hop half of it
-        assert (CFG.fft_size, CFG.window_len, CFG.hop) == (256, 256, 128)
-        assert (StftConfig(512).window_len, StftConfig(512).hop) == (512, 256)
-        assert CFG.n_bins == 129
+        # the window is as long as the FFT, the hop half of it
+        assert (FFT_SIZE, HOP, N_BINS, len(WINDOW)) == (256, 128, 129, 256)
+        assert np.array_equal(WINDOW, hann_periodic(256)) and not WINDOW.flags.writeable
+        assert StftConfig() == StftConfig() and StftConfig().n_bins == 129
 
     @pytest.mark.parametrize("fft_size", [255, 0, -256])
     def test_odd_or_nonpositive_fft_size_rejected(self, fft_size):
-        with pytest.raises(ValueError, match="positive even"):
-            StftConfig(fft_size)
+        # no analysis takes an FFT size; a stored header with another is refused
+        with pytest.raises(ValueError, match=f"^fft_size = {fft_size} is not 256$"):
+            check_header(fft_size, HOP)
