@@ -1,16 +1,17 @@
 """Classical short-time spectral-amplitude baseline.
 
-A single network consumes 30 consecutive frames of log-compressed noisy
-magnitude spectra and emits sigmoid gains for the 5 most recent frames of
-the context (all N_BINS bins each). Successive steps overlap, so up to 5
-gain estimates exist per frame; they are averaged. The objective is the
-MSE between the gained noisy magnitudes and the clean magnitudes, i.e.
-the same estimate-vs-target MSE as the envelope trainer, applied across
-frequency instead of within a band. Leading frames that no prediction
-window reaches pass through with unit gain. Its dataset and its input come
-from the envelope networks' front end in `mixing`, kept in magnitudes;
-`pipeline.enhance` (bound here as `classical_enhance`) serves it through
-`ClassicalSystem.gains`, and `pipeline._train` trains it.
+A single network takes a fixed window, CONTEXT_FRAMES = 30 consecutive
+frames of log-compressed noisy magnitude spectra, and emits sigmoid gains
+for its PREDICT_FRAMES = 5 most recent frames (all N_BINS bins each).
+Successive steps overlap, so up to 5 gain estimates exist per frame; they
+are averaged. The objective is the MSE between the gained noisy magnitudes
+and the clean magnitudes, i.e. the same estimate-vs-target MSE as the
+envelope trainer, applied across frequency instead of within a band.
+Leading frames that no prediction window reaches pass through with unit
+gain. Its dataset and its input come from the envelope networks' front
+end in `mixing`, kept in magnitudes; `pipeline.enhance` (bound here as
+`classical_enhance`) serves it through `ClassicalSystem.gains`, and
+`pipeline._train` trains it.
 """
 
 from __future__ import annotations
@@ -21,29 +22,26 @@ from typing import Sequence
 import numpy as np
 
 from . import modeldir, neural
-from .mixing import DEFAULT_SNR_RANGE_DB, _joined, _windows, frame_index, log_windows
-from .mixing import mixture_magnitudes
+from .mixing import CONTEXT_FRAMES, DEFAULT_SNR_RANGE_DB, PREDICT_FRAMES, _joined, _windows
+from .mixing import frame_index, log_windows, mixture_magnitudes
 from .octave import average_overlapping_gains
 from .pipeline import _forward_side_by_side, _train
 from .pipeline import enhance as classical_enhance  # the shared path, by its old name
 from .signal_io import TimeSignal
-from .stft import FFT_SIZE, HOP, StftConfig
-
-CONTEXT_FRAMES = 30
-PREDICT_FRAMES = 5
+from .stft import FFT_SIZE, StftConfig
 
 
 class MagnitudeDataset:
     """Per-utterance clean/noisy magnitude matrices (M, N_BINS) plus a flat
     (utterance, frame) index of valid context end frames."""
 
-    def __init__(self, clean_mag, noisy_mag, index, context=CONTEXT_FRAMES,
-                 predict=PREDICT_FRAMES):
+    context = CONTEXT_FRAMES
+    predict = PREDICT_FRAMES
+
+    def __init__(self, clean_mag, noisy_mag, index):
         self.clean_mag = clean_mag
         self.noisy_mag = noisy_mag
         self.index = np.asarray(index, dtype=np.int64).reshape(-1, 2)
-        self.context = context
-        self.predict = predict
 
     @property
     def n_frames(self) -> int:
@@ -83,8 +81,8 @@ class ClassicalSystem:
     model: neural.MlpModel
     stft_config: StftConfig  # always StftConfig()
     feature_norm: neural.FeatureNorm
-    context: int = CONTEXT_FRAMES
-    predict: int = PREDICT_FRAMES
+    context = CONTEXT_FRAMES
+    predict = PREDICT_FRAMES
 
     def __post_init__(self):
         if self.stft_config != StftConfig():
@@ -114,20 +112,13 @@ def train_classical(
         train_ds, val_ds, [None], config, hidden, max_train_frames, max_val_frames,
         salt=0xBA5E, chunk=2048,
     )
-    return ClassicalSystem(model, StftConfig(), norm, train_ds.context, train_ds.predict), report
+    return ClassicalSystem(model, StftConfig(), norm), report
 
 
 def save_classical(system: ClassicalSystem, dirpath) -> None:
-    fields = {
-        "kind": "classical",
-        "context": system.context,
-        "predict": system.predict,
-        "fft_size": FFT_SIZE,
-        "hop": HOP,
-    }
-    modeldir.save(dirpath, fields, system.feature_norm, [system.model], "emse")
+    modeldir.save(dirpath, "classical", system.feature_norm, [system.model])
 
 
 def load_classical(dirpath) -> ClassicalSystem:
-    fields, norm, (model,) = modeldir.read(dirpath, modeldir.CLASSICAL_KINDS)
-    return ClassicalSystem(model, StftConfig(), norm, fields["context"], fields["predict"])
+    _, norm, (model,) = modeldir.read(dirpath, ("classical",))
+    return ClassicalSystem(model, StftConfig(), norm)

@@ -48,7 +48,7 @@ _CONFIG_KEYS = {
     "max_train_frames": COUNT,
     "max_val_frames": COUNT,
 }
-_OPTIONS = {"seed": SEED, "hidden": COUNT}
+_OPTIONS = {"seed": SEED}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,7 +89,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train-baseline", help="train the spectral-magnitude MSE baseline")
     p.set_defaults(run=_cmd_train_baseline)
     p.add_argument("--data", required=True)
-    p.add_argument("--hidden", default="512", help="hidden units per layer, e.g. 512 or 4096")
     p.add_argument("--config", help="key = value training overrides")
     p.add_argument("--out", required=True)
 
@@ -310,7 +309,6 @@ def _cmd_train_baseline(args) -> int:
     seed = checked(f"{data / 'meta.txt'}: seed = {seed!r}", seed, SEED)
     snr_range = _parse_snr_range(meta.get("snr_range", "-5:10"))
     config, extras = _load_train_config(args.config, objective="emse")
-    hidden = (args.hidden,) * 3 if extras["hidden"] == neural.DEFAULT_HIDDEN else extras["hidden"]
 
     train_ds = baseline.build_magnitude_dataset(
         _read_split_wavs(data, "train"), read_wav(data / "noise_train.wav"),
@@ -321,7 +319,7 @@ def _cmd_train_baseline(args) -> int:
         seed=seed + 3, snr_range_db=snr_range,
     )
     system, report = baseline.train_classical(
-        train_ds, val_ds, config, hidden=hidden,
+        train_ds, val_ds, config, hidden=extras["hidden"],
         max_train_frames=extras["max_train_frames"], max_val_frames=extras["max_val_frames"],
     )
     baseline.save_classical(system, args.out)

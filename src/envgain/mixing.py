@@ -49,6 +49,10 @@ _WELCH_BLOCK = 256
 
 SPLITS = ("train", "validation", "test")
 DEFAULT_SNR_RANGE_DB = (-5.0, 10.0)
+# the classical baseline's window: this many frames of noisy magnitudes in,
+# gains for the last PREDICT_FRAMES of them out
+CONTEXT_FRAMES = 30
+PREDICT_FRAMES = 5
 
 
 @dataclass(frozen=True)
@@ -400,10 +404,6 @@ class EnvelopeDataset:
 
     def __len__(self) -> int:
         return self.n_frames * self.n_bands
-
-    def window(self, utt: int, frame: int):
-        sl = slice(frame - self.n_env + 1, frame + 1)
-        return self.clean_env[utt][:, sl], self.noisy_env[utt][:, sl]
 
     def features(self, rows) -> np.ndarray:
         """`log_windows` of the noisy envelopes, flattened band-major: (R, J*N)."""

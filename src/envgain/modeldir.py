@@ -1,12 +1,14 @@
-"""Model directories: the one writer, `save`, which replaces a directory
-whole or not at all, and the one checked reader, `read`.
+"""Model directories: `KINDS`, what a directory of each kind holds; the
+one writer, `save`, which replaces a directory whole or not at all; and the
+one checked reader, `read`.
 
 A directory holds `system.txt` (a flat `key = value` record whose `kind`
-picks its other keys), `feature_norm.bin` and the networks of its kind:
-band_00.mdl .. band_{J-1}.mdl (per-band), joint.mdl (joint) or
-baseline.mdl (classical). The `key = value` codec also serves data
-directories' meta.txt and training configuration files, and `checked`,
-its one check of a value's kind, also serves the numeric command options.
+picks its other keys), `feature_norm.bin` and the networks of its kind.
+Every stored value but an envelope kind's `objective` is fixed, the
+classical window of 30 frames in (`context`) and 5 out (`predict`) among
+them. The `key = value` codec also serves data directories' meta.txt and
+training configuration files, and `checked`, its one check of a value's
+kind, also serves the numeric command options.
 """
 
 from __future__ import annotations
@@ -14,19 +16,18 @@ from __future__ import annotations
 import math
 import struct
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import framed, neural
 from .fanout import fan_out
+from .mixing import CONTEXT_FRAMES, PREDICT_FRAMES
 from .octave import ENVELOPE_LEN, FIRST_CENTER_HZ, N_BANDS, check_header
 from .signal_io import WORKING_RATE_HZ
 from .stft import FFT_SIZE, HOP, N_BINS
 
 NORM_FRAME = framed.Frame(b"ASTON", 1, "feature-norm file", neural.ModelFormatError)
-
-ENVELOPE_KINDS = ("per-band", "joint")
-CLASSICAL_KINDS = ("classical",)
 
 # the kind of a `key = value` text or an option (see `checked`): how it is
 # converted, which values are allowed and how an error names them
@@ -40,18 +41,43 @@ def one_of(*words: str) -> tuple:
     return str, words.__contains__, "one of " + ", ".join(words)
 
 
-# the required system.txt keys of each kind besides `kind`; envelope kinds
-# may add `out_of_band`, which must be `zero`. The STFT, envelope length,
-# rate, band count and first centre have one allowed value each
-# (`octave.check_header`).
-SYSTEM_KEYS = {
-    **dict.fromkeys(ENVELOPE_KINDS, {
-        "objective": one_of(*neural.OBJECTIVES), "n_bands": COUNT, "n_env": COUNT,
-        "fft_size": COUNT, "hop": COUNT, "sample_rate_hz": COUNT, "first_center_hz": NUMBER,
-    }),
-    "classical": {"context": COUNT, "predict": COUNT, "fft_size": COUNT, "hop": COUNT},
+def exactly(number: int) -> tuple:
+    return int, number.__eq__, str(number)
+
+
+class Kind(NamedTuple):
+    """What a directory of one kind holds."""
+
+    files: tuple  # the networks' file names, in order
+    n_in: int  # their input width, and the feature norm's
+    n_out: int  # their output width
+    objective: str | None  # the tag each network carries; None: the record's
+    record: dict  # system.txt after `kind`, in order: key -> (value kind, value written)
+
+
+ENVELOPE_RECORD = {
+    "objective": (one_of(*neural.OBJECTIVES), None),  # written: the save's objective
+    "n_bands": (COUNT, N_BANDS),
+    "n_env": (COUNT, ENVELOPE_LEN),
+    "fft_size": (COUNT, FFT_SIZE),
+    "hop": (COUNT, HOP),
+    "sample_rate_hz": (COUNT, WORKING_RATE_HZ),
+    "first_center_hz": (NUMBER, f"{FIRST_CENTER_HZ:g}"),
+    "out_of_band": (one_of("zero"), "zero"),
 }
-OUT_OF_BAND = one_of("zero")
+ENVELOPE_DIM = N_BANDS * ENVELOPE_LEN
+KINDS = {
+    "per-band": Kind(tuple(f"band_{j:02d}.mdl" for j in range(N_BANDS)),
+                     ENVELOPE_DIM, ENVELOPE_LEN, None, ENVELOPE_RECORD),
+    "joint": Kind(("joint.mdl",), ENVELOPE_DIM, ENVELOPE_DIM, None, ENVELOPE_RECORD),
+    "classical": Kind(("baseline.mdl",), CONTEXT_FRAMES * N_BINS, PREDICT_FRAMES * N_BINS,
+                      "emse", {
+                          "context": (exactly(CONTEXT_FRAMES), CONTEXT_FRAMES),
+                          "predict": (exactly(PREDICT_FRAMES), PREDICT_FRAMES),
+                          "fft_size": (COUNT, FFT_SIZE),
+                          "hop": (COUNT, HOP),
+                      }),
+}
 # the system.txt keys `octave.check_header` takes, by its parameter names
 HEADER_KEYS = ("fft_size", "hop", "n_env", "sample_rate_hz", "n_bands", "first_center_hz")
 
@@ -62,11 +88,8 @@ def write_kv(path, fields: dict) -> None:
         fh.write("".join(f"{key} = {val}\n" for key, val in fields.items()).encode("utf-8"))
 
 
-def parse_kv(path, required: dict | None = None) -> dict:
-    """Read a flat `key = value` file. `required` maps each key that must be
-    present to its kind (see `checked`); a missing key or a value not of
-    its kind raises ModelFormatError naming the key, and required values
-    come back converted."""
+def parse_kv(path) -> dict:
+    """Read a flat `key = value` file: every value as its text."""
     out = {}
     for number, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
         try:
@@ -79,14 +102,20 @@ def parse_kv(path, required: dict | None = None) -> dict:
             raise neural.ModelFormatError(f"{path}: line {number} {line!r} is not key = value")
         key, val = (part.strip() for part in line.split("=", 1))
         out[key] = val
-    required = required or {}
-    missing = [key for key in required if key not in out]
+    return out
+
+
+def typed(path, fields: dict, required: dict) -> dict:
+    """`fields`, as `parse_kv` read them from `path`, with the value of each
+    key of `required` converted by its kind (see `checked`); a missing key
+    or a value not of its kind raises ModelFormatError naming the key."""
+    missing = [key for key in required if key not in fields]
     if missing:
         raise neural.ModelFormatError(f"{path}: missing key(s) {', '.join(missing)}")
     for key, kind in required.items():
-        out[key] = checked(f"{path}: {key} = {out[key]!r}", out[key], kind,
-                           neural.ModelFormatError)
-    return out
+        fields[key] = checked(f"{path}: {key} = {fields[key]!r}", fields[key], kind,
+                              neural.ModelFormatError)
+    return fields
 
 
 def checked(what: str, text: str, kind: tuple, error: type = ValueError):
@@ -121,85 +150,62 @@ def load_norm(path) -> neural.FeatureNorm:
     return neural.FeatureNorm(mean, std)
 
 
-def envelope_fields(kind: str, objective: str) -> dict:
-    """The system.txt record of an envelope-gain directory: every key, the
-    fixed front-end values among them, as the format has always stored them."""
-    return {
-        "kind": kind,
-        "objective": objective,
-        "n_bands": N_BANDS,
-        "n_env": ENVELOPE_LEN,
-        "fft_size": FFT_SIZE,
-        "hop": HOP,
-        "sample_rate_hz": WORKING_RATE_HZ,
-        "first_center_hz": f"{FIRST_CENTER_HZ:g}",
-        "out_of_band": "zero",
-    }
-
-
-def model_files(fields: dict) -> list[str]:
-    """File names of the networks a system.txt record describes, in order."""
-    if fields["kind"] == "per-band":
-        return [f"band_{j:02d}.mdl" for j in range(fields["n_bands"])]
-    return ["joint.mdl" if fields["kind"] == "joint" else "baseline.mdl"]
-
-
-def save(dirpath, fields: dict, norm: neural.FeatureNorm, models: list, objective: str) -> None:
-    """Write system.txt from `fields`, the feature norm and `models`, the
-    networks in `model_files(fields)` order, each tagged with `objective`.
+def save(dirpath, kind: str, norm: neural.FeatureNorm, models: list,
+         objective: str | None = None) -> None:
+    """Write a `kind` directory: its system.txt record, the feature norm and
+    `models`, the networks of `KINDS[kind].files` in order, each tagged with
+    the kind's objective or else `objective`, which the record then stores.
     Every file is written into a staging directory and moved into `dirpath`
     at the end (`framed.staged_directory`): a save that raises leaves
     `dirpath` as it was, and none if there was none. A save that succeeds
     then removes every other `*.mdl` in `dirpath`, so a directory whose kind
     changes keeps no networks of its old kind."""
-    names = model_files(fields)
-    if len(models) != len(names):
-        raise ValueError(f"a {fields['kind']} directory holds {len(names)} network(s), "
+    spec = KINDS[kind]
+    if len(models) != len(spec.files):
+        raise ValueError(f"a {kind} directory holds {len(spec.files)} network(s), "
                          f"got {len(models)}")
+    objective = spec.objective or objective
+    record = {key: objective if value is None else value
+              for key, (_, value) in spec.record.items()}
     with framed.staged_directory(dirpath) as stage:
-        write_kv(stage / "system.txt", fields)
+        write_kv(stage / "system.txt", {"kind": kind, **record})
         save_norm(norm, stage / "feature_norm.bin")
-        for name, model in zip(names, models):
+        for name, model in zip(spec.files, models):
             neural.save_model(model, stage / name, objective)
     for stale in Path(dirpath).glob("*.mdl"):
-        if stale.name not in names:
+        if stale.name not in spec.files:
             stale.unlink()
 
 
 def read(dirpath, kinds: tuple) -> tuple:
     """(fields, feature_norm, models) of a model directory whose kind is one
-    of `kinds` (ENVELOPE_KINDS or CLASSICAL_KINDS): the typed system.txt
-    record, its header checked (`octave.check_header`), and the networks in
-    `model_files` order, each checked for its dims and objective tag. A
-    defect raises ModelFormatError; the networks load as `fan_out` tasks, so
-    the error is that of the first defective file, as in a serial loop."""
+    of `kinds`: the system.txt record typed and checked against its kind's
+    `KINDS` entry, its header checked (`octave.check_header`), and the
+    networks in file order, each checked for its widths and objective tag.
+    A defect raises ModelFormatError; the networks load as `fan_out` tasks,
+    so the error is that of the first defective file, as in a serial loop."""
     d = Path(dirpath)
     path = d / "system.txt"
-    # the kinds of `kinds` share their keys
-    fields = parse_kv(path, {"kind": one_of(*kinds), **SYSTEM_KEYS[kinds[0]]})
+    fields = typed(path, parse_kv(path), {"kind": one_of(*kinds)})
+    # envelope records written before `out_of_band` existed mean zero
+    fields.setdefault("out_of_band", "zero")
+    spec = KINDS[fields["kind"]]
+    typed(path, fields, {key: value_kind for key, (value_kind, _) in spec.record.items()})
     try:
         check_header(**{key: fields[key] for key in HEADER_KEYS if key in fields})
     except ValueError as exc:
         raise neural.ModelFormatError(f"{path}: {exc}") from None
-    names = model_files(fields)
-    if fields["kind"] == "classical":
-        objective = "emse"
-        n_in, n_out = fields["context"] * N_BINS, fields["predict"] * N_BINS
-    else:
-        out_of_band = fields.get("out_of_band", "zero")
-        checked(f"{path}: out_of_band = {out_of_band!r}", out_of_band, OUT_OF_BAND,
-                neural.ModelFormatError)
-        n_in = fields["n_bands"] * fields["n_env"]
-        n_out, objective = n_in // len(names), fields["objective"]
+    objective = spec.objective or fields["objective"]
     norm_path = d / "feature_norm.bin"
     norm = load_norm(norm_path)
-    if len(norm.mean) != n_in:
-        raise neural.ModelFormatError(f"{norm_path}: dim {len(norm.mean)} != expected {n_in}")
+    if len(norm.mean) != spec.n_in:
+        raise neural.ModelFormatError(f"{norm_path}: dim {len(norm.mean)} != expected {spec.n_in}")
 
     def load(name):
-        model, tag = neural.load_model(d / name, expected_input_dim=n_in, expected_output_dim=n_out)
+        model, tag = neural.load_model(d / name, expected_input_dim=spec.n_in,
+                                       expected_output_dim=spec.n_out)
         if tag != objective:
             raise neural.ModelFormatError(f"{d / name}: objective {tag} != {objective}")
         return model
 
-    return fields, norm, fan_out(load, names)
+    return fields, norm, fan_out(load, spec.files)

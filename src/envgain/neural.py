@@ -413,46 +413,48 @@ def train(
     epochs: list[EpochStats] = []
     stop_reason = "max_epochs"
 
-    for _epoch in range(config.max_epochs):
-        if schedule.below_floor:
-            stop_reason = "lr_floor"
-            break
-        started = time.perf_counter()
-        perm = rng.permutation(len(train_data))
-        cost_sum = 0.0
-        degenerate = 0
-        for lo in range(0, len(perm), config.minibatch):
-            rows = perm[lo : lo + config.minibatch]
-            res = backward(
-                model,
-                train_data.features[rows],
-                train_data.clean[rows],
-                train_data.noisy[rows],
-                config.objective,
-            )
-            _apply_update(model, res, schedule.lr)
-            cost_sum += res.loss_sum
-            degenerate += res.n_degenerate
-            del res  # free this step's gradients before the next step makes its own
-        train_cost = cost_sum / len(perm)
-        trained = time.perf_counter()
-        # the ELC loss scores a NaN window as degenerate, with value and
-        # gradient 0, so a diverged network can show a finite cost
-        if not model.is_finite():
-            raise NumericError(f"non-finite parameters at epoch {len(epochs)}, lr {schedule.lr:g}")
-        val_cost = evaluate_cost(model, validation_data, config.objective)
-        validated = time.perf_counter()
-        if not (np.isfinite(train_cost) and np.isfinite(val_cost)):
-            raise NumericError(
-                f"non-finite cost at epoch {len(epochs)}: train={train_cost}, val={val_cost}"
-            )
-        if val_cost < best_val:
-            best_val = val_cost
-            best_model = model.copy()
-        schedule.observe(val_cost)
-        epochs.append(EpochStats(
-            train_cost, val_cost, schedule.lr, degenerate, trained - started, validated - trained
-        ))
+    # a diverging network overflows; the checks below, not numpy's warnings, report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _epoch in range(config.max_epochs):
+            if schedule.below_floor:
+                stop_reason = "lr_floor"
+                break
+            started = time.perf_counter()
+            perm = rng.permutation(len(train_data))
+            cost_sum = 0.0
+            degenerate = 0
+            for lo in range(0, len(perm), config.minibatch):
+                rows = perm[lo : lo + config.minibatch]
+                res = backward(
+                    model,
+                    train_data.features[rows],
+                    train_data.clean[rows],
+                    train_data.noisy[rows],
+                    config.objective,
+                )
+                _apply_update(model, res, schedule.lr)
+                cost_sum += res.loss_sum
+                degenerate += res.n_degenerate
+                del res  # free this step's gradients before the next step makes its own
+            train_cost = cost_sum / len(perm)
+            trained = time.perf_counter()
+            # the ELC loss scores a NaN window as degenerate, with value and
+            # gradient 0, so a diverged network can show a finite cost
+            if not model.is_finite():
+                raise NumericError(
+                    f"non-finite parameters at epoch {len(epochs)}, lr {schedule.lr:g}")
+            val_cost = evaluate_cost(model, validation_data, config.objective)
+            validated = time.perf_counter()
+            if not (np.isfinite(train_cost) and np.isfinite(val_cost)):
+                raise NumericError(
+                    f"non-finite cost at epoch {len(epochs)}: train={train_cost}, val={val_cost}"
+                )
+            if val_cost < best_val:
+                best_val = val_cost
+                best_model = model.copy()
+            schedule.observe(val_cost)
+            epochs.append(EpochStats(train_cost, val_cost, schedule.lr, degenerate,
+                                     trained - started, validated - trained))
     if best_model is None:  # no epoch ran
         best_model = model.copy()
     return best_model, TrainReport(epochs, stop_reason)

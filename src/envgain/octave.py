@@ -72,14 +72,13 @@ def check_header(fft_size, hop, n_env=ENVELOPE_LEN, sample_rate_hz=WORKING_RATE_
     and the first centre (a record that stores none of the last four, the
     classical kind, leaves them out). Raises ValueError naming the first
     field that is not so."""
-    for name, stored, value in (("fft_size", fft_size, FFT_SIZE), ("n_env", n_env, ENVELOPE_LEN),
+    for name, stored, value in (("fft_size", fft_size, FFT_SIZE), ("hop", hop, HOP),
+                                ("n_env", n_env, ENVELOPE_LEN),
                                 ("sample_rate_hz", sample_rate_hz, WORKING_RATE_HZ),
                                 ("n_bands", n_bands, N_BANDS),
                                 ("first_center_hz", first_center_hz, FIRST_CENTER_HZ)):
         if stored != value:
             raise ValueError(f"{name} = {stored!r} is not {value!r}")
-    if hop != HOP:  # stored, but never free: half the window
-        raise ValueError(f"hop must be window_len / 2 ({HOP}), got {hop}")
 
 
 def envelopes(magnitude: np.ndarray) -> np.ndarray:

@@ -71,17 +71,21 @@ class EnhancementSystem:
             raise ValueError(f"the layout is not the band layout of a {FFT_SIZE}-point FFT")
         if self.stft_config != StftConfig():
             raise ValueError(f"the STFT configuration is not the fixed {FFT_SIZE}-point one")
-        dim = LAYOUT.n_bands * ENVELOPE_LEN
-        count = 1 if self.is_joint else LAYOUT.n_bands
-        if len(self.models) != count or len(self.feature_norm.mean) != dim or any(
-            (m.input_dim, m.output_dim) != (dim, dim // count) for m in self.models
+        spec = modeldir.KINDS[self.kind]
+        if len(self.models) != len(spec.files) or len(self.feature_norm.mean) != spec.n_in or any(
+            (m.input_dim, m.output_dim) != (spec.n_in, spec.n_out) for m in self.models
         ):
-            raise ValueError(f"need {count} model(s) of {dim} inputs and {dim // count} "
-                             f"outputs, and a {dim}-dim feature norm")
+            raise ValueError(f"need {len(spec.files)} model(s) of {spec.n_in} inputs and "
+                             f"{spec.n_out} outputs, and a {spec.n_in}-dim feature norm")
 
     @property
     def is_joint(self) -> bool:
         return self.joint_model is not None
+
+    @property
+    def kind(self) -> str:
+        """Its model-directory kind (see `modeldir.KINDS`)."""
+        return "joint" if self.is_joint else "per-band"
 
     @property
     def models(self) -> list[neural.MlpModel]:
@@ -453,13 +457,11 @@ def report_tables(rows: Sequence[EvalRow], fmt: str = "text") -> str:
 
 
 def save_system(system: EnhancementSystem, dirpath) -> None:
-    kind = "joint" if system.is_joint else "per-band"
-    fields = modeldir.envelope_fields(kind, system.objective)
-    modeldir.save(dirpath, fields, system.feature_norm, system.models, system.objective)
+    modeldir.save(dirpath, system.kind, system.feature_norm, system.models, system.objective)
 
 
 def load_system(dirpath) -> EnhancementSystem:
-    fields, norm, models = modeldir.read(dirpath, modeldir.ENVELOPE_KINDS)
+    fields, norm, models = modeldir.read(dirpath, ("per-band", "joint"))
     joint = fields["kind"] == "joint"
     return EnhancementSystem(None if joint else models, models[0] if joint else None, LAYOUT,
                              StftConfig(), norm, fields["objective"])

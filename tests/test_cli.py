@@ -10,6 +10,7 @@ import pytest
 from envgain import baseline, cli, fanout, mixing, modeldir, neural, pipeline
 from envgain.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from envgain.signal_io import TimeSignal, read_wav, to_working_rate, write_wav
+from envgain.stft import N_BINS
 
 TINY_CONFIG = """
 # toy-scale training
@@ -401,7 +402,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("offset, value, message", [
         (21, 512, "fft_size = 512 is not 256"),
-        (25, 256, "hop must be window_len / 2 (128), got 256"),
+        (25, 256, "hop = 256 is not 128"),
         (17, 20, "n_env = 20 is not 30"),
     ])
     def test_pack_of_another_front_end_is_data_error(self, data_dir, tmp_path, capsys, offset,
@@ -480,6 +481,7 @@ class TestTrain:
         assert f"envgain: {expected}\n" == capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
     def test_diverged_training_is_numeric_error(self, data_dir, tmp_path, capsys):
         # ELC training diverges to non-finite parameters or outputs while its
         # costs stay finite; it must fail and write no model directory
@@ -491,6 +493,7 @@ class TestTrain:
         assert "envgain: numeric failure: non-finite" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.filterwarnings("error")
     def test_diverged_band_fan_out_is_numeric_error(self, data_dir, tmp_path, capsys,
                                                      monkeypatch):
         # every band diverges; on two workers the error is band 0's, as in
@@ -679,20 +682,32 @@ class TestEnhanceEvaluate:
         ("sample_rate_hz = 9000", "sample_rate_hz = 9000 is not 10000"),
         ("first_center_hz = 170", "first_center_hz = 170.0 is not 150.0"),
         ("fft_size = 512", "fft_size = 512 is not 256"),
-        ("hop = 256", "hop must be window_len / 2 (128), got 256"),
+        ("hop = 256", "hop = 256 is not 128"),
         ("n_env = 20", "n_env = 20 is not 30"),
+        # a classical record of another window, with a network and feature
+        # norm of its widths
+        ("context = 10", "context = '10' is not 30"),
+        ("predict = 3", "predict = '3' is not 5"),
     ])
     def test_enhance_bad_model_dir_is_data_error(
-        self, data_dir, model_dir, tmp_path, capsys, defect, message
+        self, data_dir, model_dir, classical_dir, tmp_path, capsys, defect, message
     ):
         model = tmp_path / "mdl"
-        shutil.copytree(model_dir, model)
+        key, _, value = defect.partition(" = ")
+        window = {"context": baseline.CONTEXT_FRAMES, "predict": baseline.PREDICT_FRAMES}
+        shutil.copytree(classical_dir if key in window else model_dir, model)
+        if key in window:
+            window[key] = int(value)
+            n_in = window["context"] * N_BINS
+            net = neural.init_model([n_in, 8, window["predict"] * N_BINS], seed=0)
+            neural.save_model(net, model / "baseline.mdl", "emse")
+            modeldir.save_norm(neural.FeatureNorm(np.zeros(n_in), np.ones(n_in)),
+                               model / "feature_norm.bin")
         if defect == "missing hop":
             lines = (model / "system.txt").read_text().splitlines(keepends=True)
             kept = [line for line in lines if not line.startswith("hop")]
             (model / "system.txt").write_text("".join(kept))
-        elif " = " in defect:
-            key = defect.split(" = ")[0]
+        elif value:
             lines = (model / "system.txt").read_text().splitlines(keepends=True)
             kept = [line for line in lines if not line.startswith(f"{key} ")]
             (model / "system.txt").write_text("".join(kept) + defect + "\n")
@@ -721,7 +736,7 @@ class TestBaselineCli:
         cfg.write_text("max_epochs = 1\nhidden = 8\nmax_train_frames = 150\n"
                        "max_val_frames = 50\nseed = 2\n")
         out = tmp_path / "base"
-        rc = main(["train-baseline", "--data", str(data_dir), "--hidden", "8",
+        rc = main(["train-baseline", "--data", str(data_dir),
                    "--config", str(cfg), "--out", str(out)])
         assert rc == EXIT_OK
         assert (out / "baseline.mdl").exists()
@@ -733,14 +748,6 @@ class TestBaselineCli:
         rc = main(["enhance", "--model", str(out), "--in", str(noisy_in),
                    "--out", str(enh)])
         assert rc == EXIT_OK
-
-    @pytest.mark.parametrize("hidden", ["0", "-3"])
-    def test_nonpositive_hidden_is_data_error(self, data_dir, tmp_path, capsys, hidden):
-        rc = main(["train-baseline", "--data", str(data_dir), "--hidden", hidden,
-                   "--out", str(tmp_path / "x")])
-        assert rc == EXIT_DATA
-        assert f"--hidden {hidden} is not a positive integer" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
 
 
 class TestVerifyAndUsage:

@@ -381,7 +381,7 @@ class TestBuildDataset:
         feats = ds.features([0, 5])
         for i, row in enumerate([0, 5]):
             utt, frame = ds.index[row]
-            _, noisy = ds.window(utt, frame)
+            noisy = ds.noisy_env[utt][:, frame - ds.n_env + 1 : frame + 1]
             assert np.array_equal(feats[i], np.log1p(noisy).reshape(-1))
 
     def test_band_targets_match_windows(self):
@@ -391,7 +391,8 @@ class TestBuildDataset:
         assert band_clean.shape == (2, 1, ds.n_env) and clean.shape == (2, 15, ds.n_env)
         for i, row in enumerate([3, 7]):
             utt, frame = ds.index[row]
-            c, y = ds.window(utt, frame)
+            sl = slice(frame - ds.n_env + 1, frame + 1)
+            c, y = ds.clean_env[utt][:, sl], ds.noisy_env[utt][:, sl]
             assert np.array_equal(band_clean[i], c[4:5])
             assert np.array_equal(band_noisy[i], y[4:5])
             assert np.array_equal(clean[i], c)
@@ -403,7 +404,8 @@ class TestBuildDataset:
         # rows drawn across all three utterances, in any order, repeats allowed
         ds = self.FEATURE_DS
         rows = data.draw(st.lists(st.integers(0, ds.n_frames - 1), min_size=1, max_size=60))
-        expected = [np.log1p(ds.window(*ds.index[row])[1]).reshape(-1) for row in rows]
+        expected = [np.log1p(ds.noisy_env[utt][:, frame - ds.n_env + 1 : frame + 1]).reshape(-1)
+                    for utt, frame in ds.index[rows]]
         assert np.array_equal(ds.features(rows), np.array(expected))
 
     @settings(max_examples=200, deadline=None)

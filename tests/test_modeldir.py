@@ -125,9 +125,8 @@ def test_failed_save_leaves_the_directory_as_it_was(tmp_path, monkeypatch, exist
 
 def test_save_refuses_a_network_list_of_the_wrong_length(tmp_path):
     system = per_band_system()
-    fields = modeldir.envelope_fields("per-band", "elc")
     with pytest.raises(ValueError, match="a per-band directory holds 15 network"):
-        modeldir.save(tmp_path / "mdl", fields, system.feature_norm, system.models[:14], "elc")
+        modeldir.save(tmp_path / "mdl", "per-band", system.feature_norm, system.models[:14], "elc")
     assert not (tmp_path / "mdl").exists()
 
 
@@ -136,9 +135,8 @@ def test_feature_norm_must_fit_the_networks(tmp_path, kind):
     build, save, _ = DIRECTORIES[kind]
     save(build(), tmp_path)
     modeldir.save_norm(fixed_norm(10), tmp_path / "feature_norm.bin")
-    kinds = modeldir.CLASSICAL_KINDS if kind == "classical" else modeldir.ENVELOPE_KINDS
     with pytest.raises(neural.ModelFormatError, match="feature_norm.bin: dim 10 != expected"):
-        modeldir.read(tmp_path, kinds)
+        modeldir.read(tmp_path, (kind,))
 
 
 def test_classical_network_must_be_tagged_emse(tmp_path):
@@ -179,11 +177,10 @@ def test_parallel_load_raises_the_first_defective_files_error(tmp_path, monkeypa
 def test_parallel_load_gives_the_serial_networks(tmp_path, monkeypatch, kind):
     build, save, _ = DIRECTORIES[kind]
     save(build(), tmp_path)
-    kinds = modeldir.CLASSICAL_KINDS if kind == "classical" else modeldir.ENVELOPE_KINDS
     loaded = []
     for workers in (1, 2):
         monkeypatch.setattr(fanout, "_WORKERS", workers)
-        loaded.append([model.param_bytes() for model in modeldir.read(tmp_path, kinds)[2]])
+        loaded.append([model.param_bytes() for model in modeldir.read(tmp_path, (kind,))[2]])
     assert loaded[0] == loaded[1]
     assert len(loaded[0]) == (15 if kind == "per-band" else 1)
 
@@ -203,13 +200,18 @@ def test_kv_round_trip(tmp_path_factory, fields):
     assert modeldir.parse_kv(path) == fields
 
 
-SYSTEM_REQUIRED = {
-    "kind": modeldir.one_of(*modeldir.ENVELOPE_KINDS), **modeldir.SYSTEM_KEYS["per-band"]
-}
-# every required key present, with any text as its value, so the typing runs
-system_records = st.fixed_dictionaries({key: st.text(max_size=12) for key in SYSTEM_REQUIRED}).map(
-    lambda fields: "".join(f"{key} = {val}\n" for key, val in fields.items()).encode("utf-8")
-)
+# the required keys of each record: `kind` and the keys of its kind
+SYSTEM_REQUIRED = [
+    {"kind": modeldir.one_of(*modeldir.KINDS),
+     **{key: value_kind for key, (value_kind, _) in modeldir.KINDS[kind].record.items()}}
+    for kind in ("per-band", "classical")
+]
+# every required key of a record present, with any text as its value, so
+# the typing runs
+system_records = st.one_of(*(
+    st.fixed_dictionaries({key: st.text(max_size=12) for key in required})
+    for required in SYSTEM_REQUIRED
+)).map(lambda fields: "".join(f"{key} = {val}\n" for key, val in fields.items()).encode("utf-8"))
 
 
 @settings(max_examples=300, deadline=None)
@@ -217,8 +219,8 @@ system_records = st.fixed_dictionaries({key: st.text(max_size=12) for key in SYS
 def test_kv_bytes_parse_or_raise_the_format_error(tmp_path_factory, raw):
     path = tmp_path_factory.getbasetemp() / "fuzz.txt"
     path.write_bytes(raw)
-    for required in (None, SYSTEM_REQUIRED):
+    for required in ({}, *SYSTEM_REQUIRED):
         try:
-            modeldir.parse_kv(path, required)
+            modeldir.typed(path, modeldir.parse_kv(path), required)
         except neural.ModelFormatError:
             pass

@@ -314,6 +314,7 @@ class TestTrain:
         with pytest.raises(NumericError):
             train(init_model([8, 4, 3], seed=19), data, data, TrainConfig(objective="emse"))
 
+    @pytest.mark.filterwarnings("error")
     def test_diverged_elc_training_raises(self):
         # ELC scores a NaN window as degenerate, with value 0: the costs stay
         # finite, so only the parameters or the network output show the divergence

@@ -854,8 +854,8 @@ class TestSystemFiles:
         ("kind", "banana", "kind = 'banana' is not one of per-band, joint"),
         ("objective", "stoi", "objective = 'stoi' is not one of elc, emse"),
         ("out_of_band", "banana", "out_of_band = 'banana' is not one of zero"),
-        ("hop", "100", "hop must be window_len / 2"),
-        ("hop", "64", "hop must be window_len / 2 (128), got 64"),
+        ("hop", "100", "hop = 100 is not 128"),
+        ("hop", "64", "hop = 64 is not 128"),
         ("first_center_hz", "inf", "first_center_hz = inf is not 150.0"),
         ("first_center_hz", "170", "first_center_hz = 170.0 is not 150.0"),
         ("sample_rate_hz", "9000", "sample_rate_hz = 9000 is not 10000"),
@@ -1105,8 +1105,11 @@ class TestClassicalBaseline:
         assert np.array_equal(a.samples, b.samples)
 
     @pytest.mark.parametrize("key, value, expected", [
-        ("context", "7.5", "context = '7.5' is not a positive integer"),
-        ("predict", "-1", "predict = '-1' is not a positive integer"),
+        ("context", "7.5", "context = '7.5' is not 30"),
+        ("predict", "-1", "predict = '-1' is not 5"),
+        # another window, with a network and feature norm of its widths
+        ("context", "10", "context = '10' is not 30"),
+        ("predict", "3", "predict = '3' is not 5"),
         ("kind", "per-band", "kind = 'per-band' is not one of classical"),
         ("hop", "12x8", "hop = '12x8' is not a positive integer"),
     ])
@@ -1117,6 +1120,13 @@ class TestClassicalBaseline:
             train_ds, val_ds, config, hidden=(8,), max_train_frames=100, max_val_frames=50
         )
         baseline.save_classical(system, tmp_path / "base")
+        if value.isdigit():
+            window = {"context": system.context, "predict": system.predict, key: int(value)}
+            n_in = window["context"] * N_BINS
+            model = neural.init_model([n_in, 8, window["predict"] * N_BINS], seed=5)
+            neural.save_model(model, tmp_path / "base" / "baseline.mdl", "emse")
+            modeldir.save_norm(neural.FeatureNorm(np.zeros(n_in), np.ones(n_in)),
+                               tmp_path / "base" / "feature_norm.bin")
         set_system_value(tmp_path / "base", key, value)
         with pytest.raises(neural.ModelFormatError, match=re.escape(expected)):
             baseline.load_classical(tmp_path / "base")
