@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, framed, mixing, modeldir, neural, pipeline
+from .fanout import fan_out
 from .modeldir import COUNT, RATE, SEED, checked, one_of
 from .octave import ENVELOPE_LEN
 from .signal_io import WORKING_RATE_HZ, TimeSignal, WavError, read_wav, to_working_rate, write_wav
@@ -158,7 +159,7 @@ def _load_speech(manifest: str, seed: int) -> list[TimeSignal]:
     paths = mixing.read_manifest(manifest)
     if not paths:
         raise ValueError(f"{manifest}: empty manifest")
-    return [to_working_rate(read_wav(p)) for p in paths]
+    return fan_out(lambda p: to_working_rate(read_wav(p)), paths)
 
 
 def _load_train_config(path, objective="elc") -> tuple[neural.TrainConfig, dict]:

@@ -31,6 +31,7 @@ import scipy.fft
 from scipy import signal as _sig
 
 from . import framed
+from .fanout import fan_out
 from .octave import ENVELOPE_LEN, FIRST_CENTER_HZ, N_BANDS, check_header, envelopes
 from .signal_io import WORKING_RATE_HZ, TimeSignal, to_working_rate
 from .stft import FFT_SIZE, HOP, magnitude
@@ -294,8 +295,12 @@ def pseudo_speech(duration_s: float, seed: int, fs: int = WORKING_RATE_HZ) -> Ti
 
     Harmonic syllables with drifting pitch, a touch of band-passed hiss,
     raised-cosine amplitude modulation at syllabic rate and random pauses;
-    normalized to 0.1 RMS.
+    normalized to 0.1 RMS. Each syllable's H harmonics are one (H, dur)
+    block, one `cos` call, summed in harmonic order.
     """
+    if not (np.isfinite(duration_s) and round(duration_s * fs) >= 2):
+        raise ValueError(f"duration_s must be finite and at least 2 samples at {fs} Hz, "
+                         f"got {duration_s!r}")
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * fs))
     out = np.zeros(n)
@@ -314,9 +319,12 @@ def pseudo_speech(duration_s: float, seed: int, fs: int = WORKING_RATE_HZ) -> Ti
             1.0 + 0.08 * np.sin(2 * np.pi * rng.uniform(1.5, 4.0) * t + rng.uniform(0, 2 * np.pi))
         )
         phase = 2 * np.pi * np.cumsum(f0) / fs
-        syllable = np.zeros(dur)
-        for h in range(1, int(4500 // f0.max()) + 1):
-            syllable += (1.0 / h) * np.cos(h * phase + rng.uniform(0, 2 * np.pi))
+        harmonics = np.arange(1, int(4500 // f0.max()) + 1)
+        block = np.multiply.outer(harmonics, phase)
+        block += rng.uniform(0, 2 * np.pi, size=len(harmonics))[:, None]
+        np.cos(block, out=block)
+        block *= (1.0 / harmonics)[:, None]
+        syllable = np.add.reduce(block, axis=0)  # row by row, in harmonic order
         syllable += 0.08 * _sig.lfilter(hiss_b, hiss_a, rng.standard_normal(dur))
         env = np.sin(np.pi * np.arange(dur) / dur) ** 2 * rng.uniform(0.35, 1.0)
         out[pos : pos + dur] = syllable * env
@@ -329,9 +337,10 @@ def pseudo_speech(duration_s: float, seed: int, fs: int = WORKING_RATE_HZ) -> Ti
 
 
 def pseudo_corpus(n_utterances: int, utterance_s: float, seed: int) -> list[TimeSignal]:
-    """n deterministic pseudo-speech utterances with independent substreams."""
+    """n deterministic pseudo-speech utterances with independent substreams,
+    made as `fan_out` tasks; the bits do not depend on the worker count."""
     children = np.random.SeedSequence(seed).spawn(n_utterances)
-    return [pseudo_speech(utterance_s, child) for child in children]
+    return fan_out(lambda child: pseudo_speech(utterance_s, child), children)
 
 
 def frame_index(lengths, width: int) -> np.ndarray:

@@ -23,8 +23,10 @@ envelopes once and analyzes each mixture once, for both its score and
 its enhancement.
 
 Inference runs each network on each block of feature rows as its own
-task, and training fits each band's network as its own task, on the cores
-BLAS leaves idle (see `fanout`). Outputs are a function of the seed, the
+task, training fits each band's network as its own task, and evaluation
+mixes, enhances and scores each (SNR, utterance) item as its own task, on
+the cores BLAS leaves idle (see `fanout`); the forwards of an evaluation
+item run serially in its thread. Outputs are a function of the seed, the
 inputs, the BLAS build and the BLAS thread count, never of the number of
 worker threads.
 """
@@ -377,15 +379,20 @@ class EvalRow:
     stoi_enhanced: float
 
 
-def _seeded_mixtures(clean_list, levels, noise: TimeSignal, snr_db: float, seed: int):
-    """Yield each utterance, of active level `levels[i]`, mixed at snr_db with
-    the noise cut of child i of SeedSequence([seed, SNR key])."""
+def _mixture_seeds(n: int, snr_db: float, seed: int) -> list:
+    """The n children of SeedSequence([seed, SNR key]), one per utterance."""
     key = snr_db * 1000
     if not np.isfinite(key):
         raise ValueError(f"SNR {snr_db:g} dB is too large to key a mixture seed")
     # SeedSequence entropy must be non-negative; fold the signed SNR key
     snr_key = int(round(key)) % (1 << 32)
-    children = np.random.SeedSequence([seed, snr_key]).spawn(len(clean_list))
+    return np.random.SeedSequence([seed, snr_key]).spawn(n)
+
+
+def _seeded_mixtures(clean_list, levels, noise: TimeSignal, snr_db: float, seed: int):
+    """Yield each utterance, of active level `levels[i]`, mixed at snr_db with
+    the noise cut of child i of `_mixture_seeds`."""
+    children = _mixture_seeds(len(clean_list), snr_db, seed)
     for child, clean, level in zip(children, clean_list, levels):
         yield mixing._mix_at_level(clean, level, noise, snr_db, np.random.default_rng(child))[0]
 
@@ -400,19 +407,29 @@ def evaluate_system(
 ) -> list[EvalRow]:
     """Mix each clean utterance at each SNR, enhance, score; one row of
     means per SNR. `system` is anything `enhance` takes; it is scored as
-    `score_elc` scores."""
+    `score_elc` scores. Each (SNR, utterance) item is one `fan_out` task."""
+    if not clean_list:
+        raise ValueError("evaluate_system: clean_list is empty, nothing to score")
     # the same at every SNR: each utterance's level and scoring reference
     levels = [active_speech_level(clean) for clean in clean_list]
     clean_envs = [_envelopes_of(clean) for clean in clean_list]
+    n = len(clean_list)
+    items = [(snr, i, child) for snr in snrs_db
+             for i, child in enumerate(_mixture_seeds(n, snr, seed))]
+
+    def score(item):
+        snr, i, child = item
+        noisy = mixing._mix_at_level(clean_list[i], levels[i], noise, snr,
+                                     np.random.default_rng(child))[0]
+        noisy_mag, enhanced = _analyze_and_enhance(system, noisy)
+        # score_elc(clean, x); x has the clean's length and rate
+        return (_score_envelopes(clean_envs[i], envelopes(noisy_mag)),
+                _score_envelopes(clean_envs[i], _envelopes_of(enhanced)))
+
+    scores = fan_out(score, items)
     rows = []
-    for snr in snrs_db:
-        elc_up, elc_enh = [], []
-        mixtures = _seeded_mixtures(clean_list, levels, noise, snr, seed)
-        for clean, clean_env, noisy in zip(clean_list, clean_envs, mixtures):
-            noisy_mag, enhanced = _analyze_and_enhance(system, noisy)
-            # score_elc(clean, x); x has the clean's length and rate
-            elc_up.append(_score_envelopes(clean_env, envelopes(noisy_mag)))
-            elc_enh.append(_score_envelopes(clean_env, _envelopes_of(enhanced)))
+    for k, snr in enumerate(snrs_db):
+        elc_up, elc_enh = zip(*scores[k * n : (k + 1) * n])
         up, enh = float(np.mean(elc_up)), float(np.mean(elc_enh))
         # score_approx_stoi is score_elc by construction: score once, fill both
         rows.append(EvalRow(noise_type, float(snr), up, enh, up, enh))

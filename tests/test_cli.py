@@ -210,6 +210,26 @@ class TestSynthData:
         assert np.max(np.abs(written.samples - expected.samples)) <= 1 / 32768
         assert (out / "train.pack").exists()
 
+    def test_corrupt_manifest_wav_named_on_two_workers(self, tmp_path, capsys, monkeypatch):
+        # the WAVs are read as fan-out tasks; the error is the one the
+        # serial loop raises, naming the 2nd of 3 files
+        paths = [tmp_path / f"u{i}.wav" for i in range(3)]
+        for i, path in enumerate(paths):
+            write_wav(mixing.pseudo_speech(1.6, seed=i, fs=16000), path)
+        paths[1].write_bytes(b"RIFF" + bytes(40))
+        manifest = tmp_path / "list.txt"
+        manifest.write_text("".join(f"{p}\n" for p in paths))
+        errors = []
+        for workers in (1, 2):
+            monkeypatch.setattr(fanout, "_WORKERS", workers)
+            rc = main(["synth-data", "--manifest", str(manifest), "--noise", "ssn",
+                       "--out", str(tmp_path / "x")])
+            assert rc == EXIT_DATA
+            assert not (tmp_path / "x").exists()
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert str(paths[1]) in errors[1]
+
     def test_babble_noise(self, tmp_path):
         # babble mixes 6 distinct train utterances: 8 give 6 train, 1 val, 1 test
         out = tmp_path / "x"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sp
 
-from envgain import mixing
+from envgain import fanout, mixing
 from envgain.mixing import (
     DatasetFormatError,
     EnvelopeDataset,
@@ -343,6 +343,59 @@ class TestPseudoSpeech:
         corpus = pseudo_corpus(4, 1.5, seed=8)
         assert len(corpus) == 4
         assert not np.array_equal(corpus[0].samples, corpus[1].samples)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([10000, 16000]), st.floats(0.2, 3.0), st.integers(0, 2**32 - 1))
+    def test_harmonic_blocks_keep_the_per_harmonic_bits(self, fs, duration_s, seed):
+        # tobytes, not array_equal: array_equal hides the sign of zero
+        assert (pseudo_speech(duration_s, seed, fs).samples.tobytes()
+                == per_harmonic_pseudo_speech(duration_s, seed, fs).tobytes())
+
+    def test_corpus_bits_do_not_depend_on_the_worker_count(self, monkeypatch):
+        corpora = []
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(fanout, "_WORKERS", workers)
+            corpora.append(b"".join(u.samples.tobytes() for u in pseudo_corpus(9, 0.8, seed=13)))
+        assert corpora[0] == corpora[1] == corpora[2]
+
+    @pytest.mark.parametrize("duration_s", [0.0, 1e-5, 1e-4, -1.0, float("nan"), float("inf")])
+    def test_bad_duration_named(self, duration_s):
+        with pytest.raises(ValueError, match="duration_s"):
+            pseudo_speech(duration_s, seed=1)
+
+    def test_two_samples_suffice(self):
+        assert len(pseudo_speech(2 / FS, seed=1)) == 2
+
+
+def per_harmonic_pseudo_speech(duration_s, seed, fs):
+    """`pseudo_speech`'s samples as the per-harmonic loop made them."""
+    rng = np.random.default_rng(seed)
+    n = int(round(duration_s * fs))
+    out = np.zeros(n)
+    hiss_b, hiss_a = mixing._hiss_filter(fs)
+    pos = 0
+    wrote = False
+    while pos < n:
+        if wrote and rng.random() < 0.22:
+            pos += int(rng.uniform(0.12, 0.40) * fs)
+            continue
+        dur = min(int(rng.uniform(0.12, 0.28) * fs), n - pos)
+        if dur <= 1:
+            break
+        t = np.arange(dur) / fs
+        f0 = rng.uniform(110, 200) * (
+            1.0 + 0.08 * np.sin(2 * np.pi * rng.uniform(1.5, 4.0) * t + rng.uniform(0, 2 * np.pi))
+        )
+        phase = 2 * np.pi * np.cumsum(f0) / fs
+        syllable = np.zeros(dur)
+        for h in range(1, int(4500 // f0.max()) + 1):
+            syllable += (1.0 / h) * np.cos(h * phase + rng.uniform(0, 2 * np.pi))
+        syllable += 0.08 * sp.lfilter(hiss_b, hiss_a, rng.standard_normal(dur))
+        env = np.sin(np.pi * np.arange(dur) / dur) ** 2 * rng.uniform(0.35, 1.0)
+        out[pos : pos + dur] = syllable * env
+        pos += dur
+        wrote = True
+    return 0.1 * out / np.sqrt(np.mean(out**2))
 
 
 class TestBuildDataset:

@@ -1018,6 +1018,25 @@ class TestEvaluateSystem:
         assert rows == expected
 
 
+    @pytest.mark.parametrize("kind", ["per-band", "classical"])
+    def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch, kind):
+        system = SYSTEM if kind == "per-band" else tiny_classical_system(seed=3)
+
+        def rows(workers):
+            monkeypatch.setattr(fanout, "_WORKERS", workers)
+            return pipeline.evaluate_system(system, SPEECH[3:6], NOISE, [-5.0, 0.0, 5.0],
+                                            seed=9, noise_type="ssn")
+
+        serial = rows(1)
+        threads = call_threads(monkeypatch)  # the items' forwards run on pool threads
+        assert rows(2) == serial
+        assert threads and threading.get_ident() not in threads
+
+    def test_empty_clean_list_refused(self):
+        with pytest.raises(ValueError, match="clean_list is empty"):
+            pipeline.evaluate_system(SYSTEM, [], NOISE, [0.0])
+
+
 class TestMagnitudeDataset:
     """Gathers keep the bits of the per-row loops they replaced."""
 
