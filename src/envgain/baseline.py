@@ -120,5 +120,9 @@ def save_classical(system: ClassicalSystem, dirpath) -> None:
 
 
 def load_classical(dirpath) -> ClassicalSystem:
-    _, norm, (model,) = modeldir.read(dirpath, ("classical",))
-    return ClassicalSystem(model, StftConfig(), norm)
+    return classical_of(*modeldir.read(dirpath, ("classical",)))
+
+
+def classical_of(fields: dict, norm: neural.FeatureNorm, models: list) -> ClassicalSystem:
+    """The system of what `modeldir.read` returns for a classical directory."""
+    return ClassicalSystem(models[0], StftConfig(), norm)

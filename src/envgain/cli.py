@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: synth-data, train, train-baseline, enhance, evaluate,
-gain-corr, verify. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numeric failure.
-
-Training configuration files are flat ``key = value`` text; unknown keys
-are rejected. Data directories produced by synth-data contain the clean
-utterance WAVs per split, the three disjoint noise segments, envelope
-dataset caches (train.pack / val.pack) and a meta.txt record.
+gain-corr, verify. Exit codes: 0 success, 1 usage error (a missing option,
+an unknown command), 2 data error, 3 numeric failure. Every option value
+and every key of a config file, meta.txt or system.txt is checked by its
+kind (`modeldir.checked`) before it is used; a refusal names where the
+value came from (`--snr-range 5:-5`, `<file>: <key> = '<text>'`) and
+exits 2. Config files and a data directory's meta.txt are flat
+``key = value`` text; unknown keys are rejected. Data directories hold
+the clean utterance WAVs per split, three disjoint noise segments, the
+envelope packs (train.pack / val.pack) and meta.txt.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,26 +38,51 @@ EXIT_NUMERIC = 3
 # least a second: ten hours are 2.9 GB of samples
 MAX_PSEUDO_SECONDS = 36_000
 
-# the kind (see `modeldir.checked`) of each config file key and numeric option
-_CONFIG_KEYS = {
-    "initial_lr_per_sample": RATE,
-    "lr_decay": (float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
-    "lr_floor": RATE,
-    "max_epochs": COUNT,
-    "minibatch": COUNT,
-    "seed": SEED,
-    "hidden": COUNT,  # each entry of a comma-separated list
-    "max_train_frames": COUNT,
-    "max_val_frames": COUNT,
-}
-_OPTIONS = {"seed": SEED}
+
+def _pseudo_or_path(text: str):
+    """(count, seconds) of a pseudo:COUNTxSECONDS manifest, else the WAV list's path."""
+    if not text.startswith("pseudo:"):
+        return text
+    count, seconds = text[len("pseudo:"):].split("x")
+    return int(count), float(seconds)
+
+
+# the kinds (see `modeldir.checked`) of the values only the commands read
+SNR_RANGE = (lambda text: tuple(map(float, text.split(":"))),
+             lambda v: len(v) == 2 and all(map(math.isfinite, v)) and v[0] <= v[1],
+             "LO:HI in finite dB with LO <= HI")
+SNR_LIST = (lambda text: [float(v) for v in text.split(",") if v.strip()],
+            lambda v: len(v) > 0 and all(map(math.isfinite, v)),
+            "a comma-separated list of finite dB values")
+HIDDEN = (lambda text: tuple(int(v) for v in text.split(",")), lambda v: min(v) > 0,
+          "a comma-separated list of positive integers")
+MANIFEST = (_pseudo_or_path,
+            lambda v: isinstance(v, str) or (1 <= v[0] <= MAX_PSEUDO_SECONDS
+                                             and 0.0 < v[1] <= MAX_PSEUDO_SECONDS / v[0]),
+            "a WAV list or pseudo:COUNTxSECONDS with a positive count and a finite, positive "
+            f"duration, at most {MAX_PSEUDO_SECONDS} utterances and {MAX_PSEUDO_SECONDS} s in all")
+NOISE = (str, lambda v: re.fullmatch(r"ssn|babble|file:.+", v, re.S) is not None,
+         "ssn, babble or file:PATH")
+
+# the kind of each option value (by its argparse name), config file key and
+# meta.txt key; an absent option takes its argparse default, which is checked
+# too, an absent key the default of the code that reads it
+_OPTIONS = {"seed": SEED, "snr_range": SNR_RANGE, "snrs": SNR_LIST, "manifest": MANIFEST,
+            "noise": NOISE, "band": one_of("all", "joint"),
+            "objective": one_of(*neural.OBJECTIVES), "format": one_of("text", "csv")}
+_CONFIG_KEYS = {"initial_lr_per_sample": RATE,
+                "lr_decay": (float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
+                "lr_floor": RATE, "max_epochs": COUNT, "minibatch": COUNT, "seed": SEED,
+                "hidden": HIDDEN, "max_train_frames": COUNT, "max_val_frames": COUNT}
+_META_KEYS = {"seed": SEED, "noise": one_of("ssn", "babble", "file"),  # --noise, no path
+              "snr_range": SNR_RANGE, "n_train": COUNT, "n_val": COUNT, "n_test": COUNT}
 
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # let SNR values like "-5:10", "-5,0,5" or "-inf:5" pass as option
-        # values, so that a non-finite one is refused by its parser
+        # values, so that a non-finite one is refused by its kind
         self._negative_number_matcher = re.compile(r"^-(\d|inf|nan)[\w:,.+-]*$", re.I)
 
     def error(self, message):  # usage errors exit 1, not argparse's 2
@@ -82,7 +108,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="train envelope-gain networks")
     p.set_defaults(run=_cmd_train)
     p.add_argument("--data", required=True)
-    p.add_argument("--objective", choices=("elc", "emse"), default="elc")
+    p.add_argument("--objective", default="elc", help="elc | emse")
     p.add_argument("--band", default="all", help="all (one network per band) or joint")
     p.add_argument("--config", help="key = value training overrides")
     p.add_argument("--out", required=True)
@@ -104,7 +130,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--testset", required=True)
     p.add_argument("--snrs", default="-5,0,5")
-    p.add_argument("--format", choices=("text", "csv"), default="text")
+    p.add_argument("--format", default="text", help="text | csv")
     p.add_argument("--seed", default="0")
 
     p = sub.add_parser("gain-corr", help="gain-vector correlation between two models")
@@ -120,68 +146,32 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_snr_range(text: str):
-    try:
-        lo, hi = (float(v) for v in text.split(":"))
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"bad SNR range {text!r}, expected LO:HI in finite dB") from None
-    if hi < lo:
-        raise ValueError(f"bad SNR range {text!r}: HI < LO")
-    return lo, hi
-
-
-def _parse_snr_list(text: str):
-    try:
-        snrs = [float(v) for v in text.split(",") if v.strip()]
-        if not snrs or not all(map(math.isfinite, snrs)):
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"bad SNR list {text!r}, expected comma-separated finite dB values") from None
-    return snrs
-
-
-def _load_speech(manifest: str, seed: int) -> list[TimeSignal]:
-    if manifest.startswith("pseudo:"):
-        spec = manifest[len("pseudo:"):]
-        try:
-            count, secs = spec.split("x")
-            count, secs = int(count), float(secs)
-            if not (1 <= count <= MAX_PSEUDO_SECONDS and 0.0 < secs <= MAX_PSEUDO_SECONDS / count):
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"bad pseudo spec {manifest!r}, expected pseudo:COUNTxSECONDS "
-                             "with a positive count and a finite, positive duration, at most "
-                             f"{MAX_PSEUDO_SECONDS} utterances and {MAX_PSEUDO_SECONDS} s in all"
-                             ) from None
-        return mixing.pseudo_corpus(count, secs, seed)
+def _load_speech(manifest, seed: int) -> list[TimeSignal]:
+    """The utterances of a `MANIFEST` value: a pseudo corpus or a WAV list's."""
+    if isinstance(manifest, tuple):
+        return mixing.pseudo_corpus(*manifest, seed)
     paths = mixing.read_manifest(manifest)
     if not paths:
         raise ValueError(f"{manifest}: empty manifest")
     return fan_out(lambda p: to_working_rate(read_wav(p)), paths)
 
 
+def _read_kv(path, kinds: dict) -> dict:
+    """The `key = value` file at `path`, each value converted by its key's
+    kind in `kinds` (`modeldir.typed`); an unknown key raises ValueError."""
+    raw = modeldir.parse_kv(path)
+    unknown = set(raw) - set(kinds)
+    if unknown:
+        raise ValueError(f"{path}: unknown keys {sorted(unknown)}; allowed: {sorted(kinds)}")
+    return modeldir.typed(path, raw, {key: kinds[key] for key in raw})
+
+
 def _load_train_config(path, objective="elc") -> tuple[neural.TrainConfig, dict]:
     """TrainConfig plus the extra keys (hidden, frame caps) from a config file."""
-    extras = {"hidden": neural.DEFAULT_HIDDEN, "max_train_frames": None, "max_val_frames": None}
-    config = neural.TrainConfig(objective=objective)
-    if path is None:
-        return config, extras
-    raw = modeldir.parse_kv(path)
-    unknown = set(raw) - set(_CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys {sorted(unknown)}; "
-                         f"allowed: {sorted(_CONFIG_KEYS)}")
-    fields = {}
-    for key, value in raw.items():
-        if key == "hidden":
-            extras[key] = tuple(checked(f"{path}: {key} = {v!r}", v, COUNT)
-                                for v in value.split(","))
-        else:
-            typed = checked(f"{path}: {key} = {value!r}", value, _CONFIG_KEYS[key])
-            (extras if key in extras else fields)[key] = typed
-    return replace(config, **fields), extras
+    fields = {} if path is None else _read_kv(path, _CONFIG_KEYS)
+    extras = {key: fields.pop(key, default) for key, default in (
+        ("hidden", neural.DEFAULT_HIDDEN), ("max_train_frames", None), ("max_val_frames", None))}
+    return neural.TrainConfig(objective=objective, **fields), extras
 
 
 def _print_report(label: str, report: neural.TrainReport) -> None:
@@ -191,14 +181,11 @@ def _print_report(label: str, report: neural.TrainReport) -> None:
 
 
 def _cmd_synth_data(args) -> int:
-    snr_range = _parse_snr_range(args.snr_range)
-    # the noise spec is checked, and a noise file read, before any speech is made
+    # a noise file is read, and checked, before any speech is made
     if args.noise.startswith("file:"):
         noise = to_working_rate(read_wav(args.noise[len("file:"):]))
         if not np.any(noise.samples):
             raise ValueError(f"{args.noise}: the noise file is silent (every sample is 0)")
-    elif args.noise not in ("ssn", "babble"):
-        raise ValueError(f"unknown noise source {args.noise!r}")
     speech = _load_speech(args.manifest, args.seed)
     if len(speech) < 3:
         raise ValueError(f"need at least 3 utterances to split, got {len(speech)}")
@@ -243,11 +230,12 @@ def _cmd_synth_data(args) -> int:
         noise_label = args.noise.split(":")[0]
         train_ds = mixing.build_dataset(
             _read_split_wavs(stage, "train"), read_wav(stage / "noise_train.wav"),
-            split="train", seed=args.seed + 2, snr_range_db=snr_range, noise_source=noise_label,
+            split="train", seed=args.seed + 2, snr_range_db=args.snr_range,
+            noise_source=noise_label,
         )
         val_ds = mixing.build_dataset(
             _read_split_wavs(stage, "val"), read_wav(stage / "noise_val.wav"),
-            split="validation", seed=args.seed + 3, snr_range_db=snr_range,
+            split="validation", seed=args.seed + 3, snr_range_db=args.snr_range,
             noise_source=noise_label,
         )
         for split, ds in (("train", train_ds), ("validation", val_ds)):
@@ -262,7 +250,7 @@ def _cmd_synth_data(args) -> int:
         modeldir.write_kv(stage / "meta.txt", {
             "seed": args.seed,
             "noise": noise_label,
-            "snr_range": f"{snr_range[0]:g}:{snr_range[1]:g}",
+            "snr_range": "{:g}:{:g}".format(*args.snr_range),
             "n_train": n_train,
             "n_val": n_val,
             "n_test": n_test,
@@ -281,9 +269,8 @@ def _load_packs(data_dir):
 
 
 def _cmd_train(args) -> int:
-    checked(f"--band {args.band}", args.band, one_of("all", "joint"))
-    train_ds, val_ds = _load_packs(args.data)
     config, extras = _load_train_config(args.config, args.objective)
+    train_ds, val_ds = _load_packs(args.data)
     joint = args.band == "joint"
     system, reports = pipeline.train_enhancement_system(
         train_ds, val_ds, config, hidden=extras["hidden"], joint=joint,
@@ -305,10 +292,8 @@ def _read_split_wavs(data_dir, split):
 
 def _cmd_train_baseline(args) -> int:
     data = Path(args.data)
-    meta = modeldir.parse_kv(data / "meta.txt")
-    seed = meta.get("seed", "0")
-    seed = checked(f"{data / 'meta.txt'}: seed = {seed!r}", seed, SEED)
-    snr_range = _parse_snr_range(meta.get("snr_range", "-5:10"))
+    meta = _read_kv(data / "meta.txt", _META_KEYS)
+    seed, snr_range = meta.get("seed", 0), meta.get("snr_range", mixing.DEFAULT_SNR_RANGE_DB)
     config, extras = _load_train_config(args.config, objective="emse")
 
     train_ds = baseline.build_magnitude_dataset(
@@ -329,17 +314,18 @@ def _cmd_train_baseline(args) -> int:
 
 
 def _load_any_system(model_dir):
-    """(system, kind) of a model directory."""
-    kind = modeldir.parse_kv(Path(model_dir) / "system.txt").get("kind")
-    load = baseline.load_classical if kind == "classical" else pipeline.load_system
-    return load(model_dir), kind
+    """(system, kind) of a model directory of any `modeldir.KINDS` kind."""
+    fields, norm, models = modeldir.read(model_dir, tuple(modeldir.KINDS))
+    kind = fields["kind"]
+    system_of = baseline.classical_of if kind == "classical" else pipeline.system_of
+    return system_of(fields, norm, models), kind
 
 
 def _read_testset(testset):
     """(clean test utterances, test noise, noise label) of a synth-data directory."""
     cleans = _read_split_wavs(testset, "test")
     noise = read_wav(Path(testset) / "noise_test.wav")
-    meta = modeldir.parse_kv(Path(testset) / "meta.txt")
+    meta = _read_kv(Path(testset) / "meta.txt", _META_KEYS)
     return cleans, noise, meta.get("noise", "noise")
 
 
@@ -352,23 +338,22 @@ def _cmd_enhance(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    snrs = _parse_snr_list(args.snrs)
     system, _ = _load_any_system(args.model)
     cleans, noise, label = _read_testset(args.testset)
-    rows = pipeline.evaluate_system(system, cleans, noise, snrs, seed=args.seed, noise_type=label)
+    rows = pipeline.evaluate_system(system, cleans, noise, args.snrs, seed=args.seed,
+                                    noise_type=label)
     sys.stdout.write(pipeline.report_tables(rows, args.format))
     return EXIT_OK
 
 
 def _cmd_gain_corr(args) -> int:
-    snrs = _parse_snr_list(args.snrs)
     system_a, kind_a = _load_any_system(args.model_a)
     system_b, kind_b = _load_any_system(args.model_b)
     if "classical" in (kind_a, kind_b):
         raise ValueError("gain-corr requires two envelope-gain models")
     cleans, noise, label = _read_testset(args.testset)
     levels = [mixing.active_speech_level(clean) for clean in cleans]
-    for snr in snrs:
+    for snr in args.snrs:
         noisy = list(pipeline._seeded_mixtures(cleans, levels, noise, snr, args.seed))
         corr = pipeline.gain_correlation(system_a, system_b, noisy)
         print(f"{label}  {snr:+5.1f} dB  correlation {corr:.4f}")
@@ -393,7 +378,8 @@ def main(argv=None) -> int:
         for option, kind in _OPTIONS.items():
             if hasattr(args, option):
                 text = getattr(args, option)
-                setattr(args, option, checked(f"--{option} {text}", text, kind))
+                where = f"--{option.replace('_', '-')} {text}"
+                setattr(args, option, checked(where, text, kind))
         return args.run(args)
     except neural.NumericError as exc:
         print(f"envgain: numeric failure: {exc}", file=sys.stderr)

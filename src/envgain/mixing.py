@@ -454,6 +454,8 @@ def build_dataset(
     """
     if split not in SPLITS:
         raise ValueError(f"unknown split {split!r}")
+    if not 0 <= seed < 2**63:  # a pack stores it as a signed 64-bit integer
+        raise ValueError(f"seed {seed} does not fit a pack's 64-bit seed field")
     clean_envs, noisy_envs, mixes = [], [], []
     for clean, noisy, snr in mixture_magnitudes(speech_list, noise, seed, snr_range_db):
         clean_envs.append(envelopes(clean))

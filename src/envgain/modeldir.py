@@ -8,7 +8,7 @@ Every stored value but an envelope kind's `objective` is fixed, the
 classical window of 30 frames in (`context`) and 5 out (`predict`) among
 them. The `key = value` codec also serves data directories' meta.txt and
 training configuration files, and `checked`, its one check of a value's
-kind, also serves the numeric command options.
+kind, also serves every command option.
 """
 
 from __future__ import annotations

@@ -478,7 +478,11 @@ def save_system(system: EnhancementSystem, dirpath) -> None:
 
 
 def load_system(dirpath) -> EnhancementSystem:
-    fields, norm, models = modeldir.read(dirpath, ("per-band", "joint"))
+    return system_of(*modeldir.read(dirpath, ("per-band", "joint")))
+
+
+def system_of(fields: dict, norm: neural.FeatureNorm, models: list) -> EnhancementSystem:
+    """The system of what `modeldir.read` returns for a per-band or joint directory."""
     joint = fields["kind"] == "joint"
     return EnhancementSystem(None if joint else models, models[0] if joint else None, LAYOUT,
                              StftConfig(), norm, fields["objective"])

@@ -2,10 +2,14 @@
 
 import shutil
 import struct
+import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from envgain import baseline, cli, fanout, mixing, modeldir, neural, pipeline
 from envgain.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
@@ -104,7 +108,7 @@ class TestSynthData:
         rc = main(["synth-data", *(x for kv in args.items() for x in kv),
                    "--noise", "ssn", "--out", str(tmp_path / "x")])
         assert rc == EXIT_DATA
-        assert repr(value) in capsys.readouterr().err
+        assert f"envgain: {option} {value} is not " in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_snr_range_giving_infinite_noise_is_data_error(self, tmp_path, capsys):
@@ -156,7 +160,7 @@ class TestSynthData:
         rc = main(["synth-data", "--manifest", "pseudo:400x3", "--noise", "bogus",
                    "--out", str(tmp_path / "x")])
         assert rc == EXIT_DATA
-        assert "unknown noise source 'bogus'" in capsys.readouterr().err
+        assert "--noise bogus is not ssn, babble or file:PATH" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_silent_noise_file_refused_before_speech_is_made(self, tmp_path, capsys,
@@ -242,7 +246,7 @@ class TestSynthData:
     @pytest.mark.parametrize("option, value, message", [
         ("--manifest", "{tmp}/empty.txt", "empty manifest"),
         ("--manifest", "pseudo:2x3", "need at least 3 utterances to split, got 2"),
-        ("--snr-range", "5:-5", "bad SNR range '5:-5': HI < LO"),
+        ("--snr-range", "5:-5", "--snr-range 5:-5 is not LO:HI in finite dB"),
     ])
     def test_bad_corpus_request_is_data_error(self, tmp_path, capsys, option, value, message):
         (tmp_path / "empty.txt").write_text("# no utterances\n\n")
@@ -300,7 +304,7 @@ class TestSynthData:
                    "--out", str(tmp_path / "y")])
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
-        assert f"bad pseudo spec {spec!r}" in err
+        assert f"--manifest {spec} is not a WAV list or pseudo:COUNTxSECONDS" in err
         assert f"{cli.MAX_PSEUDO_SECONDS} s in all" in err
         assert not (tmp_path / "y").exists()
 
@@ -310,7 +314,8 @@ class TestSynthData:
     ])
     def test_pseudo_spec_at_the_cap_is_accepted(self, monkeypatch, spec, count, seconds):
         monkeypatch.setattr(mixing, "pseudo_corpus", lambda *args: args)
-        assert cli._load_speech(spec, 7) == (count, seconds, 7)
+        manifest = modeldir.checked(f"--manifest {spec}", spec, cli.MANIFEST)
+        assert cli._load_speech(manifest, 7) == (count, seconds, 7)
 
 
 class TestTrain:
@@ -407,7 +412,7 @@ class TestTrain:
     @pytest.mark.parametrize("key, value, bad", [
         ("max_train_frames", "0", "0"), ("max_val_frames", "0", "0"),
         ("minibatch", "-3", "-3"), ("minibatch", "0", "0"), ("max_epochs", "0", "0"),
-        ("hidden", "0", "0"), ("hidden", "8,0", "0"),
+        ("hidden", "0", "0"), ("hidden", "8,0", "8,0"),
     ])
     def test_nonpositive_config_count_is_data_error(self, data_dir, tmp_path, capsys,
                                                     command, key, value, bad):
@@ -417,7 +422,9 @@ class TestTrain:
         rc = main([command, "--data", str(data_dir), *extra, "--config", str(cfg),
                    "--out", str(tmp_path / "x")])
         assert rc == EXIT_DATA
-        assert f"{cfg}: {key} = '{bad}' is not a positive integer" in capsys.readouterr().err
+        expected = "a comma-separated list of positive integers" if key == "hidden" else (
+            "a positive integer")
+        assert f"{cfg}: {key} = '{bad}' is not {expected}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists() or not any((tmp_path / "x").iterdir())
 
     @pytest.mark.parametrize("offset, value, message", [
@@ -479,6 +486,8 @@ class TestTrain:
         ("synth-data", "-1", "--seed -1 is not a non-negative integer"),
         ("evaluate", "-1", "--seed -1 is not a non-negative integer"),
         ("gain-corr", "abc", "--seed abc is not a non-negative integer"),
+        ("train", "stoi", "--objective stoi is not one of elc, emse"),
+        ("evaluate", "xml", "--format xml is not one of text, csv"),
     ])
     def test_bad_config_or_seed_value_is_data_error(self, data_dir, tmp_path, capsys,
                                                     command, value, expected):
@@ -492,11 +501,12 @@ class TestTrain:
         else:
             required = {
                 "synth-data": ["--manifest", "pseudo:3x1", "--noise", "ssn", "--out", str(out)],
+                "train": ["--data", str(data_dir), "--out", str(out)],
                 "evaluate": ["--model", str(out), "--testset", str(data_dir)],
                 "gain-corr": ["--model-a", str(out), "--model-b", str(out),
                               "--testset", str(data_dir)],
             }[command]
-            argv = [command, *required, "--seed", value]
+            argv = [command, *required, expected.split()[0], value]
         assert main(argv) == EXIT_DATA
         assert f"envgain: {expected}\n" == capsys.readouterr().err
         assert not out.exists()
@@ -574,7 +584,8 @@ class TestEnhanceEvaluate:
                         ["gain-corr", "--model-a", str(model_dir), "--model-b", str(model_dir)]):
             rc = main([*command, "--testset", str(data_dir), "--snrs", snrs])
             assert rc == EXIT_DATA
-            assert f"bad SNR list {snrs!r}" in capsys.readouterr().err
+            assert (f"--snrs {snrs} is not a comma-separated list of finite dB values"
+                    in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command, snrs", [
         ("evaluate", "1e308"), ("gain-corr", "1e306"), ("evaluate", "-1e300"),
@@ -597,7 +608,8 @@ class TestEnhanceEvaluate:
                                                                   "--model-b", none]
         rc = main([command, *models, "--testset", none, "--snrs", snrs])
         assert rc == EXIT_DATA
-        assert f"bad SNR list {snrs!r}" in capsys.readouterr().err
+        assert (f"--snrs {snrs} is not a comma-separated list of finite dB values"
+                in capsys.readouterr().err)
 
     def test_gain_corr_self_is_one(self, data_dir, model_dir, capsys):
         rc = main(["gain-corr", "--model-a", str(model_dir), "--model-b", str(model_dir),
@@ -744,6 +756,49 @@ class TestEnhanceEvaluate:
         assert rc == EXIT_DATA
         assert message in capsys.readouterr().err
 
+    def test_unknown_model_kind_names_every_kind(self, data_dir, classical_dir, tmp_path,
+                                                 capsys, monkeypatch):
+        # system.txt is read once, and its kind is checked against every
+        # kind a model directory can have
+        model = tmp_path / "mdl"
+        shutil.copytree(classical_dir, model)
+        record = model / "system.txt"
+        record.write_text(record.read_text().replace("kind = classical", "kind = bogus"))
+        reads, parse_kv = [], modeldir.parse_kv
+        monkeypatch.setattr(modeldir, "parse_kv", lambda path: reads.append(path) or parse_kv(path))
+        noisy_in = next(iter((data_dir / "clean_test").glob("*.wav")))
+        rc = main(["enhance", "--model", str(model),
+                   "--in", str(noisy_in), "--out", str(tmp_path / "enh.wav")])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"envgain: {record}: kind = 'bogus' is not one of per-band, joint, classical\n")
+        assert reads == [record]
+        assert not (tmp_path / "enh.wav").exists()
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("train-baseline", "snr_range = garbage",
+         "snr_range = 'garbage' is not LO:HI in finite dB with LO <= HI"),
+        ("evaluate", "noise = a,b", "noise = 'a,b' is not one of ssn, babble, file"),
+    ])
+    def test_bad_meta_value_is_data_error(self, data_dir, model_dir, tmp_path, capsys,
+                                          command, line, message):
+        # a meta.txt value not of its key's kind is refused, naming the file,
+        # before anything is trained or printed
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        meta = data / "meta.txt"
+        key = line.split(" = ")[0]
+        kept = [entry for entry in meta.read_text().splitlines(keepends=True)
+                if not entry.startswith(f"{key} ")]
+        meta.write_text("".join(kept) + line + "\n")
+        argv = {
+            "train-baseline": ["--data", str(data), "--out", str(tmp_path / "x")],
+            "evaluate": ["--model", str(model_dir), "--testset", str(data), "--format", "csv"],
+        }[command]
+        assert main([command, *argv]) == EXIT_DATA
+        assert tuple(capsys.readouterr()) == ("", f"envgain: {meta}: {message}\n")
+        assert not (tmp_path / "x").exists()
+
     def test_enhance_missing_model_is_data_error(self, tmp_path):
         rc = main(["enhance", "--model", str(tmp_path / "none"),
                    "--in", "x.wav", "--out", "y.wav"])
@@ -787,3 +842,108 @@ class TestVerifyAndUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == EXIT_USAGE
+
+
+def text_or(*good, bad=()):
+    """Mostly one of `good`; now and then one of `bad`, or any short text."""
+    return st.integers(0, 19).flatmap(lambda i: (
+        st.sampled_from(good) if i < 18 else st.sampled_from(bad or good) if i == 18
+        else st.text(max_size=10)))
+
+
+def kv_file(kinds, required=()):
+    """The text of a `key = value` file: every key of `required` and some of
+    `kinds`, each with its value, and now and then an unknown key or a line
+    that is not key = value."""
+    keys = st.lists(st.sampled_from(sorted(kinds)), unique=True, max_size=len(kinds))
+    lines = keys.map(lambda ks: sorted(set(ks) | set(required))).flatmap(
+        lambda ks: st.tuples(*(kinds[k].map(lambda v, k=k: f"{k} = {v}") for k in ks)))
+    oddities = st.integers(0, 19).map(
+        lambda i: [] if i < 17 else [("colour = red", "seed 5", "= 3")[i - 17]])
+    return st.tuples(lines, oddities).map(lambda parts: "".join(
+        f"{line}\n" for line in [*parts[0], *parts[1]]))
+
+
+# every size a good value asks for is small: a case trains a few narrow
+# networks on a few hundred frames, or makes at most 40 s of speech
+CONFIG = kv_file({
+    "initial_lr_per_sample": text_or("0.001", "1e-5", bad=("1e300", "-1", "inf")),
+    "lr_decay": text_or("0.5", "1", bad=("0", "nan")),
+    "lr_floor": text_or("1e-10", bad=("0",)),
+    "max_epochs": text_or("1", "2", bad=("0",)),
+    "minibatch": text_or("32", "64", bad=("-3",)),
+    "seed": text_or("0", "7", str(2**64), str(2**200), bad=("-1",)),
+    "hidden": text_or("4", "8,8", "4,4,4", bad=("8,0", "")),
+    "max_train_frames": text_or("100", "300", bad=("0",)),
+    "max_val_frames": text_or("50", bad=("0",)),
+}, required=("hidden", "max_epochs", "max_train_frames", "max_val_frames"))
+META = kv_file({
+    "seed": text_or("3", str(2**70), bad=("-2",)),
+    "noise": text_or("ssn", "babble", "file", bad=("a,b",)),
+    "snr_range": text_or("-5:10", "0:0", bad=("5:-5", "-1e308:-1e308", "garbage")),
+    "n_train": text_or("20", bad=("0",)),
+    "n_val": text_or("2", bad=("x",)),
+    "n_test": text_or("2", bad=("-1",)),
+})
+
+
+class TestAnyInput:
+    """Whatever text the options, the config file and meta.txt hold, the
+    CLI returns an exit code, and nothing but argparse's SystemExit
+    escapes it."""
+
+    @pytest.fixture(scope="class")
+    def noise_wav(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("noise") / "noise.wav"
+        write_wav(white_noise(25.0), path)
+        return path
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(data=st.data())
+    def test_every_input_gives_an_exit_code(self, data_dir, model_dir, classical_dir,
+                                            noise_wav, tmp_path_factory, data):
+        command = data.draw(st.sampled_from(
+            ["synth-data", "train", "train-baseline", "evaluate", "gain-corr"]))
+        work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+        out = str(work / "out")
+        # the data directory: the module corpus, with a meta.txt drawn anew
+        # nine times in ten
+        data_view = work / "data"
+        data_view.mkdir()
+        for entry in data_dir.iterdir():
+            if entry.name != "meta.txt":
+                (data_view / entry.name).symlink_to(entry)
+        if data.draw(st.integers(0, 9)) < 9:
+            (data_view / "meta.txt").write_text(data.draw(META))
+        config = work / "train.cfg"
+        config.write_text(data.draw(CONFIG))
+        seed = ["--seed", data.draw(text_or("0", "5", str(2**70), bad=("-1",)))]
+        snrs = ["--snrs", data.draw(text_or("-5,5", "0", bad=("", "nan", "1e308")))]
+        model = str(data.draw(st.sampled_from([model_dir, classical_dir])))
+        argv = {
+            "synth-data": [
+                "--manifest", data.draw(text_or(
+                    "pseudo:24x1.6", "pseudo:8x1",
+                    bad=("pseudo:2x1.6", "pseudo:0x1", "pseudo:3x0.3", "pseudo:3xinf"))),
+                "--noise", data.draw(text_or("ssn", "babble", f"file:{noise_wav}",
+                                             bad=(f"file:{work / 'none.wav'}",))),
+                "--snr-range", data.draw(text_or("-5:10", "0:0", bad=("5:-5", "nan:5"))),
+                *seed, "--out", out],
+            "train": ["--data", str(data_view), "--config", str(config), "--out", out,
+                      "--objective", data.draw(text_or("elc", "emse", bad=("stoi",))),
+                      "--band", data.draw(text_or("all", "joint", bad=("3", "-x")))],
+            "train-baseline": ["--data", str(data_view), "--config", str(config),
+                               "--out", out],
+            "evaluate": ["--model", model, "--testset", str(data_view), *snrs, *seed,
+                         "--format", data.draw(text_or("text", "csv", bad=("xml", "-x")))],
+            "gain-corr": ["--model-a", str(model_dir), "--model-b", model,
+                          "--testset", str(data_view), *snrs, *seed],
+        }[command]
+        try:
+            code = main([command, *argv])
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            shutil.rmtree(work)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)

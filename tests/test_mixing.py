@@ -424,6 +424,15 @@ class TestBuildDataset:
         assert np.array_equal(a.index, b.index)
         assert a.mixes == b.mixes
 
+    def test_seed_beyond_the_pack_field_is_refused(self, tmp_path):
+        # a pack stores each mixture's seed as a signed 64-bit integer: the
+        # largest that fits is written and read back, the next is refused
+        ds = build_dataset(self.SPEECH[:1], self.NOISE, split="train", seed=2**63 - 1)
+        save_dataset(ds, tmp_path / "a.pack")
+        assert load_dataset(tmp_path / "a.pack").mixes == ds.mixes
+        with pytest.raises(ValueError, match="does not fit a pack's 64-bit seed field"):
+            build_dataset(self.SPEECH[:1], self.NOISE, split="train", seed=2**63)
+
     def test_snr_range_respected(self):
         ds = build_dataset(self.SPEECH, self.NOISE, split="train", seed=5,
                            snr_range_db=(-5.0, 10.0))
