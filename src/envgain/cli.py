@@ -146,6 +146,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_wavs(paths) -> list[TimeSignal]:
+    """Each WAV of `paths` at the working rate, read on the fan-out; a WAV
+    already at that rate comes back as read, not copied."""
+    return fan_out(lambda p: to_working_rate(read_wav(p)), paths)
+
+
 def _load_speech(manifest, seed: int) -> list[TimeSignal]:
     """The utterances of a `MANIFEST` value: a pseudo corpus or a WAV list's."""
     if isinstance(manifest, tuple):
@@ -153,7 +159,7 @@ def _load_speech(manifest, seed: int) -> list[TimeSignal]:
     paths = mixing.read_manifest(manifest)
     if not paths:
         raise ValueError(f"{manifest}: empty manifest")
-    return fan_out(lambda p: to_working_rate(read_wav(p)), paths)
+    return _read_wavs(paths)
 
 
 def _read_kv(path, kinds: dict) -> dict:
@@ -250,7 +256,8 @@ def _cmd_synth_data(args) -> int:
         modeldir.write_kv(stage / "meta.txt", {
             "seed": args.seed,
             "noise": noise_label,
-            "snr_range": "{:g}:{:g}".format(*args.snr_range),
+            # the shortest text that reads back to the same floats: -5:10, -5.1234567:10
+            "snr_range": ":".join(repr(v).removesuffix(".0") for v in args.snr_range),
             "n_train": n_train,
             "n_val": n_val,
             "n_test": n_test,
@@ -287,7 +294,7 @@ def _read_split_wavs(data_dir, split):
     paths = sorted(d.glob("*.wav"))
     if not paths:
         raise FileNotFoundError(f"{d}: no WAV files")
-    return [read_wav(p) for p in paths]
+    return _read_wavs(paths)
 
 
 def _cmd_train_baseline(args) -> int:
@@ -354,7 +361,7 @@ def _cmd_gain_corr(args) -> int:
     cleans, noise, label = _read_testset(args.testset)
     levels = [mixing.active_speech_level(clean) for clean in cleans]
     for snr in args.snrs:
-        noisy = list(pipeline._seeded_mixtures(cleans, levels, noise, snr, args.seed))
+        noisy = list(pipeline.seeded_mixtures(cleans, levels, noise, snr, args.seed))
         corr = pipeline.gain_correlation(system_a, system_b, noisy)
         print(f"{label}  {snr:+5.1f} dB  correlation {corr:.4f}")
     return EXIT_OK

@@ -149,10 +149,10 @@ def mix_at_snr(speech: TimeSignal, noise: TimeSignal, snr_db: float, rng=0):
 
     Returns (mixture, scaled_noise). `rng` seeds the segment choice.
     """
-    return _mix_at_level(speech, active_speech_level(speech), noise, snr_db, rng)
+    return mix_at_level(speech, active_speech_level(speech), noise, snr_db, rng)
 
 
-def _mix_at_level(speech: TimeSignal, speech_level: float, noise: TimeSignal, snr_db: float, rng):
+def mix_at_level(speech: TimeSignal, speech_level: float, noise: TimeSignal, snr_db: float, rng):
     """`mix_at_snr` for a speech signal whose active level is already known."""
     if noise.sample_rate_hz != speech.sample_rate_hz:
         raise ValueError("speech and noise sample rates differ")

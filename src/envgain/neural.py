@@ -16,20 +16,23 @@ validation cost exceeds the best seen so far, and training halts once lr
 drops below `floor` (or at `max_epochs`). The best-validation model is
 returned.
 
-One layer loop serves inference, validation and the training step; it
-fills backprop caches only for `backward`, which always uses batch
-statistics. The step is lean but keeps the bits of the textbook formulas:
-the layer loop and the backward pass work in place wherever an array is
-their own (bias, batch-norm centring and scaling, activations, the
-sigmoid and batch-norm derivatives, the weight update), with the same
-operations in the same order, so every parameter and cost is unchanged.
-Batch variance is taken from the centred pre-activations exactly as
-`np.var` does it, and the input gradient of the first layer, which nothing
-reads, is not computed.
+One layer loop serves inference, validation and the training step:
+`forward` runs it in inference mode (the stored running batch-norm
+statistics); `backward`, its one training-mode caller, uses batch
+statistics and fills the backprop caches, and its `loss_sum` is the loss
+`verification` differentiates numerically. The step is lean but keeps
+the bits of the textbook formulas: the layer loop and the backward pass
+work in place wherever an array is their own (bias, batch-norm centring
+and scaling, activations, the sigmoid and batch-norm derivatives, the
+weight update), with the same operations in the same order, so every
+parameter and cost is unchanged. Batch variance is taken from the
+centred pre-activations exactly as `np.var` does it, and the input
+gradient of the first layer, which nothing reads, is not computed.
 """
 
 from __future__ import annotations
 
+import copy
 import struct
 import time
 from dataclasses import dataclass, field
@@ -44,7 +47,7 @@ BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
 
 DEFAULT_HIDDEN = (512, 512, 512)
 OBJECTIVES = ("elc", "emse")
-
+EVAL_BATCH = 4096  # rows per inference forward in `evaluate_cost`
 
 
 class NumericError(RuntimeError):
@@ -65,11 +68,6 @@ class BatchNorm:
     running_mean: np.ndarray
     running_var: np.ndarray
 
-    def copy(self) -> "BatchNorm":
-        return BatchNorm(
-            self.gamma.copy(), self.beta.copy(), self.running_mean.copy(), self.running_var.copy()
-        )
-
 
 @dataclass
 class Layer:
@@ -77,14 +75,6 @@ class Layer:
     bias: np.ndarray  # (out,)
     activation: str  # 'relu' | 'sigmoid'
     batch_norm: BatchNorm | None = None
-
-    def copy(self) -> "Layer":
-        return Layer(
-            self.weights.copy(),
-            self.bias.copy(),
-            self.activation,
-            self.batch_norm.copy() if self.batch_norm else None,
-        )
 
     def params(self) -> list[np.ndarray]:
         """Parameter arrays in file order: weights, bias, then batch norm."""
@@ -106,7 +96,7 @@ class MlpModel:
         return self.layers[-1].weights.shape[0]
 
     def copy(self) -> "MlpModel":
-        return MlpModel([la.copy() for la in self.layers])
+        return copy.deepcopy(self)
 
     def param_bytes(self) -> bytes:
         """Concatenated parameter bytes; handy for bit-exactness checks."""
@@ -189,12 +179,10 @@ def _run_layers(model: MlpModel, batch: np.ndarray, train_mode: bool, caches: li
     return a
 
 
-def forward(model: MlpModel, batch: np.ndarray, mode: str = "infer") -> np.ndarray:
-    """Run the network. mode='train' uses batch statistics for batch norm,
-    'infer' the stored running statistics. Does not mutate the model."""
-    if mode not in ("train", "infer"):
-        raise ValueError(f"unknown mode {mode!r}")
-    return _run_layers(model, batch, mode == "train")
+def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
+    """Run the network in inference mode: batch norm uses the stored
+    running statistics. Does not mutate the model."""
+    return _run_layers(model, batch, False)
 
 
 @dataclass
@@ -381,11 +369,11 @@ def _apply_update(model: MlpModel, res: BackwardResult, lr: float):
             bn_idx += 1
 
 
-def evaluate_cost(model: MlpModel, data: ArrayDataset, objective: str, batch: int = 4096) -> float:
+def evaluate_cost(model: MlpModel, data: ArrayDataset, objective: str) -> float:
     """Mean per-sample cost in inference mode (running batch-norm stats)."""
     total = 0.0
-    for lo in range(0, len(data), batch):
-        sl = slice(lo, lo + batch)
+    for lo in range(0, len(data), EVAL_BATCH):
+        sl = slice(lo, lo + EVAL_BATCH)
         gains = forward(model, data.features[sl])
         if not np.isfinite(gains).all():
             raise NumericError("non-finite network output")
@@ -409,7 +397,6 @@ def train(
     rng = np.random.default_rng(config.seed)
     schedule = LrSchedule(config.lr0, config.lr_decay, config.lr_floor)
     best_model = None  # copied after each improving epoch; the first always improves
-    best_val = np.inf
     epochs: list[EpochStats] = []
     stop_reason = "max_epochs"
 
@@ -449,8 +436,7 @@ def train(
                 raise NumericError(
                     f"non-finite cost at epoch {len(epochs)}: train={train_cost}, val={val_cost}"
                 )
-            if val_cost < best_val:
-                best_val = val_cost
+            if val_cost < schedule.best:  # before `observe` records it
                 best_model = model.copy()
             schedule.observe(val_cost)
             epochs.append(EpochStats(train_cost, val_cost, schedule.lr, degenerate,

@@ -20,7 +20,7 @@ same average, so `score_approx_stoi` and `score_elc` agree exactly. A
 score is computed from the two signals' band envelopes, all (band,
 window) pairs in one batch. Evaluation computes each clean utterance's
 envelopes once and analyzes each mixture once, for both its score and
-its enhancement.
+its enhancement; `seeded_mixtures` yields the same mixtures one at a time.
 
 Inference runs each network on each block of feature rows as its own
 task, training fits each band's network as its own task, and evaluation
@@ -389,12 +389,13 @@ def _mixture_seeds(n: int, snr_db: float, seed: int) -> list:
     return np.random.SeedSequence([seed, snr_key]).spawn(n)
 
 
-def _seeded_mixtures(clean_list, levels, noise: TimeSignal, snr_db: float, seed: int):
+def seeded_mixtures(clean_list, levels, noise: TimeSignal, snr_db: float, seed: int):
     """Yield each utterance, of active level `levels[i]`, mixed at snr_db with
-    the noise cut of child i of `_mixture_seeds`."""
+    the noise cut of child i of `_mixture_seeds`: the mixtures that
+    `evaluate_system` scores at this SNR and seed, one at a time."""
     children = _mixture_seeds(len(clean_list), snr_db, seed)
     for child, clean, level in zip(children, clean_list, levels):
-        yield mixing._mix_at_level(clean, level, noise, snr_db, np.random.default_rng(child))[0]
+        yield mixing.mix_at_level(clean, level, noise, snr_db, np.random.default_rng(child))[0]
 
 
 def evaluate_system(
@@ -419,8 +420,8 @@ def evaluate_system(
 
     def score(item):
         snr, i, child = item
-        noisy = mixing._mix_at_level(clean_list[i], levels[i], noise, snr,
-                                     np.random.default_rng(child))[0]
+        noisy = mixing.mix_at_level(clean_list[i], levels[i], noise, snr,
+                                    np.random.default_rng(child))[0]
         noisy_mag, enhanced = _analyze_and_enhance(system, noisy)
         # score_elc(clean, x); x has the clean's length and rate
         return (_score_envelopes(clean_envs[i], envelopes(noisy_mag)),

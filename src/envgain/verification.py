@@ -6,7 +6,8 @@ gradient-norm identity, the shape of the gradient norm as a function of
 the correlation (symmetric, maximal at 0, zero at +-1, monotone in |L|,
 strictly positive away from the optimum), and a full finite-difference
 check of network backpropagation for both objectives, through the
-training step's batch-statistics batch norm.
+training step's batch-statistics batch norm. Every check runs at one fixed
+size and seed, the module constants below.
 """
 
 from __future__ import annotations
@@ -16,8 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cost, neural
+from .octave import ENVELOPE_LEN
 
 FD_STEP = 1e-6
+N_PAIRS = 10_000  # random envelope pairs per correlation check
+N_POINTS = 201  # correlation grid of the gradient-norm shape check
+# seeds of the two random-pair checks, the correlation grid and the network check
+ELC_SEED, IDENTITY_SEED, GRID_SEED, NETWORK_SEED = 0, 1, 7, 3
 
 
 @dataclass(frozen=True)
@@ -27,26 +33,20 @@ class CheckResult:
     detail: str
 
 
-def _orthonormal_pair(n: int, seed: int):
-    """Two centered, orthonormal vectors of length n."""
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(n)
-    u -= u.mean()
-    u /= np.linalg.norm(u)
-    v = rng.standard_normal(n)
-    v -= v.mean()
-    v -= u * np.dot(u, v)
-    v /= np.linalg.norm(v)
-    return u, v
-
-
-def correlation_grid_pairs(n_points: int = 201, n: int = 30, seed: int = 7):
+def correlation_grid_pairs(n_points: int = N_POINTS):
     """Vector pairs (clean, estimate) whose correlation sweeps [-1, 1].
 
     The estimate has unit centered norm, so the closed-form gradient norm
     should equal sqrt(1 - L^2) exactly.
     """
-    u, v = _orthonormal_pair(n, seed)
+    rng = np.random.default_rng(GRID_SEED)
+    u = rng.standard_normal(ENVELOPE_LEN)
+    u -= u.mean()
+    u /= np.linalg.norm(u)
+    v = rng.standard_normal(ENVELOPE_LEN)
+    v -= v.mean()
+    v -= u * np.dot(u, v)
+    v /= np.linalg.norm(v)  # u, v: centered and orthonormal
     grid = np.linspace(-1.0, 1.0, n_points)
     pairs = []
     for ell in grid:
@@ -55,16 +55,21 @@ def correlation_grid_pairs(n_points: int = 201, n: int = 30, seed: int = 7):
     return grid, pairs
 
 
-def check_elc_gradient(n_pairs: int = 10_000, n: int = 30, seed: int = 0) -> CheckResult:
+def _uniform_pairs(seed: int):
+    """N_PAIRS (clean, estimate) envelope pairs, uniform in [0, 1)."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (N_PAIRS, ENVELOPE_LEN))
+    return x, rng.uniform(0.0, 1.0, (N_PAIRS, ENVELOPE_LEN))
+
+
+def check_elc_gradient() -> CheckResult:
     """Analytic gradient vs central finite differences, per-pair tolerance
     of 1e-6 * (1 + max |analytic|)."""
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, 1.0, (n_pairs, n))
-    xh = rng.uniform(0.0, 1.0, (n_pairs, n))
+    x, xh = _uniform_pairs(ELC_SEED)
     _, grads, valid = cost.elc_batch(x, xh)
     fd = np.empty_like(grads)
-    for m in range(n):
-        step = np.zeros(n)
+    for m in range(ENVELOPE_LEN):
+        step = np.zeros(ENVELOPE_LEN)
         step[m] = FD_STEP
         up, _ = cost.elc_value_batch(x, xh + step)
         dn, _ = cost.elc_value_batch(x, xh - step)
@@ -80,11 +85,9 @@ def check_elc_gradient(n_pairs: int = 10_000, n: int = 30, seed: int = 0) -> Che
     )
 
 
-def check_grad_norm_identity(n_pairs: int = 10_000, n: int = 30, seed: int = 1) -> CheckResult:
+def check_grad_norm_identity() -> CheckResult:
     """| ||grad||_2 - sqrt(1-L^2)/||centered estimate|| | <= 1e-9."""
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, 1.0, (n_pairs, n))
-    xh = rng.uniform(0.0, 1.0, (n_pairs, n))
+    x, xh = _uniform_pairs(IDENTITY_SEED)
     values, grads, valid = cost.elc_batch(x, xh)
     hc = xh - xh.mean(axis=1, keepdims=True)
     closed = np.sqrt(np.maximum(0.0, 1.0 - values**2)) / np.linalg.norm(hc, axis=1)
@@ -97,9 +100,9 @@ def check_grad_norm_identity(n_pairs: int = 10_000, n: int = 30, seed: int = 1) 
     )
 
 
-def check_grad_norm_shape(n_points: int = 201) -> CheckResult:
+def check_grad_norm_shape() -> CheckResult:
     """Fig-style shape of the gradient norm over a correlation grid."""
-    grid, pairs = correlation_grid_pairs(n_points)
+    grid, pairs = correlation_grid_pairs()
     norms = np.array([cost.elc_grad_norm(x, xh) for x, xh in pairs])
     expected = np.sqrt(np.maximum(0.0, 1.0 - grid**2))
     problems = []
@@ -107,11 +110,11 @@ def check_grad_norm_shape(n_points: int = 201) -> CheckResult:
         problems.append("norm != sqrt(1-L^2) at unit centered norm")
     if np.max(np.abs(norms - norms[::-1])) > 1e-9:
         problems.append("not symmetric in L")
-    if abs(norms[n_points // 2] - norms.max()) > 1e-12:
+    if abs(norms[N_POINTS // 2] - norms.max()) > 1e-12:
         problems.append("maximum not at L = 0")
     if norms[0] > 1e-9 or norms[-1] > 1e-9:
         problems.append("not zero at |L| = 1")
-    right = norms[n_points // 2 :]
+    right = norms[N_POINTS // 2 :]
     if np.any(np.diff(right) > 1e-12):
         problems.append("not monotone decreasing for L > 0")
     interior = norms[1:-1]
@@ -120,7 +123,7 @@ def check_grad_norm_shape(n_points: int = 201) -> CheckResult:
     return CheckResult(
         "gradient-norm shape over the correlation range",
         not problems,
-        "; ".join(problems) if problems else f"{n_points}-point grid clean",
+        "; ".join(problems) if problems else f"{N_POINTS}-point grid clean",
     )
 
 
@@ -128,23 +131,22 @@ def _rel_err(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / (1.0 + abs(analytic) + abs(numeric))
 
 
-def check_network_gradients(seed: int = 3) -> CheckResult:
+def check_network_gradients() -> CheckResult:
     """Central finite differences over every parameter of a 6->4->4->4->3
-    model, batch of 2, for both objectives, in train mode (batch-norm
-    statistics from the batch), the only mode `backward` has."""
-    rng = np.random.default_rng(seed)
+    model, batch of 2, for both objectives, of the loss `backward` reports:
+    train mode (batch-norm statistics from the batch), the only mode
+    `backward` has."""
+    rng = np.random.default_rng(NETWORK_SEED)
     batch = rng.uniform(-1.0, 1.0, (2, 6))
     noisy = rng.uniform(0.5, 2.0, (2, 3))
     clean = noisy * rng.uniform(0.2, 1.0, (2, 3))
     worst = 0.0
     for objective in ("elc", "emse"):
-        model = neural.init_model([6, 4, 4, 4, 3], seed=seed)
+        model = neural.init_model([6, 4, 4, 4, 3], seed=NETWORK_SEED)
         res = neural.backward(model, batch, clean, noisy, objective)
 
         def total_loss():
-            gains = neural.forward(model, batch, mode="train")
-            loss, _, _ = neural._loss_and_grad(gains, clean, noisy, objective)
-            return float(loss.sum())
+            return neural.backward(model, batch, clean, noisy, objective).loss_sum
 
         for layer, grads in zip(model.layers, res.grads):
             params = [(layer.weights, grads.d_weights), (layer.bias, grads.d_bias)]
@@ -171,11 +173,7 @@ def check_network_gradients(seed: int = 3) -> CheckResult:
     )
 
 
-def run_verification(n_pairs: int = 10_000):
+def run_verification():
     """All checks; returns a list of CheckResult."""
-    return [
-        check_elc_gradient(n_pairs),
-        check_grad_norm_identity(n_pairs),
-        check_grad_norm_shape(),
-        check_network_gradients(),
-    ]
+    return [check_elc_gradient(), check_grad_norm_identity(), check_grad_norm_shape(),
+            check_network_gradients()]

@@ -46,7 +46,7 @@ def report(criterion, condition, detail):
 
 def test_criterion_1_analytic_gradient():
     t0 = time.monotonic()
-    result = verification.check_elc_gradient(n_pairs=10_000)
+    result = verification.check_elc_gradient()
     elapsed = time.monotonic() - t0
     report(
         1,
@@ -57,8 +57,8 @@ def test_criterion_1_analytic_gradient():
 
 
 def test_criterion_2_gradient_norm_identity_and_shape():
-    identity = verification.check_grad_norm_identity(n_pairs=10_000)
-    shape = verification.check_grad_norm_shape(n_points=201)
+    identity = verification.check_grad_norm_identity()
+    shape = verification.check_grad_norm_shape()
     report(
         2,
         identity.passed and shape.passed,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from envgain import baseline, cli, fanout, mixing, modeldir, neural, pipeline
+from envgain import baseline, cli, fanout, mixing, modeldir, neural, octave, pipeline
 from envgain.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from envgain.signal_io import TimeSignal, read_wav, to_working_rate, write_wav
 from envgain.stft import N_BINS
@@ -823,6 +823,35 @@ class TestBaselineCli:
         rc = main(["enhance", "--model", str(out), "--in", str(noisy_in),
                    "--out", str(enh)])
         assert rc == EXIT_OK
+
+    def test_train_baseline_mixes_what_the_packs_hold(self, tmp_path, monkeypatch):
+        # meta.txt keeps every bit of the SNR range, so train-baseline draws
+        # the same mixtures as the envelope packs, at a range :g would round
+        data = tmp_path / "corpus"
+        write_wav(white_noise(25.0), tmp_path / "noise.wav")
+        rc = main(["synth-data", "--manifest", "pseudo:4x1.6", "--noise",
+                   f"file:{tmp_path / 'noise.wav'}", "--snr-range", "-5.1234567:9.87654321",
+                   "--out", str(data)])
+        assert rc == EXIT_OK
+        captured = []
+        real = baseline.train_classical
+
+        def capture(train_ds, val_ds, *args, **kwargs):
+            captured.extend([train_ds, val_ds])
+            return real(train_ds, val_ds, *args, **kwargs)
+
+        monkeypatch.setattr(baseline, "train_classical", capture)
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text("max_epochs = 1\nhidden = 8\n")
+        rc = main(["train-baseline", "--data", str(data), "--config", str(cfg),
+                   "--out", str(tmp_path / "base")])
+        assert rc == EXIT_OK
+        packs = [mixing.load_dataset(data / name) for name in ("train.pack", "val.pack")]
+        for ds, pack in zip(captured, packs, strict=True):
+            for mags, envs in ((ds.clean_mag, pack.clean_env), (ds.noisy_mag, pack.noisy_env)):
+                assert len(mags) == len(envs)
+                for mag, env in zip(mags, envs):
+                    assert np.array_equal(octave.envelopes(mag), env)
 
 
 class TestVerifyAndUsage:

@@ -341,6 +341,17 @@ class TestBatchConsistency:
 class TestKernelBits:
     """Bit-for-bit properties of the one row kernel."""
 
+    def test_centred_norm_of_exactly_eps_is_varied(self):
+        # [0, sqrt(2) * 1e-12] has centred norm exactly EPS; one ulp less has not
+        edge = np.array([[0.0, 1.414213562373095e-12]])
+        below = np.array([[0.0, np.nextafter(edge[0, 1], 0.0)]])
+        ramp = np.array([[0.0, 1.0]])
+        assert np.linalg.norm(edge - edge.mean(axis=1, keepdims=True), axis=1)[0] == EPS
+        for x, h in ((ramp, edge), (edge, ramp)):
+            values, varied = elc_value_batch(x, h)
+            assert varied[0] and values[0] == pytest.approx(1.0)
+        assert not elc_value_batch(ramp, below)[1][0]
+
     @settings(max_examples=200, deadline=None)
     @given(row_batches())
     def test_row_does_not_depend_on_other_rows(self, pair):

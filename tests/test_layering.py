@@ -18,9 +18,6 @@ ALLOWED = {
     ("baseline", "mixing", "_windows"),
     ("baseline", "pipeline", "_forward_side_by_side"),
     ("baseline", "pipeline", "_train"),
-    ("cli", "pipeline", "_seeded_mixtures"),
-    ("pipeline", "mixing", "_mix_at_level"),
-    ("verification", "neural", "_loss_and_grad"),
 }
 
 

@@ -74,13 +74,13 @@ class TestForward:
         model = zeroed_model([6, 4, 4, 3])
         out = forward(model, np.random.default_rng(0).standard_normal((5, 6)))
         assert np.allclose(out, 0.5)
-        out_train = forward(model, np.zeros((3, 6)), mode="train")
+        out_train = neural._run_layers(model, np.zeros((3, 6)), True)
         assert np.allclose(out_train, 0.5)
 
     def test_identical_rows_identical_outputs(self):
         model = init_model([6, 8, 3], seed=3)
         row = np.random.default_rng(1).standard_normal(6)
-        out = forward(model, np.tile(row, (4, 1)), mode="infer")
+        out = forward(model, np.tile(row, (4, 1)))
         assert np.all(out == out[0])
 
     def test_outputs_in_open_unit_interval(self):
@@ -100,12 +100,12 @@ class TestForward:
         model = init_model([6, 8, 3], seed=5)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((7, 6))
-        a = forward(model, x, mode="infer")
+        a = forward(model, x)
         x_other = x.copy()
         x_other[1:] = rng.standard_normal((6, 6))
-        b = forward(model, x_other, mode="infer")
+        b = forward(model, x_other)
         assert np.array_equal(a[0], b[0])
-        single = forward(model, x[0:1], mode="infer")
+        single = forward(model, x[0:1])
         assert np.allclose(a[0], single[0], rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize(
@@ -128,7 +128,7 @@ class TestForward:
                 bn.running_var[:] = rng.uniform(0.2, 3.0, bn.running_var.shape)
         batch = rng.normal(0.0, 2.0, (37, dims[0]))
         before = batch.copy()
-        out = forward(model, batch, mode="infer")
+        out = forward(model, batch)
         # the loop that fills backprop caches gives the same bits
         assert np.array_equal(out, neural._run_layers(model, batch, False, []))
         if all(layer.batch_norm is None for layer in model.layers):
@@ -143,7 +143,7 @@ class TestForward:
         model.layers[-1].bias[:] = [-1000.0, 0.0, 1000.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = forward(model, np.ones((2, 6)), mode=mode)
+            out = neural._run_layers(model, np.ones((2, 6)), mode == "train")
         assert np.array_equal(out, np.tile([0.0, 0.5, 1.0], (2, 1)))
 
     def test_dimension_mismatch(self):

@@ -1008,7 +1008,7 @@ class TestEvaluateSystem:
         expected = []
         for snr in snrs:
             scores = []
-            mixtures = pipeline._seeded_mixtures(clean_list, levels, NOISE, snr, 9)
+            mixtures = pipeline.seeded_mixtures(clean_list, levels, NOISE, snr, 9)
             for clean, noisy in zip(clean_list, mixtures):
                 enhanced = baseline.classical_enhance(system, noisy)
                 scores.append([pipeline.score_elc(clean, noisy),

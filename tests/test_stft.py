@@ -224,6 +224,17 @@ class TestPadding:
             m = len(frame_signal(padded))
             assert (m - 1) * 128 + 256 == len(padded)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4 * FFT_SIZE))
+    def test_pad_is_the_shortest_whole_frame_length(self, n):
+        # the smallest L >= max(n, FFT_SIZE) with (L - FFT_SIZE) % HOP == 0
+        x = np.arange(1.0, n + 1.0)
+        padded = pad_to_frames(x)
+        shortest = max(n, FFT_SIZE)
+        shortest += -(shortest - FFT_SIZE) % HOP
+        assert len(padded) == shortest
+        assert np.array_equal(padded[:n], x) and not padded[n:].any()
+
     def test_synthesize_returns_working_rate(self):
         out = synthesize(analyze(np.ones(512)))
         assert isinstance(out, TimeSignal)
@@ -236,6 +247,11 @@ class TestConfig:
         assert (FFT_SIZE, HOP, N_BINS, len(WINDOW)) == (256, 128, 129, 256)
         assert np.array_equal(WINDOW, hann_periodic(256)) and not WINDOW.flags.writeable
         assert StftConfig() == StftConfig() and StftConfig().n_bins == 129
+
+    def test_window_is_the_periodic_hann(self):
+        # zero at the frame start, one at its centre, halves that sum to one
+        assert WINDOW[0] == 0.0 and WINDOW[HOP] == 1.0
+        assert np.max(np.abs(WINDOW[:HOP] + WINDOW[HOP:] - 1.0)) <= 1e-15
 
     @pytest.mark.parametrize("fft_size", [255, 0, -256])
     def test_odd_or_nonpositive_fft_size_rejected(self, fft_size):

@@ -199,13 +199,13 @@ def test_lean_step_matches_textbook_step(case):
     before = [a.copy() for layer in model.layers for a in layer.params()] + [batch.copy()]
 
     ref_gains, _ = reference_forward_cached(model, batch, False)
-    assert np.array_equal(neural.forward(model, batch, mode="infer"), ref_gains)
+    assert np.array_equal(neural.forward(model, batch), ref_gains)
 
     caches = []
     gains = neural._run_layers(model, batch, True, caches)
     ref_gains, ref_caches = reference_forward_cached(model, batch, True)
     assert np.array_equal(gains, ref_gains)
-    assert np.array_equal(neural.forward(model, batch, mode="train"), ref_gains)
+    assert np.array_equal(neural._run_layers(model, batch, True), ref_gains)
     for c, ref in zip(caches, ref_caches, strict=True):
         assert set(c) == set(ref) - {"z"}
         for key in c:
