@@ -68,10 +68,8 @@ def build_magnitude_dataset(
 ) -> MagnitudeDataset:
     """Magnitude-domain counterpart of mixing.build_dataset: the magnitudes
     of `mixing.mixture_magnitudes`, kept as they are."""
-    clean_mags, noisy_mags = [], []
-    for clean, noisy, _ in mixture_magnitudes(speech_list, noise, seed, snr_range_db):
-        clean_mags.append(clean)
-        noisy_mags.append(noisy)
+    kept = mixture_magnitudes(speech_list, noise, seed, snr_range_db, np.asarray)
+    clean_mags, noisy_mags = [clean for clean, _, _ in kept], [noisy for _, noisy, _ in kept]
     index = frame_index([mag.shape[0] for mag in clean_mags], CONTEXT_FRAMES)
     return MagnitudeDataset(clean_mags, noisy_mags, index)
 

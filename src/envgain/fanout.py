@@ -2,12 +2,13 @@
 
 `fan_out(run, tasks)` is `[run(task) for task in tasks]` spread over up to
 `_WORKERS` threads of one thread pool per process. Inference's (row block,
-network) tasks, per-band training, the loading of a model directory's
-networks, pseudo-corpus utterances, manifest WAV reads and evaluation's
-(SNR, utterance) items all run through it. Results never depend on the
-worker count: each task computes what the serial loop computes. A
-`fan_out` called by a task runs its own tasks serially in that task's
-thread.
+network) tasks, per-band training, the loading and saving of a model
+directory's networks, pseudo-corpus utterances, the syllables of one
+pseudo-speech call, manifest WAV reads, the dataset builders' mixed
+utterances and evaluation's (SNR, utterance) items all run through it.
+Results never depend on the worker count: each task computes what the
+serial loop computes. A `fan_out` called by a task runs its own tasks
+serially in that task's thread.
 """
 
 from __future__ import annotations

@@ -295,9 +295,17 @@ def pseudo_speech(duration_s: float, seed: int, fs: int = WORKING_RATE_HZ) -> Ti
 
     Harmonic syllables with drifting pitch, a touch of band-passed hiss,
     raised-cosine amplitude modulation at syllabic rate and random pauses;
-    normalized to 0.1 RMS. Each syllable's H harmonics are one (H, dur)
-    block, one `cos` call, summed in harmonic order.
+    normalized to 0.1 RMS. Harmonics and hiss reach 4.5 kHz, so `fs` is an
+    integer above 9,000 Hz. One serial pass makes every draw of the stream
+    in order: per syllable its pause, length, pitch contour, H harmonic
+    phases, hiss noise and envelope scale. Each syllable is then a `fan_out`
+    task that writes its own slice of the output: its harmonics as one
+    (H, dur) block, one `cos` call, summed in harmonic order, plus its
+    filtered hiss, times its envelope. The bits do not depend on the worker
+    count.
     """
+    if not isinstance(fs, (int, np.integer)) or fs <= 9000:
+        raise ValueError(f"fs must be an integer above 9000 Hz, got {fs!r}")
     if not (np.isfinite(duration_s) and round(duration_s * fs) >= 2):
         raise ValueError(f"duration_s must be finite and at least 2 samples at {fs} Hz, "
                          f"got {duration_s!r}")
@@ -305,10 +313,10 @@ def pseudo_speech(duration_s: float, seed: int, fs: int = WORKING_RATE_HZ) -> Ti
     n = int(round(duration_s * fs))
     out = np.zeros(n)
     hiss_b, hiss_a = _hiss_filter(fs)
+    syllables = []  # (start, pitch contour, harmonic phases, hiss noise, envelope scale)
     pos = 0
-    wrote = False
     while pos < n:
-        if wrote and rng.random() < 0.22:  # inter-word pause
+        if syllables and rng.random() < 0.22:  # inter-word pause
             pos += int(rng.uniform(0.12, 0.40) * fs)
             continue
         dur = min(int(rng.uniform(0.12, 0.28) * fs), n - pos)
@@ -318,18 +326,23 @@ def pseudo_speech(duration_s: float, seed: int, fs: int = WORKING_RATE_HZ) -> Ti
         f0 = rng.uniform(110, 200) * (
             1.0 + 0.08 * np.sin(2 * np.pi * rng.uniform(1.5, 4.0) * t + rng.uniform(0, 2 * np.pi))
         )
-        phase = 2 * np.pi * np.cumsum(f0) / fs
-        harmonics = np.arange(1, int(4500 // f0.max()) + 1)
-        block = np.multiply.outer(harmonics, phase)
-        block += rng.uniform(0, 2 * np.pi, size=len(harmonics))[:, None]
+        offsets = rng.uniform(0, 2 * np.pi, size=int(4500 // f0.max()))
+        syllables.append((pos, f0, offsets, rng.standard_normal(dur), rng.uniform(0.35, 1.0)))
+        pos += dur
+
+    def syllable(draws):
+        start, f0, offsets, hiss, scale = draws
+        dur = len(f0)
+        harmonics = np.arange(1, len(offsets) + 1)
+        block = np.multiply.outer(harmonics, 2 * np.pi * np.cumsum(f0) / fs)
+        block += offsets[:, None]
         np.cos(block, out=block)
         block *= (1.0 / harmonics)[:, None]
-        syllable = np.add.reduce(block, axis=0)  # row by row, in harmonic order
-        syllable += 0.08 * _sig.lfilter(hiss_b, hiss_a, rng.standard_normal(dur))
-        env = np.sin(np.pi * np.arange(dur) / dur) ** 2 * rng.uniform(0.35, 1.0)
-        out[pos : pos + dur] = syllable * env
-        pos += dur
-        wrote = True
+        wave = np.add.reduce(block, axis=0)  # row by row, in harmonic order
+        wave += 0.08 * _sig.lfilter(hiss_b, hiss_a, hiss)
+        out[start : start + dur] = wave * (np.sin(np.pi * np.arange(dur) / dur) ** 2 * scale)
+
+    fan_out(syllable, syllables)
     rms = np.sqrt(np.mean(out**2))
     if rms <= 0.0:
         raise ValueError(f"pseudo_speech produced silence for duration {duration_s}")
@@ -425,19 +438,25 @@ class EnvelopeDataset:
                          self.n_env, 1) for envs in (self.clean_env, self.noisy_env)]
 
 
-def mixture_magnitudes(speech_list, noise, seed, snr_range_db):
-    """The mixing loop of every dataset builder: yield (clean STFT magnitudes,
-    noisy STFT magnitudes, snr) per utterance, each (M, N_BINS) at the working
-    rate. Each utterance has its own seeded stream, which draws its SNR
-    uniformly from `snr_range_db` and then its noise cut (`mix_at_snr`)."""
+def mixture_magnitudes(speech_list, noise, seed, snr_range_db, keep) -> list:
+    """The mixing loop of every dataset builder: per utterance, (keep(clean
+    STFT magnitudes), keep(noisy STFT magnitudes), snr), the magnitudes each
+    (M, N_BINS) at the working rate. Each utterance is a `fan_out` task on
+    its own seeded stream, which draws its SNR uniformly from `snr_range_db`
+    and then its noise cut (`mix_at_snr`); `keep` reduces the two magnitude
+    arrays, inside the task, to what the builder stores."""
     noise = to_working_rate(noise)
-    children = np.random.SeedSequence(seed).spawn(len(speech_list))
-    for child, raw in zip(children, speech_list):
+
+    def mix(task):
+        child, raw = task
         rng = np.random.default_rng(child)
         speech = to_working_rate(raw)
         snr = float(rng.uniform(*snr_range_db))
         mixture = mix_at_snr(speech, noise, snr, rng)[0]
-        yield magnitude(speech), magnitude(mixture), snr
+        return keep(magnitude(speech)), keep(magnitude(mixture)), snr
+
+    children = np.random.SeedSequence(seed).spawn(len(speech_list))
+    return fan_out(mix, list(zip(children, speech_list)))
 
 
 def build_dataset(
@@ -456,11 +475,9 @@ def build_dataset(
         raise ValueError(f"unknown split {split!r}")
     if not 0 <= seed < 2**63:  # a pack stores it as a signed 64-bit integer
         raise ValueError(f"seed {seed} does not fit a pack's 64-bit seed field")
-    clean_envs, noisy_envs, mixes = [], [], []
-    for clean, noisy, snr in mixture_magnitudes(speech_list, noise, seed, snr_range_db):
-        clean_envs.append(envelopes(clean))
-        noisy_envs.append(envelopes(noisy))
-        mixes.append(MixSpec(snr, noise_source, split, seed))
+    kept = mixture_magnitudes(speech_list, noise, seed, snr_range_db, envelopes)
+    clean_envs, noisy_envs = [clean for clean, _, _ in kept], [noisy for _, noisy, _ in kept]
+    mixes = [MixSpec(snr, noise_source, split, seed) for _, _, snr in kept]
     index = frame_index([env.shape[1] for env in clean_envs], ENVELOPE_LEN)
     return EnvelopeDataset(clean_envs, noisy_envs, index, mixes)
 

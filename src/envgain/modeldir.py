@@ -155,9 +155,11 @@ def save(dirpath, kind: str, norm: neural.FeatureNorm, models: list,
     """Write a `kind` directory: its system.txt record, the feature norm and
     `models`, the networks of `KINDS[kind].files` in order, each tagged with
     the kind's objective or else `objective`, which the record then stores.
-    Every file is written into a staging directory and moved into `dirpath`
-    at the end (`framed.staged_directory`): a save that raises leaves
-    `dirpath` as it was, and none if there was none. A save that succeeds
+    Every file is written into a staging directory, each network as its own
+    `fan_out` task, and moved into `dirpath` at the end
+    (`framed.staged_directory`): a save that raises, with the error of its
+    first failing network if one fails, leaves `dirpath` as it was, and
+    none if there was none. A save that succeeds
     then removes every other `*.mdl` in `dirpath`, so a directory whose kind
     changes keeps no networks of its old kind."""
     spec = KINDS[kind]
@@ -170,8 +172,8 @@ def save(dirpath, kind: str, norm: neural.FeatureNorm, models: list,
     with framed.staged_directory(dirpath) as stage:
         write_kv(stage / "system.txt", {"kind": kind, **record})
         save_norm(norm, stage / "feature_norm.bin")
-        for name, model in zip(spec.files, models):
-            neural.save_model(model, stage / name, objective)
+        fan_out(lambda task: neural.save_model(*task, objective),
+                [(model, stage / name) for name, model in zip(spec.files, models)])
     for stale in Path(dirpath).glob("*.mdl"):
         if stale.name not in spec.files:
             stale.unlink()

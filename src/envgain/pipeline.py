@@ -25,10 +25,11 @@ its enhancement; `seeded_mixtures` yields the same mixtures one at a time.
 Inference runs each network on each block of feature rows as its own
 task, training fits each band's network as its own task, and evaluation
 mixes, enhances and scores each (SNR, utterance) item as its own task, on
-the cores BLAS leaves idle (see `fanout`); the forwards of an evaluation
-item run serially in its thread. Outputs are a function of the seed, the
-inputs, the BLAS build and the BLAS thread count, never of the number of
-worker threads.
+the cores BLAS leaves idle (see `fanout`), as do the set-up's pseudo-speech
+syllables, dataset mixtures and model-directory network writes; the
+forwards of an evaluation item run serially in its thread. Outputs are a
+function of the seed, the inputs, the BLAS build and the BLAS thread
+count, never of the number of worker threads.
 """
 
 from __future__ import annotations

@@ -1,8 +1,12 @@
-"""Which private names one envgain module reaches for in another.
+"""Which private names one envgain module reaches for in another, and
+which module may start threads or processes.
 
-Each entry is (module, other module, name). A new entry means a module
-leans on another's internals: make the name public where it belongs, or
-add it here on purpose.
+Each entry of `ALLOWED` is (module, other module, name). A new entry means
+a module leans on another's internals: make the name public where it
+belongs, or add it here on purpose.
+
+Only `fanout` imports threads, processes or `ctypes`, so the process keeps
+one fan-out however many call sites use it.
 """
 
 import ast
@@ -13,6 +17,7 @@ import envgain
 PACKAGE = Path(envgain.__file__).parent
 MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
 
+CONCURRENCY = {"threading", "concurrent", "multiprocessing", "ctypes"}  # top-level names
 ALLOWED = {
     ("baseline", "mixing", "_joined"),
     ("baseline", "mixing", "_windows"),
@@ -46,3 +51,19 @@ def private_reaches(module: str) -> set:
 def test_cross_module_private_names_are_the_listed_ones():
     found = set().union(*(private_reaches(module) for module in MODULES))
     assert found == ALLOWED
+
+
+def imported_packages(path: Path) -> set:
+    """The top-level names of the absolute imports in `path`."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_fanout_imports_threads_processes_or_ctypes():
+    users = {path.stem for path in PACKAGE.glob("*.py") if imported_packages(path) & CONCURRENCY}
+    assert users == {"fanout"}

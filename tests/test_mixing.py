@@ -1,6 +1,7 @@
 """Active level, SNR-exact mixing, noise synthesis, dataset assembly."""
 
 import struct
+import threading
 import zlib
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sp
 
-from envgain import fanout, mixing
+from envgain import baseline, fanout, mixing
 from envgain.mixing import (
     DatasetFormatError,
     EnvelopeDataset,
@@ -28,6 +29,7 @@ from envgain.mixing import (
     synth_ssn,
 )
 from envgain.signal_io import WORKING_RATE_HZ, TimeSignal
+from test_pipeline import call_threads
 
 FS = WORKING_RATE_HZ
 
@@ -358,6 +360,29 @@ class TestPseudoSpeech:
             corpora.append(b"".join(u.samples.tobytes() for u in pseudo_corpus(9, 0.8, seed=13)))
         assert corpora[0] == corpora[1] == corpora[2]
 
+    def test_syllable_bits_do_not_depend_on_the_worker_count(self, monkeypatch):
+        outputs = []
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(fanout, "_WORKERS", workers)
+            outputs.append(pseudo_speech(3.0, seed=17, fs=16000).samples.tobytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_syllables_run_on_pool_threads(self, monkeypatch):
+        # each syllable task filters its own hiss; the draw pass filters nothing
+        monkeypatch.setattr(fanout, "_WORKERS", 2)
+        threads = call_threads(monkeypatch, "lfilter", sp)
+        pseudo_speech(2.0, seed=18)
+        assert threads and threading.get_ident() not in threads
+
+    @pytest.mark.parametrize("fs", [8000, 9000, 0, -16000, 16000.5])
+    def test_rate_without_room_for_the_hiss_band_is_refused(self, fs):
+        # harmonics and hiss reach 4.5 kHz, so the rate must exceed 9 kHz
+        with pytest.raises(ValueError, match="^fs must be an integer above 9000 Hz"):
+            pseudo_speech(1.0, seed=1, fs=fs)
+
+    def test_rate_just_above_9000_hz_is_accepted(self):
+        assert len(pseudo_speech(1.0, seed=1, fs=9001)) == 9001
+
     @pytest.mark.parametrize("duration_s", [0.0, 1e-5, 1e-4, -1.0, float("nan"), float("inf")])
     def test_bad_duration_named(self, duration_s):
         with pytest.raises(ValueError, match="duration_s"):
@@ -398,6 +423,17 @@ def per_harmonic_pseudo_speech(duration_s, seed, fs):
     return 0.1 * out / np.sqrt(np.mean(out**2))
 
 
+def envelope_dataset_bytes(speech, noise):
+    ds = build_dataset(speech, noise, seed=8)
+    arrays = [*ds.clean_env, *ds.noisy_env, ds.index]
+    return b"".join(a.tobytes() for a in arrays) + repr(ds.mixes).encode()
+
+
+def magnitude_dataset_bytes(speech, noise):
+    ds = baseline.build_magnitude_dataset(speech, noise, seed=8)
+    return b"".join(a.tobytes() for a in [*ds.clean_mag, *ds.noisy_mag, ds.index])
+
+
 class TestBuildDataset:
     SPEECH = pseudo_corpus(3, 1.5, seed=20)
     NOISE = synth_ssn(pseudo_corpus(4, 8.0, seed=21), 20.0, seed=22)
@@ -432,6 +468,14 @@ class TestBuildDataset:
         assert load_dataset(tmp_path / "a.pack").mixes == ds.mixes
         with pytest.raises(ValueError, match="does not fit a pack's 64-bit seed field"):
             build_dataset(self.SPEECH[:1], self.NOISE, split="train", seed=2**63)
+
+    @pytest.mark.parametrize("dataset_bytes", [envelope_dataset_bytes, magnitude_dataset_bytes])
+    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, dataset_bytes):
+        datasets = []
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(fanout, "_WORKERS", workers)
+            datasets.append(dataset_bytes(self.SPEECH, self.NOISE))
+        assert datasets[0] == datasets[1] == datasets[2]
 
     def test_snr_range_respected(self):
         ds = build_dataset(self.SPEECH, self.NOISE, split="train", seed=5,

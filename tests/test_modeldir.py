@@ -93,7 +93,9 @@ def test_save_over_another_kind_keeps_only_the_new_networks(tmp_path, first, sec
 
 @pytest.mark.parametrize("existing", [True, False])
 def test_failed_save_leaves_the_directory_as_it_was(tmp_path, monkeypatch, existing):
-    # the fifth network file fails, as on a full disk
+    # the fifth network file fails, as on a full disk, after the serial
+    # loop has written the four before it
+    monkeypatch.setattr(fanout, "_WORKERS", 1)
     target = tmp_path / "new" / "mdl"
     old = per_band_system()
     if existing:
@@ -121,6 +123,42 @@ def test_failed_save_leaves_the_directory_as_it_was(tmp_path, monkeypatch, exist
     assert np.array_equal(loaded.feature_norm.mean, old.feature_norm.mean)
     assert np.array_equal(loaded.feature_norm.std, old.feature_norm.std)
     assert not list(target.glob(".staging-*"))
+
+
+def test_failed_parallel_save_raises_the_first_failing_networks_error(tmp_path, monkeypatch):
+    # the 2nd network fails slowly, so on two workers the 4th fails first;
+    # the error is still the 2nd's, and the old directory still loads
+    old = per_band_system()
+    pipeline.save_system(old, tmp_path)
+    save_model = neural.save_model
+
+    def failing(model, path, objective):
+        if path.name == "band_01.mdl":
+            time.sleep(0.2)
+        if path.name in ("band_01.mdl", "band_03.mdl"):
+            raise OSError(28, f"No space left for {path.name}")
+        save_model(model, path, objective)
+
+    monkeypatch.setattr(neural, "save_model", failing)
+    monkeypatch.setattr(fanout, "_WORKERS", 2)
+    models = [neural.init_model([DIM, 4, 30], seed=100 + j) for j in range(LAYOUT.n_bands)]
+    new = pipeline.EnhancementSystem(models, None, LAYOUT, CFG, fixed_norm(DIM), "elc")
+    with pytest.raises(OSError, match="band_01.mdl"):
+        pipeline.save_system(new, tmp_path)
+    loaded = pipeline.load_system(tmp_path)
+    assert [m.param_bytes() for m in loaded.models] == [m.param_bytes() for m in old.models]
+    assert not list(tmp_path.glob(".staging-*"))
+
+
+@pytest.mark.parametrize("kind", sorted(DIRECTORIES))
+def test_parallel_save_writes_the_serial_bytes(tmp_path, monkeypatch, kind):
+    build, save, _ = DIRECTORIES[kind]
+    written = []
+    for workers in (1, 2):
+        monkeypatch.setattr(fanout, "_WORKERS", workers)
+        save(build(), tmp_path / str(workers))
+        written.append({p.name: p.read_bytes() for p in (tmp_path / str(workers)).iterdir()})
+    assert written[0] == written[1]
 
 
 def test_save_refuses_a_network_list_of_the_wrong_length(tmp_path):

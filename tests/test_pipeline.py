@@ -210,16 +210,16 @@ def serial_side_by_side(models, feats):
     return out
 
 
-def call_threads(monkeypatch, name="forward"):
-    """Record the thread of every `neural.<name>` call; returns the live set."""
+def call_threads(monkeypatch, name="forward", module=neural):
+    """Record the thread of every `module.<name>` call; returns the live set."""
     seen = set()
-    call = getattr(neural, name)
+    call = getattr(module, name)
 
     def recorded(*args, **kwargs):
         seen.add(threading.get_ident())
         return call(*args, **kwargs)
 
-    monkeypatch.setattr(neural, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return seen
 
 
