@@ -11,8 +11,8 @@ Library layout::
  mixing    -- active-level SNR mixing, noise synthesis, dataset assembly
  fanout    -- the one thread-pool fan-out of inference, training and loading
  modeldir  -- the model-directory format: system.txt, feature norm, networks
- pipeline  -- end-to-end enhancement, scoring, evaluation tables
- baseline  -- classical spectral-magnitude MSE enhancer
+ pipeline  -- systems of every kind, enhancement, scoring, evaluation tables
+ baseline  -- the classical spectral-magnitude MSE baseline's data and trainer
 """
 
 from .cost import elc, elc_grad_norm
@@ -40,7 +40,6 @@ from .pipeline import (
     load_system,
     report_tables,
     save_system,
-    score_approx_stoi,
     score_elc,
     train_enhancement_system,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "train_enhancement_system",
     "enhance",
     "score_elc",
-    "score_approx_stoi",
     "gain_correlation",
     "report_tables",
     "save_system",

@@ -9,26 +9,29 @@ and the clean magnitudes, i.e. the same estimate-vs-target MSE as the
 envelope trainer, applied across frequency instead of within a band.
 Leading frames that no prediction window reaches pass through with unit
 gain. Its dataset and its input come from the envelope networks' front
-end in `mixing`, kept in magnitudes; `pipeline.enhance` (bound here as
-`classical_enhance`) serves it through `ClassicalSystem.gains`, and
-`pipeline._train` trains it.
+end in `mixing`, kept in magnitudes, and `pipeline._train` trains it. The
+system itself, `pipeline.ClassicalSystem`, is served, saved and loaded as
+every kind is: `pipeline.enhance`, `save_system` and `load_system`. The
+names `ClassicalSystem`, `save_classical` and `classical_enhance` remain
+here only because the benchmark (`bench/run.py`) reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
-from . import modeldir, neural
+from . import neural
 from .mixing import CONTEXT_FRAMES, DEFAULT_SNR_RANGE_DB, PREDICT_FRAMES, _joined, _windows
 from .mixing import frame_index, log_windows, mixture_magnitudes
-from .octave import average_overlapping_gains
-from .pipeline import _forward_side_by_side, _train
-from .pipeline import enhance as classical_enhance  # the shared path, by its old name
+from .pipeline import ClassicalSystem, _train
+# bench/run.py's names for the one enhancement and save path of every kind
+from .pipeline import enhance as classical_enhance
+from .pipeline import save_system as save_classical
 from .signal_io import TimeSignal
-from .stft import FFT_SIZE, StftConfig
+from .stft import StftConfig
 
 
 class MagnitudeDataset:
@@ -74,27 +77,6 @@ def build_magnitude_dataset(
     return MagnitudeDataset(clean_mags, noisy_mags, index)
 
 
-@dataclass
-class ClassicalSystem:
-    model: neural.MlpModel
-    stft_config: StftConfig  # always StftConfig()
-    feature_norm: neural.FeatureNorm
-    context = CONTEXT_FRAMES
-    predict = PREDICT_FRAMES
-
-    def __post_init__(self):
-        if self.stft_config != StftConfig():
-            raise ValueError(f"the STFT configuration is not the fixed {FFT_SIZE}-point one")
-
-    def gains(self, mag: np.ndarray) -> np.ndarray:
-        """(M, N_BINS) STFT gains of (M, N_BINS) noisy magnitudes."""
-        feats = self.feature_norm.apply(log_windows(mag, slice(None), self.context, 0))
-        pred = _forward_side_by_side([self.model], feats)
-        # window v ends at frame context-1+v and predicts its last `predict` frames
-        pred = pred.reshape(len(pred), self.predict, mag.shape[1])
-        return average_overlapping_gains(pred, len(mag), self.context - self.predict, fill=1.0)
-
-
 def train_classical(
     train_ds: MagnitudeDataset,
     val_ds: MagnitudeDataset,
@@ -112,15 +94,3 @@ def train_classical(
     )
     return ClassicalSystem(model, StftConfig(), norm), report
 
-
-def save_classical(system: ClassicalSystem, dirpath) -> None:
-    modeldir.save(dirpath, "classical", system.feature_norm, [system.model])
-
-
-def load_classical(dirpath) -> ClassicalSystem:
-    return classical_of(*modeldir.read(dirpath, ("classical",)))
-
-
-def classical_of(fields: dict, norm: neural.FeatureNorm, models: list) -> ClassicalSystem:
-    """The system of what `modeldir.read` returns for a classical directory."""
-    return ClassicalSystem(models[0], StftConfig(), norm)

@@ -315,17 +315,9 @@ def _cmd_train_baseline(args) -> int:
         train_ds, val_ds, config, hidden=extras["hidden"],
         max_train_frames=extras["max_train_frames"], max_val_frames=extras["max_val_frames"],
     )
-    baseline.save_classical(system, args.out)
+    pipeline.save_system(system, args.out)
     _print_report("baseline", report)
     return EXIT_OK
-
-
-def _load_any_system(model_dir):
-    """(system, kind) of a model directory of any `modeldir.KINDS` kind."""
-    fields, norm, models = modeldir.read(model_dir, tuple(modeldir.KINDS))
-    kind = fields["kind"]
-    system_of = baseline.classical_of if kind == "classical" else pipeline.system_of
-    return system_of(fields, norm, models), kind
 
 
 def _read_testset(testset):
@@ -337,15 +329,15 @@ def _read_testset(testset):
 
 
 def _cmd_enhance(args) -> int:
-    system, kind = _load_any_system(args.model)
+    system = pipeline.load_system(args.model)
     enhanced = pipeline.enhance(system, to_working_rate(read_wav(args.infile)))
     write_wav(enhanced, args.out)
-    print(f"enhanced {args.infile} -> {args.out} ({kind} model)")
+    print(f"enhanced {args.infile} -> {args.out} ({system.kind} model)")
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
-    system, _ = _load_any_system(args.model)
+    system = pipeline.load_system(args.model)
     cleans, noise, label = _read_testset(args.testset)
     rows = pipeline.evaluate_system(system, cleans, noise, args.snrs, seed=args.seed,
                                     noise_type=label)
@@ -354,10 +346,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_gain_corr(args) -> int:
-    system_a, kind_a = _load_any_system(args.model_a)
-    system_b, kind_b = _load_any_system(args.model_b)
-    if "classical" in (kind_a, kind_b):
-        raise ValueError("gain-corr requires two envelope-gain models")
+    system_a, system_b = pipeline.load_system(args.model_a), pipeline.load_system(args.model_b)
     cleans, noise, label = _read_testset(args.testset)
     levels = [mixing.active_speech_level(clean) for clean in cleans]
     for snr in args.snrs:

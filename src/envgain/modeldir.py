@@ -1,6 +1,7 @@
 """Model directories: `KINDS`, what a directory of each kind holds; the
 one writer, `save`, which replaces a directory whole or not at all; and the
-one checked reader, `read`.
+one checked reader, `read`, of every kind: `pipeline.save_system` and
+`load_system` serve systems of all three kinds through these two.
 
 A directory holds `system.txt` (a flat `key = value` record whose `kind`
 picks its other keys), `feature_norm.bin` and the networks of its kind.
@@ -179,16 +180,16 @@ def save(dirpath, kind: str, norm: neural.FeatureNorm, models: list,
             stale.unlink()
 
 
-def read(dirpath, kinds: tuple) -> tuple:
-    """(fields, feature_norm, models) of a model directory whose kind is one
-    of `kinds`: the system.txt record typed and checked against its kind's
+def read(dirpath) -> tuple:
+    """(fields, feature_norm, models) of a model directory of any `KINDS`
+    kind: the system.txt record typed and checked against its kind's
     `KINDS` entry, its header checked (`octave.check_header`), and the
     networks in file order, each checked for its widths and objective tag.
     A defect raises ModelFormatError; the networks load as `fan_out` tasks,
     so the error is that of the first defective file, as in a serial loop."""
     d = Path(dirpath)
     path = d / "system.txt"
-    fields = typed(path, parse_kv(path), {"kind": one_of(*kinds)})
+    fields = typed(path, parse_kv(path), {"kind": one_of(*KINDS)})
     # envelope records written before `out_of_band` existed mean zero
     fields.setdefault("out_of_band", "zero")
     spec = KINDS[fields["kind"]]

@@ -2,25 +2,27 @@
 
 An EnhancementSystem holds its gain networks as one ordered list, J
 per-band networks of width N or one joint network of width J*N, whose
-outputs placed side by side form a window's (J, N) gain vector, with its
-feature normalization. The analysis, the band layout and N are the fixed
-ones of `stft` and `octave`, everywhere. Every system, this one or the
-classical baseline, supplies `gains`: (M, N_BINS) noisy STFT magnitudes
-in, (M, N_BINS) STFT gains out. Here those are the gain vectors of every
-window as one (V, J, N) array, their overlapping estimates averaged per
-frame and spread uniformly over each band's bins; bins outside every band
-get gain 0.
+outputs placed side by side form a window's (J, N) gain vector; a
+ClassicalSystem holds the one network of the classical baseline (see
+`baseline`). The analysis, the band layout and N are the fixed ones of
+`stft` and `octave`, everywhere. Every system has its model-directory
+`kind` (`modeldir.KINDS`), `objective`, feature normalization, networks
+(`models`) and `gains`: (M, N_BINS) noisy STFT magnitudes in, (M, N_BINS)
+STFT gains out; `save_system` and `load_system` serve every kind. An
+envelope system's gains are the gain vectors of every window as one
+(V, J, N) array, their overlapping estimates averaged per frame and
+spread uniformly over each band's bins; bins outside every band get 0.
 `enhance` analyzes the noisy audio once into its complex STFT, scales
 that by the system's gains of its magnitudes, so the noisy phase is kept,
 and resynthesizes; output duration equals input duration.
 
-Scoring averages the envelope correlation over all (band, window) pairs;
-the intelligibility score exposed here is the clip-free variant of that
-same average, so `score_approx_stoi` and `score_elc` agree exactly. A
-score is computed from the two signals' band envelopes, all (band,
-window) pairs in one batch. Evaluation computes each clean utterance's
-envelopes once and analyzes each mixture once, for both its score and
-its enhancement; `seeded_mixtures` yields the same mixtures one at a time.
+Scoring (`score_elc`) averages the envelope correlation over all (band,
+window) pairs; evaluation tables fill their `stoi_*` columns with that
+same score until a true STOI exists. A score is computed from the two
+signals' band envelopes, all (band, window) pairs in one batch.
+Evaluation computes each clean utterance's envelopes once and analyzes
+each mixture once, for both its score and its enhancement;
+`seeded_mixtures` yields the same mixtures one at a time.
 
 Inference runs each network on each block of feature rows as its own
 task, training fits each band's network as its own task, and evaluation
@@ -41,7 +43,8 @@ import numpy as np
 
 from . import cost, mixing, modeldir, neural
 from .fanout import fan_out
-from .mixing import EnvelopeDataset, active_speech_level, log_windows
+from .mixing import CONTEXT_FRAMES, PREDICT_FRAMES, EnvelopeDataset, active_speech_level
+from .mixing import log_windows
 from .octave import (
     ENVELOPE_LEN,
     LAYOUT,
@@ -72,14 +75,7 @@ class EnhancementSystem:
             raise ValueError("exactly one of band_models / joint_model must be set")
         if self.layout != LAYOUT:
             raise ValueError(f"the layout is not the band layout of a {FFT_SIZE}-point FFT")
-        if self.stft_config != StftConfig():
-            raise ValueError(f"the STFT configuration is not the fixed {FFT_SIZE}-point one")
-        spec = modeldir.KINDS[self.kind]
-        if len(self.models) != len(spec.files) or len(self.feature_norm.mean) != spec.n_in or any(
-            (m.input_dim, m.output_dim) != (spec.n_in, spec.n_out) for m in self.models
-        ):
-            raise ValueError(f"need {len(spec.files)} model(s) of {spec.n_in} inputs and "
-                             f"{spec.n_out} outputs, and a {spec.n_in}-dim feature norm")
+        _check_kind(self)
 
     @property
     def is_joint(self) -> bool:
@@ -100,6 +96,48 @@ class EnhancementSystem:
         vectors = _gain_vectors(self, mag)  # (V, J, N); window v starts at frame v
         band_gains = average_overlapping_gains(vectors.transpose(0, 2, 1), len(mag), 0).T
         return band_gains_to_stft_gains(band_gains)
+
+
+@dataclass
+class ClassicalSystem:
+    """The classical baseline: one network maps a window of CONTEXT_FRAMES
+    log magnitude frames to gains for its last PREDICT_FRAMES frames."""
+
+    model: neural.MlpModel
+    stft_config: StftConfig  # always StftConfig()
+    feature_norm: neural.FeatureNorm
+    kind = "classical"
+    objective = "emse"
+    context = CONTEXT_FRAMES
+    predict = PREDICT_FRAMES
+
+    def __post_init__(self):
+        _check_kind(self)
+
+    @property
+    def models(self) -> list[neural.MlpModel]:
+        return [self.model]
+
+    def gains(self, mag: np.ndarray) -> np.ndarray:
+        """(M, N_BINS) STFT gains of (M, N_BINS) noisy magnitudes."""
+        feats = self.feature_norm.apply(log_windows(mag, slice(None), self.context, 0))
+        pred = _forward_side_by_side(self.models, feats)
+        # window v ends at frame context-1+v and predicts its last `predict` frames
+        pred = pred.reshape(len(pred), self.predict, mag.shape[1])
+        return average_overlapping_gains(pred, len(mag), self.context - self.predict, fill=1.0)
+
+
+def _check_kind(system):
+    """Refuse a system whose STFT configuration, networks or feature norm
+    do not fit its kind's `modeldir.KINDS` entry."""
+    if system.stft_config != StftConfig():
+        raise ValueError(f"the STFT configuration is not the fixed {FFT_SIZE}-point one")
+    spec = modeldir.KINDS[system.kind]
+    if len(system.models) != len(spec.files) or len(system.feature_norm.mean) != spec.n_in or any(
+        (m.input_dim, m.output_dim) != (spec.n_in, spec.n_out) for m in system.models
+    ):
+        raise ValueError(f"need {len(spec.files)} model(s) of {spec.n_in} inputs and "
+                         f"{spec.n_out} outputs, and a {spec.n_in}-dim feature norm")
 
 
 def _require_working_rate(sig: TimeSignal, what: str):
@@ -170,7 +208,7 @@ def _analyze_and_enhance(system, noisy: TimeSignal) -> tuple[np.ndarray, TimeSig
 
 def enhance(system, noisy: TimeSignal) -> TimeSignal:
     """Noisy waveform in, enhanced waveform of identical duration out, for
-    an EnhancementSystem or a baseline.ClassicalSystem."""
+    a system of any kind."""
     return _analyze_and_enhance(system, noisy)[1]
 
 
@@ -236,19 +274,18 @@ def score_elc(clean: TimeSignal, processed: TimeSignal, return_counts: bool = Fa
     return _score_envelopes(_envelopes_of(clean), _envelopes_of(processed), return_counts)
 
 
-def score_approx_stoi(clean, processed, **kwargs):
-    """Clip-free intelligibility score; identical to `score_elc` by
-    construction."""
-    return score_elc(clean, processed, **kwargs)
-
-
 def gain_correlation(
     system_a: EnhancementSystem,
     system_b: EnhancementSystem,
     signals: Sequence[TimeSignal],
 ) -> float:
     """Pearson correlation between the two systems' concatenated gain-vector
-    entries over the same inputs."""
+    entries over the same inputs. Both must be envelope systems: a
+    classical system has no gain vectors, and is refused by its kind."""
+    for system in (system_a, system_b):
+        if system.kind == "classical":
+            raise ValueError("gain_correlation needs two envelope-gain systems, "
+                             f"not a {system.kind} one")
     ga, gb = [], []
     for sig in signals:
         mag = magnitude(_padded_noisy(sig))  # one analysis serves both systems
@@ -433,7 +470,7 @@ def evaluate_system(
     for k, snr in enumerate(snrs_db):
         elc_up, elc_enh = zip(*scores[k * n : (k + 1) * n])
         up, enh = float(np.mean(elc_up)), float(np.mean(elc_enh))
-        # score_approx_stoi is score_elc by construction: score once, fill both
+        # no true STOI yet: the stoi_* columns repeat the ELC score
         rows.append(EvalRow(noise_type, float(snr), up, enh, up, enh))
     return rows
 
@@ -475,16 +512,17 @@ def report_tables(rows: Sequence[EvalRow], fmt: str = "text") -> str:
 # system save / load (format: see `modeldir`)
 
 
-def save_system(system: EnhancementSystem, dirpath) -> None:
+def save_system(system, dirpath) -> None:
+    """Write a system of any kind to its model directory."""
     modeldir.save(dirpath, system.kind, system.feature_norm, system.models, system.objective)
 
 
-def load_system(dirpath) -> EnhancementSystem:
-    return system_of(*modeldir.read(dirpath, ("per-band", "joint")))
-
-
-def system_of(fields: dict, norm: neural.FeatureNorm, models: list) -> EnhancementSystem:
-    """The system of what `modeldir.read` returns for a per-band or joint directory."""
-    joint = fields["kind"] == "joint"
+def load_system(dirpath):
+    """The system of a model directory of any kind, read once by `modeldir.read`."""
+    fields, norm, models = modeldir.read(dirpath)
+    kind = fields["kind"]
+    if kind == "classical":
+        return ClassicalSystem(models[0], StftConfig(), norm)
+    joint = kind == "joint"
     return EnhancementSystem(None if joint else models, models[0] if joint else None, LAYOUT,
                              StftConfig(), norm, fields["objective"])

@@ -624,7 +624,7 @@ class TestEnhanceEvaluate:
         assert rc == EXIT_OK
         cleans = [read_wav(p) for p in sorted((data_dir / "clean_test").glob("*.wav"))]
         rows = pipeline.evaluate_system(
-            baseline.load_classical(classical_dir), cleans,
+            pipeline.load_system(classical_dir), cleans,
             read_wav(data_dir / "noise_test.wav"), [-5.0, 5.0], seed=0, noise_type="ssn",
         )
         assert capsys.readouterr().out == pipeline.report_tables(rows)
@@ -634,7 +634,8 @@ class TestEnhanceEvaluate:
         rc = main(["gain-corr", "--model-a", str(model_dir), "--model-b", str(classical_dir),
                    "--testset", str(data_dir), "--snrs", "5"])
         assert rc == EXIT_DATA
-        assert "gain-corr requires two envelope-gain models" in capsys.readouterr().err
+        assert ("gain_correlation needs two envelope-gain systems, not a classical one"
+                in capsys.readouterr().err)
 
     def test_gain_corr_levels_each_utterance_once(self, data_dir, model_dir, capsys,
                                                   monkeypatch):

@@ -7,9 +7,13 @@ belongs, or add it here on purpose.
 
 Only `fanout` imports threads, processes or `ctypes`, so the process keeps
 one fan-out however many call sites use it.
+
+Every `<module>.<name>` the benchmark (`bench/run.py`) reads of envgain
+exists, so a change to `src/` cannot silently break the benchmark.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import envgain
@@ -21,7 +25,6 @@ CONCURRENCY = {"threading", "concurrent", "multiprocessing", "ctypes"}  # top-le
 ALLOWED = {
     ("baseline", "mixing", "_joined"),
     ("baseline", "mixing", "_windows"),
-    ("baseline", "pipeline", "_forward_side_by_side"),
     ("baseline", "pipeline", "_train"),
 }
 
@@ -67,3 +70,22 @@ def imported_packages(path: Path) -> set:
 def test_only_fanout_imports_threads_processes_or_ctypes():
     users = {path.stem for path in PACKAGE.glob("*.py") if imported_packages(path) & CONCURRENCY}
     assert users == {"fanout"}
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+BENCH_MODULES = ("envgain", "baseline", "cli", "mixing", "neural", "pipeline")  # its global names
+
+
+def benchmark_reads() -> set:
+    """(module, name) of every `<module>.<name>` read in `bench/run.py`."""
+    return {(node.value.id, node.attr) for node in ast.walk(ast.parse(BENCH.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in BENCH_MODULES}
+
+
+def test_every_name_the_benchmark_reads_exists():
+    reads = benchmark_reads()
+    assert {module for module, _ in reads} == set(BENCH_MODULES)
+    modules = {name: importlib.import_module("envgain" if name == "envgain" else f"envgain.{name}")
+               for name in BENCH_MODULES}
+    assert sorted(f"{m}.{name}" for m, name in reads if not hasattr(modules[m], name)) == []

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from envgain import baseline, fanout, modeldir, neural, pipeline
 from envgain.octave import LAYOUT
+from envgain.signal_io import WORKING_RATE_HZ, TimeSignal
 from envgain.stft import N_BINS, StftConfig
 
 CFG = StftConfig()
@@ -174,7 +175,7 @@ def test_feature_norm_must_fit_the_networks(tmp_path, kind):
     save(build(), tmp_path)
     modeldir.save_norm(fixed_norm(10), tmp_path / "feature_norm.bin")
     with pytest.raises(neural.ModelFormatError, match="feature_norm.bin: dim 10 != expected"):
-        modeldir.read(tmp_path, (kind,))
+        modeldir.read(tmp_path)
 
 
 def test_classical_network_must_be_tagged_emse(tmp_path):
@@ -182,7 +183,7 @@ def test_classical_network_must_be_tagged_emse(tmp_path):
     baseline.save_classical(system, tmp_path)
     neural.save_model(system.model, tmp_path / "baseline.mdl", "elc")
     with pytest.raises(neural.ModelFormatError, match="baseline.mdl: objective elc != emse"):
-        baseline.load_classical(tmp_path)
+        pipeline.load_system(tmp_path)
 
 
 def test_parallel_load_raises_the_first_defective_files_error(tmp_path, monkeypatch):
@@ -212,13 +213,27 @@ def test_parallel_load_raises_the_first_defective_files_error(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("kind", sorted(DIRECTORIES))
+def test_one_door_round_trips_every_kind(tmp_path, kind):
+    system = DIRECTORIES[kind][0]()
+    pipeline.save_system(system, tmp_path)
+    loaded = pipeline.load_system(tmp_path)
+    assert (type(loaded), loaded.kind) == (type(system), kind)
+    assert ([model.param_bytes() for model in loaded.models]
+            == [model.param_bytes() for model in system.models])
+    rng = np.random.default_rng(1)
+    noisy = TimeSignal(rng.uniform(-0.5, 0.5, WORKING_RATE_HZ), WORKING_RATE_HZ)
+    assert np.array_equal(pipeline.enhance(loaded, noisy).samples,
+                          pipeline.enhance(system, noisy).samples)
+
+
+@pytest.mark.parametrize("kind", sorted(DIRECTORIES))
 def test_parallel_load_gives_the_serial_networks(tmp_path, monkeypatch, kind):
     build, save, _ = DIRECTORIES[kind]
     save(build(), tmp_path)
     loaded = []
     for workers in (1, 2):
         monkeypatch.setattr(fanout, "_WORKERS", workers)
-        loaded.append([model.param_bytes() for model in modeldir.read(tmp_path, (kind,))[2]])
+        loaded.append([model.param_bytes() for model in modeldir.read(tmp_path)[2]])
     assert loaded[0] == loaded[1]
     assert len(loaded[0]) == (15 if kind == "per-band" else 1)
 

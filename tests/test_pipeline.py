@@ -311,7 +311,6 @@ class TestInferenceFanOut:
         monkeypatch.setattr(pipeline, "_FEATURE_CHUNK", 16)  # 88 rows: 6 blocks
         with monkeypatch.context() as serial:
             serial.setattr(pipeline, "_forward_side_by_side", serial_side_by_side)
-            serial.setattr(baseline, "_forward_side_by_side", serial_side_by_side)
             expected = pipeline.enhance(system, noisy)
         monkeypatch.setattr(fanout, "_WORKERS", 2)
         threads = call_threads(monkeypatch)
@@ -618,10 +617,6 @@ class TestScoring:
         scaled = TimeSignal(7.5 * noisy.samples, FS)
         assert pipeline.score_elc(clean, scaled) == pytest.approx(a, abs=1e-12)
 
-    def test_approx_stoi_identical(self):
-        clean, noisy = noisy_fixture()
-        assert pipeline.score_approx_stoi(clean, noisy) == pipeline.score_elc(clean, noisy)
-
     def test_degenerate_windows_skipped_and_counted(self):
         # long silent tail makes whole windows zero-variance in every band
         base = SPEECH[0]
@@ -740,6 +735,13 @@ class TestGainCorrelation:
         calls = count_calls(monkeypatch, pipeline, "analyze", "magnitude")
         pipeline.gain_correlation(SYSTEM, SYSTEM, signals)
         assert calls == {"analyze": 0, "magnitude": 4}
+
+    @pytest.mark.parametrize("classical_first", [True, False])
+    def test_classical_system_refused_by_its_kind(self, classical_first):
+        _, noisy = noisy_fixture()
+        pair = (tiny_classical_system(), SYSTEM)
+        with pytest.raises(ValueError, match="two envelope-gain systems, not a classical one"):
+            pipeline.gain_correlation(*(pair if classical_first else pair[::-1]), [noisy])
 
 
 class TestJointSystem:
@@ -963,7 +965,7 @@ class TestEvaluateSystem:
         clean_list, snrs = SPEECH[4:6], [-5.0, 5.0]
         rows = pipeline.evaluate_system(SYSTEM, clean_list, NOISE, snrs, seed=9,
                                         noise_type="ssn")
-        # the old loop: both ELC scores and both approximate-STOI scores per item
+        # the old loop: both ELC scores, and the stoi_* columns scored by ELC again, per item
         expected = []
         for snr in snrs:
             children = np.random.SeedSequence([9, int(round(snr * 1000)) % (1 << 32)]).spawn(2)
@@ -974,8 +976,8 @@ class TestEvaluateSystem:
                 scores.append([
                     pipeline.score_elc(clean, noisy),
                     pipeline.score_elc(clean, enhanced),
-                    pipeline.score_approx_stoi(clean, noisy),
-                    pipeline.score_approx_stoi(clean, enhanced),
+                    pipeline.score_elc(clean, noisy),
+                    pipeline.score_elc(clean, enhanced),
                 ])
             means = [float(np.mean(col)) for col in zip(*scores)]
             expected.append(pipeline.EvalRow("ssn", snr, *means))
@@ -1117,7 +1119,7 @@ class TestClassicalBaseline:
             train_ds, val_ds, config, hidden=(8,), max_train_frames=100, max_val_frames=50
         )
         baseline.save_classical(system, tmp_path / "base")
-        loaded = baseline.load_classical(tmp_path / "base")
+        loaded = pipeline.load_system(tmp_path / "base")
         _, noisy = noisy_fixture()
         a = baseline.classical_enhance(system, noisy)
         b = baseline.classical_enhance(loaded, noisy)
@@ -1129,7 +1131,9 @@ class TestClassicalBaseline:
         # another window, with a network and feature norm of its widths
         ("context", "10", "context = '10' is not 30"),
         ("predict", "3", "predict = '3' is not 5"),
-        ("kind", "per-band", "kind = 'per-band' is not one of classical"),
+        # read as the per-band directory it claims to be
+        ("kind", "per-band",
+         "missing key(s) objective, n_bands, n_env, sample_rate_hz, first_center_hz"),
         ("hop", "12x8", "hop = '12x8' is not a positive integer"),
     ])
     def test_bad_system_value_named(self, tmp_path, key, value, expected):
@@ -1148,4 +1152,4 @@ class TestClassicalBaseline:
                                tmp_path / "base" / "feature_norm.bin")
         set_system_value(tmp_path / "base", key, value)
         with pytest.raises(neural.ModelFormatError, match=re.escape(expected)):
-            baseline.load_classical(tmp_path / "base")
+            pipeline.load_system(tmp_path / "base")
