@@ -9,11 +9,13 @@ and the clean magnitudes, i.e. the same estimate-vs-target MSE as the
 envelope trainer, applied across frequency instead of within a band.
 Leading frames that no prediction window reaches pass through with unit
 gain. Its dataset and its input come from the envelope networks' front
-end in `mixing`, kept in magnitudes, and `pipeline._train` trains it. The
-system itself, `pipeline.ClassicalSystem`, is served, saved and loaded as
-every kind is: `pipeline.enhance`, `save_system` and `load_system`. The
-names `ClassicalSystem`, `save_classical` and `classical_enhance` remain
-here only because the benchmark (`bench/run.py`) reads them.
+end in `mixing` (`joined`, `windows`, `log_windows`), kept in magnitudes,
+and `pipeline.train_networks` trains it with the row salt and norm chunk
+that `MagnitudeDataset` names. The system itself,
+`pipeline.ClassicalSystem`, is served, saved and loaded as every kind is:
+`pipeline.enhance`, `save_system` and `load_system`. The names
+`ClassicalSystem`, `save_classical` and `classical_enhance` remain here
+only because the benchmark (`bench/run.py`) reads them.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from . import neural
-from .mixing import CONTEXT_FRAMES, DEFAULT_SNR_RANGE_DB, PREDICT_FRAMES, _joined, _windows
-from .mixing import frame_index, log_windows, mixture_magnitudes
-from .pipeline import ClassicalSystem, _train
+from .mixing import CONTEXT_FRAMES, DEFAULT_SNR_RANGE_DB, PREDICT_FRAMES, frame_index, joined
+from .mixing import log_windows, mixture_magnitudes, windows
+from .pipeline import ClassicalSystem, train_networks
 # bench/run.py's names for the one enhancement and save path of every kind
 from .pipeline import enhance as classical_enhance
 from .pipeline import save_system as save_classical
@@ -40,6 +42,8 @@ class MagnitudeDataset:
 
     context = CONTEXT_FRAMES
     predict = PREDICT_FRAMES
+    row_salt = 0xBA5E
+    norm_chunk = 2048
 
     def __init__(self, clean_mag, noisy_mag, index):
         self.clean_mag = clean_mag
@@ -52,15 +56,15 @@ class MagnitudeDataset:
 
     def features(self, rows) -> np.ndarray:
         """`log_windows` of the noisy magnitudes: (R, context*N_BINS)."""
-        return log_windows(*_joined(self.index, rows, self.context, self.noisy_mag, 0),
+        return log_windows(*joined(self.index, rows, self.context, self.noisy_mag, 0),
                            self.context, 0)
 
     def targets(self, rows):
         """Clean and noisy magnitudes of each row's last `predict` frames:
         two (R, predict*N_BINS) arrays."""
-        windows = (_windows(*_joined(self.index, rows, self.predict, mags, 0), self.predict, 0)
-                   for mags in (self.clean_mag, self.noisy_mag))
-        return [w.reshape(len(w), -1) for w in windows]
+        cuts = (windows(*joined(self.index, rows, self.predict, mags, 0), self.predict, 0)
+                for mags in (self.clean_mag, self.noisy_mag))
+        return [cut.reshape(len(cut), -1) for cut in cuts]
 
 
 def build_magnitude_dataset(
@@ -86,11 +90,10 @@ def train_classical(
     max_val_frames: int | None = None,
 ) -> tuple[ClassicalSystem, neural.TrainReport]:
     """Train the spectral-magnitude MSE baseline (objective is always the
-    magnitude-domain MSE), with its own row salt and feature-norm chunk."""
+    magnitude-domain MSE)."""
     config = replace(config, objective="emse")
-    (model,), (report,), norm = _train(
-        train_ds, val_ds, [None], config, hidden, max_train_frames, max_val_frames,
-        salt=0xBA5E, chunk=2048,
+    (model,), (report,), norm = train_networks(
+        train_ds, val_ds, [None], config, hidden, max_train_frames, max_val_frames
     )
     return ClassicalSystem(model, StftConfig(), norm), report
 

@@ -10,7 +10,8 @@ to within floating-point rounding.
 
 The front end, which `baseline` shares: `mixture_magnitudes` is the mixing
 and analysis loop of both dataset builders, `frame_index` their (utterance,
-frame) rows and `log_windows` the network input, read alike by training
+frame) rows, `joined` and `windows` the window gather of their features
+and targets, and `log_windows` the network input, read alike by training
 features and by each system's `gains`.
 
 A synthetic "pseudo-speech" generator (amplitude-modulated harmonic
@@ -27,8 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.fft
-from scipy import signal as _sig
 
 from . import framed
 from .fanout import fan_out
@@ -66,25 +65,6 @@ class MixSpec:
     seed: int
 
 
-def _trailing_max(x: np.ndarray, width: int) -> np.ndarray:
-    """max(x[max(0, i - width + 1) : i + 1]) for every i, in O(len(x)).
-
-    van Herk / Gil-Werman: after `width - 1` leading -inf, cut the signal
-    into blocks of `width`; every window then spans the tail of one block
-    and the head of the next, so its maximum is the larger of a suffix
-    maximum and a prefix maximum.
-    """
-    n = len(x)
-    lead = width - 1
-    tail = -(n + lead) % width
-    blocks = np.concatenate(
-        [np.full(lead, -np.inf, x.dtype), x, np.full(tail, -np.inf, x.dtype)]
-    ).reshape(-1, width)
-    prefix = np.maximum.accumulate(blocks, axis=1).ravel()
-    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    return np.maximum(suffix[:n], prefix[lead : lead + n])
-
-
 def active_speech_level(sig: TimeSignal) -> float:
     """Active speech level in dB relative to unit amplitude.
 
@@ -98,9 +78,13 @@ def active_speech_level(sig: TimeSignal) -> float:
     A sample is active at threshold t when the envelope reached t within
     the hangover, i.e. when the maximum of the envelope over the trailing
     hangover window (the sample itself and the `hang` before it) is >= t.
-    That trailing maximum is computed once, and each rung only counts the
-    samples where it reaches the rung's threshold.
+    That trailing maximum, a `maximum_filter1d` of width `hang + 1` moved
+    back by `hang // 2` with the first sample held before the start, is
+    computed once, and each rung only counts the samples where it reaches
+    the rung's threshold.
     """
+    from scipy import ndimage, signal
+
     x = sig.samples
     sq = float(np.sum(x * x))
     if not np.isfinite(sq):
@@ -109,14 +93,14 @@ def active_speech_level(sig: TimeSignal) -> float:
         raise ValueError("active level undefined for an all-silent signal")
     fs = sig.sample_rate_hz
     g = np.exp(-1.0 / (fs * LEVEL_SMOOTH_TC_S))
-    p = _sig.lfilter([1 - g], [1, -g], np.abs(x))
-    env = _sig.lfilter([1 - g], [1, -g], p)
+    p = signal.lfilter([1 - g], [1, -g], np.abs(x))
+    env = signal.lfilter([1 - g], [1, -g], p)
     env_peak = float(env.max())
     if env_peak <= 0.0:
         raise ValueError("active level undefined for an all-silent signal")
 
     hang = int(round(LEVEL_HANGOVER_S * fs))
-    held = _trailing_max(env, hang + 1)
+    held = ndimage.maximum_filter1d(env, hang + 1, mode="nearest", origin=hang // 2)
     prev = None  # (margin_gap_db, level_db)
     for j in range(1, _LADDER_MAX):
         thresh = env_peak * 2.0 ** (-j)
@@ -188,9 +172,12 @@ def _welch_psd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     time, so no per-segment Python step and no complex spectrogram of the
     whole signal is held. `len(x)` must be at least `SSN_FIR_TAPS`.
     """
+    import scipy.fft
+    from scipy import signal
+
     n_fft = SSN_FIR_TAPS
     hop = n_fft // 2
-    win = _sig.get_window("hann", n_fft)
+    win = signal.get_window("hann", n_fft)
     win = win * (1 / np.sqrt(sum(win.real**2 + win.imag**2) / (1 / WORKING_RATE_HZ)))
     segments = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop]
     n_seg = len(segments)  # (len(x) - hop) // hop, as scipy counts them
@@ -208,6 +195,8 @@ def synth_ssn(reference_speech: Sequence[TimeSignal], duration_s: float, seed: i
     fitted to the Welch long-term spectrum of the reference material
     (`_welch_psd`: scipy's Welch estimate, 512-point Hann segments at 50%
     overlap, with the same bits). Output is normalized to unit RMS."""
+    from scipy import signal
+
     refs = [to_working_rate(r) for r in reference_speech]
     total_s = sum(r.duration_s for r in refs)
     if total_s < SSN_MIN_REFERENCE_S:
@@ -220,12 +209,12 @@ def synth_ssn(reference_speech: Sequence[TimeSignal], duration_s: float, seed: i
     amp /= amp.max()
     gain = amp.copy()
     gain[-1] = 0.0  # even tap count forces a Nyquist null; far above the bands
-    taps = _sig.firwin2(SSN_FIR_TAPS, freqs / (WORKING_RATE_HZ / 2), gain)
+    taps = signal.firwin2(SSN_FIR_TAPS, freqs / (WORKING_RATE_HZ / 2), gain)
 
     n = int(round(duration_s * WORKING_RATE_HZ))
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(n + SSN_FIR_TAPS)
-    shaped = _sig.lfilter(taps, [1.0], white)[SSN_FIR_TAPS:]
+    shaped = signal.lfilter(taps, [1.0], white)[SSN_FIR_TAPS:]
     shaped /= np.sqrt(np.mean(shaped**2))
     return TimeSignal(shaped, WORKING_RATE_HZ)
 
@@ -285,7 +274,9 @@ def split_noise(noise: TimeSignal, train_s: float, val_s: float, test_s: float):
 @functools.lru_cache(maxsize=None)
 def _hiss_filter(fs) -> tuple[np.ndarray, np.ndarray]:
     """Band-pass (b, a) of pseudo speech's 2-4.5 kHz hiss, designed once per rate."""
-    b, a = _sig.butter(4, [2000 / (fs / 2), 4500 / (fs / 2)], btype="band")
+    from scipy import signal
+
+    b, a = signal.butter(4, [2000 / (fs / 2), 4500 / (fs / 2)], btype="band")
     b.flags.writeable = a.flags.writeable = False
     return b, a
 
@@ -309,6 +300,8 @@ def pseudo_speech(duration_s: float, seed: int, fs: int = WORKING_RATE_HZ) -> Ti
     if not (np.isfinite(duration_s) and round(duration_s * fs) >= 2):
         raise ValueError(f"duration_s must be finite and at least 2 samples at {fs} Hz, "
                          f"got {duration_s!r}")
+    from scipy import signal  # here, not in the fan-out's threads
+
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * fs))
     out = np.zeros(n)
@@ -339,7 +332,7 @@ def pseudo_speech(duration_s: float, seed: int, fs: int = WORKING_RATE_HZ) -> Ti
         np.cos(block, out=block)
         block *= (1.0 / harmonics)[:, None]
         wave = np.add.reduce(block, axis=0)  # row by row, in harmonic order
-        wave += 0.08 * _sig.lfilter(hiss_b, hiss_a, hiss)
+        wave += 0.08 * signal.lfilter(hiss_b, hiss_a, hiss)
         out[start : start + dur] = wave * (np.sin(np.pi * np.arange(dur) / dur) ** 2 * scale)
 
     fan_out(syllable, syllables)
@@ -366,7 +359,7 @@ def frame_index(lengths, width: int) -> np.ndarray:
     return np.stack([utt, frame], axis=1)
 
 
-def _windows(frames, starts, width: int, axis: int) -> np.ndarray:
+def windows(frames, starts, width: int, axis: int) -> np.ndarray:
     """The `width`-frame windows of `frames` (frame axis `axis`) that start at
     `starts`, an index array (a C-ordered copy) or a slice (a view): rows
     first, each window in the axis order of `frames`, (R, *window shape)."""
@@ -380,14 +373,14 @@ def _windows(frames, starts, width: int, axis: int) -> np.ndarray:
 
 
 def log_windows(frames, starts, width: int, axis: int) -> np.ndarray:
-    """The input of every gain network: the `_windows` of log(1 + frames),
+    """The input of every gain network: the `windows` of log(1 + frames),
     each flattened, (R, width * other dims). Each frame is log-compressed
     once, whatever the windows that hold it."""
-    windows = _windows(np.log1p(frames), starts, width, axis)
-    return windows.reshape(len(windows), -1)
+    cut = windows(np.log1p(frames), starts, width, axis)
+    return cut.reshape(len(cut), -1)
 
 
-def _joined(index, rows, width: int, sources, axis: int):
+def joined(index, rows, width: int, sources, axis: int):
     """The per-utterance arrays of `sources` joined along their frame axis,
     and where in them the `width`-frame window that ends at each requested
     row's frame starts; `index` maps a row to its (utterance, frame)."""
@@ -403,9 +396,13 @@ class EnvelopeDataset:
     flat (utterance, frame) index of valid frames; per-sample feature
     vectors and windows of `n_env` = ENVELOPE_LEN frames are materialized
     on demand. One valid frame holds one training sample per band.
+    `pipeline.train_networks` draws its rows from the stream salted with
+    `row_salt` and sums the feature norm `norm_chunk` rows at a time.
     """
 
     n_env = ENVELOPE_LEN
+    row_salt = 0x5E1EC7
+    norm_chunk = 4096
 
     def __init__(self, clean_env, noisy_env, index, mixes=None):
         self.clean_env = clean_env
@@ -429,13 +426,13 @@ class EnvelopeDataset:
 
     def features(self, rows) -> np.ndarray:
         """`log_windows` of the noisy envelopes, flattened band-major: (R, J*N)."""
-        return log_windows(*_joined(self.index, rows, self.n_env, self.noisy_env, 1), self.n_env, 1)
+        return log_windows(*joined(self.index, rows, self.n_env, self.noisy_env, 1), self.n_env, 1)
 
     def targets(self, rows, bands: slice = slice(None)):
         """Clean and noisy envelope windows of the selected bands: two
         (R, bands, N) arrays."""
-        return [_windows(*_joined(self.index, rows, self.n_env, [env[bands] for env in envs], 1),
-                         self.n_env, 1) for envs in (self.clean_env, self.noisy_env)]
+        return [windows(*joined(self.index, rows, self.n_env, [env[bands] for env in envs], 1),
+                        self.n_env, 1) for envs in (self.clean_env, self.noisy_env)]
 
 
 def mixture_magnitudes(speech_list, noise, seed, snr_range_db, keep) -> list:

@@ -457,7 +457,7 @@ class FeatureNorm:
         """(x - mean) / std as a new array. It cannot work in place:
         `ClassicalSystem.gains` passes a read-only strided view whose rows
         overlap in memory. Training normalizes its own gathered copies in
-        place with these two operations (`pipeline._train`)."""
+        place with these two operations (`pipeline.train_networks`)."""
         out = x - self.mean  # one new array, also from a read-only view
         out /= self.std
         return out

@@ -25,7 +25,8 @@ each mixture once, for both its score and its enhancement;
 `seeded_mixtures` yields the same mixtures one at a time.
 
 Inference runs each network on each block of feature rows as its own
-task, training fits each band's network as its own task, and evaluation
+task, training (`train_networks`, which trains every family from its
+dataset) fits each band's network as its own task, and evaluation
 mixes, enhances and scores each (SNR, utterance) item as its own task, on
 the cores BLAS leaves idle (see `fanout`), as do the set-up's pseudo-speech
 syllables, dataset mixtures and model-directory network writes; the
@@ -307,8 +308,7 @@ def _select_rows(n: int, cap: int | None, rng: np.random.Generator) -> np.ndarra
     return np.sort(rng.choice(n, size=cap, replace=False))
 
 
-def compute_feature_norm_for(feats: np.ndarray,
-                             chunk: int = _FEATURE_CHUNK) -> neural.FeatureNorm:
+def compute_feature_norm_for(feats: np.ndarray, chunk: int) -> neural.FeatureNorm:
     """Per-dimension mean and std of the rows of `feats`, summed `chunk` rows
     at a time; the chunk size fixes the summation order. `einsum` adds each
     row's squares in row order, as `(block**2).sum(axis=0)` does, without a
@@ -327,30 +327,31 @@ def compute_feature_norm_for(feats: np.ndarray,
     return neural.FeatureNorm(mean, np.maximum(np.sqrt(var), 1e-8))
 
 
-def _train(train_ds, val_ds, bands, config: neural.TrainConfig, hidden: Sequence[int],
-           max_train_frames, max_val_frames, salt: int = 0x5E1EC7, chunk: int = _FEATURE_CHUNK):
+def train_networks(train_ds, val_ds, bands, config: neural.TrainConfig, hidden: Sequence[int],
+                   max_train_frames, max_val_frames):
     """The one training front end of every gain network: envelope or
     magnitude datasets in, (models, reports, feature norm) out, one network
     per entry of `bands` (see `_fit`).
 
     Train and validation rows are drawn from the stream
-    SeedSequence([config.seed, salt]). Each split's features are gathered
-    once; the feature norm of the training rows is summed `chunk` rows at a
-    time, and both matrices are then normalized in place, with the bits of
-    `FeatureNorm.apply`. Every network shares the rows, the norm and the
-    normalized features, so a band's network and the norm have the same
-    bits whichever other bands `bands` lists. The networks
-    train as independent tasks (`fan_out`), so their bits do not depend on
-    the worker count either. An empty split is refused."""
+    SeedSequence([config.seed, train_ds.row_salt]). Each split's features
+    are gathered once; the feature norm of the training rows is summed
+    `train_ds.norm_chunk` rows at a time, and both matrices are then
+    normalized in place, with the bits of `FeatureNorm.apply`. Every
+    network shares the rows, the norm and the normalized features, so a
+    band's network and the norm have the same bits whichever other bands
+    `bands` lists. The networks train as independent tasks (`fan_out`), so
+    their bits do not depend on the worker count either. An empty split is
+    refused."""
     for name, ds in (("train", train_ds), ("validation", val_ds)):
         if ds.n_frames == 0:
             raise ValueError(f"the {name} split has no rows: its utterances are too short")
-    row_rng = np.random.default_rng(np.random.SeedSequence([config.seed, salt]))
+    row_rng = np.random.default_rng(np.random.SeedSequence([config.seed, train_ds.row_salt]))
     train_rows = _select_rows(train_ds.n_frames, max_train_frames, row_rng)
     val_rows = _select_rows(val_ds.n_frames, max_val_frames, row_rng)
     pairs = ((train_ds, train_rows), (val_ds, val_rows))
     sets = [(ds, rows, ds.features(rows)) for ds, rows in pairs]
-    norm = compute_feature_norm_for(sets[0][2], chunk)
+    norm = compute_feature_norm_for(sets[0][2], train_ds.norm_chunk)
     for _, _, feats in sets:  # FeatureNorm.apply's two operations, in place
         feats -= norm.mean
         feats /= norm.std
@@ -389,7 +390,7 @@ def train_enhancement_system(
     config.seed, so the whole system is reproducible bit-for-bit.
     """
     bands = [None] if joint else range(train_ds.n_bands)
-    models, reports, norm = _train(
+    models, reports, norm = train_networks(
         train_ds, val_ds, bands, config, hidden, max_train_frames, max_val_frames
     )
     system = EnhancementSystem(

@@ -3,7 +3,7 @@
 Everything downstream (STFT, band envelopes, training) assumes mono float64
 signals at ``WORKING_RATE_HZ``. WAV reading is a small hand-rolled RIFF
 parser so that missing files, malformed headers and unsupported encodings
-are reported as distinct error types.
+are reported as distinct error types; writing is the stdlib `wave` writer.
 """
 
 from __future__ import annotations
@@ -12,22 +12,26 @@ import io
 import math
 import struct
 import warnings
+import wave
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as _sig
 
 from . import framed
 
 WORKING_RATE_HZ = 10000
 MIN_INPUT_RATE_HZ = 8000
-# The resampler's filter grows with the rate, so absurd rates are refused.
+# The highest rate read or resampled; the phase cap below bounds the filter.
 MAX_INPUT_RATE_HZ = 384_000
 
-# Polyphase anti-alias filter: Kaiser-windowed sinc, 64 taps per phase.
+# Polyphase anti-alias filter: Kaiser-windowed sinc, 64 taps per phase, with
+# max(up, down) phases for the reduced ratio up/down. A rate nearly coprime
+# with 10 kHz would need millions of taps; the largest standard rate's ratio,
+# 1250/5507 at 44,056 Hz, fits under the cap.
 RESAMPLE_TAPS_PER_PHASE = 64
 RESAMPLE_KAISER_BETA = 8.6
+MAX_RESAMPLE_PHASES = 6000
 
 
 class WavError(Exception):
@@ -170,35 +174,21 @@ def write_wav(sig: TimeSignal, path) -> None:
     x = np.clip(x, -1.0, 1.0)
     scaled = x * 32768.0
     q = np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5))
-    q = np.clip(q, -32768, 32767).astype("<i2")
-
-    payload = q.tobytes()
-    header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF",
-        36 + len(payload),
-        b"WAVE",
-        b"fmt ",
-        16,
-        1,  # PCM
-        1,  # mono
-        sig.sample_rate_hz,
-        sig.sample_rate_hz * 2,
-        2,
-        16,
-        b"data",
-        len(payload),
-    )
-    with framed.replacing(path) as fh:
-        fh.write(header)
-        fh.write(payload)
+    q = np.clip(q, -32768, 32767).astype(np.int16)  # native order: `wave` swaps if need be
+    with framed.replacing(path) as fh, wave.open(fh, "wb") as out:
+        out.setnchannels(1)
+        out.setsampwidth(2)
+        out.setframerate(sig.sample_rate_hz)
+        out.writeframes(q.tobytes())
 
 
 def to_working_rate(sig: TimeSignal) -> TimeSignal:
     """Resample to 10 kHz with a Kaiser-windowed polyphase lowpass.
 
-    Inputs below 8 kHz or above 384 kHz are rejected. A 10 kHz input is
-    returned as is, not copied: a `TimeSignal` is immutable by contract.
+    Inputs below 8 kHz or above 384 kHz are rejected, and so is a rate
+    whose ratio to 10 kHz needs more than `MAX_RESAMPLE_PHASES` phases,
+    before any filter is built. A 10 kHz input is returned as is, not
+    copied: a `TimeSignal` is immutable by contract.
     """
     if sig.sample_rate_hz < MIN_INPUT_RATE_HZ:
         raise ValueError(
@@ -214,12 +204,19 @@ def to_working_rate(sig: TimeSignal) -> TimeSignal:
     g = math.gcd(WORKING_RATE_HZ, sig.sample_rate_hz)
     up, down = WORKING_RATE_HZ // g, sig.sample_rate_hz // g
     max_rate = max(up, down)
-    taps = _sig.firwin(
+    if max_rate > MAX_RESAMPLE_PHASES:
+        raise ValueError(
+            f"sample rate {sig.sample_rate_hz} Hz needs a {up}/{down} resampler of "
+            f"{max_rate} phases, above the {MAX_RESAMPLE_PHASES} maximum"
+        )
+    from scipy import signal
+
+    taps = signal.firwin(
         RESAMPLE_TAPS_PER_PHASE * max_rate + 1,
         1.0 / max_rate,
         window=("kaiser", RESAMPLE_KAISER_BETA),
     )
-    out = _sig.resample_poly(sig.samples, up, down, window=taps)
+    out = signal.resample_poly(sig.samples, up, down, window=taps)
     return TimeSignal(out, WORKING_RATE_HZ)
 
 

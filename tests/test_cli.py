@@ -692,6 +692,16 @@ class TestEnhanceEvaluate:
         assert f"{bad}: sample rate" in capsys.readouterr().err
         assert not (tmp_path / "enh.wav").exists()
 
+    def test_enhance_rate_of_too_many_phases_is_data_error(self, model_dir, tmp_path, capsys):
+        noisy_in = tmp_path / "odd_rate.wav"
+        write_wav(TimeSignal(np.random.default_rng(5).uniform(-0.1, 0.1, 48_000), 96_001),
+                  noisy_in)
+        rc = main(["enhance", "--model", str(model_dir),
+                   "--in", str(noisy_in), "--out", str(tmp_path / "enh.wav")])
+        assert rc == EXIT_DATA
+        assert "sample rate 96001 Hz needs a 10000/96001 resampler" in capsys.readouterr().err
+        assert not (tmp_path / "enh.wav").exists()
+
     def test_enhance_bad_feature_norm_is_data_error(self, data_dir, model_dir, tmp_path):
         model = tmp_path / "mdl"
         shutil.copytree(model_dir, model)

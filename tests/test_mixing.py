@@ -131,21 +131,13 @@ def level_outcome(fn, sig):
 
 
 class TestTrailingMaxLevel:
-    @settings(max_examples=300, deadline=None)
-    @given(x=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
-           width=st.integers(1, 50))
-    def test_trailing_max_is_the_naive_window_max(self, x, width):
-        arr = np.array(x)
-        naive = [max(arr[max(0, i - width + 1) : i + 1]) for i in range(len(arr))]
-        assert np.array_equal(mixing._trailing_max(arr, width), naive)
-
     @settings(max_examples=150, deadline=None)
-    @given(fs=st.sampled_from([8000, 10000, 16000, 44100]),
+    @given(fs=st.sampled_from([8000, 10000, 11025, 16000, 44100]),
            kind=st.sampled_from(["sparse", "impulse", "bursts", "near-silent"]),
            duration_s=st.floats(0.001, 0.8), seed=st.integers(0, 2**32 - 1))
     def test_level_keeps_the_bits_of_the_per_rung_ladder(self, fs, kind, duration_s, seed):
         """Sparse signals, single impulses, signals shorter than the 0.2 s
-        hangover and near-silent ones, at four rates."""
+        hangover and near-silent ones, at five rates."""
         rng = np.random.default_rng(seed)
         n = max(1, int(duration_s * fs))
         x = np.zeros(n)

@@ -413,7 +413,7 @@ class TestTrainingFanOut:
         joint_system()
         train_ds = mixing.build_dataset(SPEECH[:4], NOISE, split="train", seed=0)
         val_ds = mixing.build_dataset(SPEECH[4:5], NOISE, split="validation", seed=1)
-        (model,), _, _ = pipeline._train(
+        (model,), _, _ = pipeline.train_networks(
             train_ds, val_ds, [3], neural.TrainConfig(objective="elc", max_epochs=2, seed=0),
             (16, 16), 400, 120,
         )
@@ -796,7 +796,8 @@ class TestBandModelParity:
         train_ds = mixing.build_dataset(SPEECH[:4], NOISE, split="train", seed=0)
         val_ds = mixing.build_dataset(SPEECH[4:5], NOISE, split="validation", seed=1)
         config = neural.TrainConfig(objective="elc", max_epochs=2, seed=0)
-        (model,), _, norm = pipeline._train(train_ds, val_ds, [3], config, (16, 16), 400, 120)
+        (model,), _, norm = pipeline.train_networks(train_ds, val_ds, [3], config, (16, 16),
+                                                    400, 120)
         assert model.param_bytes() == SYSTEM.models[3].param_bytes()
         assert np.array_equal(norm.mean, SYSTEM.feature_norm.mean)
 

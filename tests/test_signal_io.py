@@ -1,6 +1,7 @@
 """WAV round trips, fuzzed and partial WAV files, resampling quality, and
 tone generation."""
 
+import hashlib
 import io
 import struct
 import warnings
@@ -161,6 +162,18 @@ class TestWriteWav:
             write_wav(TimeSignal(np.full(64, -0.5), WORKING_RATE_HZ), path)
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["out.wav"]  # no temp file left
+
+    @pytest.mark.parametrize("rate, digest", [
+        (10000, "456b304fe6150add691c6c349cb1226ed5c36e775cef468bb48b048e59d3b57e"),
+        (16000, "e0656929401c04252d3c0f12c7f5431ca3a5489b3031a626a272d3995b52eb6f"),
+    ])
+    def test_file_bytes_are_pinned(self, tmp_path, rate, digest):
+        """1,001 samples (an odd length), 199 of them beyond full scale."""
+        x = np.random.default_rng(11).uniform(-1.25, 1.25, 1001)
+        write_wav(TimeSignal(x, rate), tmp_path / "pinned.wav")
+        raw = (tmp_path / "pinned.wav").read_bytes()
+        assert len(raw) == 44 + 2 * 1001
+        assert hashlib.sha256(raw).hexdigest() == digest
 
 
 def chunked_wav(payload, fmt_code=1, bits=16, channels=1, rate=10000):
@@ -361,6 +374,26 @@ class TestToWorkingRate:
         # 400 kHz is above the ceiling but would resample cheaply (up 1, down 40)
         with pytest.raises(ValueError, match="400000 Hz above the 384000 Hz maximum"):
             to_working_rate(TimeSignal(np.zeros(100), 400_000))
+
+    @pytest.mark.parametrize("fs", [8000, 11025, 16000, 22050, 32000, 37800, 44056, 44100,
+                                    48000, 88200, 96000, 176400, 192000, 352800, 384000])
+    def test_standard_rates_resample(self, fs):
+        n = fs // 50
+        out = to_working_rate(TimeSignal(np.ones(n), fs))
+        assert out.sample_rate_hz == WORKING_RATE_HZ
+        assert len(out) == -(-n * WORKING_RATE_HZ // fs)
+
+    @pytest.mark.parametrize("fs", [44_099, 96_001])
+    def test_rate_of_too_many_phases_refused_before_a_filter(self, fs, monkeypatch):
+        from scipy import signal as sp
+
+        def no_filter(*args, **kwargs):
+            raise AssertionError("a filter was designed")
+
+        monkeypatch.setattr(sp, "firwin", no_filter)
+        with pytest.raises(ValueError, match=f"sample rate {fs} Hz needs a 10000/{fs} "
+                                             f"resampler of {fs} phases"):
+            to_working_rate(TimeSignal(np.zeros(fs // 2), fs))
 
 
 class TestSynthTone:

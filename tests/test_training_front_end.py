@@ -78,8 +78,8 @@ class Stop(Exception):
     pass
 
 
-def front_end(monkeypatch, train_ds, val_ds, **kwargs):
-    """Run `_train` up to its first `_fit` call: (the (dataset, rows,
+def front_end(monkeypatch, train_ds, val_ds):
+    """Run `train_networks` up to its first `_fit` call: (the (dataset, rows,
     features) sets it passes, the front end's traced peak bytes)."""
     seen = []
 
@@ -92,38 +92,34 @@ def front_end(monkeypatch, train_ds, val_ds, **kwargs):
     tracemalloc.start()
     try:
         with pytest.raises(Stop):
-            pipeline._train(train_ds, val_ds, [None], config, (8,), None, None, **kwargs)
+            pipeline.train_networks(train_ds, val_ds, [None], config, (8,), None, None)
     finally:
         tracemalloc.stop()
     ((sets, peak),) = seen
     return sets, peak
 
 
-# the classical front end passes its own row salt and norm chunk
-KINDS = {"envelope": (envelope_datasets, {}),
-         "magnitude": (magnitude_datasets, {"salt": 0xBA5E, "chunk": 2048})}
+KINDS = {"envelope": envelope_datasets, "magnitude": magnitude_datasets}
 
 
 @pytest.fixture(scope="module", params=list(KINDS))
 def datasets(request):
-    build, kwargs = KINDS[request.param]
-    return build(), kwargs
+    return KINDS[request.param]()
 
 
 def test_train_features_equal_apply_of_gathered_features(monkeypatch, datasets):
-    (train_ds, val_ds), kwargs = datasets
-    sets, _ = front_end(monkeypatch, train_ds, val_ds, **kwargs)
+    train_ds, val_ds = datasets
+    sets, _ = front_end(monkeypatch, train_ds, val_ds)
     (_, train_rows, _), _ = sets
-    chunk = kwargs.get("chunk", pipeline._FEATURE_CHUNK)
-    norm = neural.FeatureNorm(*reference_norm(train_ds.features(train_rows), chunk))
+    norm = neural.FeatureNorm(*reference_norm(train_ds.features(train_rows), train_ds.norm_chunk))
     for (ds, rows, feats), want in zip(sets, (train_ds, val_ds)):
         assert ds is want
         assert np.array_equal(feats, norm.apply(ds.features(rows)))
 
 
 def test_front_end_peak_is_about_one_feature_copy(monkeypatch, datasets):
-    (train_ds, val_ds), kwargs = datasets
+    train_ds, val_ds = datasets
     assert train_ds.n_frames >= (2000 if isinstance(train_ds, mixing.EnvelopeDataset) else 300)
-    sets, peak = front_end(monkeypatch, train_ds, val_ds, **kwargs)
+    sets, peak = front_end(monkeypatch, train_ds, val_ds)
     feature_bytes = sum(feats.nbytes for _, _, feats in sets)
     assert peak <= 1.25 * feature_bytes + 2**20, (peak, feature_bytes)
